@@ -40,6 +40,7 @@ from .diagram import (
     reclose,
 )
 from .forbidden import (
+    Family,
     FamilyError,
     check_n_trivial,
     expand_semivirtual,
@@ -99,10 +100,6 @@ def _load_diagrams(args) -> list[GaussDiagram]:
     return read_diagram_file(text, args.kind)
 
 
-def _laurent_pairs(poly) -> list[list[int]]:
-    return poly.pairs()
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -112,14 +109,17 @@ def cmd_eval(args) -> int:
     if args.arrow_poly:
         with open(args.arrow_poly, "rb") as fh:
             poly = load_arrow_polynomial(fh.read())
+    for d in diagrams:
+        if d.n > args.cap_chords:
+            raise CapExceeded(f"eval capped at {args.cap_chords} chords, got {d.n}")
     rows = []
     for d in diagrams:
         closed = d if d.kind == "closed" else reclose(d)
         row = {
             "kind": d.kind,
             "code": d.code(),
-            "bracket": _laurent_pairs(bracket(closed)),
-            "jones_hat": _laurent_pairs(jones_hat(closed)),
+            "bracket": bracket(closed).pairs(),
+            "jones_hat": jones_hat(closed).pairs(),
             "v21": v21(d) if d.kind == "long" else None,
             "v22": v22(d) if d.kind == "long" else None,
             "arrow_pairing": None,
@@ -147,8 +147,8 @@ def cmd_kh(args) -> int:
             "table": [
                 {"i": i, "j": j, "dim": dim} for (i, j), dim in table.dims
             ],
-            "jones_hat": _laurent_pairs(jh),
-            "bracket": _laurent_pairs(bracket(closed)),
+            "jones_hat": jh.pairs(),
+            "bracket": bracket(closed).pairs(),
             "euler_check": "ok" if table.euler() == jh else "mismatch",
         }
         _emit(report, args.format)
@@ -185,8 +185,6 @@ def cmd_ntrivial(args) -> int:
     status = OK
     for d in _load_diagrams(args):
         if mode == "F":
-            from .forbidden import Family
-
             families = [
                 Family(tuple(site_at(d, s.slot, s.kind) for s in fam.members))
                 for fam in families

@@ -31,18 +31,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .diagram import HEAD, TAIL, DiagramError, GaussDiagram, reclose
-from .khovanov import (
-    DEFAULT_HOMOLOGY_CAP,
-    bracket,
-    homology,
-    jones_hat,
-    writhe,
-)
+from .khovanov import DEFAULT_HOMOLOGY_CAP, homology, jones_hat
 from .laurent import LaurentPoly
 from .moves import MoveEvent, apply_move, enumerate_moves, simplify
-from .arrows import Invariant, v21, v22
+from .arrows import Invariant, gpv_alt_sum, v21, v22
 
 UNKNOT_TABLE = {(0, -1): 1, (0, 1): 1}
+UNKNOT_JONES = LaurentPoly({1: 1, -1: 1})
 
 
 class FamilyError(DiagramError):
@@ -294,8 +289,10 @@ def lemma3_residual(
     K' applies every member of every family.  The transversal sum runs over
     tuples picking one position per family; members before the picked one
     are applied outright and the picked member becomes a semi-virtual
-    (GPV) or semi-triple (F) mark, expanded by the functions above.  In F
-    mode each term carries the product of the marks' triangle signs.  The
+    (GPV) or semi-triple (F) mark.  Each term is the alternating sum over
+    the marks, :func:`gpv_alt_sum` or :func:`f_alt_sum`: in F mode the
+    identity multiplies the semi-triple expansion by the product of the
+    marks' triangle signs, which cancels the same product inside it.  The
     residual is exactly 0 whenever all nonempty subfamily toggles of the
     diagram present the same knot.
     """
@@ -313,14 +310,8 @@ def lemma3_residual(
         for members, pick in zip(ordered, picks):
             base = _apply_all(base, members[:pick], mode)
             marks.append(members[pick])
-        if mode == "GPV":
-            term = expand_semivirtual(base, marks).evaluate(invariant)
-        else:
-            coeff = 1
-            for s in marks:
-                coeff *= triangle_sign(base, s.slot)
-            term = coeff * expand_semitriple(base, marks).evaluate(invariant)
-        total += term
+        alt_sum = gpv_alt_sum if mode == "GPV" else f_alt_sum
+        total += alt_sum(invariant, base, marks)
     return v_k - v_kp - total
 
 
@@ -328,30 +319,30 @@ def lemma3_residual(
 
 
 def _battery(diagram: GaussDiagram, cap: int) -> list[tuple[str, str, str]]:
-    """(name, value, unknot value) rows that witness nontriviality."""
-    rows: list[tuple[str, str, str]] = []
+    """The first (name, value, unknot value) row that witnesses
+    nontriviality, as a one-row list, or [] when no row does.
+
+    Rows are tried in the order v21, v22 (long diagrams only), jones_hat,
+    then Z2 Khovanov homology within ``cap``.  The normalized bracket is
+    not tried: for a fixed writhe, ``khovanov.jones_from_bracket`` maps
+    monomials one-to-one and sends the unknot's bracket to the unknot's
+    Jones polynomial, so the bracket differs from the unknot's exactly
+    when jones_hat does.
+    """
     if diagram.kind == "long":
         for name, fn in (("v21", v21), ("v22", v22)):
             val = fn(diagram)
             if val != 0:
-                rows.append((name, str(val), "0"))
-        closed = reclose(diagram)
-    else:
-        closed = diagram
-    jh = jones_hat(closed)
-    unknot_jones = LaurentPoly({1: 1, -1: 1})
-    if jh != unknot_jones:
-        rows.append(("jones_hat", jh.to_str("q"), unknot_jones.to_str("q")))
-    w = writhe(closed)
-    norm = bracket(closed) * LaurentPoly({-3 * w: (-1) ** (w % 2)})
-    delta = LaurentPoly({2: -1, -2: -1})
-    if norm != delta:
-        rows.append(("bracket", norm.to_str("A"), delta.to_str("A")))
-    if closed.n <= cap:
-        table = homology(closed, cap).as_dict()
+                return [(name, str(val), "0")]
+        diagram = reclose(diagram)
+    jh = jones_hat(diagram)
+    if jh != UNKNOT_JONES:
+        return [("jones_hat", jh.to_str("q"), UNKNOT_JONES.to_str("q"))]
+    if diagram.n <= cap:
+        table = homology(diagram, cap).as_dict()
         if table != UNKNOT_TABLE:
-            rows.append(("khovanov", str(table), str(UNKNOT_TABLE)))
-    return rows
+            return [("khovanov", str(table), str(UNKNOT_TABLE))]
+    return []
 
 
 def certify_trivial(

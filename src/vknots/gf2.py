@@ -18,7 +18,3 @@ def gf2_rank(rows: list[int]) -> int:
                 break
     return rank
 
-
-def gf2_in_rowspan(vec: int, rows: list[int]) -> bool:
-    """Whether ``vec`` lies in the GF(2) span of ``rows``."""
-    return gf2_rank(rows) == gf2_rank(rows + [vec])

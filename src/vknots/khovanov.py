@@ -24,15 +24,28 @@ Differential
     differential and the bigraded homology KH is invariant under all
     generalized Reidemeister moves, with graded Euler characteristic the
     unnormalized Jones polynomial.
+
+State space
+    Every operation reads one state space per diagram: the circles of each
+    traced state and a census of the states per (negative-marker count,
+    circle count).  The bracket and the Jones polynomial depend on a state
+    only through that pair, so each sums the O(n^2) census entries instead
+    of the 2**n states.  Only the last diagram's space is cached, keyed by
+    kind and chord tuple: the tuple carries the chord ids that order the
+    markers, which diagram equality ignores.  One entry is enough, since
+    callers ask for one diagram several times in a row (homology, Jones
+    and bracket of a ``kh`` report, the states of a Lemma 5 scan); on the
+    benchmark workloads every cache hit was on the diagram just before.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .diagram import DiagramError, GaussDiagram
+from .diagram import Chord, DiagramError, GaussDiagram
 from .gf2 import gf2_rank
 from .laurent import LaurentPoly
 
@@ -58,12 +71,6 @@ class CircleSet:
     @property
     def count(self) -> int:
         return len(self.circles)
-
-    def circle_of(self, arc: int) -> int:
-        for idx, circle in enumerate(self.circles):
-            if arc in circle:
-                return idx
-        raise DiagramError(f"arc {arc} not in any circle")
 
 
 @dataclass(frozen=True)
@@ -115,18 +122,18 @@ def writhe(diagram: GaussDiagram) -> int:
 
 
 class _StateSpace:
-    """Per-diagram cache of smoothings, circle data and switch transitions.
+    """Smoothings, circle data and switch transitions of one closed diagram.
 
-    Masks encode states: bit k set means chord ``diagram.chords[k]`` carries
-    the negative marker.
+    Masks encode states: bit k set means chord ``chords[k]`` carries the
+    negative marker.
     """
 
-    def __init__(self, diagram: GaussDiagram):
-        if diagram.kind != "closed":
+    def __init__(self, kind: str, chords: tuple[Chord, ...]):
+        if kind != "closed":
             raise DiagramError("state smoothing expects a closed diagram")
-        self.diagram = diagram
-        self.n = diagram.n
-        self.w = writhe(diagram)
+        self.chords = chords
+        self.n = len(chords)
+        self.w = sum(c.sign for c in chords)
         self._circles: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def mask_of(self, markers: StateVec) -> int:
@@ -163,7 +170,7 @@ class _StateSpace:
             partner[a] = b
             partner[b] = a
 
-        for k, c in enumerate(self.diagram.chords):
+        for k, c in enumerate(self.chords):
             mu = -1 if (mask >> k) & 1 else 1
             p, q = c.tail, c.head
             r_in_p = 2 * ((p - 1) % m) + 1
@@ -191,6 +198,15 @@ class _StateSpace:
             circles.append(tuple(sorted(arcs)))
         circles.sort(key=lambda t: t[0])
         return tuple(circles)
+
+    @functools.cached_property
+    def census(self) -> dict[tuple[int, int], int]:
+        """Number of states per (negative-marker count, circle count)."""
+        counts: dict[tuple[int, int], int] = {}
+        for mask in range(1 << self.n):
+            key = (mask.bit_count(), len(self.circles(mask)))
+            counts[key] = counts.get(key, 0) + 1
+        return counts
 
     def sigma(self, mask: int) -> int:
         return self.n - 2 * bin(mask).count("1")
@@ -231,17 +247,11 @@ class _StateSpace:
         raise AssertionError("a marker switch changes the circle count by at most 1")
 
 
-_spaces: dict[GaussDiagram, _StateSpace] = {}
+_space_of = functools.lru_cache(maxsize=1)(_StateSpace)
 
 
 def _space(diagram: GaussDiagram) -> _StateSpace:
-    sp = _spaces.get(diagram)
-    if sp is None:
-        sp = _StateSpace(diagram)
-        if len(_spaces) > 64:
-            _spaces.clear()
-        _spaces[diagram] = sp
-    return sp
+    return _space_of(diagram.kind, diagram.chords)
 
 
 # -- public operations -----------------------------------------------------------
@@ -284,33 +294,29 @@ def bracket(diagram: GaussDiagram) -> LaurentPoly:
     """Kauffman bracket state sum, normalized by <empty> = 1.
 
     <D> = sum over states of A**sigma * (-A^2 - A^-2)**|s|, so the
-    chord-free diagram evaluates to -A^2 - A^-2.
+    chord-free diagram evaluates to -A^2 - A^-2.  A state with b negative
+    markers has sigma = n - 2b, so the sum runs over the census.
     """
     sp = _space(diagram)
     delta = LaurentPoly({2: -1, -2: -1})
-    powers = [LaurentPoly.one()]
-    for _ in range(sp.n + 1):
-        powers.append(powers[-1] * delta)
     acc = LaurentPoly.zero()
-    for mask in range(1 << sp.n):
-        acc = acc + powers[len(sp.circles(mask))].shift(sp.sigma(mask))
+    for (neg, size), count in sp.census.items():
+        acc = acc + (delta**size).shift(sp.n - 2 * neg) * count
     return acc
 
 
 def jones_hat(diagram: GaussDiagram) -> LaurentPoly:
     """Unnormalized Jones polynomial: sum over enhanced states of
     (-1)**i(S) * q**j(S).  Invariant under all generalized Reidemeister
-    moves."""
+    moves.  A state with b negative markers has i = (w - n)/2 + b, and its
+    labelings contribute q**(w + i) * (q + 1/q)**|s|, so the sum runs over
+    the census."""
     sp = _space(diagram)
     qq = LaurentPoly({1: 1, -1: 1})
-    powers = [LaurentPoly.one()]
-    for _ in range(sp.n + 1):
-        powers.append(powers[-1] * qq)
     acc = LaurentPoly.zero()
-    for mask in range(1 << sp.n):
-        i = sp.homological_i(mask)
-        term = powers[len(sp.circles(mask))].shift(sp.w + i)
-        acc = acc + (term if i % 2 == 0 else -term)
+    for (neg, size), count in sp.census.items():
+        i = (sp.w - sp.n) // 2 + neg
+        acc = acc + (qq**size).shift(sp.w + i) * (-count if i % 2 else count)
     return acc
 
 

@@ -87,6 +87,13 @@ class TestEval:
         code = main(["eval", "--code", "O1+ U1-"])
         assert code == 1
 
+    def test_cap_exceeded_is_exit_2(self, capsys):
+        code = main(["eval", "--code", RIGHT_TREFOIL, "--cap-chords", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "capped at 2 chords" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestSums:
     def test_gpv_sum_vanishes(self, capsys):

@@ -11,7 +11,7 @@ from vknots.corpus import (
     unknot,
     virtual_trefoil,
 )
-from vknots.diagram import GaussDiagram, parse_gauss_code
+from vknots.diagram import Chord, GaussDiagram, parse_gauss_code, reclose
 from vknots.khovanov import (
     CapExceeded,
     EnhancedState,
@@ -85,6 +85,16 @@ class TestTraceCircles:
             d = random_diagram(rng, rng.randint(0, 7), "closed")
             markers = tuple(rng.choice((1, -1)) for _ in range(d.n))
             assert trace_circles(d, markers).count == oracle_circle_count(d, markers)
+            # an equal copy with reversed chord ids lists the same markers in
+            # reverse; right after d, it must not reuse d's chord order
+            ids = d.chord_ids()
+            swap = dict(zip(ids, reversed(ids)))
+            copy = GaussDiagram(
+                "closed", (Chord(swap[c.id], c.tail, c.head, c.sign) for c in d.chords)
+            )
+            assert copy == d
+            flipped = markers[::-1]
+            assert trace_circles(copy, flipped).count == oracle_circle_count(copy, flipped)
 
     def test_marker_length_mismatch(self):
         with pytest.raises(Exception, match="markers"):
@@ -161,6 +171,22 @@ class TestJonesHat:
         for _ in range(25):
             d = random_diagram(rng, rng.randint(0, 6), "closed")
             assert jones_hat(d) == jones_from_bracket(bracket(d), writhe(d))
+
+    def test_unknot_bracket_iff_unknot_jones(self):
+        # why the unknot battery tries no bracket row after jones_hat
+        rng = random.Random(65)
+        delta = LaurentPoly({2: -1, -2: -1})
+        unknot_jones = LaurentPoly({1: 1, -1: 1})
+        seen = set()
+        for _ in range(120):
+            d = random_diagram(rng, rng.randint(0, 6), rng.choice(("closed", "long")))
+            closed = d if d.kind == "closed" else reclose(d)
+            w = writhe(closed)
+            norm = bracket(closed) * LaurentPoly({-3 * w: (-1) ** (w % 2)})
+            trivial_jones = jones_hat(closed) == unknot_jones
+            assert (norm == delta) == trivial_jones, d.code()
+            seen.add((d.kind, trivial_jones))
+        assert len(seen) == 4
 
     def test_equals_chain_euler(self, rng):
         for _ in range(10):

@@ -52,6 +52,7 @@ from .forbidden import (
 from .khovanov import (
     CapExceeded,
     DEFAULT_HOMOLOGY_CAP,
+    MAX_CAP_CHORDS,
     bracket,
     homology,
     jones_hat,
@@ -426,6 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    cap = getattr(args, "cap_chords", None)
+    if cap is not None and not 0 <= cap <= MAX_CAP_CHORDS:
+        print(
+            f"error: --cap-chords must be between 0 and {MAX_CAP_CHORDS}, got {cap}",
+            file=sys.stderr,
+        )
+        return INPUT_ERROR
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -25,23 +25,42 @@ Differential
     generalized Reidemeister moves, with graded Euler characteristic the
     unnormalized Jones polynomial.
 
+    A switch is read off locally.  The arcs ending and starting at the
+    chord's tail lie on different strands of either smoothing there, so
+    their circles in the old and the new state are the circles that merge
+    or split.  Every other circle keeps its arcs, and circles are listed in
+    order of their smallest arc, so the map from untouched old circles to
+    new ones is monotone: a label mask moves by deleting the bits of the
+    old circles and inserting the bits of the new ones.  ``homology`` and
+    ``differential`` both go through :meth:`_StateSpace.switch` and
+    :func:`_switch_images`.
+
 State space
     Every operation reads one state space per diagram: the circles of each
-    traced state and a census of the states per (negative-marker count,
-    circle count).  The bracket and the Jones polynomial depend on a state
-    only through that pair, so each sums the O(n^2) census entries instead
-    of the 2**n states.  Only the last diagram's space is cached, keyed by
-    kind and chord tuple: the tuple carries the chord ids that order the
-    markers, which diagram equality ignores.  One entry is enough, since
-    callers ask for one diagram several times in a row (homology, Jones
-    and bracket of a ``kh`` report, the states of a Lemma 5 scan); on the
-    benchmark workloads every cache hit was on the diagram just before.
+    traced state, the circle of each arc, and a census of the states per
+    (negative-marker count, circle count).  The bracket and the Jones
+    polynomial depend on a state only through that pair, so each sums the
+    O(n^2) census entries instead of the 2**n states.  Only the last
+    diagram's space is cached, keyed by kind and chord tuple: the tuple
+    carries the chord ids that order the markers, which diagram equality
+    ignores.  One entry is enough, since callers ask for one diagram
+    several times in a row (homology, Jones and bracket of a ``kh`` report,
+    the states of a Lemma 5 scan); on the benchmark workloads every cache
+    hit was on the diagram just before.
+
+    The homology basis is never listed.  Block (i, j) holds the enhanced
+    states of that bidegree in state order, then label order, so the state
+    (mask, lam) with t x-labels sits at a block offset of its state for t,
+    counted with binomial coefficients, plus the rank of lam among the
+    label masks with t bits set.  The rows of each block are bitmasks over
+    the next block and are built straight from those indices.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -50,6 +69,8 @@ from .gf2 import gf2_rank
 from .laurent import LaurentPoly
 
 DEFAULT_HOMOLOGY_CAP = 12
+# Largest chord cap the CLI accepts for --cap-chords: 2**16 states.
+MAX_CAP_CHORDS = 16
 
 StateVec = tuple[int, ...]
 
@@ -134,7 +155,22 @@ class _StateSpace:
         self.chords = chords
         self.n = len(chords)
         self.w = sum(c.sign for c in chords)
-        self._circles: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # Arc i runs slot i -> slot i+1; its ends are L=2i (at slot i) and
+        # R=2i+1 (at slot i+1).  Smoothing a chord pairs up the four arc
+        # ends at its slots as (a, b), (c, d); per chord, the pairs for the
+        # positive and for the negative marker.  The strands reconnect
+        # orientation-preservingly iff sign * marker = +1.
+        m = 2 * self.n
+        self._smoothings = []
+        for c in chords:
+            r_in_p, r_in_q = 2 * ((c.tail - 1) % m) + 1, 2 * ((c.head - 1) % m) + 1
+            l_out_p, l_out_q = 2 * c.tail, 2 * c.head
+            preserving = (r_in_p, l_out_q, r_in_q, l_out_p)
+            reversing = (r_in_p, r_in_q, l_out_p, l_out_q)
+            self._smoothings.append(
+                (preserving, reversing) if c.sign > 0 else (reversing, preserving)
+            )
+        self._states: dict[int, tuple[tuple[tuple[int, ...], ...], list[int]]] = {}
 
     def mask_of(self, markers: StateVec) -> int:
         if len(markers) != self.n:
@@ -151,53 +187,40 @@ class _StateSpace:
         return tuple(-1 if (mask >> k) & 1 else 1 for k in range(self.n))
 
     def circles(self, mask: int) -> tuple[tuple[int, ...], ...]:
-        got = self._circles.get(mask)
+        return self._state(mask)[0]
+
+    def _state(self, mask: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+        """(circles, circle index of each arc) of one state, traced once."""
+        got = self._states.get(mask)
         if got is None:
-            got = self._trace(mask)
-            self._circles[mask] = got
+            got = self._states[mask] = self._trace(mask)
         return got
 
-    def _trace(self, mask: int) -> tuple[tuple[int, ...], ...]:
+    def _trace(self, mask: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
         n = self.n
         if n == 0:
-            return ((),)
+            return ((),), []
         m = 2 * n
-        # arc i runs slot i -> slot i+1; its ends are L=2i (at slot i) and
-        # R=2i+1 (at slot i+1).  Smoothing pairs up arc ends at each chord.
-        partner = [-1] * (2 * m)
-
-        def pair(a: int, b: int) -> None:
-            partner[a] = b
-            partner[b] = a
-
-        for k, c in enumerate(self.chords):
-            mu = -1 if (mask >> k) & 1 else 1
-            p, q = c.tail, c.head
-            r_in_p = 2 * ((p - 1) % m) + 1
-            r_in_q = 2 * ((q - 1) % m) + 1
-            l_out_p = 2 * p
-            l_out_q = 2 * q
-            if c.sign * mu > 0:  # orientation-preserving reconnection
-                pair(r_in_p, l_out_q)
-                pair(r_in_q, l_out_p)
-            else:  # orientation-reversing
-                pair(r_in_p, r_in_q)
-                pair(l_out_p, l_out_q)
-        seen = [False] * (2 * m)
-        circles = []
-        for start in range(2 * m):
-            if seen[start]:
+        partner = [0] * (2 * m)
+        for k, ends in enumerate(self._smoothings):
+            a, b, c, d = ends[(mask >> k) & 1]
+            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
+        # walking from the lowest arc not yet on a circle numbers the
+        # circles in order of their smallest arc
+        arc_circle = [-1] * m
+        count = 0
+        for start in range(m):
+            if arc_circle[start] >= 0:
                 continue
-            arcs = []
-            end = start
-            while not seen[end]:
-                seen[end] = True
-                seen[end ^ 1] = True
-                arcs.append(end >> 1)
+            end = 2 * start
+            while arc_circle[end >> 1] < 0:
+                arc_circle[end >> 1] = count
                 end = partner[end ^ 1]
-            circles.append(tuple(sorted(arcs)))
-        circles.sort(key=lambda t: t[0])
-        return tuple(circles)
+            count += 1
+        circles: list[list[int]] = [[] for _ in range(count)]
+        for arc, idx in enumerate(arc_circle):
+            circles[idx].append(arc)
+        return tuple(map(tuple, circles)), arc_circle
 
     @functools.cached_property
     def census(self) -> dict[tuple[int, int], int]:
@@ -214,36 +237,29 @@ class _StateSpace:
     def homological_i(self, mask: int) -> int:
         return (self.w - self.sigma(mask)) // 2
 
-    def switch(self, mask: int, k: int):
+    def switch(self, mask: int, k: int) -> tuple[str, int, int, int]:
         """Effect of switching the positive marker of chord k to negative.
 
-        Returns ("zero", None) when the circle count is unchanged, else
-        ("merge", (a, b, c, carry)) or ("split", (a, b, c, carry)) where a
-        (resp. a -> b, c) are circle indices in the old (new) state and
-        ``carry`` maps every other old circle index to its new index.
+        Returns ("zero", -1, -1, -1) when the circle count is unchanged,
+        ("merge", a, b, c) when old circles a < b merge into new circle c,
+        and ("split", a, b, c) when old circle a splits into new circles
+        b < c.  Every other circle keeps its arcs, so the old and the new
+        circle order agree on them.
         """
-        old = self.circles(mask)
-        new = self.circles(mask | (1 << k))
-        if len(new) == len(old):
-            return ("zero", None)
-        old_index = {circ: i for i, circ in enumerate(old)}
-        carry: dict[int, int] = {}
-        missing_new = []
-        for j, circ in enumerate(new):
-            i = old_index.get(circ)
-            if i is None:
-                missing_new.append(j)
-            else:
-                carry[i] = j
-        missing_old = [i for i, circ in enumerate(old) if i not in carry]
+        old, old_arc = self._state(mask)
+        new, new_arc = self._state(mask | (1 << k))
+        # the arcs ending and starting at the chord's tail lie on different
+        # strands of either smoothing there
+        v = self.chords[k].tail
+        u = (v - 1) % (2 * self.n)
         if len(new) == len(old) - 1:
-            a, b = missing_old
-            (c,) = missing_new
-            return ("merge", (a, b, c, carry))
+            a, b = sorted((old_arc[u], old_arc[v]))
+            return ("merge", a, b, new_arc[u])
         if len(new) == len(old) + 1:
-            (a,) = missing_old
-            b, c = missing_new
-            return ("split", (a, b, c, carry))
+            b, c = sorted((new_arc[u], new_arc[v]))
+            return ("split", old_arc[u], b, c)
+        if len(new) == len(old):
+            return ("zero", -1, -1, -1)
         raise AssertionError("a marker switch changes the circle count by at most 1")
 
 
@@ -346,24 +362,37 @@ def _mask_labels(mask: int, count: int) -> tuple[str, ...]:
     return tuple("x" if (mask >> idx) & 1 else "1" for idx in range(count))
 
 
-def _switch_images(kind: str, data, lam: int) -> list[int]:
-    """New label masks produced by one marker switch (Z2 coefficients)."""
+def _drop_bit(mask: int, pos: int) -> int:
+    """``mask`` with bit ``pos`` removed and the higher bits shifted down."""
+    return (mask & ((1 << pos) - 1)) | ((mask >> (pos + 1)) << pos)
+
+
+def _insert_bit(mask: int, pos: int, bit: int) -> int:
+    """``mask`` with ``bit`` inserted at ``pos`` and the higher bits shifted up."""
+    return (mask & ((1 << pos) - 1)) | (bit << pos) | ((mask >> pos) << (pos + 1))
+
+
+def _switch_images(sw: tuple[str, int, int, int], lam: int) -> list[int]:
+    """New label masks produced by one marker switch (Z2 coefficients).
+
+    Circles the switch leaves alone keep their order, so their labels move
+    by deleting the old circles' bits and inserting the new circles' bits.
+    """
+    kind, a, b, c = sw
     if kind == "zero":
         return []
-    a, b, c, carry = data
-    base = 0
-    for old, new in carry.items():
-        if (lam >> old) & 1:
-            base |= 1 << new
     if kind == "merge":
         xa, xb = (lam >> a) & 1, (lam >> b) & 1
         if xa and xb:
             return []
-        return [base | ((xa | xb) << c)]
-    # split
+        return [_insert_bit(_drop_bit(_drop_bit(lam, b), a), c, xa | xb)]
+    base = _drop_bit(lam, a)
     if (lam >> a) & 1:
-        return [base | (1 << b) | (1 << c)]
-    return [base | (1 << b), base | (1 << c)]
+        return [_insert_bit(_insert_bit(base, b, 1), c, 1)]
+    return [
+        _insert_bit(_insert_bit(base, b, 1), c, 0),
+        _insert_bit(_insert_bit(base, b, 0), c, 1),
+    ]
 
 
 def differential(diagram: GaussDiagram, state: EnhancedState) -> list[EnhancedState]:
@@ -379,10 +408,9 @@ def differential(diagram: GaussDiagram, state: EnhancedState) -> list[EnhancedSt
     for k in range(sp.n):
         if (mask >> k) & 1:
             continue
-        kind, data = sp.switch(mask, k)
         new_mask = mask | (1 << k)
         count = len(sp.circles(new_mask))
-        for lam2 in _switch_images(kind, data, lam):
+        for lam2 in _switch_images(sp.switch(mask, k), lam):
             out.append(EnhancedState(sp.markers_of(new_mask), _mask_labels(lam2, count)))
     return out
 
@@ -400,40 +428,68 @@ def homology(
         raise CapExceeded(f"homology capped at {cap} chords, got {diagram.n}")
     sp = _space(diagram)
     n, w = sp.n, sp.w
+    states = range(1 << n)
+    sizes = [len(sp.circles(mask)) for mask in states]
 
-    basis: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    index: dict[tuple[int, int], int] = {}
-    for mask in range(1 << n):
-        circles = sp.circles(mask)
-        size = len(circles)
-        i = sp.homological_i(mask)
-        for lam in range(1 << size):
-            tau = size - 2 * bin(lam).count("1")
-            key = (i, w + i + tau)
-            block = basis.setdefault(key, [])
-            index[(mask, lam)] = len(block)
-            block.append((mask, lam))
+    # The block (i, j) lists the enhanced states (mask, lam) of degree
+    # (i, j) in mask order, then label order.  A state with t x-labels
+    # sits at offset[mask][t] + rank[lam], where rank[lam] is the position
+    # of lam among the label masks with t bits set.
+    top = max(sizes)
+    by_bits: list[list[int]] = [[] for _ in range(top + 1)]
+    rank = [0] * (1 << top)
+    for lam in range(1 << top):
+        group = by_bits[lam.bit_count()]
+        rank[lam] = len(group)
+        group.append(lam)
+    filled: dict[tuple[int, int], int] = {}
+    offset = []
+    for mask in states:
+        size, i = sizes[mask], sp.homological_i(mask)
+        starts = []
+        for t in range(size + 1):
+            key = (i, w + i + size - 2 * t)
+            at = filled.get(key, 0)
+            starts.append(at)
+            filled[key] = at + math.comb(size, t)
+        offset.append(starts)
 
-    switches: dict[int, list[tuple[int, str, object]]] = {}
-    for mask in range(1 << n):
-        entry = []
+    # Column bits of the images of every label mask under one switch,
+    # relative to the target state's block offset; they depend only on the
+    # switch data and the circle count.  Images keep j, so a merge keeps
+    # the number of x-labels and a split adds one.
+    columns: dict[tuple[tuple[str, int, int, int], int], list[int]] = {}
+    matrices: dict[tuple[int, int], list[int]] = {key: [] for key in filled}
+    for mask in states:
+        size, i = sizes[mask], sp.homological_i(mask)
+        targets = []
         for k in range(n):
-            if not (mask >> k) & 1:
-                kind, data = sp.switch(mask, k)
-                if kind != "zero":
-                    entry.append((mask | (1 << k), kind, data))
-        switches[mask] = entry
-
-    def image_vector(mask: int, lam: int) -> int:
-        vec = 0
-        for new_mask, kind, data in switches[mask]:
-            for lam2 in _switch_images(kind, data, lam):
-                vec |= 1 << index[(new_mask, lam2)]
-        return vec
-
-    matrices: dict[tuple[int, int], list[int]] = {}
-    for (i, j), block in basis.items():
-        matrices[(i, j)] = [image_vector(mask, lam) for mask, lam in block]
+            if (mask >> k) & 1:
+                continue
+            sw = sp.switch(mask, k)
+            if sw[0] == "zero":
+                continue
+            cols = columns.get((sw, size))
+            if cols is None:
+                cols = columns[(sw, size)] = [
+                    sum(1 << rank[lam2] for lam2 in _switch_images(sw, lam))
+                    for lam in range(1 << size)
+                ]
+            targets.append((offset[mask | (1 << k)], sw[0] == "split", cols))
+        for t in range(size + 1):
+            rows = matrices[(i, w + i + size - 2 * t)]
+            # merging two x-labels gives nothing, so when every label is x
+            # a merge has no target block
+            parts = [
+                (cols, starts[t + up])
+                for starts, up, cols in targets
+                if t + up < len(starts)
+            ]
+            for lam in by_bits[t][: math.comb(size, t)]:
+                vec = 0
+                for cols, at in parts:
+                    vec |= cols[lam] << at
+                rows.append(vec)
 
     # d o d = 0, checked blockwise before any elimination
     for (i, j), rows in matrices.items():
@@ -452,8 +508,8 @@ def homology(
 
     ranks = {key: gf2_rank(rows) for key, rows in matrices.items()}
     table: dict[tuple[int, int], int] = {}
-    for (i, j), block in basis.items():
-        dim = len(block) - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
+    for (i, j), rows in matrices.items():
+        dim = len(rows) - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
         if dim:
             table[(i, j)] = dim
     return GradedDims.from_dict(table)

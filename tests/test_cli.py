@@ -6,6 +6,7 @@ import pytest
 from vknots import schemas
 from vknots.cli import main
 from vknots.corpus import GPV2_TRIVIAL, RIGHT_TREFOIL, VIRTUAL_TREFOIL
+from vknots.khovanov import MAX_CAP_CHORDS
 
 
 def run(capsys, *argv):
@@ -41,6 +42,14 @@ class TestKh:
             capsys, "kh", "--code", RIGHT_TREFOIL, "--cap-chords", "2"
         )
         assert code == 2 and report["skipped"] is True
+
+    @pytest.mark.parametrize("cap", ["17", "40", "-1"])
+    def test_cap_outside_ceiling_is_exit_1(self, capsys, cap):
+        code = main(["kh", "--code", RIGHT_TREFOIL, "--cap-chords", cap])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"between 0 and {MAX_CAP_CHORDS}" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestEval:
@@ -185,6 +194,12 @@ class TestBraid:
         assert code == 2  # k = 3 exceeds the default cap
         assert [r["k"] for r in report["rows"]] == [1, 2, 3]
         jsonschema.validate(report, schemas.BRAID_REPORT)
+
+    def test_scan_cap_above_ceiling_is_exit_1(self, capsys):
+        code = main(["braid", "--scan", "1:2", "--cap-chords", "44"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"between 0 and {MAX_CAP_CHORDS}" in captured.err
 
     def test_gens_file(self, capsys, tmp_path):
         path = tmp_path / "gens.json"

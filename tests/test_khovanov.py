@@ -11,6 +11,7 @@ from vknots.corpus import (
     unknot,
     virtual_trefoil,
 )
+from vknots import khovanov
 from vknots.diagram import Chord, GaussDiagram, parse_gauss_code, reclose
 from vknots.khovanov import (
     CapExceeded,
@@ -25,6 +26,8 @@ from vknots.khovanov import (
     jones_hat,
     lemma5_check,
     lemma5_gradings,
+    _space,
+    _switch_images,
     trace_circles,
     writhe,
 )
@@ -262,6 +265,79 @@ class TestDifferential:
                 for t in differential(d, s):
                     _, _, i, j = gradings(d, t)
                     assert (i, j) == (i0 + 1, j0)
+
+
+def oracle_switch(sp, mask, k):
+    """Reference switch: diff the whole circle tuples of both states.
+
+    Returns (kind, a, b, c) as the engine does, plus ``carry``, the new
+    index of every circle the switch leaves alone.
+    """
+    old, new = sp.circles(mask), sp.circles(mask | (1 << k))
+    if len(new) == len(old):
+        return ("zero", -1, -1, -1), {}
+    old_index = {circ: i for i, circ in enumerate(old)}
+    carry = {old_index[circ]: j for j, circ in enumerate(new) if circ in old_index}
+    missing_old = [i for i in range(len(old)) if i not in carry]
+    missing_new = [j for j, circ in enumerate(new) if circ not in old_index]
+    if len(new) == len(old) - 1:
+        (a, b), (c,) = missing_old, missing_new
+        return ("merge", a, b, c), carry
+    (a,), (b, c) = missing_old, missing_new
+    return ("split", a, b, c), carry
+
+
+def oracle_images(sw, carry, lam):
+    """Reference label map: move every carried label to its new index."""
+    kind, a, b, c = sw
+    base = 0
+    for old, new in carry.items():
+        base |= ((lam >> old) & 1) << new
+    if kind == "zero":
+        return []
+    if kind == "merge":
+        xa, xb = (lam >> a) & 1, (lam >> b) & 1
+        return [] if xa and xb else [base | ((xa | xb) << c)]
+    if (lam >> a) & 1:
+        return [base | (1 << b) | (1 << c)]
+    return [base | (1 << b), base | (1 << c)]
+
+
+class TestSwitch:
+    def test_local_switch_matches_tuple_diff(self):
+        rng = random.Random(4040)
+        diagrams = [VT, TREFOIL] + [
+            random_diagram(rng, rng.randint(1, 6), "closed") for _ in range(60)
+        ]
+        kinds = set()
+        for d in diagrams:
+            sp = _space(d)
+            for mask in range(1 << sp.n):
+                size = len(sp.circles(mask))
+                for k in range(sp.n):
+                    if (mask >> k) & 1:
+                        continue
+                    want, carry = oracle_switch(sp, mask, k)
+                    assert sp.switch(mask, k) == want, (d.code(), mask, k)
+                    # untouched circles keep their relative order
+                    assert sorted(carry.values()) == [carry[i] for i in sorted(carry)]
+                    for lam in range(1 << size):
+                        assert _switch_images(want, lam) == oracle_images(want, carry, lam)
+                    kinds.add(want[0])
+        assert kinds == {"zero", "merge", "split"}
+
+    def test_dropped_split_image_trips_d_o_d(self, monkeypatch):
+        def lossy(sw, lam):
+            images = _switch_images(sw, lam)
+            return images[:1] if sw[0] == "split" else images
+
+        monkeypatch.setattr(khovanov, "_switch_images", lossy)
+        # the same patch reaches the differential ...
+        d = parse_gauss_code("O1- U1-", "closed")
+        assert len(differential(d, EnhancedState((1,), ("1",)))) == 1
+        # ... and the homology assembly, whose d o d check catches it
+        with pytest.raises(AssertionError, match="d o d"):
+            homology(TREFOIL)
 
 
 class TestHomology:

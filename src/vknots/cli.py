@@ -9,6 +9,7 @@ JSON output is deterministic (sorted keys) for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -425,14 +426,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built on the first :func:`main`
+    call of the process and reused: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cap = getattr(args, "cap_chords", None)
     if cap is not None and not 0 <= cap <= MAX_CAP_CHORDS:
         print(
             f"error: --cap-chords must be between 0 and {MAX_CAP_CHORDS}, got {cap}",
             file=sys.stderr,
         )
+        return INPUT_ERROR
+    budget = getattr(args, "budget", None)
+    if budget is not None and budget < 0:
+        flag = "--depth/--budget" if args.command == "trivialize" else "--budget"
+        print(f"error: {flag} must be at least 0, got {budget}", file=sys.stderr)
         return INPUT_ERROR
     try:
         return args.func(args)

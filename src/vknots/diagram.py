@@ -64,10 +64,12 @@ class GaussDiagram:
     """Immutable Gauss diagram.
 
     Equality and hashing ignore chord ids: two diagrams are equal when their
-    slot sequences of (chord occurrence, role, sign) agree exactly.  Closed
-    diagrams additionally expose :meth:`canonical_code`, the minimal
-    lexicographic rotation of the serialized code, for comparison of based
-    circles up to rotation.
+    slot sequences of (chord occurrence, role, sign) agree exactly.  The
+    equality key ``(kind, structure_key())`` is built on the first
+    ``==`` or ``hash`` and kept; a diagram never compared costs nothing for
+    it.  Closed diagrams additionally expose :meth:`canonical_code`, the
+    minimal lexicographic rotation of the serialized code, for comparison of
+    based circles up to rotation.
     """
 
     __slots__ = ("kind", "chords", "_slots", "_by_id", "_key")
@@ -93,7 +95,7 @@ class GaussDiagram:
         self.chords: tuple[Chord, ...] = chords
         self._slots: tuple[tuple[int, str], ...] = tuple(slots)  # type: ignore[arg-type]
         self._by_id = by_id
-        self._key = (kind, self.structure_key())
+        self._key: tuple | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -116,12 +118,15 @@ class GaussDiagram:
 
     def at(self, slot: int) -> tuple[Chord, str]:
         """(chord, role) of the endpoint in ``slot``; role is 't' or 'h'."""
-        idx, role = self._slots[slot % self.slot_count]
+        try:
+            idx, role = self._slots[slot % len(self._slots)]
+        except ZeroDivisionError:
+            raise DiagramError(f"slot {slot}: the empty diagram has no slots") from None
         return self.chords[idx], role
 
     def other_end(self, slot: int) -> int:
         chord, _ = self.at(slot)
-        return chord.other(slot % self.slot_count)
+        return chord.other(slot % len(self._slots))
 
     def adjacent_pairs(self) -> Iterator[int]:
         """Start slots k of adjacent slot pairs (k, k+1): cyclic for closed,
@@ -153,13 +158,18 @@ class GaussDiagram:
             key.append((label, role, self.chords[idx].sign))
         return tuple(key)
 
+    def _eq_key(self) -> tuple:
+        if self._key is None:
+            self._key = (self.kind, self.structure_key())
+        return self._key
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussDiagram):
             return NotImplemented
-        return self._key == other._key
+        return self._eq_key() == other._eq_key()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._eq_key())
 
     def __repr__(self) -> str:
         return f"GaussDiagram({self.kind!r}, {self.code()!r})"
@@ -168,19 +178,34 @@ class GaussDiagram:
 
     def code(self) -> str:
         """Gauss code with chord ids renormalized to 1..n by first appearance."""
+        return self._code_from(0, ["+" if c.sign > 0 else "-" for c in self.chords])
+
+    def _code_from(self, r: int, signs: list[str]) -> str:
+        """``code()`` of the diagram read from slot r onwards, cyclically."""
         seen: dict[int, int] = {}
         tokens = []
-        for idx, role in self._slots:
+        for idx, role in self._slots[r:] + self._slots[:r]:
             label = seen.setdefault(idx, len(seen) + 1)
-            sign = "+" if self.chords[idx].sign > 0 else "-"
-            tokens.append(("O" if role == TAIL else "U") + str(label) + sign)
+            tokens.append(("O" if role == TAIL else "U") + str(label) + signs[idx])
         return " ".join(tokens)
 
     def canonical_code(self) -> str:
-        """Rotation-minimal code for closed diagrams; plain code for long."""
+        """Rotation-minimal code for closed diagrams; plain code for long.
+
+        Each rotation's code is read straight from the slot tuple, without
+        building the rotated diagram.  Only rotations starting at a tail are
+        read: their codes start ``O1`` and every other one starts ``U1``,
+        and ``'O' < 'U'``.  The result is ``min(self.rotated(r).code() for
+        r in range(self.slot_count))``.
+        """
         if self.kind == "long" or self.n == 0:
             return self.code()
-        return min(self.rotated(r).code() for r in range(self.slot_count))
+        signs = ["+" if c.sign > 0 else "-" for c in self.chords]
+        return min(
+            self._code_from(r, signs)
+            for r, (_, role) in enumerate(self._slots)
+            if role == TAIL
+        )
 
     def rotated(self, r: int) -> GaussDiagram:
         """Closed diagram re-based so that old slot r becomes slot 0."""
@@ -231,6 +256,8 @@ class GaussDiagram:
             self.kind,
             (
                 Chord(c.id, trade.get(c.tail, c.tail), trade.get(c.head, c.head), c.sign)
+                if c.tail in trade or c.head in trade
+                else c
                 for c in self.chords
             ),
         )

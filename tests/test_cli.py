@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from vknots import schemas
+from vknots import cli, schemas
 from vknots.cli import main
 from vknots.corpus import GPV2_TRIVIAL, RIGHT_TREFOIL, VIRTUAL_TREFOIL
 from vknots.khovanov import MAX_CAP_CHORDS
@@ -177,6 +177,74 @@ class TestTrivialize:
             capsys, "trivialize", "--code", VIRTUAL_TREFOIL, "--depth", "1"
         )
         assert code == 2 and report["results"][0]["found"] is False
+
+
+    @pytest.mark.parametrize("flag", ["--depth", "--budget"])
+    def test_negative_depth_is_exit_1(self, capsys, flag):
+        code = main(["trivialize", "--code", VIRTUAL_TREFOIL, flag, "-1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--depth" in captured.err and "got -1" in captured.err
+        assert "Traceback" not in captured.err
+
+
+class TestBudgetFlag:
+    def test_ntrivial_negative_budget_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "fams.json"
+        path.write_text('{"mode": "GPV", "families": [[1, 2], [3, 4]]}')
+        code = main(["ntrivial", "--code", GPV2_TRIVIAL, "--kind", "long",
+                     "--families", str(path), "--budget", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--budget" in captured.err and "got -1" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["eval", "kh", "lemma5"])
+    def test_negative_budget_refused_everywhere(self, capsys, command):
+        code = main([command, "--code", RIGHT_TREFOIL, "--budget", "-5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and "--budget" in captured.err
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_subcommand(self, capsys, tmp_path):
+        families = tmp_path / "fams.json"
+        families.write_text('{"mode": "GPV", "families": [[1, 2], [3, 4]]}')
+        ntrivial = ["ntrivial", "--code", GPV2_TRIVIAL, "--kind", "long",
+                    "--families", str(families)]
+        sequence = [
+            ["trivialize", "--code", VIRTUAL_TREFOIL, "--depth", "1"],
+            ntrivial,
+            ["trivialize", "--code", VIRTUAL_TREFOIL],
+            ["kh", "--code", RIGHT_TREFOIL],
+            ["eval", "--code", RIGHT_TREFOIL, "--kind", "long"],
+            ntrivial + ["--budget", "0"],
+            ntrivial,
+        ]
+        shared = [run(capsys, *argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        # the budget shows in the reports: a leaked default would not pass
+        assert shared[1] != shared[5] and shared[1] == shared[6]
+        assert [code for code, _ in shared] == [2, 0, 0, 0, 0, 2, 0]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        for _ in range(3):
+            run(capsys, "trivialize", "--code", VIRTUAL_TREFOIL)
+        cli._parser.cache_clear()
+        assert built == [1]
 
 
 class TestBraid:

@@ -103,6 +103,74 @@ class TestStructure:
         dl = parse_gauss_code(VT, "long")
         assert not dl.is_adjacent(3, 0)
 
+    def test_empty_diagram_has_no_slots(self):
+        d = GaussDiagram("closed", ())
+        with pytest.raises(DiagramError, match="no slots"):
+            d.at(0)
+        with pytest.raises(DiagramError, match="no slots"):
+            d.other_end(0)
+
+    def test_relabelled_copies_equal_and_hash_alike(self, rng):
+        for n in range(1, 8):
+            d = random_diagram(rng, n, rng.choice(("closed", "long")))
+            ids = rng.sample(range(1, 100), n)
+            relabelled = GaussDiagram(
+                d.kind,
+                [Chord(new, c.tail, c.head, c.sign) for new, c in zip(ids, d.chords)],
+            )
+            flipped = GaussDiagram(
+                d.kind,
+                [
+                    Chord(c.id, c.tail, c.head, -c.sign if k == 0 else c.sign)
+                    for k, c in enumerate(d.chords)
+                ],
+            )
+            # compare and hash in both orders, so either side's key is the
+            # one built first
+            assert relabelled == d and d == relabelled
+            assert hash(relabelled) == hash(d)
+            assert flipped != d and d != flipped
+            assert relabelled in {d} and d in {relabelled}
+            assert flipped not in {d, relabelled}
+
+
+def _canonical_code_oracle(d: GaussDiagram) -> str:
+    """The former definition: the least code over all rotated diagrams."""
+    return min(d.rotated(r).code() for r in range(d.slot_count))
+
+
+class TestCanonicalCode:
+    def test_matches_rotation_oracle(self, rng):
+        for n in range(0, 13):
+            for _ in range(12):
+                d = random_diagram(rng, n, "closed")
+                copies = [d] + [d.rotated(rng.randrange(2 * n)) for _ in range(2) if n]
+                for c in copies:
+                    expected = _canonical_code_oracle(c) if n else c.code()
+                    assert c.canonical_code() == expected
+                assert len({c.canonical_code() for c in copies}) == 1
+
+    def test_long_is_plain_code(self, rng):
+        for n in range(0, 10):
+            d = random_diagram(rng, n, "long")
+            assert d.canonical_code() == d.code()
+
+    def test_builds_no_diagram(self, rng, monkeypatch):
+        d = random_diagram(rng, 9, "closed")
+        expected = _canonical_code_oracle(d)
+        built = []
+        original = GaussDiagram.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GaussDiagram, "__init__", counting_init)
+        assert d.canonical_code() == expected
+        assert built == []
+        _canonical_code_oracle(d)
+        assert len(built) == d.slot_count  # the counter sees constructions
+
 
 class TestVirtualize:
     def test_trefoil_chord1(self):

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: eval, kh, gpv-sum, f-sum, ntrivial, trivialize, braid,
-lemma5, selftest.  Exit status: 0 on success, 1 on input errors, 2 when a
-cap or search budget was exhausted (a partial report is still printed).
+lemma5, selftest.  Exit status: 0 on success, 1 on input errors (argparse
+usage errors included), 2 when a cap or search budget was exhausted (a
+partial report is still printed).
 JSON output is deterministic (sorted keys) for a fixed config and seed.
 """
 
@@ -13,6 +14,7 @@ import functools
 import json
 import random
 import sys
+from typing import NoReturn
 
 from .arrows import (
     ArrowError,
@@ -159,10 +161,9 @@ def cmd_kh(args) -> int:
 
 def cmd_gpv_sum(args) -> int:
     fn = INVARIANTS[args.invariant]
-    chords = [int(tok) for tok in args.chords.split(",") if tok]
     values = []
     for d in _load_diagrams(args):
-        values.append(gpv_alt_sum(fn, d, chords))
+        values.append(gpv_alt_sum(fn, d, args.chords))
     _emit({"invariant": args.invariant, "values": values}, args.format)
     return OK
 
@@ -240,7 +241,7 @@ def cmd_braid(args) -> int:
         with open(args.gens, "r", encoding="utf-8") as fh:
             gens = load_generator_def(fh.read())
     if args.scan:
-        lo, hi = (int(x) for x in args.scan.split(":"))
+        lo, hi = args.scan
         rows = scan_family(range(lo, hi + 1), gens, args.cap_chords)
         _emit({"rows": rows}, args.format)
         return EXHAUSTED if any(r["skipped"] for r in rows) else OK
@@ -356,8 +357,39 @@ def cmd_selftest(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects; the message is argparse's usage
+    text and error line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that raises :class:`_UsageError` where argparse
+    would exit with status 2, the status that means an exhausted budget
+    here.  ``--help`` still exits 0."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def _chord_ids(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated chord ids, got {text!r}"
+        ) from None
+
+
+def _scan_range(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+    return lo, hi
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vknots",
         description="Gauss-diagram invariants of classical and virtual knots",
     )
@@ -385,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gpv-sum", help="alternating sum over virtualizations")
     common(p)
     p.add_argument("--invariant", choices=sorted(INVARIANTS), default="v21")
-    p.add_argument("--chords", required=True, help="comma-separated chord ids")
+    p.add_argument("--chords", required=True, type=_chord_ids,
+                   help="comma-separated chord ids")
     p.set_defaults(func=cmd_gpv_sum)
 
     p = sub.add_parser("f-sum", help="alternating sum over forbidden-move toggles")
@@ -410,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", help="generator JSON {'A': word, 'B': word}")
     p.add_argument("--word", help="braid word, e.g. 's1 v1 s1 v1'")
     p.add_argument("--bk", type=int, help="build family member b(k)")
-    p.add_argument("--scan", help="scan family members, e.g. 1:4")
+    p.add_argument("--scan", type=_scan_range, help="scan family members, e.g. 1:4")
     p.add_argument("--cap-chords", type=int, default=DEFAULT_HOMOLOGY_CAP)
     p.set_defaults(func=cmd_braid)
 
@@ -434,7 +467,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return INPUT_ERROR
     cap = getattr(args, "cap_chords", None)
     if cap is not None and not 0 <= cap <= MAX_CAP_CHORDS:
         print(
@@ -460,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         MoveError,
         DiagramError,
         OSError,
-        ValueError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

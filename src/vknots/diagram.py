@@ -251,7 +251,11 @@ class GaussDiagram:
         m = self.slot_count
         a %= m
         b %= m
-        trade = {a: b, b: a}
+        return self._traded({a: b, b: a})
+
+    def _traded(self, trade: dict[int, int]) -> GaussDiagram:
+        """Move every endpoint in a slot of ``trade`` to its image; ``trade``
+        must permute its own keys.  Untouched chords are reused."""
         return GaussDiagram(
             self.kind,
             (

@@ -323,11 +323,12 @@ def _battery(diagram: GaussDiagram, cap: int) -> list[tuple[str, str, str]]:
     nontriviality, as a one-row list, or [] when no row does.
 
     Rows are tried in the order v21, v22 (long diagrams only), jones_hat,
-    then Z2 Khovanov homology within ``cap``.  The normalized bracket is
-    not tried: for a fixed writhe, ``khovanov.jones_from_bracket`` maps
-    monomials one-to-one and sends the unknot's bracket to the unknot's
-    Jones polynomial, so the bracket differs from the unknot's exactly
-    when jones_hat does.
+    then Z2 Khovanov homology.  The last two sum over the 2**n states, so
+    a diagram of more than ``cap`` chords stops before them.  The normalized
+    bracket is not tried: for a fixed writhe,
+    ``khovanov.jones_from_bracket`` maps monomials one-to-one and sends the
+    unknot's bracket to the unknot's Jones polynomial, so the bracket
+    differs from the unknot's exactly when jones_hat does.
     """
     if diagram.kind == "long":
         for name, fn in (("v21", v21), ("v22", v22)):
@@ -335,13 +336,14 @@ def _battery(diagram: GaussDiagram, cap: int) -> list[tuple[str, str, str]]:
             if val != 0:
                 return [(name, str(val), "0")]
         diagram = reclose(diagram)
+    if diagram.n > cap:
+        return []
     jh = jones_hat(diagram)
     if jh != UNKNOT_JONES:
         return [("jones_hat", jh.to_str("q"), UNKNOT_JONES.to_str("q"))]
-    if diagram.n <= cap:
-        table = homology(diagram, cap).as_dict()
-        if table != UNKNOT_TABLE:
-            return [("khovanov", str(table), str(UNKNOT_TABLE))]
+    table = homology(diagram, cap).as_dict()
+    if table != UNKNOT_TABLE:
+        return [("khovanov", str(table), str(UNKNOT_TABLE))]
     return []
 
 
@@ -350,7 +352,9 @@ def certify_trivial(
 ) -> Verdict:
     """Certified when the R-move search empties the diagram within budget;
     refuted when a battery invariant differs from the unknot's; unknown
-    otherwise.  A refutation is sound; unknown claims nothing."""
+    otherwise.  The state-sum rows of the battery (Jones, Khovanov) run only
+    on diagrams of at most ``cap`` chords.  A refutation is sound; unknown
+    claims nothing."""
     reduced, trace = simplify(diagram, budget)
     if reduced.n == 0:
         return Verdict("certified", tuple(trace))
@@ -389,6 +393,11 @@ def check_n_trivial(
 # -- unknotting search over forbidden + Reidemeister moves -------------------------
 
 
+# Search order of the move kinds and the chord count each removes.
+_SEARCH_ORDER = {"R2_del": 0, "R1_del": 1, "Fo": 2, "Fu": 3, "R3": 4}
+_CHORDS_REMOVED = {"R2_del": 2, "R1_del": 1, "Fo": 0, "Fu": 0, "R3": 0}
+
+
 def trivialize_forbidden(
     diagram: GaussDiagram, budget: int = 10
 ) -> list[MoveEvent] | None:
@@ -397,16 +406,28 @@ def trivialize_forbidden(
 
     Iterative deepening with deletion-first ordering; forbidden moves are
     unknotting operations, so failure only means the budget was too small.
+    A move removes at most two chords, so a nonempty diagram of n chords
+    with d moves left is hopeless when (n + 1) // 2 > d.  A child's chord
+    count is known from its move kind (R2_del removes two chords, R1_del
+    one, Fo, Fu and R3 none), so kinds whose children would be hopeless are
+    not enumerated and those children are never built.  The others are
+    built one at a time, in (kind order, event data) order, and only until
+    a trace is found.
     """
     start = diagram
     if start.n == 0:
         return []
 
-    def successors(d: GaussDiagram) -> list[tuple[MoveEvent, GaussDiagram]]:
-        evs = enumerate_moves(d, ["R2_del", "R1_del", "Fo", "Fu", "R3"])
-        order = {"R2_del": 0, "R1_del": 1, "Fo": 2, "Fu": 3, "R3": 4}
-        evs.sort(key=lambda e: (order[e.kind], e.data))
-        return [(e, apply_move(d, e)) for e in evs]
+    def successors(d: GaussDiagram, depth_left: int):
+        kinds = [
+            kind
+            for kind, removed in _CHORDS_REMOVED.items()
+            if d.n == removed or (d.n - removed + 1) // 2 <= depth_left
+        ]
+        evs = enumerate_moves(d, kinds)
+        evs.sort(key=lambda e: (_SEARCH_ORDER[e.kind], e.data))
+        for e in evs:
+            yield e, apply_move(d, e)
 
     for limit in range(1, budget + 1):
         best_seen: dict[tuple, int] = {}
@@ -420,7 +441,7 @@ def trivialize_forbidden(
             if best_seen.get(key, -1) >= depth_left:
                 return None
             best_seen[key] = depth_left
-            for event, child in successors(d):
+            for event, child in successors(d, depth_left - 1):
                 trace.append(event)
                 found = dfs(child, depth_left - 1, trace)
                 if found is not None:

@@ -40,13 +40,18 @@ State space
     traced state, the circle of each arc, and a census of the states per
     (negative-marker count, circle count).  The bracket and the Jones
     polynomial depend on a state only through that pair, so each sums the
-    O(n^2) census entries instead of the 2**n states.  Only the last
-    diagram's space is cached, keyed by kind and chord tuple: the tuple
-    carries the chord ids that order the markers, which diagram equality
-    ignores.  One entry is enough, since callers ask for one diagram
-    several times in a row (homology, Jones and bracket of a ``kh`` report,
-    the states of a Lemma 5 scan); on the benchmark workloads every cache
-    hit was on the diagram just before.
+    O(n^2) census entries instead of the 2**n states.  A state with s
+    circles contributes a power (-A^2 - A^-2)**s or (q + 1/q)**s, whose
+    coefficients are the binomials C(s, k); both sums add those integers
+    into one exponent-to-coefficient dict and build a single polynomial
+    from it.
+
+    Only the last diagram's space is cached, keyed by kind and chord tuple:
+    the tuple carries the chord ids that order the markers, which diagram
+    equality ignores.  One entry is enough, since callers ask for one
+    diagram several times in a row (homology, Jones and bracket of a ``kh``
+    report, the states of a Lemma 5 scan); on the benchmark workloads every
+    cache hit was on the diagram just before.
 
     The homology basis is never listed.  Block (i, j) holds the enhanced
     states of that bidegree in state order, then label order, so the state
@@ -311,14 +316,19 @@ def bracket(diagram: GaussDiagram) -> LaurentPoly:
 
     <D> = sum over states of A**sigma * (-A^2 - A^-2)**|s|, so the
     chord-free diagram evaluates to -A^2 - A^-2.  A state with b negative
-    markers has sigma = n - 2b, so the sum runs over the census.
+    markers has sigma = n - 2b, so the sum runs over the census, and
+    (-A^2 - A^-2)**s = (-1)**s * sum_k C(s, k) A**(4k - 2s) turns each
+    census entry into s + 1 integer terms.
     """
     sp = _space(diagram)
-    delta = LaurentPoly({2: -1, -2: -1})
-    acc = LaurentPoly.zero()
+    acc: dict[int, int] = {}
     for (neg, size), count in sp.census.items():
-        acc = acc + (delta**size).shift(sp.n - 2 * neg) * count
-    return acc
+        sigma = sp.n - 2 * neg
+        signed = -count if size % 2 else count
+        for k in range(size + 1):
+            e = sigma + 4 * k - 2 * size
+            acc[e] = acc.get(e, 0) + signed * math.comb(size, k)
+    return LaurentPoly(acc)
 
 
 def jones_hat(diagram: GaussDiagram) -> LaurentPoly:
@@ -326,14 +336,17 @@ def jones_hat(diagram: GaussDiagram) -> LaurentPoly:
     (-1)**i(S) * q**j(S).  Invariant under all generalized Reidemeister
     moves.  A state with b negative markers has i = (w - n)/2 + b, and its
     labelings contribute q**(w + i) * (q + 1/q)**|s|, so the sum runs over
-    the census."""
+    the census; (q + 1/q)**s = sum_k C(s, k) q**(2k - s) turns each census
+    entry into s + 1 integer terms."""
     sp = _space(diagram)
-    qq = LaurentPoly({1: 1, -1: 1})
-    acc = LaurentPoly.zero()
+    acc: dict[int, int] = {}
     for (neg, size), count in sp.census.items():
         i = (sp.w - sp.n) // 2 + neg
-        acc = acc + (qq**size).shift(sp.w + i) * (-count if i % 2 else count)
-    return acc
+        signed = -count if i % 2 else count
+        for k in range(size + 1):
+            e = sp.w + i + 2 * k - size
+            acc[e] = acc.get(e, 0) + signed * math.comb(size, k)
+    return LaurentPoly(acc)
 
 
 def jones_from_bracket(br: LaurentPoly, w: int) -> LaurentPoly:

@@ -295,10 +295,12 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
             raise MoveError("R3: slots do not form a triangle fragment")
         if frag[0] not in R3_CATALOGUE:
             raise MoveError("R3: fragment is not an oriented R3 configuration")
-        out = diagram
+        # the six slots are distinct, so the three adjacent transpositions
+        # commute and one trade applies them all
+        trade = {}
         for k in (kt, km, kb):
-            out = out.swap_slots(k, (k + 1) % m)
-        return out
+            trade[k], trade[(k + 1) % m] = (k + 1) % m, k
+        return diagram._traded(trade)
 
     if kind == "virtualize":
         (chord_id,) = event.data

@@ -164,6 +164,20 @@ class TestNTrivial:
         jsonschema.validate(report, schemas.NTRIVIAL_REPORT)
 
 
+    def test_cap_chords_bounds_the_jones_row(self, capsys, tmp_path):
+        # dropping the kink leaves the virtual trefoil, which jones_hat
+        # refutes within the cap; above it the subset stays unknown
+        path = tmp_path / "fams.json"
+        path.write_text('{"mode": "GPV", "families": [[3]]}')
+        argv = ["ntrivial", "--code", VIRTUAL_TREFOIL + " O3+ U3+", "--families", str(path)]
+        code, (report,) = run_json(capsys, *argv)
+        assert code == 0 and report["subsets"][0]["status"] == "refuted"
+        assert report["subsets"][0]["witness"][0] == "jones_hat"
+        code, (report,) = run_json(capsys, *argv, "--cap-chords", "1")
+        assert code == 2 and report["subsets"][0]["status"] == "unknown"
+        assert report["subsets"][0]["witness"] is None
+
+
 class TestTrivialize:
     def test_virtual_trefoil(self, capsys):
         code, (report,) = run_json(capsys, "trivialize", "--code", VIRTUAL_TREFOIL)
@@ -204,6 +218,44 @@ class TestBudgetFlag:
         code = main([command, "--code", RIGHT_TREFOIL, "--budget", "-5"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and "--budget" in captured.err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trivialize", "--code", "O1+ U1+", "--depth", "x"],
+            ["nosuch", "--code", "O1+ U1+"],
+            ["kh", "--code", RIGHT_TREFOIL, "--kind", "braided"],
+        ],
+    )
+    def test_argparse_errors_are_exit_1(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "usage: vknots" in captured.err and "error:" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_help_is_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trivialize", "--help"])
+        assert exc.value.code == 0
+        assert "--depth" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gpv-sum", "--code", RIGHT_TREFOIL, "--kind", "long", "--chords", "1,x"],
+             "--chords"),
+            (["braid", "--scan", "1-3"], "--scan"),
+        ],
+    )
+    def test_bad_flag_values_name_the_flag(self, capsys, argv, flag):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"argument {flag}:" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestParserReuse:

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
+from vknots import forbidden, khovanov
 from vknots.arrows import gpv_alt_sum, v21, v22
 from vknots.corpus import gpv2_trivial, random_diagram, right_trefoil, virtual_trefoil
-from vknots.diagram import parse_gauss_code
+from vknots.diagram import GaussDiagram, parse_gauss_code
 from vknots.forbidden import (
     Family,
     FamilyError,
     TriangleSite,
+    _battery,
     apply_forbidden,
     certify_trivial,
     check_n_trivial,
@@ -26,7 +28,7 @@ from vknots.forbidden import (
     trivialize_forbidden,
 )
 from vknots.khovanov import jones_hat
-from vknots.moves import MoveEvent, apply_move, apply_trace
+from vknots.moves import MoveEvent, apply_move, apply_trace, enumerate_moves
 
 VT = virtual_trefoil()
 LT = right_trefoil("long")
@@ -273,13 +275,24 @@ class TestCertify:
 
     def test_soundness_cross_check(self, rng):
         # certified diagrams never carry a refuting battery value
-        from vknots.forbidden import _battery
-
         for _ in range(40):
             d = random_diagram(rng, rng.randint(0, 5), rng.choice(("closed", "long")))
             v = certify_trivial(d, budget=400)
             if v.certified:
                 assert _battery(d, cap=10) == []
+
+    def test_state_sums_wait_for_the_cap(self, monkeypatch):
+        def no_census(self):
+            raise AssertionError("census run above the cap")
+
+        monkeypatch.setattr(khovanov._StateSpace, "census", property(no_census))
+        # within the cap, jones_hat refutes the virtual trefoil and its long
+        # form, whose v21 and v22 vanish
+        assert _battery(VT, cap=VT.n - 1) == []
+        assert certify_trivial(VT, cap=VT.n - 1).status == "unknown"
+        long_vt = parse_gauss_code("O1+ O2+ U1+ U2+", "long")
+        assert (v21(long_vt), v22(long_vt)) == (0, 0)
+        assert _battery(long_vt, cap=long_vt.n - 1) == []
 
 
 class TestNTrivial:
@@ -324,6 +337,91 @@ class TestTrivializeForbidden:
 
     def test_budget_exhaustion_returns_none(self):
         assert trivialize_forbidden(VT, 1) is None
+
+    def test_traces_match_eager_search(self):
+        rng = random.Random(606)
+        for n in range(9):
+            for kind in ("closed", "long"):
+                for _ in range(4):
+                    d = random_diagram(rng, n, kind)
+                    assert trivialize_forbidden(d, 6) == eager_trivialize(d, 6)
+
+    def test_builds_no_child_its_bound_rejects(self, monkeypatch):
+        # a child that passes dfs's depth bound is either empty or has its
+        # canonical code read next, so every nonempty child built must be
+        # read
+        built: list[GaussDiagram] = []
+        coded: set[int] = set()
+        original_code = GaussDiagram.canonical_code
+
+        def counting_apply(d, event):
+            child = apply_move(d, event)
+            built.append(child)
+            return child
+
+        def recording_code(self):
+            coded.add(id(self))
+            return original_code(self)
+
+        rng = random.Random(607)
+        diagrams = [random_diagram(rng, n, kind)
+                    for n in range(2, 8) for kind in ("closed", "long")]
+        eager_built = sum(eager_children(d, 6) for d in diagrams)
+        monkeypatch.setattr(forbidden, "apply_move", counting_apply)
+        monkeypatch.setattr(GaussDiagram, "canonical_code", recording_code)
+        for d in diagrams:
+            trivialize_forbidden(d, 6)
+        assert built
+        assert all(child.n == 0 or id(child) in coded for child in built)
+        assert len(built) < eager_built
+
+
+def _eager_successors(d):
+    evs = enumerate_moves(d, ["R2_del", "R1_del", "Fo", "Fu", "R3"])
+    order = {"R2_del": 0, "R1_del": 1, "Fo": 2, "Fu": 3, "R3": 4}
+    evs.sort(key=lambda e: (order[e.kind], e.data))
+    return [(e, apply_move(d, e)) for e in evs]
+
+
+def eager_trivialize(diagram, budget, counter=None):
+    """The search that builds every successor of a node before visiting
+    any, kept as the reference for trace order.  ``counter`` collects the
+    number of children built."""
+    if diagram.n == 0:
+        return []
+    for limit in range(1, budget + 1):
+        best_seen = {}
+
+        def dfs(d, depth_left, trace):
+            if d.n == 0:
+                return list(trace)
+            if depth_left <= 0 or (d.n + 1) // 2 > depth_left:
+                return None
+            key = (d.kind, d.canonical_code())
+            if best_seen.get(key, -1) >= depth_left:
+                return None
+            best_seen[key] = depth_left
+            successors = _eager_successors(d)
+            if counter is not None:
+                counter.append(len(successors))
+            for event, child in successors:
+                trace.append(event)
+                found = dfs(child, depth_left - 1, trace)
+                if found is not None:
+                    return found
+                trace.pop()
+            return None
+
+        found = dfs(diagram, limit, [])
+        if found is not None:
+            return found
+    return None
+
+
+def eager_children(diagram, budget):
+    counter = []
+    eager_trivialize(diagram, budget, counter)
+    return sum(counter)
 
 
 class TestFamiliesJson:

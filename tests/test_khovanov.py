@@ -213,6 +213,30 @@ class TestJonesHat:
             checked += 1
 
 
+class TestCensusSums:
+    """bracket and jones_hat against the census sum by polynomial powers
+    and shifts that the binomial sums replaced."""
+
+    @staticmethod
+    def power_shift_sums(d):
+        sp = _space(d)
+        delta = LaurentPoly({2: -1, -2: -1})
+        qq = LaurentPoly({1: 1, -1: 1})
+        br = jh = LaurentPoly.zero()
+        for (neg, size), count in sp.census.items():
+            br = br + (delta**size).shift(sp.n - 2 * neg) * count
+            i = (sp.w - sp.n) // 2 + neg
+            jh = jh + (qq**size).shift(sp.w + i) * (-count if i % 2 else count)
+        return br, jh
+
+    def test_match_power_and_shift_sums(self):
+        rng = random.Random(69)
+        for n in range(11):
+            for _ in range(3 if n < 9 else 1):
+                d = random_diagram(rng, n, "closed")
+                assert (bracket(d), jones_hat(d)) == self.power_shift_sums(d), d.code()
+
+
 class TestDifferential:
     def test_merge_of_two_x_circles_dies(self):
         # R2-style diagram where switching chord 1 merges two circles

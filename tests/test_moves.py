@@ -97,6 +97,31 @@ class TestApply:
                 assert apply_move(d2, e) == d
                 seen += 1
 
+    def test_r3_matches_chained_swaps_with_one_diagram(self, monkeypatch):
+        rng = random.Random(808)
+        built = []
+        original = GaussDiagram.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        seen = 0
+        while seen < 200:
+            d = random_diagram(rng, rng.randint(3, 8), rng.choice(("closed", "long")))
+            m = d.slot_count
+            for e in enumerate_moves(d, ["R3"]):
+                chained = d
+                for k in e.data:
+                    chained = chained.swap_slots(k, (k + 1) % m)
+                monkeypatch.setattr(GaussDiagram, "__init__", counting_init)
+                slid = apply_move(d, e)
+                monkeypatch.undo()
+                assert len(built) == 1
+                built.clear()
+                assert slid.kind == chained.kind and slid.chords == chained.chords
+                seen += 1
+
     def test_stale_event_rejected(self):
         d = parse_gauss_code("O1+ U1+")
         (e,) = enumerate_moves(d, ["R1_del"])

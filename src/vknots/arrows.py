@@ -277,6 +277,8 @@ def load_arrow_polynomial(data: bytes | str) -> ArrowPolynomial:
     kind = obj["kind"]
     if kind not in ("long", "closed"):
         raise ArrowError(f"unknown kind {kind!r}")
+    if not isinstance(obj["terms"], list):
+        raise ArrowError("arrow polynomial 'terms' must be a list")
     terms = []
     for i, term in enumerate(obj["terms"]):
         if not isinstance(term, dict) or "coeff" not in term or "endpoints" not in term:
@@ -284,6 +286,8 @@ def load_arrow_polynomial(data: bytes | str) -> ArrowPolynomial:
         coeff = term["coeff"]
         if not isinstance(coeff, int):
             raise ArrowError(f"term {i}: coeff must be an integer")
+        if not isinstance(term["endpoints"], list) or not isinstance(term.get("signs") or {}, dict):
+            raise ArrowError(f"term {i}: endpoints must be a list and signs an object")
         endpoints = []
         for ep in term["endpoints"]:
             if (

@@ -385,6 +385,8 @@ def _scan_range(text: str) -> tuple[int, int]:
         lo, hi = (int(x) for x in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"LO must not exceed HI, got {text!r}")
     return lo, hi
 
 

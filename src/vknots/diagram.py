@@ -69,7 +69,8 @@ class GaussDiagram:
     ``==`` or ``hash`` and kept; a diagram never compared costs nothing for
     it.  Closed diagrams additionally expose :meth:`canonical_code`, the
     minimal lexicographic rotation of the serialized code, for comparison of
-    based circles up to rotation.
+    based circles up to rotation; :meth:`search_key` has the same equality
+    and is cheaper to build.
     """
 
     __slots__ = ("kind", "chords", "_slots", "_by_id", "_key")
@@ -206,6 +207,24 @@ class GaussDiagram:
             for r, (_, role) in enumerate(self._slots)
             if role == TAIL
         )
+
+    def search_key(self) -> tuple:
+        """Relabel-free key, equal exactly when ``(kind, canonical_code())``
+        is.  Slot s is one int packing (role, sign, (other end - s) % 2n),
+        tails below heads; a closed diagram's key is the least rotation of
+        that tuple, which starts at a least cell, and a long one's is the
+        tuple itself."""
+        m = len(self._slots)
+        cells = [0] * m
+        for c in self.chords:
+            s = m if c.sign < 0 else 0
+            cells[c.tail] = s + (c.head - c.tail) % m
+            cells[c.head] = 2 * m + s + (c.tail - c.head) % m
+        t = tuple(cells)
+        if self.kind == "long" or m == 0:
+            return self.kind, t
+        low = min(t)
+        return self.kind, min(t[r:] + t[:r] for r in range(m) if t[r] == low)
 
     def rotated(self, r: int) -> GaussDiagram:
         """Closed diagram re-based so that old slot r becomes slot 0."""

@@ -318,25 +318,29 @@ def lemma3_residual(
 # -- triviality certification -----------------------------------------------------
 
 
-def _battery(diagram: GaussDiagram, cap: int) -> list[tuple[str, str, str]]:
+def _battery(
+    diagram: GaussDiagram, cap: int, chords: int | None = None
+) -> list[tuple[str, str, str]]:
     """The first (name, value, unknot value) row that witnesses
     nontriviality, as a one-row list, or [] when no row does.
 
     Rows are tried in the order v21, v22 (long diagrams only), jones_hat,
     then Z2 Khovanov homology.  The last two sum over the 2**n states, so
-    a diagram of more than ``cap`` chords stops before them.  The normalized
-    bracket is not tried: for a fixed writhe,
-    ``khovanov.jones_from_bracket`` maps monomials one-to-one and sends the
-    unknot's bracket to the unknot's Jones polynomial, so the bracket
-    differs from the unknot's exactly when jones_hat does.
+    they run only when ``chords`` (the chord count the cap is judged on,
+    ``diagram.n`` by default) is at most ``cap``.  The normalized bracket
+    is not tried: for a fixed writhe, ``khovanov.jones_from_bracket`` maps
+    monomials one-to-one and sends the unknot's bracket to the unknot's
+    Jones polynomial, so the bracket differs from the unknot's exactly
+    when jones_hat does.
     """
+    chords = diagram.n if chords is None else chords
     if diagram.kind == "long":
         for name, fn in (("v21", v21), ("v22", v22)):
             val = fn(diagram)
             if val != 0:
                 return [(name, str(val), "0")]
         diagram = reclose(diagram)
-    if diagram.n > cap:
+    if chords > cap:
         return []
     jh = jones_hat(diagram)
     if jh != UNKNOT_JONES:
@@ -352,13 +356,15 @@ def certify_trivial(
 ) -> Verdict:
     """Certified when the R-move search empties the diagram within budget;
     refuted when a battery invariant differs from the unknot's; unknown
-    otherwise.  The state-sum rows of the battery (Jones, Khovanov) run only
-    on diagrams of at most ``cap`` chords.  A refutation is sound; unknown
-    claims nothing."""
+    otherwise.  The battery runs on the diagram the search reduced to: its
+    rows are invariant under the R-moves applied, so the witness is the
+    input's, and the state sums (Jones, Khovanov) run over 2**(reduced
+    chords) states, yet only when the input has at most ``cap`` chords.
+    A refutation is sound; unknown claims nothing."""
     reduced, trace = simplify(diagram, budget)
     if reduced.n == 0:
         return Verdict("certified", tuple(trace))
-    rows = _battery(diagram, cap)
+    rows = _battery(reduced, cap, diagram.n)
     if rows:
         return Verdict("refuted", (), rows[0])
     return Verdict("unknown")
@@ -437,7 +443,7 @@ def trivialize_forbidden(
                 return list(trace)
             if depth_left <= 0 or (d.n + 1) // 2 > depth_left:
                 return None
-            key = (d.kind, d.canonical_code())
+            key = d.search_key()
             if best_seen.get(key, -1) >= depth_left:
                 return None
             best_seen[key] = depth_left
@@ -466,11 +472,16 @@ def load_families(data: bytes | str) -> tuple[str, list[Family]]:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise FamilyError(f"families file is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FamilyError("families file must hold a JSON object")
     mode = obj.get("mode")
     if mode not in ("GPV", "F"):
         raise FamilyError(f"families mode must be 'GPV' or 'F', not {mode!r}")
+    listed = obj.get("families", [])
+    if not isinstance(listed, list) or not all(isinstance(f, list) for f in listed):
+        raise FamilyError("'families' must be a list of member lists")
     families = []
-    for fam in obj.get("families", []):
+    for fam in listed:
         if mode == "GPV":
             if not all(isinstance(c, int) for c in fam):
                 raise FamilyError("GPV family members must be chord ids")
@@ -478,11 +489,14 @@ def load_families(data: bytes | str) -> tuple[str, list[Family]]:
         else:
             sites = []
             for desc in fam:
+                if not isinstance(desc, dict):
+                    raise FamilyError(f"bad site descriptor {desc!r}")
                 slots = desc.get("slots")
                 kind = desc.get("kind")
                 if (
                     not isinstance(slots, list)
                     or len(slots) != 2
+                    or not all(isinstance(k, int) for k in slots)
                     or kind not in ("Fo", "Fu")
                 ):
                     raise FamilyError(f"bad site descriptor {desc!r}")

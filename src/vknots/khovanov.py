@@ -38,13 +38,16 @@ Differential
 State space
     Every operation reads one state space per diagram: the circles of each
     traced state, the circle of each arc, and a census of the states per
-    (negative-marker count, circle count).  The bracket and the Jones
-    polynomial depend on a state only through that pair, so each sums the
-    O(n^2) census entries instead of the 2**n states.  A state with s
-    circles contributes a power (-A^2 - A^-2)**s or (q + 1/q)**s, whose
-    coefficients are the binomials C(s, k); both sums add those integers
-    into one exponent-to-coefficient dict and build a single polynomial
-    from it.
+    (negative-marker count, circle count).  The census walks the states in
+    reflected Gray-code order, so each step rewrites the four arc ends of
+    one chord, and keeps no state.  ``homology`` traces every state along
+    the same walk and tallies the census on the way, so a ``kh`` report
+    walks the cube once.  The bracket and the Jones polynomial depend on a
+    state only through that pair, so each sums the O(n^2) census entries
+    instead of the 2**n states.  A state with s circles contributes a
+    power (-A^2 - A^-2)**s or (q + 1/q)**s, whose coefficients are the
+    binomials C(s, k); both sums add those integers into one
+    exponent-to-coefficient dict and build a single polynomial from it.
 
     Only the last diagram's space is cached, keyed by kind and chord tuple:
     the tuple carries the chord ids that order the markers, which diagram
@@ -67,7 +70,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .diagram import Chord, DiagramError, GaussDiagram
 from .gf2 import gf2_rank
@@ -202,14 +205,18 @@ class _StateSpace:
         return got
 
     def _trace(self, mask: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-        n = self.n
-        if n == 0:
-            return ((),), []
-        m = 2 * n
-        partner = [0] * (2 * m)
+        partner = [0] * (4 * self.n)
         for k, ends in enumerate(self._smoothings):
             a, b, c, d = ends[(mask >> k) & 1]
             partner[a], partner[b], partner[c], partner[d] = b, a, d, c
+        return self._circles(partner)
+
+    def _circles(self, partner: list[int]) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+        """(circles, circle index of each arc) when smoothings join arc end
+        e to arc end ``partner[e]``."""
+        m = 2 * self.n
+        if m == 0:
+            return ((),), []
         # walking from the lowest arc not yet on a circle numbers the
         # circles in order of their smallest arc
         arc_circle = [-1] * m
@@ -227,14 +234,58 @@ class _StateSpace:
             circles[idx].append(arc)
         return tuple(map(tuple, circles)), arc_circle
 
+    def _gray(self) -> Iterator[tuple[int, list[int]]]:
+        """Every state as (mask, partner), in reflected Gray-code order.
+
+        ``partner`` joins the arc ends as the state's smoothings do.  It is
+        one list: step g flips the marker of chord k, the lowest set bit of
+        g, and rewrites only that chord's four entries."""
+        partner = [0] * (4 * self.n)
+        for a, b, c, d in (ends[0] for ends in self._smoothings):
+            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
+        mask = 0
+        yield mask, partner
+        for g in range(1, 1 << self.n):
+            k = (g & -g).bit_length() - 1
+            mask ^= 1 << k
+            a, b, c, d = self._smoothings[k][(mask >> k) & 1]
+            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
+            yield mask, partner
+
     @functools.cached_property
     def census(self) -> dict[tuple[int, int], int]:
-        """Number of states per (negative-marker count, circle count)."""
+        """Number of states per (negative-marker count, circle count),
+        counted along the Gray walk on a ``seen`` list stamped with the
+        mask; no state is kept."""
+        m = 2 * self.n
+        seen = [-1] * m
         counts: dict[tuple[int, int], int] = {}
-        for mask in range(1 << self.n):
-            key = (mask.bit_count(), len(self.circles(mask)))
+        for mask, partner in self._gray():
+            count = 0 if m else 1  # the chord-free diagram is one circle
+            for start in range(m):
+                if seen[start] == mask:
+                    continue
+                count += 1
+                end = 2 * start
+                while seen[end >> 1] != mask:
+                    seen[end >> 1] = mask
+                    end = partner[end ^ 1]
+            key = (mask.bit_count(), count)
             counts[key] = counts.get(key, 0) + 1
         return counts
+
+    def trace_all(self) -> None:
+        """Trace every state into ``_states`` along the Gray walk, and tally
+        the census on the way."""
+        if len(self._states) == 1 << self.n:
+            return
+        counts: dict[tuple[int, int], int] = {}
+        for mask, partner in self._gray():
+            self._states[mask] = state = self._circles(partner)
+            key = (mask.bit_count(), len(state[0]))
+            counts[key] = counts.get(key, 0) + 1
+        # cached_property reads a value already in the instance dict
+        vars(self).setdefault("census", counts)
 
     def sigma(self, mask: int) -> int:
         return self.n - 2 * bin(mask).count("1")
@@ -440,6 +491,7 @@ def homology(
     if diagram.n > cap:
         raise CapExceeded(f"homology capped at {cap} chords, got {diagram.n}")
     sp = _space(diagram)
+    sp.trace_all()
     n, w = sp.n, sp.w
     states = range(1 << n)
     sizes = [len(sp.circles(mask)) for mask in states]

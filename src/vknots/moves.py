@@ -390,12 +390,9 @@ def simplify(
     if budget < 0:
         raise MoveError("simplify budget must be >= 0")
 
-    def dedupe_key(d: GaussDiagram) -> tuple:
-        return (d.kind, d.canonical_code())
-
     best = diagram
     best_trace: list[MoveEvent] = []
-    seen = {dedupe_key(diagram)}
+    seen = {diagram.search_key()}
     queue: deque[tuple[GaussDiagram, list[MoveEvent]]] = deque([(diagram, [])])
     expanded = 0
     while queue and expanded < budget and best.n > 0:
@@ -403,7 +400,7 @@ def simplify(
         expanded += 1
         for event in enumerate_moves(current, REDUCING_KINDS):
             child = apply_move(current, event)
-            key = dedupe_key(child)
+            key = child.search_key()
             if key in seen:
                 continue
             seen.add(key)

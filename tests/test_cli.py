@@ -248,6 +248,7 @@ class TestUsageErrors:
             (["gpv-sum", "--code", RIGHT_TREFOIL, "--kind", "long", "--chords", "1,x"],
              "--chords"),
             (["braid", "--scan", "1-3"], "--scan"),
+            (["braid", "--scan", "5:2"], "--scan"),
         ],
     )
     def test_bad_flag_values_name_the_flag(self, capsys, argv, flag):
@@ -256,6 +257,30 @@ class TestUsageErrors:
         assert code == 1 and captured.out == ""
         assert f"argument {flag}:" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestJsonShape:
+    """Well-formed JSON of the wrong shape is bad input: exit 1, a message,
+    no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["ntrivial", "--code", VIRTUAL_TREFOIL, "--families"], "[1]",
+             "JSON object"),
+            (["ntrivial", "--code", VIRTUAL_TREFOIL, "--families"],
+             '{"mode": "GPV", "families": [5]}', "list of member lists"),
+            (["eval", "--code", RIGHT_TREFOIL, "--kind", "long", "--arrow-poly"],
+             '{"kind": "long", "terms": 7}', "must be a list"),
+        ],
+    )
+    def test_wrong_shape_is_exit_1(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code = main(argv + [str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
 
 
 class TestParserReuse:

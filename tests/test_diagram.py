@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +172,37 @@ class TestCanonicalCode:
         assert built == []
         _canonical_code_oracle(d)
         assert len(built) == d.slot_count  # the counter sees constructions
+
+
+class TestSearchKey:
+    def test_equal_exactly_when_canonical_codes_are(self, rng):
+        diagrams = []
+        for n in range(7):
+            for kind in ("closed", "long"):
+                for _ in range(12):
+                    d = random_diagram(rng, n, kind)
+                    ids = [7 * k for k in range(1, n + 1)]
+                    rng.shuffle(ids)
+                    relabelled = GaussDiagram(
+                        kind,
+                        (Chord(i, c.tail, c.head, c.sign) for i, c in zip(ids, d.chords)),
+                    )
+                    diagrams += [d, relabelled]
+                    if kind == "closed" and n:
+                        diagrams.append(d.rotated(rng.randrange(2 * n)))
+        keys = [d.search_key() for d in diagrams]
+        codes = [(d.kind, d.canonical_code()) for d in diagrams]
+        equal_pairs = 0
+        for a, b in itertools.combinations(range(len(diagrams)), 2):
+            assert (keys[a] == keys[b]) == (codes[a] == codes[b]), (
+                diagrams[a], diagrams[b])
+            equal_pairs += keys[a] == keys[b]
+        assert equal_pairs  # relabelled and rotated copies are equal
+
+    def test_closed_key_is_rotation_invariant(self, rng):
+        for n in range(1, 13):
+            d = random_diagram(rng, n, "closed")
+            assert {d.rotated(r).search_key() for r in range(2 * n)} == {d.search_key()}
 
 
 class TestVirtualize:

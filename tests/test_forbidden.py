@@ -28,7 +28,7 @@ from vknots.forbidden import (
     trivialize_forbidden,
 )
 from vknots.khovanov import jones_hat
-from vknots.moves import MoveEvent, apply_move, apply_trace, enumerate_moves
+from vknots.moves import MoveEvent, apply_move, apply_trace, enumerate_moves, simplify
 
 VT = virtual_trefoil()
 LT = right_trefoil("long")
@@ -294,6 +294,31 @@ class TestCertify:
         assert (v21(long_vt), v22(long_vt)) == (0, 0)
         assert _battery(long_vt, cap=long_vt.n - 1) == []
 
+    def test_battery_on_reduced_matches_the_input(self):
+        # oracle: the battery run on the input diagram itself, with the cap
+        # judged on it; inputs are random diagrams, some with R2 pairs
+        # added so that the search reduces them without emptying them
+        rng = random.Random(4021)
+        reduced_only = 0
+        for n in range(10):
+            for kind in ("closed", "long"):
+                d = random_diagram(rng, n, kind)
+                padded = d
+                while padded.n + 2 <= 9 and rng.random() < 0.7:
+                    padded, _ = insert_r2_pair(rng, padded)
+                for diagram in (d, padded):
+                    reduced, trace = simplify(diagram, 2000)
+                    for cap in (12, max(diagram.n - 2, 0)):
+                        if reduced.n == 0:
+                            want = ("certified", tuple(trace), None)
+                        else:
+                            rows = _battery(diagram, cap)
+                            want = ("refuted", (), rows[0]) if rows else ("unknown", (), None)
+                            reduced_only += reduced.n < diagram.n
+                        v = certify_trivial(diagram, 2000, cap)
+                        assert (v.status, v.trace, v.witness) == want, diagram.code()
+        assert reduced_only
+
 
 class TestNTrivial:
     def test_kmatrix_gpv2(self):
@@ -348,27 +373,26 @@ class TestTrivializeForbidden:
 
     def test_builds_no_child_its_bound_rejects(self, monkeypatch):
         # a child that passes dfs's depth bound is either empty or has its
-        # canonical code read next, so every nonempty child built must be
-        # read
+        # search key read next, so every nonempty child built must be read
         built: list[GaussDiagram] = []
         coded: set[int] = set()
-        original_code = GaussDiagram.canonical_code
+        original_key = GaussDiagram.search_key
 
         def counting_apply(d, event):
             child = apply_move(d, event)
             built.append(child)
             return child
 
-        def recording_code(self):
+        def recording_key(self):
             coded.add(id(self))
-            return original_code(self)
+            return original_key(self)
 
         rng = random.Random(607)
         diagrams = [random_diagram(rng, n, kind)
                     for n in range(2, 8) for kind in ("closed", "long")]
         eager_built = sum(eager_children(d, 6) for d in diagrams)
         monkeypatch.setattr(forbidden, "apply_move", counting_apply)
-        monkeypatch.setattr(GaussDiagram, "canonical_code", recording_code)
+        monkeypatch.setattr(GaussDiagram, "search_key", recording_key)
         for d in diagrams:
             trivialize_forbidden(d, 6)
         assert built

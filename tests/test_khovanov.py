@@ -12,6 +12,7 @@ from vknots.corpus import (
     virtual_trefoil,
 )
 from vknots import khovanov
+from vknots.cli import main
 from vknots.diagram import Chord, GaussDiagram, parse_gauss_code, reclose
 from vknots.khovanov import (
     CapExceeded,
@@ -235,6 +236,70 @@ class TestCensusSums:
             for _ in range(3 if n < 9 else 1):
                 d = random_diagram(rng, n, "closed")
                 assert (bracket(d), jones_hat(d)) == self.power_shift_sums(d), d.code()
+
+
+class TestGrayCensus:
+    """The census along the Gray walk against the census tallied from
+    single-state traces, and the walks a request pays for."""
+
+    @staticmethod
+    def traced_census(d):
+        sp = khovanov._StateSpace(d.kind, d.chords)
+        counts = {}
+        for mask in range(1 << sp.n):
+            key = (mask.bit_count(), len(sp.circles(mask)))
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def test_matches_traced_census(self):
+        rng = random.Random(7331)
+        for n in range(11):
+            for _ in range(3 if n < 9 else 1):
+                d = random_diagram(rng, n, "closed")
+                ids = [3 * k + 1 for k in range(n)]
+                rng.shuffle(ids)
+                relabelled = GaussDiagram(
+                    "closed",
+                    (Chord(i, c.tail, c.head, c.sign) for i, c in zip(ids, d.chords)),
+                )
+                want = self.traced_census(d)
+                for copy in (d, relabelled):
+                    assert khovanov._StateSpace("closed", copy.chords).census == want
+                    walked = khovanov._StateSpace("closed", copy.chords)
+                    walked.trace_all()
+                    assert walked.census == want, d.code()
+                    assert walked._states == {
+                        mask: walked._trace(mask) for mask in range(1 << n)
+                    }
+
+    def test_state_sums_keep_no_state(self):
+        d = random_diagram(random.Random(12), 8, "closed")
+        khovanov._space_of.cache_clear()
+        bracket(d)
+        jones_hat(d)
+        assert _space(d)._states == {}
+
+    def test_kh_request_walks_the_cube_once(self, monkeypatch, capsys):
+        walks, traces = [], []
+        gray, trace = khovanov._StateSpace._gray, khovanov._StateSpace._trace
+
+        def counting_gray(self):
+            walks.append(1)
+            return gray(self)
+
+        def counting_trace(self, mask):
+            traces.append(mask)
+            return trace(self, mask)
+
+        monkeypatch.setattr(khovanov._StateSpace, "_gray", counting_gray)
+        monkeypatch.setattr(khovanov._StateSpace, "_trace", counting_trace)
+        khovanov._space_of.cache_clear()
+        d = random_diagram(random.Random(13), 8, "closed")
+        assert main(["kh", "--code", d.code()]) == 0
+        assert "euler_check" in capsys.readouterr().out
+        # homology's walk traces every state and tallies the census that
+        # jones_hat and bracket then read
+        assert walks == [1] and traces == []
 
 
 class TestDifferential:

@@ -11,7 +11,8 @@ the two interleaved two-chord patterns that survive all Reidemeister moves.
 
 Finite-type behaviour under virtualization is tested by
 :func:`gpv_alt_sum`, the alternating sum over deletions of a chosen set of
-chords (GPV-order).
+chords (GPV-order).  It and the forbidden-move sums of
+:mod:`vknots.forbidden` take their terms from :func:`_alternating_terms`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .diagram import HEAD, TAIL, DiagramError, GaussDiagram, Kind
 
@@ -59,7 +60,7 @@ class ArrowPattern:
         for label, s in signs.items():
             if label not in seen:
                 raise ArrowError(f"sign constraint for unknown label {label}")
-            if s not in (1, -1, FREE):
+            if isinstance(s, bool) or s not in (1, -1, FREE):
                 raise ArrowError(f"label {label}: sign must be +1, -1 or 'free'")
         for label in seen:
             signs.setdefault(label, FREE)
@@ -106,14 +107,11 @@ class Matching:
 def _subdiagram_sequence(
     diagram: GaussDiagram, chord_ids: Sequence[int]
 ) -> list[tuple[int, str]]:
-    """Endpoint sequence (chord id, role) of a chord subset, in slot order."""
-    chosen = set(chord_ids)
-    return [
-        (c.id, role)
-        for slot in range(diagram.slot_count)
-        for c, role in [diagram.at(slot)]
-        if c.id in chosen
-    ]
+    """Endpoint sequence (chord id, role) of a chord subset, in slot order:
+    the 2k endpoints of the k chosen chords, sorted by slot."""
+    chords = [diagram.chord(cid) for cid in chord_ids]
+    ends = sorted([(c.tail, c.id, TAIL) for c in chords] + [(c.head, c.id, HEAD) for c in chords])
+    return [(cid, role) for _, cid, role in ends]
 
 
 def _match_sequence(
@@ -237,7 +235,19 @@ def v22(diagram: GaussDiagram) -> int:
     return pairing(V22_PATTERN, diagram)
 
 
-# -- GPV-order alternating sums --------------------------------------------------
+# -- alternating subset sums ----------------------------------------------------
+
+
+def _alternating_terms(
+    diagram: GaussDiagram,
+    members: Sequence,
+    apply: Callable[[GaussDiagram, tuple], GaussDiagram],
+) -> Iterator[tuple[int, GaussDiagram]]:
+    """The terms ((-1)**|S|, apply(diagram, S)) over all subsets S of
+    ``members``, by size and then in ``itertools.combinations`` order."""
+    for r in range(len(members) + 1):
+        for chosen in itertools.combinations(members, r):
+            yield (-1) ** r, apply(diagram, chosen)
 
 
 def gpv_alt_sum(
@@ -252,11 +262,10 @@ def gpv_alt_sum(
     ids = sorted(set(chord_ids))
     for cid in ids:
         diagram.chord(cid)
-    total = 0
-    for r in range(len(ids) + 1):
-        for drop in itertools.combinations(ids, r):
-            total += (-1) ** r * invariant(diagram.delete_chords(drop))
-    return total
+    return sum(
+        sign * invariant(d)
+        for sign, d in _alternating_terms(diagram, ids, GaussDiagram.delete_chords)
+    )
 
 
 # -- JSON interface ---------------------------------------------------------------
@@ -284,7 +293,7 @@ def load_arrow_polynomial(data: bytes | str) -> ArrowPolynomial:
         if not isinstance(term, dict) or "coeff" not in term or "endpoints" not in term:
             raise ArrowError(f"term {i}: needs 'coeff' and 'endpoints'")
         coeff = term["coeff"]
-        if not isinstance(coeff, int):
+        if type(coeff) is not int:
             raise ArrowError(f"term {i}: coeff must be an integer")
         if not isinstance(term["endpoints"], list) or not isinstance(term.get("signs") or {}, dict):
             raise ArrowError(f"term {i}: endpoints must be a list and signs an object")

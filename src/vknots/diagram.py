@@ -63,14 +63,15 @@ class Chord:
 class GaussDiagram:
     """Immutable Gauss diagram.
 
-    Equality and hashing ignore chord ids: two diagrams are equal when their
-    slot sequences of (chord occurrence, role, sign) agree exactly.  The
-    equality key ``(kind, structure_key())`` is built on the first
-    ``==`` or ``hash`` and kept; a diagram never compared costs nothing for
-    it.  Closed diagrams additionally expose :meth:`canonical_code`, the
-    minimal lexicographic rotation of the serialized code, for comparison of
-    based circles up to rotation; :meth:`search_key` has the same equality
-    and is cheaper to build.
+    Equality and hashing ignore chord ids: two diagrams are equal when
+    their kinds agree and slot by slot their (role, sign, offset to the
+    other end) cells do.  The key ``(kind, cells)`` is built on the first
+    ``==``, ``hash`` or :meth:`search_key` and kept; a diagram never
+    compared costs nothing for it.  Closed diagrams additionally expose
+    :meth:`canonical_code`, the minimal lexicographic rotation of the
+    serialized code, for comparison of based circles up to rotation;
+    :meth:`search_key`, the least rotation of the cells, has the same
+    equality and is cheaper to build.
     """
 
     __slots__ = ("kind", "chords", "_slots", "_by_id", "_key")
@@ -151,17 +152,17 @@ class GaussDiagram:
 
     # -- equality up to id relabeling --------------------------------------
 
-    def structure_key(self) -> tuple:
-        seen: dict[int, int] = {}
-        key = []
-        for idx, role in self._slots:
-            label = seen.setdefault(idx, len(seen))
-            key.append((label, role, self.chords[idx].sign))
-        return tuple(key)
-
     def _eq_key(self) -> tuple:
+        """``(kind, cells)``: slot s is one int packing (role, sign, (other
+        end - s) % 2n), tails below heads.  Built once and kept."""
         if self._key is None:
-            self._key = (self.kind, self.structure_key())
+            m = len(self._slots)
+            cells = [0] * m
+            for c in self.chords:
+                s = m if c.sign < 0 else 0
+                cells[c.tail] = s + (c.head - c.tail) % m
+                cells[c.head] = 2 * m + s + (c.tail - c.head) % m
+            self._key = (self.kind, tuple(cells))
         return self._key
 
     def __eq__(self, other: object) -> bool:
@@ -210,21 +211,14 @@ class GaussDiagram:
 
     def search_key(self) -> tuple:
         """Relabel-free key, equal exactly when ``(kind, canonical_code())``
-        is.  Slot s is one int packing (role, sign, (other end - s) % 2n),
-        tails below heads; a closed diagram's key is the least rotation of
-        that tuple, which starts at a least cell, and a long one's is the
-        tuple itself."""
-        m = len(self._slots)
-        cells = [0] * m
-        for c in self.chords:
-            s = m if c.sign < 0 else 0
-            cells[c.tail] = s + (c.head - c.tail) % m
-            cells[c.head] = 2 * m + s + (c.tail - c.head) % m
-        t = tuple(cells)
-        if self.kind == "long" or m == 0:
-            return self.kind, t
+        is.  A closed diagram's key is the least rotation of the equality
+        key's cells, which starts at a least cell; a long one's is the
+        equality key itself."""
+        key = kind, t = self._eq_key()
+        if kind == "long" or not t:
+            return key
         low = min(t)
-        return self.kind, min(t[r:] + t[:r] for r in range(m) if t[r] == low)
+        return kind, min(t[r:] + t[:r] for r in range(len(t)) if t[r] == low)
 
     def rotated(self, r: int) -> GaussDiagram:
         """Closed diagram re-based so that old slot r becomes slot 0."""

@@ -6,7 +6,10 @@ tails (Fo) or two adjacent heads (Fu) belonging to distinct chords.  The
 local disk where the move applies is a *triangle* and carries a sign; one
 forbidden move flips the sign of its triangle.  Jointly the two moves
 unknot every virtual knot, which makes the alternating sums over triangle
-toggles (:func:`f_alt_sum`) a genuine finite-type filtration.
+toggles (:func:`f_alt_sum`) a genuine finite-type filtration.  GPV and F
+sums share one subset primitive and differ only in the toggle (chord
+deletion or forbidden moves); every site set is resolved and checked for
+disjointness in :func:`_checked_sites`, so sign-0 descriptors will do.
 
 Sign convention (the only free choice; every identity below is invariant
 under a global flip): a triangle at slots (k, k+1) is positive when the
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,7 +38,7 @@ from .diagram import HEAD, TAIL, DiagramError, GaussDiagram, reclose
 from .khovanov import DEFAULT_HOMOLOGY_CAP, homology, jones_hat
 from .laurent import LaurentPoly
 from .moves import MoveEvent, apply_move, enumerate_moves, simplify
-from .arrows import Invariant, gpv_alt_sum, v21, v22
+from .arrows import Invariant, _alternating_terms, v21, v22
 
 UNKNOT_TABLE = {(0, -1): 1, (0, 1): 1}
 UNKNOT_JONES = LaurentPoly({1: 1, -1: 1})
@@ -167,17 +171,22 @@ def apply_forbidden(diagram: GaussDiagram, site: TriangleSite) -> GaussDiagram:
     return diagram.swap_slots(site.slot, (site.slot + 1) % m)
 
 
-def _check_disjoint_sites(sites: Iterable[TriangleSite], diagram: GaussDiagram) -> None:
+def _checked_sites(
+    diagram: GaussDiagram, sites: Iterable[TriangleSite]
+) -> list[TriangleSite]:
+    """The sites re-read through :func:`site_at` (so with their signs);
+    raises when one is stale or two share a slot or a chord."""
+    checked = [site_at(diagram, s.slot, s.kind) for s in sites]
     slots_seen: set[int] = set()
     chords_seen: set[int] = set()
-    for s in sites:
+    for s in checked:
         a, b = s.slots(diagram)
-        ca, _ = diagram.at(a)
-        cb, _ = diagram.at(b)
-        if {a, b} & slots_seen or {ca.id, cb.id} & chords_seen:
+        chords = {diagram.at(a)[0].id, diagram.at(b)[0].id}
+        if {a, b} & slots_seen or chords & chords_seen:
             raise FamilyError(f"triangle sites are not disjoint at slots ({a}, {b})")
         slots_seen.update((a, b))
-        chords_seen.update((ca.id, cb.id))
+        chords_seen.update(chords)
+    return checked
 
 
 def _toggle(diagram: GaussDiagram, sites: Iterable[TriangleSite]) -> GaussDiagram:
@@ -195,15 +204,8 @@ def f_alt_sum(
     """Alternating sum of ``invariant`` over all toggle patterns of the
     disjoint triangle sites.  Vanishing for every n+1 disjoint triangles is
     the defining property of F-order <= n."""
-    sites = list(sites)
-    for s in sites:
-        site_at(diagram, s.slot, s.kind)
-    _check_disjoint_sites(sites, diagram)
-    total = 0
-    for r in range(len(sites) + 1):
-        for chosen in itertools.combinations(sites, r):
-            total += (-1) ** r * invariant(_toggle(diagram, chosen))
-    return total
+    sites = _checked_sites(diagram, sites)
+    return sum(sign * invariant(d) for sign, d in _alternating_terms(diagram, sites, _toggle))
 
 
 def expand_semivirtual(
@@ -214,11 +216,7 @@ def expand_semivirtual(
     ids = sorted(set(chord_ids))
     for cid in ids:
         diagram.chord(cid)
-    terms = []
-    for r in range(len(ids) + 1):
-        for drop in itertools.combinations(ids, r):
-            terms.append(((-1) ** r, diagram.delete_chords(drop)))
-    return FormalDiagramSum(tuple(terms))
+    return FormalDiagramSum(tuple(_alternating_terms(diagram, ids, GaussDiagram.delete_chords)))
 
 
 def expand_semitriple(
@@ -227,55 +225,41 @@ def expand_semitriple(
     """Resolve semi-triple marks: a mark at a triangle of sign e expands to
     e * (original - toggled), so the whole sum carries the product of the
     marked triangles' signs."""
-    sites = list(sites)
-    for s in sites:
-        site_at(diagram, s.slot, s.kind)
-    _check_disjoint_sites(sites, diagram)
-    outer = 1
-    for s in sites:
-        outer *= triangle_sign(diagram, s.slot)
-    terms = []
-    for r in range(len(sites) + 1):
-        for chosen in itertools.combinations(sites, r):
-            terms.append((outer * (-1) ** r, _toggle(diagram, chosen)))
-    return FormalDiagramSum(tuple(terms))
+    sites = _checked_sites(diagram, sites)
+    outer = math.prod(s.sign for s in sites)
+    return FormalDiagramSum(
+        tuple((outer * sign, d) for sign, d in _alternating_terms(diagram, sites, _toggle))
+    )
 
 
 # -- the similarity identity ----------------------------------------------------
 
 
+# How each mode applies a set of family members: GPV virtualizes (deletes)
+# chords, F makes the forbidden move at each triangle site.
+_APPLY = {"GPV": GaussDiagram.delete_chords, "F": _toggle}
+
+
 def _validate_families(
     diagram: GaussDiagram, families: Sequence[Family], mode: str
 ) -> list[tuple]:
-    if mode not in ("GPV", "F"):
+    if mode not in _APPLY:
         raise FamilyError(f"mode must be 'GPV' or 'F', not {mode!r}")
+    if mode == "F":
+        ordered = [tuple(sorted(fam.members, key=lambda s: s.slot)) for fam in families]
+        _checked_sites(diagram, itertools.chain(*ordered))
+        return ordered
     ordered = []
-    if mode == "GPV":
-        seen: set[int] = set()
-        for fam in families:
-            ids = tuple(sorted(fam.members))
-            for cid in ids:
-                diagram.chord(cid)
-                if cid in seen:
-                    raise FamilyError(f"chord {cid} appears in two families")
-                seen.add(cid)
-            ordered.append(ids)
-    else:
-        all_sites: list[TriangleSite] = []
-        for fam in families:
-            sites = tuple(sorted(fam.members, key=lambda s: s.slot))
-            for s in sites:
-                site_at(diagram, s.slot, s.kind)
-            all_sites.extend(sites)
-            ordered.append(sites)
-        _check_disjoint_sites(all_sites, diagram)
+    seen: set[int] = set()
+    for fam in families:
+        ids = tuple(sorted(fam.members))
+        for cid in ids:
+            diagram.chord(cid)
+            if cid in seen:
+                raise FamilyError(f"chord {cid} appears in two families")
+            seen.add(cid)
+        ordered.append(ids)
     return ordered
-
-
-def _apply_all(diagram: GaussDiagram, members: Iterable, mode: str) -> GaussDiagram:
-    if mode == "GPV":
-        return diagram.delete_chords(members)
-    return _toggle(diagram, members)
 
 
 def lemma3_residual(
@@ -290,17 +274,18 @@ def lemma3_residual(
     tuples picking one position per family; members before the picked one
     are applied outright and the picked member becomes a semi-virtual
     (GPV) or semi-triple (F) mark.  Each term is the alternating sum over
-    the marks, :func:`gpv_alt_sum` or :func:`f_alt_sum`: in F mode the
+    the marks, as in :func:`gpv_alt_sum` or :func:`f_alt_sum`: in F mode the
     identity multiplies the semi-triple expansion by the product of the
     marks' triangle signs, which cancels the same product inside it.  The
     residual is exactly 0 whenever all nonempty subfamily toggles of the
     diagram present the same knot.
     """
     ordered = _validate_families(diagram, families, mode)
+    apply = _APPLY[mode]
     v_k = invariant(diagram)
     full = diagram
     for members in ordered:
-        full = _apply_all(full, members, mode)
+        full = apply(full, members)
     v_kp = invariant(full)
 
     total = 0
@@ -308,10 +293,9 @@ def lemma3_residual(
         base = diagram
         marks = []
         for members, pick in zip(ordered, picks):
-            base = _apply_all(base, members[:pick], mode)
+            base = apply(base, members[:pick])
             marks.append(members[pick])
-        alt_sum = gpv_alt_sum if mode == "GPV" else f_alt_sum
-        total += alt_sum(invariant, base, marks)
+        total += sum(sign * invariant(d) for sign, d in _alternating_terms(base, marks, apply))
     return v_k - v_kp - total
 
 
@@ -383,13 +367,14 @@ def check_n_trivial(
     the aggregate is True only when every subset is certified.
     """
     ordered = _validate_families(diagram, families, mode)
+    apply = _APPLY[mode]
     verdicts: dict[tuple[int, ...], Verdict] = {}
     aggregate = True
     for r in range(1, len(ordered) + 1):
         for subset in itertools.combinations(range(len(ordered)), r):
             toggled = diagram
             for idx in subset:
-                toggled = _apply_all(toggled, ordered[idx], mode)
+                toggled = apply(toggled, ordered[idx])
             verdict = certify_trivial(toggled, budget, cap)
             verdicts[subset] = verdict
             aggregate = aggregate and verdict.certified
@@ -467,7 +452,9 @@ def trivialize_forbidden(
 def load_families(data: bytes | str) -> tuple[str, list[Family]]:
     """Parse the families JSON: ``{"mode": "GPV"|"F", "families": [...]}``
     where GPV members are chord ids and F members are
-    ``{"slots": [k, k+1], "kind": "Fo"|"Fu"}`` descriptors."""
+    ``{"slots": [k, k+1], "kind": "Fo"|"Fu"}`` descriptors (``[2n-1, 2n]``
+    crosses a closed diagram's basepoint), read as sign-0 sites.  JSON
+    booleans are not integers here."""
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -483,7 +470,7 @@ def load_families(data: bytes | str) -> tuple[str, list[Family]]:
     families = []
     for fam in listed:
         if mode == "GPV":
-            if not all(isinstance(c, int) for c in fam):
+            if not all(type(c) is int for c in fam):
                 raise FamilyError("GPV family members must be chord ids")
             families.append(Family(tuple(fam)))
         else:
@@ -496,7 +483,8 @@ def load_families(data: bytes | str) -> tuple[str, list[Family]]:
                 if (
                     not isinstance(slots, list)
                     or len(slots) != 2
-                    or not all(isinstance(k, int) for k in slots)
+                    or not all(type(k) is int for k in slots)
+                    or slots[1] != slots[0] + 1
                     or kind not in ("Fo", "Fu")
                 ):
                     raise FamilyError(f"bad site descriptor {desc!r}")

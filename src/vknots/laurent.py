@@ -33,10 +33,6 @@ class LaurentPoly:
     def one(cls) -> LaurentPoly:
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, coeff: int, exp: int) -> LaurentPoly:
-        return cls({exp: coeff})
-
     def coeff(self, exp: int) -> int:
         return self._coeffs.get(exp, 0)
 
@@ -64,15 +60,6 @@ class LaurentPoly:
         for e, c in other._coeffs.items():
             acc[e] = acc.get(e, 0) + c
         return LaurentPoly(acc)
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        acc = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            acc[e] = acc.get(e, 0) - c
-        return LaurentPoly(acc)
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):

@@ -26,7 +26,7 @@ from vknots.corpus import (
     right_trefoil,
     virtual_trefoil,
 )
-from vknots.diagram import GaussDiagram, cut, concat_long, parse_gauss_code
+from vknots.diagram import GaussDiagram, cut, concat_long, parse_gauss_code, reclose
 
 LT = right_trefoil("long")
 TTHH = ArrowPattern("long", (("1", "t"), ("2", "t"), ("1", "h"), ("2", "h")))
@@ -106,6 +106,24 @@ class TestEmbeddings:
     def test_tthh_in_long_trefoil(self):
         ms = embeddings(TTHH, LT)
         assert len(ms) == 1 and ms[0].as_dict() == {"1": 1, "2": 3}
+
+    def test_reads_no_slot(self, monkeypatch):
+        # matching sorts the chosen chords' endpoints; it never scans slots
+        calls = []
+        original = GaussDiagram.at
+
+        def counting_at(self, slot):
+            calls.append(slot)
+            return original(self, slot)
+
+        monkeypatch.setattr(GaussDiagram, "at", counting_at)
+        rng = random.Random(31)
+        for _ in range(10):
+            d = random_diagram(rng, rng.randint(2, 8), "long")
+            embeddings(V21_PATTERN, d)
+            embeddings(TTHH, d)
+            embeddings(ArrowPattern("closed", TTHH.endpoints), reclose(d))
+        assert calls == []
 
     def test_kind_mismatch(self):
         with pytest.raises(ArrowError, match="kind"):
@@ -260,6 +278,26 @@ class TestGpvAltSum:
             rng.shuffle(ids)
             assert gpv_alt_sum(v21, d, ids[:3]) == 0
             assert gpv_alt_sum(v22, d, ids[:3]) == 0
+
+    def test_equals_the_matches_containing_the_chosen_chords(self):
+        # For a pairing <A, .>, the sum over V of S of (-1)**|V| <A, D - V>
+        # is the weighted count of the matches of A whose chords contain S.
+        rng = random.Random(8080)
+        cases = 0
+        for _ in range(120):
+            d = random_diagram(rng, rng.randint(0, 9), "long")
+            ids = list(d.chord_ids())
+            for pattern, fn in ((V21_PATTERN, v21), (V22_PATTERN, v22)):
+                matches = [
+                    (set(m.as_dict().values()), matching_weight(pattern, d, m))
+                    for m in embeddings(pattern, d)
+                ]
+                for _ in range(4):
+                    chosen = set(rng.sample(ids, rng.randint(0, min(4, len(ids)))))
+                    want = sum(w for chords, w in matches if chosen <= chords)
+                    assert gpv_alt_sum(fn, d, chosen) == want, (d, chosen)
+                    cases += 1
+        assert cases == 960
 
     def test_user_polynomial_degree_bound(self):
         # a degree-2 pattern is killed by any 3 deletions

@@ -272,6 +272,17 @@ class TestJsonShape:
              '{"mode": "GPV", "families": [5]}', "list of member lists"),
             (["eval", "--code", RIGHT_TREFOIL, "--kind", "long", "--arrow-poly"],
              '{"kind": "long", "terms": 7}', "must be a list"),
+            (["ntrivial", "--code", VIRTUAL_TREFOIL, "--kind", "long", "--families"],
+             '{"mode": "F", "families": [[{"slots": [0, 5], "kind": "Fo"}]]}',
+             "bad site descriptor"),
+            (["ntrivial", "--code", VIRTUAL_TREFOIL, "--families"],
+             '{"mode": "GPV", "families": [[true]]}', "chord ids"),
+            (["eval", "--code", RIGHT_TREFOIL, "--kind", "long", "--arrow-poly"],
+             '{"kind": "long", "terms": [{"coeff": true, "endpoints":'
+             ' [["1", "t"], ["1", "h"]]}]}', "coeff must be an integer"),
+            (["eval", "--code", RIGHT_TREFOIL, "--kind", "long", "--arrow-poly"],
+             '{"kind": "long", "terms": [{"coeff": 1, "endpoints":'
+             ' [["1", "t"], ["1", "h"]], "signs": {"1": true}}]}', "sign must be"),
         ],
     )
     def test_wrong_shape_is_exit_1(self, capsys, tmp_path, argv, text, message):

@@ -174,6 +174,46 @@ class TestCanonicalCode:
         assert len(built) == d.slot_count  # the counter sees constructions
 
 
+def _structure_key_oracle(d: GaussDiagram) -> tuple:
+    """The former equality key: kind and, slot by slot, (chord label by
+    first appearance, role, sign)."""
+    seen: dict[int, int] = {}
+    key = []
+    for slot in range(d.slot_count):
+        c, role = d.at(slot)
+        key.append((seen.setdefault(c.id, len(seen)), role, c.sign))
+    return d.kind, tuple(key)
+
+
+class TestEquality:
+    def test_equal_exactly_when_structure_keys_are(self, rng):
+        diagrams = []
+        for n in range(7):
+            for kind in ("closed", "long"):
+                for _ in range(14):
+                    d = random_diagram(rng, n, kind)
+                    ids = [5 * k for k in range(1, n + 1)]
+                    rng.shuffle(ids)
+                    diagrams += [
+                        d,
+                        GaussDiagram(
+                            kind,
+                            (Chord(i, c.tail, c.head, c.sign) for i, c in zip(ids, d.chords)),
+                        ),
+                    ]
+                    if kind == "closed" and n:
+                        diagrams.append(d.rotated(rng.randrange(2 * n)))
+        oracle = [_structure_key_oracle(d) for d in diagrams]
+        equal_pairs = 0
+        for a, b in itertools.combinations(range(len(diagrams)), 2):
+            same = diagrams[a] == diagrams[b]
+            assert same == (oracle[a] == oracle[b]), (diagrams[a], diagrams[b])
+            if same:
+                assert hash(diagrams[a]) == hash(diagrams[b])
+                equal_pairs += 1
+        assert equal_pairs  # relabelled copies are equal
+
+
 class TestSearchKey:
     def test_equal_exactly_when_canonical_codes_are(self, rng):
         diagrams = []

@@ -338,6 +338,38 @@ class TestNTrivial:
         verdicts, aggregate = check_n_trivial(d, fams, "F", budget=500)
         assert aggregate is True
 
+    def test_sign_zero_descriptors_match_resolved_sites(self):
+        # The library reads every site through site_at, so the sign-0
+        # descriptors of a families file give the resolved sites' results.
+        rng = random.Random(2468)
+        checked = 0
+        while checked < 40:
+            kind = ("closed", "long")[checked % 2]
+            d = random_diagram(rng, rng.randint(2, 7), kind)
+            sites = disjoint_sites(d, rng.randint(1, 3))
+            if sites is None:
+                continue
+            text = json.dumps(
+                {
+                    "mode": "F",
+                    "families": [
+                        [{"slots": [s.slot, s.slot + 1], "kind": s.kind}] for s in sites
+                    ],
+                }
+            )
+            _, families = load_families(text)
+            raw = [fam.members[0] for fam in families]
+            assert all(s.sign == 0 for s in raw)
+            if kind == "long":
+                assert f_alt_sum(v21, d, raw) == f_alt_sum(v21, d, sites)
+                assert f_alt_sum(v22, d, raw) == f_alt_sum(v22, d, sites)
+            assert expand_semitriple(d, raw) == expand_semitriple(d, sites)
+            resolved = [Family((s,)) for s in sites]
+            assert check_n_trivial(d, families, "F", budget=200, cap=7) == check_n_trivial(
+                d, resolved, "F", budget=200, cap=7
+            )
+            checked += 1
+
     def test_shared_chord_rejected(self):
         k = gpv2_trivial()
         with pytest.raises(FamilyError):
@@ -468,3 +500,22 @@ class TestFamiliesJson:
     def test_bad_site(self):
         with pytest.raises(FamilyError, match="descriptor"):
             load_families('{"mode": "F", "families": [[{"slots": [0], "kind": "Fo"}]]}')
+
+    @pytest.mark.parametrize("slots", [[0, 5], [1, 0], [0, 0], [True, 2], [0, True]])
+    def test_slots_must_be_consecutive_integers(self, slots):
+        text = json.dumps({"mode": "F", "families": [[{"slots": slots, "kind": "Fo"}]]})
+        with pytest.raises(FamilyError, match="descriptor"):
+            load_families(text)
+
+    def test_pair_across_the_basepoint(self, rng):
+        # [2n-1, 2n] names the closed diagram's pair (2n-1, 0)
+        d = random_diagram(rng, 4, "closed")
+        while (site := next((s for s in find_triangles(d) if s.slot == 7), None)) is None:
+            d = random_diagram(rng, 4, "closed")
+        text = json.dumps({"mode": "F", "families": [[{"slots": [7, 8], "kind": site.kind}]]})
+        _, fams = load_families(text)
+        assert expand_semitriple(d, fams[0].members) == expand_semitriple(d, [site])
+
+    def test_boolean_chord_ids_rejected(self):
+        with pytest.raises(FamilyError, match="chord ids"):
+            load_families('{"mode": "GPV", "families": [[true]]}')

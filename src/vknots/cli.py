@@ -108,6 +108,13 @@ def _load_diagrams(args) -> list[GaussDiagram]:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _check_subset_cap(command: str, what: str, count: int, cap: int) -> None:
+    """An alternating sum over ``count`` members evaluates its invariant
+    2**count times per diagram; refuse more members than the cap first."""
+    if count > cap:
+        raise CapExceeded(f"{command} capped at {cap} {what}, got {count}")
+
+
 def cmd_eval(args) -> int:
     diagrams = _load_diagrams(args)
     poly = None
@@ -162,6 +169,7 @@ def cmd_kh(args) -> int:
 
 def cmd_gpv_sum(args) -> int:
     fn = INVARIANTS[args.invariant]
+    _check_subset_cap("gpv-sum", "chords", len(set(args.chords)), args.cap_chords)
     values = []
     for d in _load_diagrams(args):
         values.append(gpv_alt_sum(fn, d, args.chords))
@@ -175,9 +183,11 @@ def cmd_f_sum(args) -> int:
         mode, families = load_families(fh.read())
     if mode != "F" or len(families) != 1:
         raise FamilyError("f-sum expects a families file with mode 'F' and one family")
+    sites = families[0].members
+    _check_subset_cap("f-sum", "sites", len(set(sites)), args.cap_chords)
     values = []
     for d in _load_diagrams(args):
-        values.append(f_alt_sum(fn, d, families[0].members))
+        values.append(f_alt_sum(fn, d, sites))
     _emit({"invariant": args.invariant, "values": values}, args.format)
     return OK
 
@@ -400,15 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, caps=True):
+    def common(p):
         p.add_argument("--input", help="diagram file (one Gauss code per line, '-' for stdin)")
         p.add_argument("--code", help="inline Gauss code (may be empty for the unknot)")
         p.add_argument("--kind", choices=("closed", "long"), default="closed",
                        help="kind for --code and unprefixed file lines")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        if caps:
-            p.add_argument("--cap-chords", type=int, default=DEFAULT_HOMOLOGY_CAP)
-            p.add_argument("--budget", type=int, default=2000)
+        p.add_argument("--cap-chords", type=int, default=DEFAULT_HOMOLOGY_CAP)
 
     p = sub.add_parser("eval", help="bracket, unnormalized Jones, v21/v22, arrow pairing")
     common(p)
@@ -435,12 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ntrivial", help="certify triviality of subfamily toggles")
     common(p)
     p.add_argument("--families", required=True, help="families JSON")
+    p.add_argument("--budget", type=int, default=2000,
+                   help="nodes the R-move search expands per subset")
     p.set_defaults(func=cmd_ntrivial)
 
     p = sub.add_parser("trivialize", help="unknotting search over forbidden + R moves")
     common(p)
-    p.set_defaults(func=cmd_trivialize, budget=10)
-    p.add_argument("--depth", dest="budget", type=int, default=10,
+    p.set_defaults(func=cmd_trivialize)
+    p.add_argument("--depth", "--budget", dest="budget", type=int, default=10,
                    help="maximum trace length")
 
     p = sub.add_parser("braid", help="build/close braid words, scan the commutator family")

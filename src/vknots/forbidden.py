@@ -34,10 +34,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .diagram import HEAD, TAIL, DiagramError, GaussDiagram, reclose
+from .diagram import DiagramError, GaussDiagram, reclose
 from .khovanov import DEFAULT_HOMOLOGY_CAP, homology, jones_hat
 from .laurent import LaurentPoly
-from .moves import MoveEvent, apply_move, enumerate_moves, simplify
+from .moves import MoveEvent, _sites_at, apply_move, enumerate_moves, simplify
 from .arrows import Invariant, _alternating_terms, v21, v22
 
 UNKNOT_TABLE = {(0, -1): 1, (0, 1): 1}
@@ -116,47 +116,50 @@ def triangle_sign(diagram: GaussDiagram, slot: int) -> int:
 
 
 def find_triangles(diagram: GaussDiagram) -> list[TriangleSite]:
-    """All triangles: adjacent same-role endpoint pairs on distinct chords."""
-    out = []
-    m = diagram.slot_count
-    for k in diagram.adjacent_pairs():
-        (c1, r1), (c2, r2) = diagram.at(k), diagram.at((k + 1) % m)
-        if c1.id != c2.id and r1 == r2:
-            kind = "Fo" if r1 == TAIL else "Fu"
-            out.append(TriangleSite(k, kind, triangle_sign(diagram, k)))
-    return out
+    """All triangles, in slot order: the Fo and Fu sites the move
+    recognizer reads at each adjacent pair, with their signs (the
+    ``("Fo", "Fu")`` enumeration of :func:`~vknots.moves.enumerate_moves`)."""
+    return [
+        TriangleSite(k, kind, triangle_sign(diagram, k))
+        for k in diagram.adjacent_pairs()
+        for kind, _ in _sites_at(diagram, k, ("Fo", "Fu"))
+    ]
 
 
 def site_at(diagram: GaussDiagram, slot: int, kind: str) -> TriangleSite:
-    """Validated triangle site at (slot, slot+1); raises when stale."""
-    m = diagram.slot_count
-    if m == 0 or not diagram.is_adjacent(slot % m if m else 0, (slot + 1) % m):
-        raise FamilyError(f"no adjacent slot pair starts at {slot}")
-    (c1, r1), (c2, r2) = diagram.at(slot), diagram.at((slot + 1) % m)
-    want = TAIL if kind == "Fo" else HEAD
+    """Validated triangle site at (slot, slot+1); raises when stale.  The
+    site is read by the move recognizer, so ``slot`` must be the start of
+    an adjacent pair, between 0 and 2n - 1, and is not wrapped."""
     if kind not in ("Fo", "Fu"):
         raise FamilyError(f"triangle kind must be 'Fo' or 'Fu', not {kind!r}")
-    if c1.id == c2.id or r1 != want or r2 != want:
+    if (kind, (slot,)) not in _sites_at(diagram, slot, (kind,)):
         raise FamilyError(f"slots ({slot}, {slot + 1}) are not a {kind} triangle")
     return TriangleSite(slot, kind, triangle_sign(diagram, slot))
+
+
+def _footprint(diagram: GaussDiagram, site: TriangleSite) -> set[tuple[str, int]]:
+    """The two slots and two chord ids a site touches, tagged apart."""
+    a, b = site.slots(diagram)
+    return {
+        ("slot", a),
+        ("slot", b),
+        ("chord", diagram.at(a)[0].id),
+        ("chord", diagram.at(b)[0].id),
+    }
 
 
 def disjoint_sites(diagram: GaussDiagram, count: int) -> list[TriangleSite] | None:
     """Greedily pick ``count`` pairwise disjoint triangles (no shared slots
     or chords), or None when the diagram has fewer."""
     picked: list[TriangleSite] = []
-    used_slots: set[int] = set()
-    used_chords: set[int] = set()
+    used: set[tuple[str, int]] = set()
     for site in find_triangles(diagram):
-        a, b = site.slots(diagram)
-        chords = {diagram.at(a)[0].id, diagram.at(b)[0].id}
-        if {a, b} & used_slots or chords & used_chords:
-            continue
-        picked.append(site)
-        used_slots.update((a, b))
-        used_chords.update(chords)
-        if len(picked) == count:
-            return picked
+        touched = _footprint(diagram, site)
+        if used.isdisjoint(touched):
+            picked.append(site)
+            used |= touched
+            if len(picked) == count:
+                return picked
     return None
 
 
@@ -177,15 +180,12 @@ def _checked_sites(
     """The sites re-read through :func:`site_at` (so with their signs);
     raises when one is stale or two share a slot or a chord."""
     checked = [site_at(diagram, s.slot, s.kind) for s in sites]
-    slots_seen: set[int] = set()
-    chords_seen: set[int] = set()
+    used: set[tuple[str, int]] = set()
     for s in checked:
-        a, b = s.slots(diagram)
-        chords = {diagram.at(a)[0].id, diagram.at(b)[0].id}
-        if {a, b} & slots_seen or chords & chords_seen:
-            raise FamilyError(f"triangle sites are not disjoint at slots ({a}, {b})")
-        slots_seen.update((a, b))
-        chords_seen.update(chords)
+        touched = _footprint(diagram, s)
+        if not used.isdisjoint(touched):
+            raise FamilyError(f"triangle sites are not disjoint at slots {s.slots(diagram)}")
+        used |= touched
     return checked
 
 

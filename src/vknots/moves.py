@@ -2,7 +2,9 @@
 
 Only the classical moves R1, R2, R3 act nontrivially on a Gauss diagram;
 the virtual and mixed moves of the generalized calculus are identities
-there and are never emitted.
+there and are never emitted.  The forbidden moves Fo and Fu are not
+Reidemeister moves; one site recognizer, :func:`_sites_at`, reads them
+together with R1_del, R2_del and R3 (see docs/moves.md).
 
 The oriented R3 catalogue is *generated*, not transcribed: three straight
 lines in general position (a horizontal top strand over a vertical middle
@@ -17,9 +19,10 @@ docs/moves.md for the resulting table.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .diagram import HEAD, TAIL, Chord, DiagramError, GaussDiagram
 
@@ -34,7 +37,6 @@ MOVE_KINDS = (
     "Fu",
 )
 
-R_KINDS = frozenset({"R1_add", "R1_del", "R2_add", "R2_del", "R3"})
 REDUCING_KINDS = ("R1_del", "R2_del", "R3")
 
 
@@ -108,12 +110,19 @@ def _r3_catalogue() -> frozenset[tuple]:
 R3_CATALOGUE = _r3_catalogue()
 
 
+def _pair_start(diagram: GaussDiagram, k: int) -> bool:
+    """True when slots (k, k+1) are an adjacent pair.  ``k`` is read as
+    given, not modulo the slot count."""
+    m = len(diagram._slots)
+    return 0 <= k < m and diagram.is_adjacent(k, (k + 1) % m)
+
+
 def _r3_fragment(diagram: GaussDiagram, kt: int, km: int, kb: int):
     """Fragment summary of the three adjacent pairs, or None if malformed."""
     m = diagram.slot_count
     pairs = []
     for k in (kt, km, kb):
-        if diagram.kind == "long" and not 0 <= k < m - 1:
+        if not _pair_start(diagram, k):
             return None
         pairs.append((diagram.at(k), diagram.at((k + 1) % m)))
     (t1, t2), (m1, m2), (b1, b2) = pairs
@@ -141,100 +150,100 @@ def _r3_fragment(diagram: GaussDiagram, kt: int, km: int, kb: int):
     return (top_first, mid_first, bot_first, cx.sign, cy.sign, cz.sign), (cx, cy, cz)
 
 
-# -- enumeration ---------------------------------------------------------------
+# -- recognition and enumeration -------------------------------------------------
+
+
+def _sites_at(
+    diagram: GaussDiagram, k: int, kinds: Container[str]
+) -> list[tuple[str, tuple]]:
+    """The R1_del, R2_del, R3, Fo and Fu sites among ``kinds`` whose data
+    starts with slot k, that is whose first adjacent pair is (k, k+1), as
+    ``(kind, data)`` pairs.
+
+    This is the one recognizer of these sites: :func:`enumerate_moves`
+    calls it once per adjacent pair and :func:`apply_move` checks an event
+    against it.  Only R1_del needs one chord at (k, k+1); R2_del, R3 and
+    Fo need two tails of distinct chords there, Fu two heads.
+    """
+    if not _pair_start(diagram, k):
+        return []
+    slots, chords = diagram._slots, diagram.chords
+    m = len(slots)
+    (i1, r1), (i2, r2) = slots[k], slots[(k + 1) % m]
+    c1 = chords[i1]
+    if i1 == i2:
+        if "R1_del" not in kinds:
+            return []
+        return [("R1_del", (k, c1.sign, "OU" if r1 == TAIL else "UO"))]
+    if r1 != r2:
+        return []
+    if r1 == HEAD:
+        return [("Fu", (k,))] if "Fu" in kinds else []
+    c2 = chords[i2]
+    sites = []
+    if "R2_del" in kinds and c1.sign != c2.sign:
+        if diagram.is_adjacent(c1.head, c2.head):
+            sites.append(("R2_del", (k, c1.head, True, c1.sign)))
+        elif diagram.is_adjacent(c2.head, c1.head):
+            sites.append(("R2_del", (k, c2.head, False, c1.sign)))
+    if "R3" in kinds and m >= 6:
+        for cx, cy in ((c1, c2), (c2, c1)):
+            hx = cx.head
+            for km in (hx, (hx - 1) % m):
+                partner = (km + 1) % m if km == hx else km
+                iz, rz = slots[partner]
+                cz = chords[iz]
+                if rz != TAIL or cz.id in (cx.id, cy.id):
+                    continue
+                hy, hz = cy.head, cz.head
+                if diagram.is_adjacent(hy, hz):
+                    kb = hy
+                elif diagram.is_adjacent(hz, hy):
+                    kb = hz
+                else:
+                    continue
+                frag = _r3_fragment(diagram, k, km, kb)
+                if frag is not None and frag[0] in R3_CATALOGUE:
+                    sites.append(("R3", (k, km, kb)))
+    if "Fo" in kinds:
+        sites.append(("Fo", (k,)))
+    return sites
 
 
 def enumerate_moves(
     diagram: GaussDiagram, kinds: Iterable[str] = REDUCING_KINDS
 ) -> list[MoveEvent]:
-    """All applicable sites of the requested kinds, deterministically ordered."""
+    """All applicable sites of the requested kinds, deterministically
+    ordered: R1_del, R1_add, R2_del, R2_add, R3, virtualize, then Fo and
+    Fu together in slot order."""
     kinds = set(kinds)
     unknown = kinds.difference(MOVE_KINDS)
     if unknown:
         raise MoveError(f"unknown move kinds {sorted(unknown)}")
-    events: list[MoveEvent] = []
+    r1_del, r2_del, r3, forbidden = [], [], [], []
+    found = {"R1_del": r1_del, "R2_del": r2_del, "R3": r3, "Fo": forbidden, "Fu": forbidden}
+    for k in diagram.adjacent_pairs():
+        for kind, data in _sites_at(diagram, k, kinds):
+            found[kind].append(MoveEvent(kind, data))
+
     m = diagram.slot_count
-
-    if "R1_del" in kinds:
-        for k in diagram.adjacent_pairs():
-            (c1, r1), (c2, r2) = diagram.at(k), diagram.at((k + 1) % m)
-            if c1.id == c2.id:
-                orient = "OU" if r1 == TAIL else "UO"
-                events.append(MoveEvent("R1_del", (k, c1.sign, orient)))
-
+    gaps = range(m + 1) if diagram.kind == "long" else range(max(m, 1))
+    events = r1_del
     if "R1_add" in kinds:
-        gaps = range(m + 1) if diagram.kind == "long" else range(max(m, 1))
-        for g in gaps:
-            for sign in (1, -1):
-                for orient in ("OU", "UO"):
-                    events.append(MoveEvent("R1_add", (g, sign, orient)))
-
-    if "R2_del" in kinds:
-        for k in diagram.adjacent_pairs():
-            (c1, r1), (c2, r2) = diagram.at(k), diagram.at((k + 1) % m)
-            if r1 != TAIL or r2 != TAIL or c1.id == c2.id or c1.sign == c2.sign:
-                continue
-            if diagram.is_adjacent(c1.head, c2.head):
-                events.append(MoveEvent("R2_del", (k, c1.head, True, c1.sign)))
-            elif diagram.is_adjacent(c2.head, c1.head):
-                events.append(MoveEvent("R2_del", (k, c2.head, False, c1.sign)))
-
+        events += [
+            MoveEvent("R1_add", data)
+            for data in itertools.product(gaps, (1, -1), ("OU", "UO"))
+        ]
+    events += r2_del
     if "R2_add" in kinds:
-        gaps = range(m + 1) if diagram.kind == "long" else range(max(m, 1))
-        for g1 in gaps:
-            for g2 in gaps:
-                for par in (True, False):
-                    for sign in (1, -1):
-                        for roles1 in (TAIL, HEAD):
-                            events.append(
-                                MoveEvent("R2_add", (g1, g2, par, sign, roles1))
-                            )
-
-    if "R3" in kinds and m >= 6:
-        for kt in diagram.adjacent_pairs():
-            (c1, r1), (c2, r2) = diagram.at(kt), diagram.at((kt + 1) % m)
-            if r1 != TAIL or r2 != TAIL or c1.id == c2.id:
-                continue
-            for cx, cy in ((c1, c2), (c2, c1)):
-                hx = cx.head
-                for km in (hx, (hx - 1) % m):
-                    if diagram.kind == "long" and not 0 <= km < m - 1:
-                        continue
-                    partner = (km + 1) % m if km == hx else km
-                    cz, rz = diagram.at(partner)
-                    if rz != TAIL or cz.id in (cx.id, cy.id):
-                        continue
-                    hy, hz = cy.head, cz.head
-                    if diagram.is_adjacent(hy, hz):
-                        kb = hy
-                    elif diagram.is_adjacent(hz, hy):
-                        kb = hz
-                    else:
-                        continue
-                    frag = _r3_fragment(diagram, kt, km, kb)
-                    if frag is not None and frag[0] in R3_CATALOGUE:
-                        events.append(MoveEvent("R3", (kt, km, kb)))
-
+        events += [
+            MoveEvent("R2_add", data)
+            for data in itertools.product(gaps, gaps, (True, False), (1, -1), (TAIL, HEAD))
+        ]
+    events += r3
     if "virtualize" in kinds:
-        for c in diagram.chords:
-            events.append(MoveEvent("virtualize", (c.id,)))
-
-    if "Fo" in kinds or "Fu" in kinds:
-        for k in diagram.adjacent_pairs():
-            (c1, r1), (c2, r2) = diagram.at(k), diagram.at((k + 1) % m)
-            if c1.id == c2.id or r1 != r2:
-                continue
-            kind = "Fo" if r1 == TAIL else "Fu"
-            if kind in kinds:
-                events.append(MoveEvent(kind, (k,)))
-
-    seen = set()
-    unique = []
-    for e in events:
-        if e not in seen:
-            seen.add(e)
-            unique.append(e)
-    return unique
+        events += [MoveEvent("virtualize", (c.id,)) for c in diagram.chords]
+    return events + forbidden
 
 
 # -- application ---------------------------------------------------------------
@@ -245,16 +254,14 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
     m = diagram.slot_count
     kind = event.kind
 
-    if kind == "R1_del":
-        k, sign, orient = event.data
-        if not (0 <= k < m and diagram.is_adjacent(k, (k + 1) % m)):
-            raise MoveError(f"R1_del: no adjacent pair starts at slot {k}")
-        (c1, r1), (c2, _) = diagram.at(k), diagram.at((k + 1) % m)
-        if c1.id != c2.id:
-            raise MoveError(f"R1_del: slots {k},{k + 1} belong to different chords")
-        if c1.sign != sign or ("OU" if r1 == TAIL else "UO") != orient:
-            raise MoveError("R1_del: recorded sign/orientation do not match the chord")
-        return diagram.delete_chords([c1.id])
+    if kind in ("R1_del", "R2_del", "Fo", "Fu"):
+        k = event.data[0]
+        if (kind, event.data) not in _sites_at(diagram, k, (kind,)):
+            raise MoveError(f"{kind}: {event.data} is not a {kind} site of the diagram")
+        if kind in ("Fo", "Fu"):
+            return diagram.swap_slots(k, (k + 1) % m)
+        ids = {diagram.at(k)[0].id, diagram.at(k + 1)[0].id}
+        return diagram.delete_chords(ids)
 
     if kind == "R1_add":
         g, sign, orient = event.data
@@ -262,21 +269,6 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
         return diagram.insert_endpoints(
             [(g, 0, roles[0], sign), (g, 0, roles[1], sign)]
         )
-
-    if kind == "R2_del":
-        k1, k2, par, sign_first = event.data
-        for k in (k1, k2):
-            if not (0 <= k < m and diagram.is_adjacent(k, (k + 1) % m)):
-                raise MoveError(f"R2_del: no adjacent pair starts at slot {k}")
-        (c1, r1), (c2, r2) = diagram.at(k1), diagram.at((k1 + 1) % m)
-        if r1 != TAIL or r2 != TAIL or c1.id == c2.id:
-            raise MoveError("R2_del: slots do not hold tails of two distinct chords")
-        if c1.sign != sign_first or c2.sign != -sign_first:
-            raise MoveError("R2_del: chord signs are not opposite as recorded")
-        heads = (c1.head, c2.head) if par else (c2.head, c1.head)
-        if heads != (k2, (k2 + 1) % m):
-            raise MoveError("R2_del: head pair does not match the recorded variant")
-        return diagram.delete_chords([c1.id, c2.id])
 
     if kind == "R2_add":
         g1, g2, par, sign_first, roles1 = event.data
@@ -305,16 +297,6 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
     if kind == "virtualize":
         (chord_id,) = event.data
         return diagram.delete_chords([chord_id])
-
-    if kind in ("Fo", "Fu"):
-        (k,) = event.data
-        if not (0 <= k < m and diagram.is_adjacent(k, (k + 1) % m)):
-            raise MoveError(f"{kind}: no adjacent pair starts at slot {k}")
-        (c1, r1), (c2, r2) = diagram.at(k), diagram.at((k + 1) % m)
-        want = TAIL if kind == "Fo" else HEAD
-        if c1.id == c2.id or r1 != want or r2 != want:
-            raise MoveError(f"{kind}: slots {k},{k + 1} are not a {kind} triangle")
-        return diagram.swap_slots(k, (k + 1) % m)
 
     raise MoveError(f"unknown move kind {kind!r}")
 

@@ -145,6 +145,45 @@ class TestSums:
         jsonschema.validate(report, schemas.SUM_REPORT)
 
 
+class TestSumCaps:
+    """gpv-sum and f-sum evaluate the invariant 2**|S| times per diagram;
+    more chords or sites than --cap-chords are refused before the first
+    evaluation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = []
+
+        def counting(d):
+            counter.append(d)
+            return 0
+
+        monkeypatch.setitem(cli.INVARIANTS, "v21", counting)
+        return counter
+
+    def test_gpv_sum(self, capsys, calls):
+        argv = ["gpv-sum", "--code", RIGHT_TREFOIL, "--kind", "long", "--chords", "1,2,3,3"]
+        code = main(argv + ["--cap-chords", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and calls == []
+        assert "gpv-sum capped at 2 chords, got 3" in captured.err
+        code, (report,) = run_json(capsys, *argv, "--cap-chords", "3")
+        assert code == 0 and report["values"] == [0] and len(calls) == 8
+
+    def test_f_sum(self, capsys, tmp_path, calls):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"mode": "F", "families": [[
+            {"slots": [0, 1], "kind": "Fo"}, {"slots": [4, 5], "kind": "Fo"}]]}))
+        argv = ["f-sum", "--code", "O1+ O2+ U1+ U2+ O3+ O4+ U3+ U4+", "--kind", "long",
+                "--families", str(path)]
+        code = main(argv + ["--cap-chords", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and calls == []
+        assert "f-sum capped at 1 sites, got 2" in captured.err
+        code, (report,) = run_json(capsys, *argv, "--cap-chords", "2")
+        assert code == 0 and report["values"] == [0] and len(calls) == 4
+
+
 class TestNTrivial:
     def test_gpv2_example(self, capsys, tmp_path):
         path = tmp_path / "fams.json"
@@ -219,6 +258,22 @@ class TestBudgetFlag:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and "--budget" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval"],
+            ["kh"],
+            ["lemma5"],
+            ["gpv-sum", "--kind", "long", "--chords", "1"],
+            ["f-sum", "--kind", "long", "--families", "unread.json"],
+        ],
+    )
+    def test_budget_only_where_it_is_read(self, capsys, argv):
+        code = main(argv + ["--code", RIGHT_TREFOIL, "--budget", "5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "unrecognized arguments: --budget 5" in captured.err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -283,6 +338,12 @@ class TestJsonShape:
             (["eval", "--code", RIGHT_TREFOIL, "--kind", "long", "--arrow-poly"],
              '{"kind": "long", "terms": [{"coeff": 1, "endpoints":'
              ' [["1", "t"], ["1", "h"]], "signs": {"1": true}}]}', "sign must be"),
+            (["f-sum", "--code", VIRTUAL_TREFOIL, "--kind", "long", "--families"],
+             '{"mode": "F", "families": [[{"slots": [1000, 1001], "kind": "Fo"}]]}',
+             "not a Fo triangle"),
+            (["ntrivial", "--code", VIRTUAL_TREFOIL, "--families"],
+             '{"mode": "F", "families": [[{"slots": [1000, 1001], "kind": "Fo"}]]}',
+             "not a Fo triangle"),
         ],
     )
     def test_wrong_shape_is_exit_1(self, capsys, tmp_path, argv, text, message):

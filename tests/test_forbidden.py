@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -91,6 +93,36 @@ class TestTriangles:
                 s2 = site_at(d2, s.slot, s.kind)
                 assert s2.sign == -s.sign
 
+    def test_find_triangles_is_the_f_enumeration(self):
+        rng = random.Random(7070)
+        for _ in range(600):
+            d = random_diagram(rng, rng.randint(0, 8), rng.choice(("closed", "long")))
+            # adjacent same-role endpoints of distinct chords, read slot by slot
+            expected = []
+            for k in d.adjacent_pairs():
+                (c1, r1), (c2, r2) = d.at(k), d.at(k + 1)
+                if c1.id != c2.id and r1 == r2:
+                    expected.append((k, "Fo" if r1 == "t" else "Fu"))
+            events = enumerate_moves(d, ("Fo", "Fu"))
+            sites = find_triangles(d)
+            assert [(e.data[0], e.kind) for e in events] == expected
+            assert [(s.slot, s.kind) for s in sites] == expected
+            assert all(s.sign == triangle_sign(d, s.slot) for s in sites)
+
+    def test_site_at_reads_no_slot_modulo_2n(self):
+        rng = random.Random(7071)
+        for _ in range(200):
+            d = random_diagram(rng, rng.randint(0, 6), rng.choice(("closed", "long")))
+            listed = {(s.slot, s.kind): s for s in find_triangles(d)}
+            m = d.slot_count
+            for slot in (-m - 1, -1, *range(m), m, m + 1, 1000):
+                for kind in ("Fo", "Fu"):
+                    if (slot, kind) in listed:
+                        assert site_at(d, slot, kind) == listed[slot, kind]
+                    else:
+                        with pytest.raises(FamilyError, match="not a F"):
+                            site_at(d, slot, kind)
+
 
 class TestApplyForbidden:
     def test_involution(self, rng):
@@ -159,6 +191,49 @@ class TestFAltSum:
         s12 = site_at(d, 1, "Fo")
         with pytest.raises(FamilyError, match="disjoint"):
             f_alt_sum(v21, d, [s01, s12])
+
+
+def code_hash(d):
+    """An integer that tells diagrams apart, so that every term of an
+    alternating sum shows."""
+    return int(hashlib.sha256(d.code().encode()).hexdigest()[:12], 16)
+
+
+def bitmask_f_sum(invariant, d, sites):
+    """Sum over bitmasks of (-1)**popcount times the invariant of ``d``
+    with the masked sites toggled one at a time by apply_forbidden."""
+    total = 0
+    for mask in range(1 << len(sites)):
+        toggled = d
+        for i, site in enumerate(sites):
+            if mask >> i & 1:
+                toggled = apply_forbidden(toggled, site)
+        total += (-1) ** bin(mask).count("1") * invariant(toggled)
+    return total
+
+
+class TestFSideByBitmask:
+    """f_alt_sum and expand_semitriple against a loop that shares no code
+    with their subset primitive."""
+
+    def test_two_and_three_disjoint_sites(self):
+        rng = random.Random(7072)
+        checked = dict.fromkeys((2, 3), 0)
+        while min(checked.values()) < 25:
+            d = random_diagram(rng, rng.randint(4, 9), rng.choice(("closed", "long")))
+            count = rng.choice((2, 3))
+            sites = disjoint_sites(d, count)
+            if sites is None:
+                continue
+            rng.shuffle(sites)
+            signs = math.prod(s.sign for s in sites)
+            blank = [TriangleSite(s.slot, s.kind, 0) for s in sites]
+            invariants = [code_hash] + ([v21, v22] if d.kind == "long" else [])
+            for inv in invariants:
+                expected = bitmask_f_sum(inv, d, sites)
+                assert f_alt_sum(inv, d, blank) == expected
+                assert expand_semitriple(d, blank).evaluate(inv) == signs * expected
+            checked[count] += 1
 
 
 class TestExpansions:
@@ -515,6 +590,18 @@ class TestFamiliesJson:
         text = json.dumps({"mode": "F", "families": [[{"slots": [7, 8], "kind": site.kind}]]})
         _, fams = load_families(text)
         assert expand_semitriple(d, fams[0].members) == expand_semitriple(d, [site])
+
+    @pytest.mark.parametrize("kind", ["closed", "long"])
+    @pytest.mark.parametrize("slots", [[1000, 1001], [4, 5], [-4, -3]])
+    def test_slots_outside_the_diagram_refused(self, kind, slots):
+        # slot 0 of O1+ O2+ U1+ U2+ is an Fo triangle; no slot wraps to it
+        d = parse_gauss_code("O1+ O2+ U1+ U2+", kind)
+        text = json.dumps({"mode": "F", "families": [[{"slots": slots, "kind": "Fo"}]]})
+        _, fams = load_families(text)
+        with pytest.raises(FamilyError, match="not a Fo triangle"):
+            f_alt_sum(v21, d, fams[0].members)
+        with pytest.raises(FamilyError, match="not a Fo triangle"):
+            check_n_trivial(d, fams, "F")
 
     def test_boolean_chord_ids_rejected(self):
         with pytest.raises(FamilyError, match="chord ids"):

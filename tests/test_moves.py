@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from vknots.corpus import random_diagram, virtual_trefoil
 from vknots.diagram import GaussDiagram, parse_gauss_code
 from vknots.moves import (
+    MOVE_KINDS,
     MoveError,
     MoveEvent,
     R3_CATALOGUE,
@@ -133,6 +135,70 @@ class TestApply:
         d = parse_gauss_code(TREFOIL)
         d2 = apply_move(d, MoveEvent("virtualize", (2,)))
         assert d2.n == 2
+
+
+LOCAL_KINDS = ("R1_del", "R2_del", "R3", "Fo", "Fu")
+
+
+def candidate_events(d, r3=True):
+    """Every slot-local event whose slots run from -1 to 2n, enumerated or
+    not; R3 triples only when ``r3``."""
+    slots = range(-1, d.slot_count + 1)
+    for k in slots:
+        for sign, orient in itertools.product((1, -1), ("OU", "UO")):
+            yield MoveEvent("R1_del", (k, sign, orient))
+        for k2, par, sign in itertools.product(slots, (True, False), (1, -1)):
+            yield MoveEvent("R2_del", (k, k2, par, sign))
+        yield MoveEvent("Fo", (k,))
+        yield MoveEvent("Fu", (k,))
+    if r3:
+        for t in itertools.product(slots, repeat=3):
+            yield MoveEvent("R3", t)
+
+
+class TestOneRecognizer:
+    """enumerate_moves and apply_move read one recognizer, so they agree
+    on every candidate site."""
+
+    def test_apply_accepts_exactly_the_enumerated_events(self):
+        rng = random.Random(6060)
+        accepted = dict.fromkeys(LOCAL_KINDS, 0)
+        for i in range(400):
+            d = random_diagram(rng, rng.randint(0, 6), rng.choice(("closed", "long")))
+            listed = set(enumerate_moves(d, LOCAL_KINDS))
+            for e in candidate_events(d, r3=d.n <= 5 or i % 2 == 0):
+                try:
+                    apply_move(d, e)
+                except MoveError:
+                    assert e not in listed, e
+                else:
+                    assert e in listed, e
+                    accepted[e.kind] += 1
+        assert min(accepted.values()) > 20, accepted
+
+    def test_enumeration_has_no_duplicates(self):
+        rng = random.Random(6061)
+        for _ in range(300):
+            d = random_diagram(rng, rng.randint(0, 9), rng.choice(("closed", "long")))
+            events = enumerate_moves(d, MOVE_KINDS)
+            assert len(events) == len(set(events))
+
+    def test_enumeration_order(self):
+        # kinds in blocks R1_del, R1_add, R2_del, R2_add, R3, virtualize,
+        # then Fo and Fu together; slot-local blocks by their first slot
+        blocks = ["R1_del", "R1_add", "R2_del", "R2_add", "R3", "virtualize", "Fo"]
+        rng = random.Random(6062)
+        for _ in range(300):
+            d = random_diagram(rng, rng.randint(0, 7), rng.choice(("closed", "long")))
+            kinds = rng.sample(MOVE_KINDS, rng.randint(1, len(MOVE_KINDS)))
+            events = enumerate_moves(d, kinds)
+            rank = [blocks.index("Fo" if e.kind == "Fu" else e.kind) for e in events]
+            assert rank == sorted(rank)
+            for kind in ("R1_del", "R2_del", "R3"):
+                starts = [e.data[0] for e in events if e.kind == kind]
+                assert starts == sorted(starts)
+            f_starts = [e.data[0] for e in events if e.kind in ("Fo", "Fu")]
+            assert f_starts == sorted(set(f_starts))
 
 
 class TestR3Catalogue:

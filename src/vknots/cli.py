@@ -63,7 +63,8 @@ from .khovanov import (
     lemma5_scan,
     writhe,
 )
-from .moves import MoveError, apply_trace, enumerate_moves, apply_move
+from .laurent import LaurentPoly
+from .moves import MoveError, apply_move, apply_trace, enumerate_moves, simplify
 
 OK, INPUT_ERROR, EXHAUSTED = 0, 1, 2
 
@@ -152,15 +153,23 @@ def cmd_kh(args) -> int:
             _emit({"code": d.code(), "skipped": True, "chords": closed.n}, args.format)
             status = EXHAUSTED
             continue
-        table = homology(closed, args.cap_chords)
-        jh = jones_hat(closed)
+        # The table and the Jones polynomial are invariant under the R-moves
+        # simplify applies, so both are read on the diagram it reduces to.
+        # The bracket is invariant under R2 and R3, and removing an R1 kink
+        # of sign e divides it by -A**(3e): <D> = (-A^3)**(w(D) - w(D')) <D'>.
+        reduced, _ = simplify(closed)
+        table = homology(reduced, args.cap_chords)
+        jh = jones_hat(reduced)
+        w = writhe(closed)
+        dw = w - writhe(reduced)
+        br = bracket(reduced) * LaurentPoly({3 * dw: (-1) ** (dw % 2)})
         report = {
-            "writhe": writhe(closed),
+            "writhe": w,
             "table": [
                 {"i": i, "j": j, "dim": dim} for (i, j), dim in table.dims
             ],
             "jones_hat": jh.pairs(),
-            "bracket": bracket(closed).pairs(),
+            "bracket": br.pairs(),
             "euler_check": "ok" if table.euler() == jh else "mismatch",
         }
         _emit(report, args.format)
@@ -195,6 +204,7 @@ def cmd_f_sum(args) -> int:
 def cmd_ntrivial(args) -> int:
     with open(args.families, "r", encoding="utf-8") as fh:
         mode, families = load_families(fh.read())
+    _check_subset_cap("ntrivial", "families", len(families), args.cap_chords)
     status = OK
     for d in _load_diagrams(args):
         verdicts, aggregate = check_n_trivial(
@@ -410,13 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cap=True):
         p.add_argument("--input", help="diagram file (one Gauss code per line, '-' for stdin)")
         p.add_argument("--code", help="inline Gauss code (may be empty for the unknot)")
         p.add_argument("--kind", choices=("closed", "long"), default="closed",
                        help="kind for --code and unprefixed file lines")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--cap-chords", type=int, default=DEFAULT_HOMOLOGY_CAP)
+        if cap:
+            p.add_argument("--cap-chords", type=int, default=DEFAULT_HOMOLOGY_CAP)
 
     p = sub.add_parser("eval", help="bracket, unnormalized Jones, v21/v22, arrow pairing")
     common(p)
@@ -448,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ntrivial)
 
     p = sub.add_parser("trivialize", help="unknotting search over forbidden + R moves")
-    common(p)
+    common(p, cap=False)
     p.set_defaults(func=cmd_trivialize)
     p.add_argument("--depth", "--budget", dest="budget", type=int, default=10,
                    help="maximum trace length")

@@ -42,7 +42,13 @@ State space
     reflected Gray-code order, so each step rewrites the four arc ends of
     one chord, and keeps no state.  ``homology`` traces every state along
     the same walk and tallies the census on the way, so a ``kh`` report
-    walks the cube once.  The bracket and the Jones polynomial depend on a
+    walks the cube once.  That cube is the reduced diagram's: ``kh`` first
+    runs ``moves.simplify`` (R1/R2 deletions and R3 slides) and reads all
+    three sums on the diagram it returns, so a request walks 2**(reduced n)
+    states.  The table and the Jones polynomial are invariant under those
+    moves; the bracket is not under R1, and the report rescales it by
+    <D> = (-A^3)**(w(D) - w(D')) <D'>.  The chord cap is still judged on
+    the input.  The bracket and the Jones polynomial depend on a
     state only through that pair, so each sums the O(n^2) census entries
     instead of the 2**n states.  A state with s circles contributes a
     power (-A^2 - A^-2)**s or (q + 1/q)**s, whose coefficients are the

@@ -3,10 +3,12 @@ import json
 import jsonschema
 import pytest
 
-from vknots import cli, schemas
+from vknots import cli, forbidden, schemas
 from vknots.cli import main
 from vknots.corpus import GPV2_TRIVIAL, RIGHT_TREFOIL, VIRTUAL_TREFOIL
+from vknots.diagram import parse_gauss_code
 from vknots.khovanov import MAX_CAP_CHORDS
+from vknots.moves import apply_move, enumerate_moves, simplify
 
 
 def run(capsys, *argv):
@@ -42,6 +44,18 @@ class TestKh:
             capsys, "kh", "--code", RIGHT_TREFOIL, "--cap-chords", "2"
         )
         assert code == 2 and report["skipped"] is True
+
+    def test_cap_judged_on_the_input(self, capsys):
+        # two R2 pads make a 7-chord trefoil that simplify takes back to
+        # 3 chords; the cap still applies to the 7 chords given
+        d = parse_gauss_code(RIGHT_TREFOIL, "closed")
+        for _ in range(2):
+            d = apply_move(d, enumerate_moves(d, ["R2_add"])[0])
+        assert d.n == 7 and simplify(d)[0].n == 3
+        code, (report,) = run_json(capsys, "kh", "--code", d.code(), "--cap-chords", "5")
+        assert code == 2 and report == {"code": d.code(), "skipped": True, "chords": 7}
+        code, (report,) = run_json(capsys, "kh", "--code", d.code(), "--cap-chords", "7")
+        assert code == 0 and report["writhe"] == 3 and report["euler_check"] == "ok"
 
     @pytest.mark.parametrize("cap", ["17", "40", "-1"])
     def test_cap_outside_ceiling_is_exit_1(self, capsys, cap):
@@ -185,6 +199,26 @@ class TestSumCaps:
 
 
 class TestNTrivial:
+    def test_family_cap_refuses_before_any_certificate(self, capsys, tmp_path, monkeypatch):
+        # check_n_trivial certifies 2**|families| - 1 subsets
+        calls = []
+        certify = forbidden.certify_trivial
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(forbidden, "certify_trivial", counting)
+        path = tmp_path / "fams.json"
+        path.write_text('{"mode": "GPV", "families": [[1], [2], [3]]}')
+        argv = ["ntrivial", "--code", GPV2_TRIVIAL, "--kind", "long", "--families", str(path)]
+        code = main(argv + ["--cap-chords", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and calls == []
+        assert "ntrivial capped at 2 families, got 3" in captured.err
+        code, (report,) = run_json(capsys, *argv, "--cap-chords", "3")
+        assert code == 0 and len(report["subsets"]) == 7 and len(calls) == 7
+
     def test_gpv2_example(self, capsys, tmp_path):
         path = tmp_path / "fams.json"
         path.write_text('{"mode": "GPV", "families": [[1, 2], [3, 4]]}')
@@ -273,6 +307,14 @@ class TestBudgetFlag:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "unrecognized arguments: --budget 5" in captured.err
+
+    @pytest.mark.parametrize("cap", ["0", "5"])
+    def test_trivialize_refuses_cap_chords(self, capsys, cap):
+        # trivialize's search is bounded by --depth alone
+        code = main(["trivialize", "--code", "O1+ O2+ U1+ U2+", "--cap-chords", cap])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"unrecognized arguments: --cap-chords {cap}" in captured.err
 
 
 class TestUsageErrors:

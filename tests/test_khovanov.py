@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import networkx as nx
@@ -12,6 +13,7 @@ from vknots.corpus import (
     virtual_trefoil,
 )
 from vknots import khovanov
+from vknots.braids import BraidError, closure, parse_braid_word
 from vknots.cli import main
 from vknots.diagram import Chord, GaussDiagram, parse_gauss_code, reclose
 from vknots.khovanov import (
@@ -33,7 +35,7 @@ from vknots.khovanov import (
     writhe,
 )
 from vknots.laurent import LaurentPoly
-from vknots.moves import apply_move, enumerate_moves
+from vknots.moves import apply_move, enumerate_moves, simplify
 
 TREFOIL = right_trefoil("closed")
 VT = virtual_trefoil()
@@ -284,7 +286,7 @@ class TestGrayCensus:
         gray, trace = khovanov._StateSpace._gray, khovanov._StateSpace._trace
 
         def counting_gray(self):
-            walks.append(1)
+            walks.append(self.n)
             return gray(self)
 
         def counting_trace(self, mask):
@@ -295,11 +297,84 @@ class TestGrayCensus:
         monkeypatch.setattr(khovanov._StateSpace, "_trace", counting_trace)
         khovanov._space_of.cache_clear()
         d = random_diagram(random.Random(13), 8, "closed")
+        d = apply_move(d, enumerate_moves(d, ["R2_add"])[0])
+        reduced, _ = simplify(d)
+        assert reduced.n < d.n == 10
         assert main(["kh", "--code", d.code()]) == 0
         assert "euler_check" in capsys.readouterr().out
-        # homology's walk traces every state and tallies the census that
-        # jones_hat and bracket then read
-        assert walks == [1] and traces == []
+        # homology's walk over the reduced diagram traces every state and
+        # tallies the census that jones_hat and bracket then read
+        assert walks == [reduced.n] and traces == []
+
+
+def kh_oracle(d: GaussDiagram) -> str:
+    """The JSON line of a ``kh`` report computed on the unreduced diagram."""
+    closed = d if d.kind == "closed" else reclose(d)
+    table = homology(closed, closed.n)
+    jh = jones_hat(closed)
+    report = {
+        "writhe": writhe(closed),
+        "table": [{"i": i, "j": j, "dim": dim} for (i, j), dim in table.dims],
+        "jones_hat": jh.pairs(),
+        "bracket": bracket(closed).pairs(),
+        "euler_check": "ok" if table.euler() == jh else "mismatch",
+    }
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def random_braid_closure(rng: random.Random, real: int) -> GaussDiagram:
+    """Closure of a random 4-strand word with ``real`` real letters and a
+    few virtual ones; words closing to more than one component are redrawn."""
+    while True:
+        tokens = [rng.choice("sS") + str(rng.randint(1, 3)) for _ in range(real)]
+        tokens += ["v" + str(rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(tokens)
+        try:
+            return closure(parse_braid_word(" ".join(tokens)))
+        except BraidError:
+            continue
+
+
+class TestKhOnReducedDiagram:
+    """``kh`` reads its state sums on the diagram ``simplify`` reduces the
+    input to; its reports must equal those of the unreduced diagram."""
+
+    @staticmethod
+    def padded_corpus():
+        rng = random.Random(2718)
+        out = []
+        for _ in range(60):
+            d = random_diagram(rng, rng.randint(0, 5), rng.choice(("closed", "long")))
+            for _ in range(rng.randint(0, 2)):
+                d = apply_move(d, rng.choice(enumerate_moves(d, ["R1_add", "R2_add"])))
+            out.append(d)
+        return out
+
+    def check(self, capsys, d):
+        assert main(["kh", "--code", d.code(), "--kind", d.kind]) == 0
+        out = capsys.readouterr().out
+        assert out == kh_oracle(d), d.code()
+        closed = d if d.kind == "closed" else reclose(d)
+        assert json.loads(out)["bracket"] == bracket(closed).pairs()
+
+    def test_small_diagrams_match_unreduced_oracle(self, capsys):
+        reduced = kinks = 0
+        for d in self.padded_corpus():
+            assert d.n <= 9
+            self.check(capsys, d)
+            closed = d if d.kind == "closed" else reclose(d)
+            small, _ = simplify(closed)
+            reduced += small.n < closed.n
+            kinks += writhe(small) != writhe(closed)
+        # the corpus exercises the reduction and the bracket's rescaling
+        assert reduced >= 40 and kinks >= 20
+
+    def test_braid_closures_match_unreduced_oracle(self, capsys):
+        rng = random.Random(1618)
+        for real in (10, 11, 12):
+            d = random_braid_closure(rng, real)
+            assert d.n == real
+            self.check(capsys, d)
 
 
 class TestDifferential:

@@ -247,6 +247,10 @@ def cmd_trivialize(args) -> int:
                 }
             )
     _emit({"results": results}, args.format)
+    if status == EXHAUSTED:
+        missing = sum(1 for r in results if not r["found"])
+        print(f"trivialize: --depth {args.budget} exhausted: no trace for {missing} "
+              f"of {len(results)} diagrams", file=sys.stderr)
     return status
 
 

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 from .diagram import DiagramError, GaussDiagram, reclose
 from .khovanov import DEFAULT_HOMOLOGY_CAP, homology, jones_hat
 from .laurent import LaurentPoly
-from .moves import MoveEvent, _sites_at, apply_move, enumerate_moves, simplify
+from .moves import MoveError, MoveEvent, _sites_at, apply_move, enumerate_moves, simplify
 from .arrows import Invariant, _alternating_terms, v21, v22
 
 UNKNOT_TABLE = {(0, -1): 1, (0, 1): 1}
@@ -384,63 +384,90 @@ def check_n_trivial(
 # -- unknotting search over forbidden + Reidemeister moves -------------------------
 
 
-# Search order of the move kinds and the chord count each removes.
+# Search order of the move kinds, and the (positive, negative) chord counts
+# a move of each kind can remove: R2_del removes one chord of each sign
+# (its two chords have opposite signs), R1_del one chord of the sign in its
+# event data, Fo, Fu and R3 none.
 _SEARCH_ORDER = {"R2_del": 0, "R1_del": 1, "Fo": 2, "Fu": 3, "R3": 4}
-_CHORDS_REMOVED = {"R2_del": 2, "R1_del": 1, "Fo": 0, "Fu": 0, "R3": 0}
+_SIGNS_REMOVED = {
+    "R2_del": ((1, 1),),
+    "R1_del": ((1, 0), (0, 1)),
+    "Fo": ((0, 0),),
+    "Fu": ((0, 0),),
+    "R3": ((0, 0),),
+}
 
 
 def trivialize_forbidden(
     diagram: GaussDiagram, budget: int = 10
 ) -> list[MoveEvent] | None:
     """Move sequence over {Fo, Fu, R1_del, R2_del, R3} emptying the diagram,
-    or None when no sequence of length <= budget is found.
+    or None when no sequence of length <= budget is found; raises MoveError
+    when ``budget`` is negative.
 
     Iterative deepening with deletion-first ordering; forbidden moves are
     unknotting operations, so failure only means the budget was too small.
-    A move removes at most two chords, so a nonempty diagram of n chords
-    with d moves left is hopeless when (n + 1) // 2 > d.  A child's chord
-    count is known from its move kind (R2_del removes two chords, R1_del
-    one, Fo, Fu and R3 none), so kinds whose children would be hopeless are
-    not enumerated and those children are never built.  The others are
-    built one at a time, in (kind order, event data) order, and only until
-    a trace is found.
+    A diagram with p positive and q negative chords needs at least
+    max(p, q) moves to become empty, since R2_del removes one chord of each
+    sign, R1_del one chord, and Fo, Fu and R3 keep every chord and its
+    sign; a node with fewer moves left is hopeless.  The bound never exceeds
+    the true distance, so it prunes only subtrees that hold no trace and
+    the search returns the same first trace as one pruned by the chord
+    count alone (see docs/moves.md).  A child's sign counts are known from
+    its event (R1_del carries its chord's sign), so kinds whose children
+    would all be hopeless are not enumerated, and no hopeless child is
+    built.  The others are built one at a time, in (kind order, event data)
+    order, and only until a trace is found.
     """
+    if budget < 0:
+        raise MoveError("trivialize budget must be >= 0")
     start = diagram
     if start.n == 0:
         return []
 
-    def successors(d: GaussDiagram, depth_left: int):
+    def successors(d: GaussDiagram, pos: int, neg: int, depth_left: int):
         kinds = [
             kind
-            for kind, removed in _CHORDS_REMOVED.items()
-            if d.n == removed or (d.n - removed + 1) // 2 <= depth_left
+            for kind, removals in _SIGNS_REMOVED.items()
+            if any(max(pos - dp, neg - dn) <= depth_left for dp, dn in removals)
         ]
         evs = enumerate_moves(d, kinds)
         evs.sort(key=lambda e: (_SEARCH_ORDER[e.kind], e.data))
         for e in evs:
-            yield e, apply_move(d, e)
+            if e.kind == "R2_del":
+                child_pos, child_neg = pos - 1, neg - 1
+            elif e.kind == "R1_del":
+                positive = e.data[1] > 0
+                child_pos, child_neg = pos - positive, neg - (not positive)
+                if max(child_pos, child_neg) > depth_left:
+                    continue
+            else:
+                child_pos, child_neg = pos, neg
+            yield e, apply_move(d, e), child_pos, child_neg
 
+    start_pos = sum(1 for c in start.chords if c.sign > 0)
+    start_neg = start.n - start_pos
     for limit in range(1, budget + 1):
         best_seen: dict[tuple, int] = {}
 
-        def dfs(d: GaussDiagram, depth_left: int, trace: list[MoveEvent]):
+        def dfs(d: GaussDiagram, pos: int, neg: int, depth_left: int, trace: list[MoveEvent]):
             if d.n == 0:
                 return list(trace)
-            if depth_left <= 0 or (d.n + 1) // 2 > depth_left:
+            if max(pos, neg) > depth_left:
                 return None
             key = d.search_key()
             if best_seen.get(key, -1) >= depth_left:
                 return None
             best_seen[key] = depth_left
-            for event, child in successors(d, depth_left - 1):
+            for event, child, child_pos, child_neg in successors(d, pos, neg, depth_left - 1):
                 trace.append(event)
-                found = dfs(child, depth_left - 1, trace)
+                found = dfs(child, child_pos, child_neg, depth_left - 1, trace)
                 if found is not None:
                     return found
                 trace.pop()
             return None
 
-        found = dfs(start, limit, [])
+        found = dfs(start, start_pos, start_neg, limit, [])
         if found is not None:
             return found
     return None

@@ -265,6 +265,23 @@ class TestTrivialize:
         )
         assert code == 2 and report["results"][0]["found"] is False
 
+    def test_exhausted_depth_named_on_stderr(self, capsys, tmp_path):
+        path = tmp_path / "two.txt"
+        path.write_text("O1+ U1+\nO1- O2- U1- U2-\n")
+        code = main(["trivialize", "--input", str(path), "--depth", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == (
+            '{"results":[{"code":"O1+ U1+","found":true,"replayed_empty":true,'
+            '"trace":[["R1_del",[0,1,"OU"]]]},{"code":"O1- O2- U1- U2-","found":false,'
+            '"replayed_empty":null,"trace":null}]}\n'
+        )
+        assert captured.err == "trivialize: --depth 1 exhausted: no trace for 1 of 2 diagrams\n"
+
+    def test_found_trace_writes_no_stderr(self, capsys):
+        code = main(["trivialize", "--code", VIRTUAL_TREFOIL])
+        assert code == 0 and capsys.readouterr().err == ""
+
 
     @pytest.mark.parametrize("flag", ["--depth", "--budget"])
     def test_negative_depth_is_exit_1(self, capsys, flag):

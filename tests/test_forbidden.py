@@ -9,7 +9,7 @@ import pytest
 from vknots import forbidden, khovanov
 from vknots.arrows import gpv_alt_sum, v21, v22
 from vknots.corpus import gpv2_trivial, random_diagram, right_trefoil, virtual_trefoil
-from vknots.diagram import GaussDiagram, parse_gauss_code
+from vknots.diagram import Chord, GaussDiagram, parse_gauss_code
 from vknots.forbidden import (
     Family,
     FamilyError,
@@ -30,7 +30,7 @@ from vknots.forbidden import (
     trivialize_forbidden,
 )
 from vknots.khovanov import jones_hat
-from vknots.moves import MoveEvent, apply_move, apply_trace, enumerate_moves, simplify
+from vknots.moves import MoveError, MoveEvent, apply_move, apply_trace, enumerate_moves, simplify
 
 VT = virtual_trefoil()
 LT = right_trefoil("long")
@@ -505,6 +505,81 @@ class TestTrivializeForbidden:
         assert built
         assert all(child.n == 0 or id(child) in coded for child in built)
         assert len(built) < eager_built
+
+    def test_negative_budget_raises(self):
+        for d in (parse_gauss_code(""), VT):
+            with pytest.raises(MoveError, match="trivialize budget must be >= 0"):
+                trivialize_forbidden(d, -1)
+
+
+def with_signs(d, positive):
+    """``d`` with its first ``positive`` chords positive and the rest negative."""
+    return GaussDiagram(d.kind, [
+        Chord(c.id, c.tail, c.head, 1 if i < positive else -1)
+        for i, c in enumerate(d.chords)
+    ])
+
+
+def kink_chain(p):
+    return parse_gauss_code(" ".join(f"O{i}+ U{i}+" for i in range(1, p + 1)), "long")
+
+
+class TestSignBound:
+    def test_traces_match_eager_search(self):
+        rng = random.Random(1101)
+        for n in range(9):
+            for kind in ("closed", "long"):
+                for _ in range(2):
+                    d = random_diagram(rng, n, kind)
+                    for budget in sorted({n // 2, (n + 1) // 2 + 1, 7}):
+                        assert trivialize_forbidden(d, budget) == eager_trivialize(d, budget)
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 6])
+    def test_kink_chain(self, monkeypatch, p):
+        # p kinks of one sign need p moves; below that the root is cut
+        # before its key is read, so no child is built
+        d = kink_chain(p)
+        built, keys = [], []
+        original_key = GaussDiagram.search_key
+
+        def counting_apply(diagram, event):
+            built.append(event)
+            return apply_move(diagram, event)
+
+        def counting_key(self):
+            keys.append(1)
+            return original_key(self)
+
+        monkeypatch.setattr(forbidden, "apply_move", counting_apply)
+        monkeypatch.setattr(GaussDiagram, "search_key", counting_key)
+        assert trivialize_forbidden(d, p - 1) is None
+        assert built == [] and keys == []
+        trace = trivialize_forbidden(d, p)
+        assert len(trace) == p and all(e.kind == "R1_del" for e in trace)
+        assert apply_trace(d, trace).n == 0
+
+    def test_fewer_keys_read_than_the_eager_search(self, monkeypatch):
+        rng = random.Random(1102)
+        diagrams = [with_signs(random_diagram(rng, n, kind), positive)
+                    for n in range(3, 8) for kind in ("closed", "long")
+                    for positive in (0, n - 1)]
+        eager_keys, keys = [], []
+        original_code = GaussDiagram.canonical_code
+        original_key = GaussDiagram.search_key
+
+        def counting_code(self):
+            eager_keys.append(1)
+            return original_code(self)
+
+        def counting_key(self):
+            keys.append(1)
+            return original_key(self)
+
+        monkeypatch.setattr(GaussDiagram, "canonical_code", counting_code)
+        monkeypatch.setattr(GaussDiagram, "search_key", counting_key)
+        for d in diagrams:
+            assert trivialize_forbidden(d, 6) == eager_trivialize(d, 6)
+        assert len(keys) < len(eager_keys)
 
 
 def _eager_successors(d):

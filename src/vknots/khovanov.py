@@ -25,24 +25,33 @@ Differential
     generalized Reidemeister moves, with graded Euler characteristic the
     unnormalized Jones polynomial.
 
-    A switch is read off locally.  The arcs ending and starting at the
-    chord's tail lie on different strands of either smoothing there, so
-    their circles in the old and the new state are the circles that merge
-    or split.  Every other circle keeps its arcs, and circles are listed in
-    order of their smallest arc, so the map from untouched old circles to
-    new ones is monotone: a label mask moves by deleting the bits of the
-    old circles and inserting the bits of the new ones.  ``homology`` and
-    ``differential`` both go through :meth:`_StateSpace.switch` and
+    A switch is read off locally, from the circle index of each arc in the
+    old and the new state and their circle counts.  The arcs ending and
+    starting at the chord's tail lie on different strands of either
+    smoothing there, so their circles in the old and the new state are the
+    circles that merge or split, and the counts tell which.  Every other
+    circle keeps its arcs, and circles are listed in order of their
+    smallest arc, so the map from untouched old circles to new ones is
+    monotone: a label mask moves by deleting the bits of the old circles
+    and inserting the bits of the new ones.  ``homology`` and
+    ``differential`` both go through :meth:`_StateSpace.switches` and
     :func:`_switch_images`.
 
+    d o d = 0 is checked on every complex ``homology`` builds, inside the
+    rank elimination of each block: every row that is independent of the
+    rows before it must map to 0 under the next block.  That is the whole
+    check, since those rows span the block's row space and d is linear.
+
 State space
-    Every operation reads one state space per diagram: the circles of each
-    traced state, the circle of each arc, and a census of the states per
+    Every operation reads one state space per diagram: the circles of a
+    state traced on its own, and a census of the states per
     (negative-marker count, circle count).  The census walks the states in
     reflected Gray-code order, so each step rewrites the four arc ends of
-    one chord, and keeps no state.  ``homology`` traces every state along
-    the same walk and tallies the census on the way, so a ``kh`` report
-    walks the cube once.  That cube is the reduced diagram's: ``kh`` first
+    one chord, and keeps no state.  ``homology`` goes along the same walk
+    and keeps, for every state, only the circle index of each arc and the
+    circle count, for the length of the call; it tallies the census on the
+    way, so a ``kh`` report walks the cube once and traces no state on its
+    own.  That cube is the reduced diagram's: ``kh`` first
     runs ``moves.simplify`` (R1/R2 deletions and R3 slides) and reads all
     three sums on the diagram it returns, so a request walks 2**(reduced n)
     states.  The table and the Jones polynomial are invariant under those
@@ -184,6 +193,9 @@ class _StateSpace:
             self._smoothings.append(
                 (preserving, reversing) if c.sign > 0 else (reversing, preserving)
             )
+        # per chord: its mask bit and the arcs (u, v) ending and starting at
+        # its tail, which lie on different strands of either smoothing there
+        self._tails = [(1 << k, (c.tail - 1) % m, c.tail) for k, c in enumerate(chords)]
         self._states: dict[int, tuple[tuple[tuple[int, ...], ...], list[int]]] = {}
 
     def mask_of(self, markers: StateVec) -> int:
@@ -215,18 +227,21 @@ class _StateSpace:
         for k, ends in enumerate(self._smoothings):
             a, b, c, d = ends[(mask >> k) & 1]
             partner[a], partner[b], partner[c], partner[d] = b, a, d, c
-        return self._circles(partner)
+        arc_circle, count = self._arc_circles(partner)
+        circles: list[list[int]] = [[] for _ in range(count)]
+        for arc, idx in enumerate(arc_circle):
+            circles[idx].append(arc)
+        return tuple(map(tuple, circles)), arc_circle
 
-    def _circles(self, partner: list[int]) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-        """(circles, circle index of each arc) when smoothings join arc end
-        e to arc end ``partner[e]``."""
+    def _arc_circles(self, partner: list[int]) -> tuple[list[int], int]:
+        """(circle index of each arc, circle count) when smoothings join arc
+        end e to arc end ``partner[e]``; the chord-free diagram is one
+        circle without arcs."""
         m = 2 * self.n
-        if m == 0:
-            return ((),), []
         # walking from the lowest arc not yet on a circle numbers the
         # circles in order of their smallest arc
         arc_circle = [-1] * m
-        count = 0
+        count = 0 if m else 1
         for start in range(m):
             if arc_circle[start] >= 0:
                 continue
@@ -235,10 +250,7 @@ class _StateSpace:
                 arc_circle[end >> 1] = count
                 end = partner[end ^ 1]
             count += 1
-        circles: list[list[int]] = [[] for _ in range(count)]
-        for arc, idx in enumerate(arc_circle):
-            circles[idx].append(arc)
-        return tuple(map(tuple, circles)), arc_circle
+        return arc_circle, count
 
     def _gray(self) -> Iterator[tuple[int, list[int]]]:
         """Every state as (mask, partner), in reflected Gray-code order.
@@ -280,18 +292,22 @@ class _StateSpace:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def trace_all(self) -> None:
-        """Trace every state into ``_states`` along the Gray walk, and tally
-        the census on the way."""
-        if len(self._states) == 1 << self.n:
-            return
+    def walk(self) -> tuple[list[list[int]], list[int]]:
+        """The circle index of each arc and the circle count of every state,
+        indexed by mask, traced along the Gray walk; the census is tallied
+        on the way.  Neither list is kept."""
+        size = 1 << self.n
+        arcs: list[list[int]] = [[]] * size
+        sizes = [0] * size
         counts: dict[tuple[int, int], int] = {}
         for mask, partner in self._gray():
-            self._states[mask] = state = self._circles(partner)
-            key = (mask.bit_count(), len(state[0]))
+            arcs[mask], count = self._arc_circles(partner)
+            sizes[mask] = count
+            key = (mask.bit_count(), count)
             counts[key] = counts.get(key, 0) + 1
         # cached_property reads a value already in the instance dict
         vars(self).setdefault("census", counts)
+        return arcs, sizes
 
     def sigma(self, mask: int) -> int:
         return self.n - 2 * bin(mask).count("1")
@@ -299,30 +315,31 @@ class _StateSpace:
     def homological_i(self, mask: int) -> int:
         return (self.w - self.sigma(mask)) // 2
 
-    def switch(self, mask: int, k: int) -> tuple[str, int, int, int]:
-        """Effect of switching the positive marker of chord k to negative.
-
-        Returns ("zero", -1, -1, -1) when the circle count is unchanged,
-        ("merge", a, b, c) when old circles a < b merge into new circle c,
-        and ("split", a, b, c) when old circle a splits into new circles
-        b < c.  Every other circle keeps its arcs, so the old and the new
-        circle order agree on them.
-        """
-        old, old_arc = self._state(mask)
-        new, new_arc = self._state(mask | (1 << k))
-        # the arcs ending and starting at the chord's tail lie on different
-        # strands of either smoothing there
-        v = self.chords[k].tail
-        u = (v - 1) % (2 * self.n)
-        if len(new) == len(old) - 1:
-            a, b = sorted((old_arc[u], old_arc[v]))
-            return ("merge", a, b, new_arc[u])
-        if len(new) == len(old) + 1:
-            b, c = sorted((new_arc[u], new_arc[v]))
-            return ("split", old_arc[u], b, c)
-        if len(new) == len(old):
-            return ("zero", -1, -1, -1)
-        raise AssertionError("a marker switch changes the circle count by at most 1")
+    def switches(self, mask: int, arcs, sizes) -> Iterator[tuple[int, int, int, int, int]]:
+        """Every positive-marker switch of state ``mask`` that changes the
+        circle count, as (new mask, split, a, b, c): old circles a < b merge
+        into new circle c (split 0), or old circle a splits into new circles
+        b < c (split 1).  A switch that keeps the count is the zero map and
+        is skipped.  ``arcs[m]`` and ``sizes[m]`` are the circle index of
+        each arc and the circle count of state m, for the state and every
+        state one switch above it."""
+        old, size = arcs[mask], sizes[mask]
+        for bit, u, v in self._tails:
+            if mask & bit:
+                continue
+            new_mask = mask | bit
+            new_size = sizes[new_mask]
+            if new_size == size:
+                continue
+            new = arcs[new_mask]
+            if new_size == size - 1:
+                a, b = old[u], old[v]
+                yield (new_mask, 0, a, b, new[u]) if a < b else (new_mask, 0, b, a, new[u])
+            elif new_size == size + 1:
+                b, c = new[u], new[v]
+                yield (new_mask, 1, old[u], b, c) if b < c else (new_mask, 1, old[u], c, b)
+            else:
+                raise AssertionError("a marker switch changes the circle count by at most 1")
 
 
 _space_of = functools.lru_cache(maxsize=1)(_StateSpace)
@@ -443,14 +460,14 @@ def _insert_bit(mask: int, pos: int, bit: int) -> int:
 
 
 def _switch_images(sw: tuple[str, int, int, int], lam: int) -> list[int]:
-    """New label masks produced by one marker switch (Z2 coefficients).
+    """New label masks produced by one marker switch (Z2 coefficients):
+    ("merge", a, b, c) merges old circles a < b into new circle c, and
+    ("split", a, b, c) splits old circle a into new circles b < c.
 
     Circles the switch leaves alone keep their order, so their labels move
     by deleting the old circles' bits and inserting the new circles' bits.
     """
     kind, a, b, c = sw
-    if kind == "zero":
-        return []
     if kind == "merge":
         xa, xb = (lam >> a) & 1, (lam >> b) & 1
         if xa and xb:
@@ -471,17 +488,19 @@ def differential(diagram: GaussDiagram, state: EnhancedState) -> list[EnhancedSt
     and j(T) = j(S)."""
     sp = _space(diagram)
     mask = sp.mask_of(state.markers)
-    if len(state.labels) != len(sp.circles(mask)):
+    near = [mask] + [mask | bit for bit, _, _ in sp._tails if not mask & bit]
+    arcs = {m: sp._state(m)[1] for m in near}
+    sizes = {m: len(sp.circles(m)) for m in near}
+    if len(state.labels) != sizes[mask]:
         raise DiagramError("label count does not match the state's circles")
     lam = _label_mask(state.labels)
     out = []
-    for k in range(sp.n):
-        if (mask >> k) & 1:
-            continue
-        new_mask = mask | (1 << k)
-        count = len(sp.circles(new_mask))
-        for lam2 in _switch_images(sp.switch(mask, k), lam):
-            out.append(EnhancedState(sp.markers_of(new_mask), _mask_labels(lam2, count)))
+    for new_mask, split, a, b, c in sp.switches(mask, arcs, sizes):
+        sw = ("split" if split else "merge", a, b, c)
+        for lam2 in _switch_images(sw, lam):
+            out.append(
+                EnhancedState(sp.markers_of(new_mask), _mask_labels(lam2, sizes[new_mask]))
+            )
     return out
 
 
@@ -490,17 +509,17 @@ def homology(
 ) -> GradedDims:
     """Z2 Khovanov homology dimensions per bidegree (i, j).
 
-    Enumerates the 2**n states with their label expansions, builds the
-    differential per j-column, asserts d o d = 0, and reports
-    dim ker - dim im by GF(2) ranks.
+    Walks the 2**n states once, builds the differential per j-column from
+    the walk's arc arrays, and reports dim ker - dim im by GF(2) ranks; the
+    elimination checks d o d = 0 on the rows it finds independent.
     """
     if diagram.n > cap:
         raise CapExceeded(f"homology capped at {cap} chords, got {diagram.n}")
     sp = _space(diagram)
-    sp.trace_all()
-    n, w = sp.n, sp.w
-    states = range(1 << n)
-    sizes = [len(sp.circles(mask)) for mask in states]
+    arcs, sizes = sp.walk()
+    w = sp.w
+    i0 = (w - sp.n) // 2  # i of the all-positive state; each negative marker adds 1
+    states = range(1 << sp.n)
 
     # The block (i, j) lists the enhanced states (mask, lam) of degree
     # (i, j) in mask order, then label order.  A state with t x-labels
@@ -513,41 +532,42 @@ def homology(
         group = by_bits[lam.bit_count()]
         rank[lam] = len(group)
         group.append(lam)
+    binomials = [[math.comb(size, t) for t in range(size + 1)] for size in range(top + 1)]
     filled: dict[tuple[int, int], int] = {}
     offset = []
     for mask in states:
-        size, i = sizes[mask], sp.homological_i(mask)
+        size = sizes[mask]
+        i = i0 + mask.bit_count()
         starts = []
-        for t in range(size + 1):
+        for t, count in enumerate(binomials[size]):
             key = (i, w + i + size - 2 * t)
             at = filled.get(key, 0)
             starts.append(at)
-            filled[key] = at + math.comb(size, t)
+            filled[key] = at + count
         offset.append(starts)
 
     # Column bits of the images of every label mask under one switch,
     # relative to the target state's block offset; they depend only on the
-    # switch data and the circle count.  Images keep j, so a merge keeps
-    # the number of x-labels and a split adds one.
-    columns: dict[tuple[tuple[str, int, int, int], int], list[int]] = {}
+    # switch data and the circle count, which key them as one int.  Images
+    # keep j, so a merge keeps the number of x-labels and a split adds one.
+    base = top + 1
+    columns: dict[int, list[int]] = {}
     matrices: dict[tuple[int, int], list[int]] = {key: [] for key in filled}
     for mask in states:
-        size, i = sizes[mask], sp.homological_i(mask)
+        size = sizes[mask]
+        i = i0 + mask.bit_count()
         targets = []
-        for k in range(n):
-            if (mask >> k) & 1:
-                continue
-            sw = sp.switch(mask, k)
-            if sw[0] == "zero":
-                continue
-            cols = columns.get((sw, size))
+        for new_mask, split, a, b, c in sp.switches(mask, arcs, sizes):
+            key = (((split * base + a) * base + b) * base + c) * base + size
+            cols = columns.get(key)
             if cols is None:
-                cols = columns[(sw, size)] = [
+                sw = ("split" if split else "merge", a, b, c)
+                cols = columns[key] = [
                     sum(1 << rank[lam2] for lam2 in _switch_images(sw, lam))
                     for lam in range(1 << size)
                 ]
-            targets.append((offset[mask | (1 << k)], sw[0] == "split", cols))
-        for t in range(size + 1):
+            targets.append((offset[new_mask], split, cols))
+        for t, count in enumerate(binomials[size]):
             rows = matrices[(i, w + i + size - 2 * t)]
             # merging two x-labels gives nothing, so when every label is x
             # a merge has no target block
@@ -556,31 +576,20 @@ def homology(
                 for starts, up, cols in targets
                 if t + up < len(starts)
             ]
-            for lam in by_bits[t][: math.comb(size, t)]:
+            for lam in by_bits[t][:count]:
                 vec = 0
                 for cols, at in parts:
                     vec |= cols[lam] << at
                 rows.append(vec)
 
-    # d o d = 0, checked blockwise before any elimination
-    for (i, j), rows in matrices.items():
-        nxt = matrices.get((i + 1, j))
-        if not nxt:
-            continue
-        for vec in rows:
-            acc = 0
-            v = vec
-            while v:
-                low = v & -v
-                acc ^= nxt[low.bit_length() - 1]
-                v ^= low
-            if acc:
-                raise AssertionError(f"d o d != 0 in column j={j} at i={i}")
-
-    ranks = {key: gf2_rank(rows) for key, rows in matrices.items()}
+    # d o d = 0 is checked inside each block's elimination
+    ranks = {
+        (i, j): gf2_rank(rows, matrices.get((i + 1, j)))
+        for (i, j), rows in matrices.items()
+    }
     table: dict[tuple[int, int], int] = {}
     for (i, j), rows in matrices.items():
-        dim = len(rows) - ranks.get((i, j), 0) - ranks.get((i - 1, j), 0)
+        dim = len(rows) - ranks[(i, j)] - ranks.get((i - 1, j), 0)
         if dim:
             table[(i, j)] = dim
     return GradedDims.from_dict(table)

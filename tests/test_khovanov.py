@@ -16,6 +16,7 @@ from vknots import khovanov
 from vknots.braids import BraidError, closure, parse_braid_word
 from vknots.cli import main
 from vknots.diagram import Chord, GaussDiagram, parse_gauss_code, reclose
+from vknots.gf2 import gf2_rank
 from vknots.khovanov import (
     CapExceeded,
     EnhancedState,
@@ -268,11 +269,12 @@ class TestGrayCensus:
                 for copy in (d, relabelled):
                     assert khovanov._StateSpace("closed", copy.chords).census == want
                     walked = khovanov._StateSpace("closed", copy.chords)
-                    walked.trace_all()
+                    arcs, sizes = walked.walk()
                     assert walked.census == want, d.code()
-                    assert walked._states == {
-                        mask: walked._trace(mask) for mask in range(1 << n)
-                    }
+                    traced = [walked._trace(mask) for mask in range(1 << n)]
+                    assert arcs == [arc for _, arc in traced]
+                    assert sizes == [len(circles) for circles, _ in traced]
+                    assert walked._states == {}
 
     def test_state_sums_keep_no_state(self):
         d = random_diagram(random.Random(12), 8, "closed")
@@ -280,6 +282,12 @@ class TestGrayCensus:
         bracket(d)
         jones_hat(d)
         assert _space(d)._states == {}
+        # homology traces no single state, and its per-state walk arrays
+        # live only for the call
+        homology(d)
+        sp = _space(d)
+        assert sp._states == {}
+        assert not [v for v in vars(sp).values() if isinstance(v, list) and len(v) == 1 << d.n]
 
     def test_kh_request_walks_the_cube_once(self, monkeypatch, capsys):
         walks, traces = [], []
@@ -302,8 +310,9 @@ class TestGrayCensus:
         assert reduced.n < d.n == 10
         assert main(["kh", "--code", d.code()]) == 0
         assert "euler_check" in capsys.readouterr().out
-        # homology's walk over the reduced diagram traces every state and
-        # tallies the census that jones_hat and bracket then read
+        # homology's walk over the reduced diagram keeps the arc array and
+        # circle count of every state and tallies the census that jones_hat
+        # and bracket then read; no state is traced on its own
         assert walks == [reduced.n] and traces == []
 
 
@@ -476,18 +485,29 @@ class TestSwitch:
         kinds = set()
         for d in diagrams:
             sp = _space(d)
+            arcs, sizes = sp.walk()
             for mask in range(1 << sp.n):
                 size = len(sp.circles(mask))
+                got = {
+                    new_mask: ("split" if split else "merge", a, b, c)
+                    for new_mask, split, a, b, c in sp.switches(mask, arcs, sizes)
+                }
                 for k in range(sp.n):
                     if (mask >> k) & 1:
                         continue
                     want, carry = oracle_switch(sp, mask, k)
-                    assert sp.switch(mask, k) == want, (d.code(), mask, k)
+                    kinds.add(want[0])
+                    if want[0] == "zero":
+                        # a switch that keeps the circle count is not listed
+                        assert mask | (1 << k) not in got, (d.code(), mask, k)
+                        continue
+                    assert got.pop(mask | (1 << k)) == want, (d.code(), mask, k)
                     # untouched circles keep their relative order
                     assert sorted(carry.values()) == [carry[i] for i in sorted(carry)]
                     for lam in range(1 << size):
                         assert _switch_images(want, lam) == oracle_images(want, carry, lam)
-                    kinds.add(want[0])
+                # every listed switch raises one positive marker of mask
+                assert got == {}, (d.code(), mask)
         assert kinds == {"zero", "merge", "split"}
 
     def test_dropped_split_image_trips_d_o_d(self, monkeypatch):
@@ -502,6 +522,107 @@ class TestSwitch:
         # ... and the homology assembly, whose d o d check catches it
         with pytest.raises(AssertionError, match="d o d"):
             homology(TREFOIL)
+
+    def test_misplaced_merge_image_trips_d_o_d(self, monkeypatch):
+        def misplaced(sw, lam):
+            # put the merged circle's label on the new circle before it
+            kind, a, b, c = sw
+            if kind != "merge" or c == 0:
+                return _switch_images(sw, lam)
+            xa, xb = (lam >> a) & 1, (lam >> b) & 1
+            if xa and xb:
+                return []
+            rest = khovanov._drop_bit(khovanov._drop_bit(lam, b), a)
+            return [khovanov._insert_bit(rest, c - 1, xa | xb)]
+
+        d = random_diagram(random.Random(0), 5, "closed")
+        states = list(enhanced_states(d))
+        images = [differential(d, s) for s in states]
+        monkeypatch.setattr(khovanov, "_switch_images", misplaced)
+        # the same patch reaches the differential ...
+        assert [differential(d, s) for s in states] != images
+        # ... and the homology assembly, whose d o d check catches it
+        with pytest.raises(AssertionError, match="d o d"):
+            homology(d)
+
+
+def oracle_homology(d: GaussDiagram) -> dict:
+    """Reference table: every state traced on its own, every switch read by
+    :func:`oracle_switch`, each row built on its own, d o d checked on
+    every row, then plain ``gf2_rank``."""
+    sp = khovanov._StateSpace(d.kind, d.chords)
+    basis = {}
+    index = {}
+    for mask in range(1 << sp.n):
+        size = len(sp.circles(mask))
+        i = sp.homological_i(mask)
+        for lam in range(1 << size):
+            block = basis.setdefault((i, sp.w + i + size - 2 * lam.bit_count()), [])
+            index[mask, lam] = len(block)
+            block.append((mask, lam))
+    switches = {
+        mask: [
+            (mask | (1 << k), *oracle_switch(sp, mask, k))
+            for k in range(sp.n)
+            if not (mask >> k) & 1
+        ]
+        for mask in range(1 << sp.n)
+    }
+    matrices = {}
+    for key, block in basis.items():
+        rows = matrices[key] = []
+        for mask, lam in block:
+            vec = 0
+            for new_mask, sw, carry in switches[mask]:
+                for lam2 in oracle_images(sw, carry, lam):
+                    vec ^= 1 << index[new_mask, lam2]
+            rows.append(vec)
+    for (i, j), rows in matrices.items():
+        nxt = matrices.get((i + 1, j), [])
+        for vec in rows:
+            image = 0
+            while vec:
+                low = vec & -vec
+                image ^= nxt[low.bit_length() - 1]
+                vec ^= low
+            assert image == 0, (d.code(), i, j)
+    ranks = {key: gf2_rank(rows) for key, rows in matrices.items()}
+    table = {}
+    for (i, j), rows in matrices.items():
+        dim = len(rows) - ranks[i, j] - ranks.get((i - 1, j), 0)
+        if dim:
+            table[i, j] = dim
+    return table
+
+
+class TestHomologyOracle:
+    """``homology`` against the row-by-row assembly of :func:`oracle_homology`."""
+
+    @staticmethod
+    def relabelled(d: GaussDiagram, rng: random.Random) -> GaussDiagram:
+        ids = [5 * k + 2 for k in range(d.n)]
+        rng.shuffle(ids)
+        return GaussDiagram(
+            "closed", (Chord(i, c.tail, c.head, c.sign) for i, c in zip(ids, d.chords))
+        )
+
+    def test_random_diagrams_up_to_nine_chords(self):
+        rng = random.Random(9090)
+        for n in range(10):
+            for _ in range(4 if n < 8 else 2):
+                d = random_diagram(rng, n, "closed")
+                want = oracle_homology(d)
+                for copy in (d, self.relabelled(d, rng)):
+                    assert homology(copy).as_dict() == want, copy.code()
+
+    def test_virtual_trefoil(self):
+        assert homology(VT).as_dict() == oracle_homology(VT)
+
+    def test_braid_closures(self):
+        rng = random.Random(1212)
+        for real in (10, 11, 12):
+            d = random_braid_closure(rng, real)
+            assert homology(d).as_dict() == oracle_homology(d), d.code()
 
 
 class TestHomology:

@@ -116,6 +116,16 @@ def _check_subset_cap(command: str, what: str, count: int, cap: int) -> None:
         raise CapExceeded(f"{command} capped at {cap} {what}, got {count}")
 
 
+def _report_skipped(command: str, cap: int, skipped: int, total: int, what: str) -> int:
+    """Exit status of a run that skipped ``skipped`` of ``total`` items
+    above the chord cap; when it skipped any, one stderr line names the cap."""
+    if not skipped:
+        return OK
+    print(f"{command}: --cap-chords {cap} exceeded: skipped {skipped} of {total} {what}",
+          file=sys.stderr)
+    return EXHAUSTED
+
+
 def cmd_eval(args) -> int:
     diagrams = _load_diagrams(args)
     poly = None
@@ -146,12 +156,12 @@ def cmd_eval(args) -> int:
 
 def cmd_kh(args) -> int:
     diagrams = _load_diagrams(args)
-    status = OK
+    skipped = 0
     for d in diagrams:
         closed = d if d.kind == "closed" else reclose(d)
         if closed.n > args.cap_chords:
             _emit({"code": d.code(), "skipped": True, "chords": closed.n}, args.format)
-            status = EXHAUSTED
+            skipped += 1
             continue
         # The table and the Jones polynomial are invariant under the R-moves
         # simplify applies, so both are read on the diagram it reduces to.
@@ -173,7 +183,7 @@ def cmd_kh(args) -> int:
             "euler_check": "ok" if table.euler() == jh else "mismatch",
         }
         _emit(report, args.format)
-    return status
+    return _report_skipped("kh", args.cap_chords, skipped, len(diagrams), "diagrams")
 
 
 def cmd_gpv_sum(args) -> int:
@@ -263,7 +273,8 @@ def cmd_braid(args) -> int:
         lo, hi = args.scan
         rows = scan_family(range(lo, hi + 1), gens, args.cap_chords)
         _emit({"rows": rows}, args.format)
-        return EXHAUSTED if any(r["skipped"] for r in rows) else OK
+        skipped = sum(1 for r in rows if r["skipped"])
+        return _report_skipped("braid --scan", args.cap_chords, skipped, len(rows), "rows")
     if args.bk:
         word = b_family(args.bk, gens)
     elif args.word is not None:
@@ -278,19 +289,20 @@ def cmd_braid(args) -> int:
 
 
 def cmd_lemma5(args) -> int:
-    status = OK
-    for d in _load_diagrams(args):
+    diagrams = _load_diagrams(args)
+    skipped = 0
+    for d in diagrams:
         closed = d if d.kind == "closed" else reclose(d)
         if closed.n > args.cap_chords:
             _emit({"code": d.code(), "skipped": True}, args.format)
-            status = EXHAUSTED
+            skipped += 1
             continue
         states = [
             {"markers": list(markers), "i": i, "j": j, "off_axis": abs(j) != 1}
             for markers, i, j in lemma5_scan(closed, args.cap_chords)
         ]
         _emit({"states": states}, args.format)
-    return status
+    return _report_skipped("lemma5", args.cap_chords, skipped, len(diagrams), "diagrams")
 
 
 # -- randomized self-test ------------------------------------------------------------

@@ -37,10 +37,29 @@ Differential
     ``differential`` both go through :meth:`_StateSpace.switches` and
     :func:`_switch_images`.
 
-    d o d = 0 is checked on every complex ``homology`` builds, inside the
-    rank elimination of each block: every row that is independent of the
-    rows before it must map to 0 under the next block.  That is the whole
-    check, since those rows span the block's row space and d is linear.
+Reduced complex
+    Circle 0 is the circle through arc 0 in every state, since circles are
+    numbered by their smallest arc.  Let X multiply the label of circle 0
+    by x (1 -> x, x -> 0), and let nu be the sum, over the x-labelled
+    circles, of turning that x into 1.  Over Z2 both commute with merge,
+    split and the zero map, X**2 = 0 and X nu + nu X = id.  So X nu and
+    nu X are complementary idempotent chain maps and C = im(X nu) +
+    im(nu X).  im(X nu) is C_x, the enhanced states whose circle 0 is
+    labelled x, and X maps im(nu X) isomorphically onto C_x, lowering j by
+    2.  Hence KH^{i,j} = Hx^{i,j} + Hx^{i,j-2} (Shumakovitch, *Torsion of
+    Khovanov homology*, Fund. Math. 225, 2014), and ``homology`` builds and
+    reduces C_x alone: half of the enhanced states.
+
+    d o d = 0 on the whole complex, which is never built, follows from two
+    checks.  The rank elimination of each C_x block checks that every row
+    independent of the rows before it maps to 0 under the next block; that
+    is d o d = 0 on C_x, since those rows span the block's row space and d
+    is linear.  And every switch map, on all its label masks, must commute
+    with X and nu, so d does too.  Then d d = d d X nu + d d nu X, where
+    d d X nu = (d d on C_x) X nu and d d nu X = nu (d d on C_x) X, and both
+    are 0.  The C_x columns are cut from the image list the commutation
+    check reads, so no change to the switch images reaches one and not
+    the other.
 
 State space
     Every operation reads one state space per diagram: the circles of a
@@ -71,12 +90,13 @@ State space
     report, the states of a Lemma 5 scan); on the benchmark workloads every
     cache hit was on the diagram just before.
 
-    The homology basis is never listed.  Block (i, j) holds the enhanced
+    The basis of C_x is never listed.  Block (i, j) holds the enhanced
     states of that bidegree in state order, then label order, so the state
-    (mask, lam) with t x-labels sits at a block offset of its state for t,
-    counted with binomial coefficients, plus the rank of lam among the
-    label masks with t bits set.  The rows of each block are bitmasks over
-    the next block and are built straight from those indices.
+    (mask, 2*mu + 1), whose other circles carry t x-labels, sits at a block
+    offset of its state for t, counted with binomial coefficients, plus
+    the rank of mu among the masks with t bits set.  The rows of each
+    block are bitmasks over the next block and are built straight from
+    those indices.
 """
 
 from __future__ import annotations
@@ -504,14 +524,77 @@ def differential(diagram: GaussDiagram, state: EnhancedState) -> list[EnhancedSt
     return out
 
 
+def _label_planes(size: int) -> list[int]:
+    """Plane k, for k < size: the bitmask over the 2**size label masks that
+    selects those with bit k set."""
+    ones = (1 << (1 << size)) - 1
+    planes = []
+    for k in range(size):
+        half = 1 << k
+        # 2**k clear bits, then 2**k set bits, repeated
+        planes.append((((1 << half) - 1) << half) * (ones // ((1 << 2 * half) - 1)))
+    return planes
+
+
+def _x_columns(sw: tuple[str, int, int, int], size: int, rank: list[int]) -> list[int]:
+    """Column bits of one switch on C_x, from a state of ``size`` circles.
+
+    C_x holds the label masks whose circle 0 is labelled x (bit 0 set).  A
+    source mask 2*mu + 1 is listed at mu, and its images are bits
+    ``rank[lam2 >> 1]``.  The images of all 2**size label masks are listed
+    once.  The check reads that whole list, and the columns are cut from
+    its odd half, so the map ``homology`` reduces is the map the check
+    covers.  The map F must commute with X (x times circle 0's label:
+    1 -> x, x -> 0) and with nu (the sum, over the x-labelled circles, of
+    turning that x into 1); otherwise AssertionError("d o d ...") is
+    raised.  F(e_lam) is the bitmask ``vecs[lam]`` over the target label
+    masks, on which X and nu act through the target's label planes.
+    """
+    images = [_switch_images(sw, lam) for lam in range(1 << size)]
+    vecs = []
+    for found in images:
+        vec = 0
+        for lam2 in found:
+            vec ^= 1 << lam2
+        vecs.append(vec)
+    planes = _label_planes(size + 1 if sw[0] == "split" else size - 1)
+    evens = planes[0] ^ ((1 << (1 << len(planes))) - 1)
+    for lam, vec in enumerate(vecs):
+        f_nu = nu_f = 0
+        rest = lam
+        while rest:
+            low = rest & -rest
+            f_nu ^= vecs[lam ^ low]
+            rest ^= low
+        for k, plane in enumerate(planes):
+            nu_f ^= (vec & plane) >> (1 << k)
+        f_x = 0 if lam & 1 else vecs[lam | 1]
+        if f_x != (vec & evens) << 1 or f_nu != nu_f:
+            raise AssertionError(
+                f"d o d = 0 not implied: {sw} on {size} circles does not "
+                f"commute with X and nu at label mask {lam}"
+            )
+    columns = []
+    for found in images[1::2]:
+        vec = 0
+        for lam2 in found:
+            vec ^= 1 << rank[lam2 >> 1]
+        columns.append(vec)
+    return columns
+
+
 def homology(
     diagram: GaussDiagram, cap: int = DEFAULT_HOMOLOGY_CAP
 ) -> GradedDims:
     """Z2 Khovanov homology dimensions per bidegree (i, j).
 
-    Walks the 2**n states once, builds the differential per j-column from
-    the walk's arc arrays, and reports dim ker - dim im by GF(2) ranks; the
-    elimination checks d o d = 0 on the rows it finds independent.
+    Walks the 2**n states once and builds, per j-column, only the
+    subcomplex C_x whose circle 0 is labelled x, from the walk's arc
+    arrays.  Its dims dim ker - dim im come from GF(2) ranks, and
+    KH^{i,j} = Hx^{i,j} + Hx^{i,j-2} (see "Reduced complex" above).
+    d o d = 0 on the whole complex follows from two checks: the rank
+    elimination checks it on C_x, on the rows it finds independent, and
+    every switch map must commute with X and nu.
     """
     if diagram.n > cap:
         raise CapExceeded(f"homology capped at {cap} chords, got {diagram.n}")
@@ -521,36 +604,38 @@ def homology(
     i0 = (w - sp.n) // 2  # i of the all-positive state; each negative marker adds 1
     states = range(1 << sp.n)
 
-    # The block (i, j) lists the enhanced states (mask, lam) of degree
-    # (i, j) in mask order, then label order.  A state with t x-labels
-    # sits at offset[mask][t] + rank[lam], where rank[lam] is the position
-    # of lam among the label masks with t bits set.
-    top = max(sizes)
+    # A basis element (mask, 2*mu + 1) of C_x has its circle 0 labelled x
+    # and bit k of mu labelling circle k + 1.  The block (i, j) lists them
+    # in mask order, then mu order.  A state of size circles and mu with t
+    # bits has j = w + i + size - 2 - 2t and sits at offset[mask][t] +
+    # rank[mu], where rank[mu] is the position of mu among the masks with
+    # t bits set.
+    top = max(sizes) - 1
     by_bits: list[list[int]] = [[] for _ in range(top + 1)]
     rank = [0] * (1 << top)
-    for lam in range(1 << top):
-        group = by_bits[lam.bit_count()]
-        rank[lam] = len(group)
-        group.append(lam)
-    binomials = [[math.comb(size, t) for t in range(size + 1)] for size in range(top + 1)]
+    for mu in range(1 << top):
+        group = by_bits[mu.bit_count()]
+        rank[mu] = len(group)
+        group.append(mu)
+    binomials = [[math.comb(free, t) for t in range(free + 1)] for free in range(top + 1)]
     filled: dict[tuple[int, int], int] = {}
     offset = []
     for mask in states:
         size = sizes[mask]
         i = i0 + mask.bit_count()
         starts = []
-        for t, count in enumerate(binomials[size]):
-            key = (i, w + i + size - 2 * t)
+        for t, count in enumerate(binomials[size - 1]):
+            key = (i, w + i + size - 2 - 2 * t)
             at = filled.get(key, 0)
             starts.append(at)
             filled[key] = at + count
         offset.append(starts)
 
-    # Column bits of the images of every label mask under one switch,
-    # relative to the target state's block offset; they depend only on the
-    # switch data and the circle count, which key them as one int.  Images
-    # keep j, so a merge keeps the number of x-labels and a split adds one.
-    base = top + 1
+    # Column bits of the images of every mu under one switch, relative to
+    # the target state's block offset; they depend only on the switch data
+    # and the circle count, which key them as one int.  Images keep j, so
+    # a merge keeps the number of x-labels and a split adds one.
+    base = top + 2
     columns: dict[int, list[int]] = {}
     matrices: dict[tuple[int, int], list[int]] = {key: [] for key in filled}
     for mask in states:
@@ -562,13 +647,10 @@ def homology(
             cols = columns.get(key)
             if cols is None:
                 sw = ("split" if split else "merge", a, b, c)
-                cols = columns[key] = [
-                    sum(1 << rank[lam2] for lam2 in _switch_images(sw, lam))
-                    for lam in range(1 << size)
-                ]
+                cols = columns[key] = _x_columns(sw, size, rank)
             targets.append((offset[new_mask], split, cols))
-        for t, count in enumerate(binomials[size]):
-            rows = matrices[(i, w + i + size - 2 * t)]
+        for t, count in enumerate(binomials[size - 1]):
+            rows = matrices[(i, w + i + size - 2 - 2 * t)]
             # merging two x-labels gives nothing, so when every label is x
             # a merge has no target block
             parts = [
@@ -576,13 +658,13 @@ def homology(
                 for starts, up, cols in targets
                 if t + up < len(starts)
             ]
-            for lam in by_bits[t][:count]:
+            for mu in by_bits[t][:count]:
                 vec = 0
                 for cols, at in parts:
-                    vec |= cols[lam] << at
+                    vec |= cols[mu] << at
                 rows.append(vec)
 
-    # d o d = 0 is checked inside each block's elimination
+    # d o d = 0 on C_x is checked inside each block's elimination
     ranks = {
         (i, j): gf2_rank(rows, matrices.get((i + 1, j)))
         for (i, j), rows in matrices.items()
@@ -591,7 +673,9 @@ def homology(
     for (i, j), rows in matrices.items():
         dim = len(rows) - ranks[(i, j)] - ranks.get((i - 1, j), 0)
         if dim:
-            table[(i, j)] = dim
+            # the other summand, im(nu X), is C_x shifted two j-steps up
+            for key in ((i, j), (i, j + 2)):
+                table[key] = table.get(key, 0) + dim
     return GradedDims.from_dict(table)
 
 
@@ -626,16 +710,22 @@ def lemma5_scan(
     diagram: GaussDiagram, cap: int = DEFAULT_HOMOLOGY_CAP
 ) -> list[tuple[StateVec, int, int]]:
     """All states passing :func:`lemma5_check`, with the (i, j) of their
-    all-1 enhanced state."""
+    all-1 enhanced state.  The circle counts come from one walk of the
+    cube; no state is traced on its own."""
     if diagram.n > cap:
         raise CapExceeded(f"lemma5 scan capped at {cap} chords, got {diagram.n}")
     sp = _space(diagram)
+    _, sizes = sp.walk()
+    i0 = (sp.w - sp.n) // 2
+    bits = [1 << k for k in range(sp.n)]
     out = []
-    for mask in range(1 << sp.n):
-        markers = sp.markers_of(mask)
-        if lemma5_check(diagram, markers):
-            i, j = lemma5_gradings(diagram, markers)
-            out.append((markers, i, j))
+    for mask, size in enumerate(sizes):
+        if all(
+            sizes[mask ^ bit] <= size if mask & bit else sizes[mask | bit] == size
+            for bit in bits
+        ):
+            i = i0 + mask.bit_count()
+            out.append((sp.markers_of(mask), i, sp.w + i + size))
     return out
 
 

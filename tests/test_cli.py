@@ -493,6 +493,43 @@ class TestLemma5:
         assert any(s["i"] == 2 and s["j"] == 6 for s in off_axis)
 
 
+class TestSkippedRowsNamed:
+    """Exit 2 for rows above the chord cap names the cap on one stderr
+    line; stdout is the same as without it."""
+
+    @pytest.mark.parametrize("command", ["kh", "lemma5"])
+    def test_diagram_commands(self, capsys, tmp_path, command):
+        path = tmp_path / "codes.txt"
+        path.write_text(f"{RIGHT_TREFOIL}\n{VIRTUAL_TREFOIL}\n")
+        code = main([command, "--input", str(path), "--cap-chords", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"{command}: --cap-chords 2 exceeded: skipped 1 of 2 diagrams\n"
+        )
+        skipped = [json.loads(line) for line in captured.out.splitlines()][0]
+        assert skipped["skipped"] is True and skipped["code"] == RIGHT_TREFOIL
+
+    def test_braid_scan(self, capsys):
+        code = main(["braid", "--scan", "1:3", "--cap-chords", "8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "braid --scan: --cap-chords 8 exceeded: skipped 1 of 3 rows\n"
+        assert [r["skipped"] for r in json.loads(captured.out)["rows"]] == [False, False, True]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kh", "--code", RIGHT_TREFOIL],
+            ["lemma5", "--code", VIRTUAL_TREFOIL],
+            ["braid", "--scan", "1:2"],
+        ],
+    )
+    def test_exit_0_writes_no_stderr(self, capsys, argv):
+        code = main(argv)
+        assert code == 0 and capsys.readouterr().err == ""
+
+
 class TestDeterminism:
     def test_fixed_config_reproduces_bytes(self, capsys):
         _, out1 = run(capsys, "kh", "--code", RIGHT_TREFOIL)

@@ -30,6 +30,7 @@ from vknots.khovanov import (
     jones_hat,
     lemma5_check,
     lemma5_gradings,
+    lemma5_scan,
     _space,
     _switch_images,
     trace_circles,
@@ -625,6 +626,102 @@ class TestHomologyOracle:
             assert homology(d).as_dict() == oracle_homology(d), d.code()
 
 
+class TestReducedComplex:
+    """``homology`` builds only C_x, the enhanced states whose circle 0 is
+    labelled x, and checks that every switch map commutes with X and nu."""
+
+    def test_rows_reaching_gf2_rank_are_half(self, monkeypatch):
+        calls = []
+
+        def counting_rank(rows, next_rows=None):
+            calls.append(len(rows))
+            return gf2_rank(rows, next_rows)
+
+        monkeypatch.setattr(khovanov, "gf2_rank", counting_rank)
+        rng = random.Random(1313)
+        for n in range(10):
+            d = random_diagram(rng, n, "closed")
+            calls.clear()
+            homology(d)
+            half = 0
+            for markers in itertools.product((1, -1), repeat=n):
+                half += 2 ** (oracle_circle_count(d, markers) - 1)
+            assert sum(calls) == half, d.code()
+
+    @pytest.mark.parametrize(
+        "code, table",
+        [
+            ("", {(0, -1): 1, (0, 1): 1}),
+            ("O1+ U1+", {(0, -1): 1, (0, 1): 1}),
+            ("O1- U1-", {(0, -1): 1, (0, 1): 1}),
+            (
+                "O1+ U2+ O3+ U1+ O2+ U3+",
+                {(0, 1): 1, (0, 3): 1, (2, 5): 1, (2, 7): 1, (3, 7): 1, (3, 9): 1},
+            ),
+            (
+                "O1+ O2+ U1+ U2+",
+                {(0, 1): 1, (0, 3): 1, (1, 2): 1, (1, 4): 1, (2, 4): 1, (2, 6): 1},
+            ),
+        ],
+        ids=["no-chords", "unknot-kink", "unknot-negative-kink", "trefoil", "virtual-trefoil"],
+    )
+    def test_small_tables(self, code, table):
+        d = parse_gauss_code(code, "closed")
+        assert homology(d).as_dict() == table == oracle_homology(d)
+
+    def test_mutant_on_the_unbuilt_half_trips_d_o_d(self, monkeypatch):
+        # change only label masks whose circle 0 is labelled 1: no C_x
+        # column reads them, and the commutation check still must
+        def even_half_lost(sw, lam):
+            return _switch_images(sw, lam) if lam & 1 else []
+
+        monkeypatch.setattr(khovanov, "_switch_images", even_half_lost)
+        with pytest.raises(AssertionError, match="d o d = 0 not implied.*commute"):
+            homology(TREFOIL)
+
+    def test_mutant_breaking_nu_only_trips_d_o_d(self, monkeypatch):
+        # a split of a 1-labelled circle a > 0 keeps one of its two
+        # images; the change does not read circle 0's label, so the map
+        # still commutes with X, but not with nu
+        def lossy(sw, lam):
+            images = _switch_images(sw, lam)
+            kind, a, _, _ = sw
+            return images[1:] if kind == "split" and a and not (lam >> a) & 1 else images
+
+        monkeypatch.setattr(khovanov, "_switch_images", lossy)
+        with pytest.raises(AssertionError, match="d o d = 0 not implied.*commute"):
+            homology(TREFOIL)
+
+    def test_mutant_breaking_x_only_trips_d_o_d(self, monkeypatch):
+        # swapping the labels of new circles 0 and 1 after a split keeps
+        # the map commuting with nu, which treats all circles alike, but
+        # not with X, which reads circle 0 alone
+        def swapped(sw, lam):
+            images = _switch_images(sw, lam)
+            if sw[0] != "split":
+                return images
+            return [lam2 ^ 3 if lam2 & 3 in (1, 2) else lam2 for lam2 in images]
+
+        monkeypatch.setattr(khovanov, "_switch_images", swapped)
+        with pytest.raises(AssertionError, match="d o d = 0 not implied.*commute"):
+            homology(TREFOIL)
+
+    def test_c_x_columns_changed_after_the_check_trip_d_o_d(self, monkeypatch):
+        # the other half of the check: d o d = 0 on C_x, in the elimination
+        x_columns = khovanov._x_columns
+
+        def lossy(sw, size, rank):
+            # merges into circle 0 become zero maps on C_x only
+            kind, _, _, c = sw
+            cols = x_columns(sw, size, rank)
+            return [0] * len(cols) if kind == "merge" and c == 0 else cols
+
+        monkeypatch.setattr(khovanov, "_x_columns", lossy)
+        d = random_diagram(random.Random(1), 5, "closed")
+        with pytest.raises(AssertionError, match="d o d != 0"):
+            homology(d)
+
+
 class TestHomology:
     def test_unknot_table(self):
         assert homology(unknot()).as_dict() == {(0, -1): 1, (0, 1): 1}
@@ -677,6 +774,25 @@ class TestLemma5:
     def test_virtual_trefoil_all_negative_passes(self):
         assert lemma5_check(VT, (-1, -1)) is True
         assert lemma5_gradings(VT, (-1, -1)) == (2, 6)
+
+    def test_scan_matches_per_state_checks(self):
+        rng = random.Random(5555)
+        for n in range(10):
+            for _ in range(4 if n < 8 else 2):
+                d = random_diagram(rng, n, "closed")
+                want = []
+                for mask in range(1 << n):
+                    markers = tuple(-1 if (mask >> k) & 1 else 1 for k in range(n))
+                    if lemma5_check(d, markers):
+                        want.append((markers, *lemma5_gradings(d, markers)))
+                khovanov._space_of.cache_clear()
+                assert lemma5_scan(d) == want, d.code()
+
+    def test_scan_traces_no_state(self):
+        d = random_diagram(random.Random(14), 8, "closed")
+        khovanov._space_of.cache_clear()
+        lemma5_scan(d)
+        assert _space(d)._states == {}
 
     def test_rank_consequence(self):
         # the certificate's real content: the all-1 state on a passing

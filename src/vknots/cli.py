@@ -61,10 +61,11 @@ from .khovanov import (
     homology,
     jones_hat,
     lemma5_scan,
+    reduce_for_state_sums,
     writhe,
 )
 from .laurent import LaurentPoly
-from .moves import MoveError, apply_move, apply_trace, enumerate_moves, simplify
+from .moves import MoveError, apply_move, apply_trace, enumerate_moves
 
 OK, INPUT_ERROR, EXHAUSTED = 0, 1, 2
 
@@ -163,18 +164,15 @@ def cmd_kh(args) -> int:
             _emit({"code": d.code(), "skipped": True, "chords": closed.n}, args.format)
             skipped += 1
             continue
-        # The table and the Jones polynomial are invariant under the R-moves
-        # simplify applies, so both are read on the diagram it reduces to.
-        # The bracket is invariant under R2 and R3, and removing an R1 kink
-        # of sign e divides it by -A**(3e): <D> = (-A^3)**(w(D) - w(D')) <D'>.
-        reduced, _ = simplify(closed)
+        # The table and the Jones polynomial are read on the reduced diagram;
+        # removing a kink of sign e divides the bracket by -A**(3e), so
+        # <D> = (-A^3)**(w(D) - w(D')) <D'>.
+        reduced, dw = reduce_for_state_sums(closed)
         table = homology(reduced, args.cap_chords)
         jh = jones_hat(reduced)
-        w = writhe(closed)
-        dw = w - writhe(reduced)
         br = bracket(reduced) * LaurentPoly({3 * dw: (-1) ** (dw % 2)})
         report = {
-            "writhe": w,
+            "writhe": writhe(closed),
             "table": [
                 {"i": i, "j": j, "dim": dim} for (i, j), dim in table.dims
             ],
@@ -215,11 +213,12 @@ def cmd_ntrivial(args) -> int:
     with open(args.families, "r", encoding="utf-8") as fh:
         mode, families = load_families(fh.read())
     _check_subset_cap("ntrivial", "families", len(families), args.cap_chords)
-    status = OK
+    unknown = total = 0
     for d in _load_diagrams(args):
         verdicts, aggregate = check_n_trivial(
             d, families, mode, budget=args.budget, cap=args.cap_chords
         )
+        total += len(verdicts)
         subsets = []
         for subset in sorted(verdicts):
             v = verdicts[subset]
@@ -231,10 +230,13 @@ def cmd_ntrivial(args) -> int:
                     "witness": list(v.witness) if v.witness else None,
                 }
             )
-            if v.status == "unknown":
-                status = EXHAUSTED
+            unknown += v.status == "unknown"
         _emit({"mode": mode, "subsets": subsets, "aggregate": aggregate}, args.format)
-    return status
+    if not unknown:
+        return OK
+    print(f"ntrivial: --budget {args.budget}: {unknown} of {total} subsets unknown "
+          "(neither emptied by the R-move search nor refuted)", file=sys.stderr)
+    return EXHAUSTED
 
 
 def cmd_trivialize(args) -> int:

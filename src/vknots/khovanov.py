@@ -61,6 +61,19 @@ Reduced complex
     check reads, so no change to the switch images reaches one and not
     the other.
 
+Chord reversal
+    Reversing a chord (swapping its tail and head, keeping its sign)
+    changes no smoothing: the orientation-preserving pairs (in at p, out at
+    q) and (in at q, out at p), and the orientation-reversing pairs (in at
+    p, in at q) and (out at p, out at q), are the same sets when p and q
+    trade places.  So every circle, switch, census entry and the writhe
+    stay, and so do the bracket, the Jones polynomial and the table
+    (Kauffman, *Virtual knot theory*, Europ. J. Combin. 20, 1999: the
+    bracket does not see a crossing flanked by virtual crossings).  The
+    state sums may therefore delete a kink or an R2 pair whose chords point
+    either way.  Only the state sums may: the arrow invariants and the
+    forbidden moves read directions (docs/moves.md, "Chord reversal").
+
 State space
     Every operation reads one state space per diagram: the circles of a
     state traced on its own, and a census of the states per
@@ -71,10 +84,11 @@ State space
     circle count, for the length of the call; it tallies the census on the
     way, so a ``kh`` report walks the cube once and traces no state on its
     own.  That cube is the reduced diagram's: ``kh`` first
-    runs ``moves.simplify`` (R1/R2 deletions and R3 slides) and reads all
-    three sums on the diagram it returns, so a request walks 2**(reduced n)
+    runs :func:`reduce_for_state_sums` (kink and R2 deletions up to chord
+    reversal, then ``moves.simplify`` for R3 slides) and reads all three
+    sums on the diagram it returns, so a request walks 2**(reduced n)
     states.  The table and the Jones polynomial are invariant under those
-    moves; the bracket is not under R1, and the report rescales it by
+    steps; the bracket is not under R1, and the report rescales it by
     <D> = (-A^3)**(w(D) - w(D')) <D'>.  The chord cap is still judged on
     the input.  The bracket and the Jones polynomial depend on a
     state only through that pair, so each sums the O(n^2) census entries
@@ -110,6 +124,7 @@ from typing import Iterable, Iterator
 from .diagram import Chord, DiagramError, GaussDiagram
 from .gf2 import gf2_rank
 from .laurent import LaurentPoly
+from .moves import simplify
 
 DEFAULT_HOMOLOGY_CAP = 12
 # Largest chord cap the CLI accepts for --cap-chords: 2**16 states.
@@ -180,6 +195,50 @@ class GradedDims:
 
 def writhe(diagram: GaussDiagram) -> int:
     return sum(c.sign for c in diagram.chords)
+
+
+def _reversal_deletion(d: GaussDiagram) -> tuple[int, ...]:
+    """Ids of a kink or of an R2 pair up to chord reversal: one chord whose
+    two ends are adjacent, or two chords of opposite signs whose four ends
+    form two adjacent slot pairs, whatever their directions; () if none."""
+    m = d.slot_count
+
+    def adjacent(a: int, b: int) -> bool:
+        return (a - b) % m in (1, m - 1)
+
+    for c in d.chords:
+        if adjacent(c.tail, c.head):
+            return (c.id,)
+    for c in d.chords:
+        for s in ((c.tail - 1) % m, (c.tail + 1) % m):
+            other, _ = d.at(s)
+            if other.sign != c.sign and adjacent(other.other(s), c.head):
+                return (c.id, other.id)
+    return ()
+
+
+def reduce_for_state_sums(closed: GaussDiagram) -> tuple[GaussDiagram, int]:
+    """A diagram with the homology table and Jones polynomial of the closed
+    diagram ``closed``, and the writhe shift w(closed) - w(reduced), so that
+    <closed> = (-A^3)**shift <reduced>.
+
+    Repeats two steps until the chord count stops falling: delete kinks and
+    R2 pairs up to chord reversal (see "Chord reversal" above), then run
+    :func:`moves.simplify` for its R3 slides.  Only the state sums may read
+    this diagram; it need not be equivalent to ``closed`` as a virtual knot.
+    Deleting first keeps simplify's search small, but it is greedy: it can
+    delete two chords that simplify would first slide with R3 on the way
+    to a smaller diagram, so the result can keep more chords than
+    ``simplify(closed)`` does.
+    """
+    reduced = closed
+    while True:
+        start = reduced.n
+        while dead := _reversal_deletion(reduced):
+            reduced = reduced.delete_chords(dead)
+        reduced, _ = simplify(reduced)
+        if reduced.n == start:
+            return reduced, writhe(closed) - writhe(reduced)
 
 
 # -- state space engine --------------------------------------------------------

@@ -250,6 +250,31 @@ class TestNTrivial:
         assert code == 2 and report["subsets"][0]["status"] == "unknown"
         assert report["subsets"][0]["witness"] is None
 
+    def test_unknown_subsets_named_on_stderr(self, capsys, tmp_path):
+        # with no node to expand, the search certifies only the subset that
+        # toggles to the empty diagram; the other two stay unknown
+        families = tmp_path / "fams.json"
+        families.write_text('{"mode": "GPV", "families": [[1, 2], [3, 4]]}')
+        codes = tmp_path / "codes.txt"
+        codes.write_text(f"{GPV2_TRIVIAL}\n{GPV2_TRIVIAL}\n")
+        argv = ["ntrivial", "--input", str(codes), "--kind", "long",
+                "--families", str(families)]
+        code = main(argv + ["--budget", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        line = (
+            '{"aggregate":false,"mode":"GPV","subsets":[{"families":[0],"status":"unknown",'
+            '"trace_length":null,"witness":null},{"families":[0,1],"status":"certified",'
+            '"trace_length":0,"witness":null},{"families":[1],"status":"unknown",'
+            '"trace_length":null,"witness":null}]}\n'
+        )
+        assert captured.out == 2 * line
+        assert captured.err == (
+            "ntrivial: --budget 0: 4 of 6 subsets unknown "
+            "(neither emptied by the R-move search nor refuted)\n"
+        )
+        assert main(argv) == 0 and capsys.readouterr().err == ""
+
 
 class TestTrivialize:
     def test_virtual_trefoil(self, capsys):

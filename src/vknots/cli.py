@@ -213,7 +213,8 @@ def cmd_ntrivial(args) -> int:
     with open(args.families, "r", encoding="utf-8") as fh:
         mode, families = load_families(fh.read())
     _check_subset_cap("ntrivial", "families", len(families), args.cap_chords)
-    unknown = total = 0
+    total = 0
+    reasons = {"budget": 0, "cap": 0, "search": 0}
     for d in _load_diagrams(args):
         verdicts, aggregate = check_n_trivial(
             d, families, mode, budget=args.budget, cap=args.cap_chords
@@ -230,12 +231,20 @@ def cmd_ntrivial(args) -> int:
                     "witness": list(v.witness) if v.witness else None,
                 }
             )
-            unknown += v.status == "unknown"
+            if v.status == "unknown":
+                reasons[v.reason] += 1
         _emit({"mode": mode, "subsets": subsets, "aggregate": aggregate}, args.format)
+    unknown = sum(reasons.values())
     if not unknown:
         return OK
-    print(f"ntrivial: --budget {args.budget}: {unknown} of {total} subsets unknown "
-          "(neither emptied by the R-move search nor refuted)", file=sys.stderr)
+    said = {
+        "budget": f"--budget {args.budget} spent",
+        "cap": f"the Jones and Khovanov rows skipped above --cap-chords {args.cap_chords}",
+        "search": "the R-move search ended and every battery row matching the unknot's",
+    }
+    why = ", ".join(f"{count} with {said[r]}" for r, count in reasons.items() if count)
+    print(f"ntrivial: {unknown} of {total} subsets unknown "
+          f"(neither emptied by the R-move search nor refuted): {why}", file=sys.stderr)
     return EXHAUSTED
 
 

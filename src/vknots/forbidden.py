@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 from .diagram import DiagramError, GaussDiagram, reclose
 from .khovanov import DEFAULT_HOMOLOGY_CAP, homology, jones_hat
 from .laurent import LaurentPoly
-from .moves import MoveError, MoveEvent, _sites_at, apply_move, enumerate_moves, simplify
+from .moves import MoveError, MoveEvent, SearchStats, _sites_at, apply_move, enumerate_moves, simplify
 from .arrows import Invariant, _alternating_terms, v21, v22
 
 UNKNOT_TABLE = {(0, -1): 1, (0, 1): 1}
@@ -78,12 +78,18 @@ class Verdict:
 
     ``certified`` carries a move trace to the empty diagram; ``refuted``
     carries the name of a battery invariant together with its value and
-    the unknot's value; ``unknown`` carries neither.
+    the unknot's value; ``unknown`` carries neither, and a ``reason``
+    naming what stopped it, in the order the checks run: ``"budget"`` when
+    the R-move search spent its node budget, else ``"cap"`` when the
+    battery skipped its state sums above the chord cap, else ``"search"``
+    when the search ended on its own and every battery row matched the
+    unknot's.
     """
 
     status: str
     trace: tuple[MoveEvent, ...] = ()
     witness: tuple[str, str, str] | None = None
+    reason: str | None = None
 
     @property
     def certified(self) -> bool:
@@ -344,14 +350,18 @@ def certify_trivial(
     rows are invariant under the R-moves applied, so the witness is the
     input's, and the state sums (Jones, Khovanov) run over 2**(reduced
     chords) states, yet only when the input has at most ``cap`` chords.
-    A refutation is sound; unknown claims nothing."""
-    reduced, trace = simplify(diagram, budget)
+    A refutation is sound; unknown claims nothing, and says which limit,
+    if any, stopped it (see :class:`Verdict`)."""
+    stats = SearchStats()
+    reduced, trace = simplify(diagram, budget, stats=stats)
     if reduced.n == 0:
         return Verdict("certified", tuple(trace))
     rows = _battery(reduced, cap, diagram.n)
     if rows:
         return Verdict("refuted", (), rows[0])
-    return Verdict("unknown")
+    if stats.budget_spent:
+        return Verdict("unknown", reason="budget")
+    return Verdict("unknown", reason="cap" if diagram.n > cap else "search")
 
 
 def check_n_trivial(

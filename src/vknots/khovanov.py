@@ -59,7 +59,11 @@ Reduced complex
     d d X nu = (d d on C_x) X nu and d d nu X = nu (d d on C_x) X, and both
     are 0.  The C_x columns are cut from the image list the commutation
     check reads, so no change to the switch images reaches one and not
-    the other.
+    the other.  Both are a pure function of the switch data and the
+    circle count, so :func:`_x_columns` computes them once per process and
+    keeps them in a bounded memo: the check runs on a map's first use, and
+    every later use reads the same map, so it covers every map a table
+    reads.
 
 Chord reversal
     Reversing a chord (swapping its tail and head, keeping its sign)
@@ -102,15 +106,22 @@ State space
     equality ignores.  One entry is enough, since callers ask for one
     diagram several times in a row (homology, Jones and bracket of a ``kh``
     report, the states of a Lemma 5 scan); on the benchmark workloads every
-    cache hit was on the diagram just before.
+    cache hit was on the diagram just before.  Two more memos outlive a
+    diagram, both pure functions of small keys and both bounded: the C_x
+    columns of each switch map, keyed by (merge or split, a, b, c, circle
+    count), and the order of the label masks by bit count.  Neither is
+    built at import; the tables do not depend on what they hold.
 
-    The basis of C_x is never listed.  Block (i, j) holds the enhanced
-    states of that bidegree in state order, then label order, so the state
-    (mask, 2*mu + 1), whose other circles carry t x-labels, sits at a block
-    offset of its state for t, counted with binomial coefficients, plus
-    the rank of mu among the masks with t bits set.  The rows of each
-    block are bitmasks over the next block and are built straight from
-    those indices.
+    The basis of C_x is never listed.  ``homology`` makes one pass over
+    the states in descending mask order.  Block (i, j) holds the enhanced
+    states of that bidegree in that state order, then label order, so the
+    state (mask, 2*mu + 1), whose other circles carry t x-labels, sits at
+    the length the block had when the pass reached its state, plus the
+    rank of mu among the masks with t bits set.  A switch raises the mask,
+    so the pass has placed every target state before it builds the rows
+    that map to it; the rows of each block are bitmasks over the next
+    block, built straight from those indices, and a per-call dict in front
+    of the memo looks each switch map's columns up once per call.
 """
 
 from __future__ import annotations
@@ -595,19 +606,42 @@ def _label_planes(size: int) -> list[int]:
     return planes
 
 
-def _x_columns(sw: tuple[str, int, int, int], size: int, rank: list[int]) -> list[int]:
+# one entry per bit count; a state of n chords has at most n + 1 circles
+@functools.lru_cache(maxsize=MAX_CAP_CHORDS + 1)
+def _bit_order(bits: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(rank, groups) of the masks below 2**bits: ``groups[t]`` lists those
+    with t bits set in increasing order, and ``rank[mu]`` is the position
+    of mu in its group.  A mask's rank does not depend on ``bits``."""
+    groups: list[list[int]] = [[] for _ in range(bits + 1)]
+    rank = []
+    for mu in range(1 << bits):
+        group = groups[mu.bit_count()]
+        rank.append(len(group))
+        group.append(mu)
+    return tuple(rank), tuple(map(tuple, groups))
+
+
+# Over 960 kh-large requests (seeds 1-8) 150 distinct switch maps came up;
+# the bound leaves room and caps the memory a pathological input can pin.
+@functools.lru_cache(maxsize=256)
+def _x_columns(sw: tuple[str, int, int, int], size: int) -> tuple[int, ...]:
     """Column bits of one switch on C_x, from a state of ``size`` circles.
 
     C_x holds the label masks whose circle 0 is labelled x (bit 0 set).  A
     source mask 2*mu + 1 is listed at mu, and its images are bits
-    ``rank[lam2 >> 1]``.  The images of all 2**size label masks are listed
-    once.  The check reads that whole list, and the columns are cut from
-    its odd half, so the map ``homology`` reduces is the map the check
-    covers.  The map F must commute with X (x times circle 0's label:
-    1 -> x, x -> 0) and with nu (the sum, over the x-labelled circles, of
-    turning that x into 1); otherwise AssertionError("d o d ...") is
-    raised.  F(e_lam) is the bitmask ``vecs[lam]`` over the target label
-    masks, on which X and nu act through the target's label planes.
+    ``rank[lam2 >> 1]`` (see :func:`_bit_order`).  The images of all
+    2**size label masks are listed once.  The check reads that whole list,
+    and the columns are cut from its odd half, so the map ``homology``
+    reduces is the map the check covers.  The map F must commute with X (x
+    times circle 0's label: 1 -> x, x -> 0) and with nu (the sum, over the
+    x-labelled circles, of turning that x into 1); otherwise
+    AssertionError("d o d ...") is raised.  F(e_lam) is the bitmask
+    ``vecs[lam]`` over the target label masks, on which X and nu act
+    through the target's label planes.
+
+    The columns and the check are a pure function of the switch data and
+    the circle count, so they are computed once per process, on the map's
+    first use, and the check covers every map ``homology`` reads.
     """
     images = [_switch_images(sw, lam) for lam in range(1 << size)]
     vecs = []
@@ -616,7 +650,8 @@ def _x_columns(sw: tuple[str, int, int, int], size: int, rank: list[int]) -> lis
         for lam2 in found:
             vec ^= 1 << lam2
         vecs.append(vec)
-    planes = _label_planes(size + 1 if sw[0] == "split" else size - 1)
+    target = size + 1 if sw[0] == "split" else size - 1
+    planes = _label_planes(target)
     evens = planes[0] ^ ((1 << (1 << len(planes))) - 1)
     for lam, vec in enumerate(vecs):
         f_nu = nu_f = 0
@@ -633,13 +668,14 @@ def _x_columns(sw: tuple[str, int, int, int], size: int, rank: list[int]) -> lis
                 f"d o d = 0 not implied: {sw} on {size} circles does not "
                 f"commute with X and nu at label mask {lam}"
             )
+    rank = _bit_order(target - 1)[0]
     columns = []
     for found in images[1::2]:
         vec = 0
         for lam2 in found:
             vec ^= 1 << rank[lam2 >> 1]
         columns.append(vec)
-    return columns
+    return tuple(columns)
 
 
 def homology(
@@ -649,11 +685,13 @@ def homology(
 
     Walks the 2**n states once and builds, per j-column, only the
     subcomplex C_x whose circle 0 is labelled x, from the walk's arc
-    arrays.  Its dims dim ker - dim im come from GF(2) ranks, and
-    KH^{i,j} = Hx^{i,j} + Hx^{i,j-2} (see "Reduced complex" above).
-    d o d = 0 on the whole complex follows from two checks: the rank
-    elimination checks it on C_x, on the rows it finds independent, and
-    every switch map must commute with X and nu.
+    arrays, in one pass over the states in descending mask order.  Its
+    dims dim ker - dim im come from GF(2) ranks, and KH^{i,j} = Hx^{i,j} +
+    Hx^{i,j-2} (see "Reduced complex" above).  d o d = 0 on the whole
+    complex follows from two checks: the rank elimination checks it on
+    C_x, on the rows it finds independent, and every switch map must
+    commute with X and nu, which :func:`_x_columns` checks on the map's
+    first use in the process.
     """
     if diagram.n > cap:
         raise CapExceeded(f"homology capped at {cap} chords, got {diagram.n}")
@@ -661,66 +699,60 @@ def homology(
     arcs, sizes = sp.walk()
     w = sp.w
     i0 = (w - sp.n) // 2  # i of the all-positive state; each negative marker adds 1
-    states = range(1 << sp.n)
 
     # A basis element (mask, 2*mu + 1) of C_x has its circle 0 labelled x
     # and bit k of mu labelling circle k + 1.  The block (i, j) lists them
-    # in mask order, then mu order.  A state of size circles and mu with t
-    # bits has j = w + i + size - 2 - 2t and sits at offset[mask][t] +
-    # rank[mu], where rank[mu] is the position of mu among the masks with
-    # t bits set.
-    top = max(sizes) - 1
-    by_bits: list[list[int]] = [[] for _ in range(top + 1)]
-    rank = [0] * (1 << top)
-    for mu in range(1 << top):
-        group = by_bits[mu.bit_count()]
-        rank[mu] = len(group)
-        group.append(mu)
-    binomials = [[math.comb(free, t) for t in range(free + 1)] for free in range(top + 1)]
-    filled: dict[tuple[int, int], int] = {}
-    offset = []
-    for mask in states:
-        size = sizes[mask]
-        i = i0 + mask.bit_count()
-        starts = []
-        for t, count in enumerate(binomials[size - 1]):
-            key = (i, w + i + size - 2 - 2 * t)
-            at = filled.get(key, 0)
-            starts.append(at)
-            filled[key] = at + count
-        offset.append(starts)
+    # in descending mask order, then mu order.  A state of size circles
+    # and mu with t bits has j = w + i + size - 2 - 2t and sits at
+    # offset[mask][t] + rank[mu], where rank[mu] is the position of mu
+    # among the masks with t bits set.  Every switch raises the mask, so
+    # the pass reaches a target state before the states that map to it,
+    # and a row is built when its target offsets are known.
+    top = max(sizes)
+    groups = [_bit_order(size - 1)[1] for size in range(1, top + 1)]
 
     # Column bits of the images of every mu under one switch, relative to
     # the target state's block offset; they depend only on the switch data
     # and the circle count, which key them as one int.  Images keep j, so
-    # a merge keeps the number of x-labels and a split adds one.
-    base = top + 2
-    columns: dict[int, list[int]] = {}
-    matrices: dict[tuple[int, int], list[int]] = {key: [] for key in filled}
-    for mask in states:
+    # a merge keeps the number of x-labels and a split adds one: a part
+    # pairs the columns with the target's offsets from that t on.  The
+    # blocks a state's rows go to, one per t, depend only on its negative
+    # marker count and circle count, which key them as one int too.
+    base = top + 1
+    columns: dict[int, tuple[int, ...]] = {}
+    offset: list[list[int]] = [[]] * len(sizes)
+    matrices: dict[tuple[int, int], list[int]] = {}
+    blocks: dict[int, list[list[int]]] = {}
+    for mask in range(len(sizes) - 1, -1, -1):
         size = sizes[mask]
-        i = i0 + mask.bit_count()
-        targets = []
+        neg = mask.bit_count()
+        parts = []
         for new_mask, split, a, b, c in sp.switches(mask, arcs, sizes):
             key = (((split * base + a) * base + b) * base + c) * base + size
             cols = columns.get(key)
             if cols is None:
                 sw = ("split" if split else "merge", a, b, c)
-                cols = columns[key] = _x_columns(sw, size, rank)
-            targets.append((offset[new_mask], split, cols))
-        for t, count in enumerate(binomials[size - 1]):
-            rows = matrices[(i, w + i + size - 2 - 2 * t)]
-            # merging two x-labels gives nothing, so when every label is x
-            # a merge has no target block
-            parts = [
-                (cols, starts[t + up])
-                for starts, up, cols in targets
-                if t + up < len(starts)
+                cols = columns[key] = _x_columns(sw, size)
+            parts.append((cols, offset[new_mask][split:]))
+        key = neg * base + size
+        rows_of = blocks.get(key)
+        if rows_of is None:
+            i = i0 + neg
+            rows_of = blocks[key] = [
+                matrices.setdefault((i, w + i + size - 2 - 2 * t), []) for t in range(size)
             ]
-            for mu in by_bits[t][:count]:
+        offset[mask] = [len(rows) for rows in rows_of]
+        last = size - 1
+        for t, group in enumerate(groups[last]):
+            rows = rows_of[t]
+            if t == last:
+                # merging two x-labels gives nothing, so when every label
+                # is x a merge has no target block
+                parts = [part for part in parts if len(part[1]) > t]
+            for mu in group:
                 vec = 0
                 for cols, at in parts:
-                    vec |= cols[mu] << at
+                    vec |= cols[mu] << at[t]
                 rows.append(vec)
 
     # d o d = 0 on C_x is checked inside each block's elimination

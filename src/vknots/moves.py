@@ -358,15 +358,25 @@ def apply_trace(diagram: GaussDiagram, events: Sequence[MoveEvent]) -> GaussDiag
 # -- simplification search ------------------------------------------------------
 
 
+@dataclass
+class SearchStats:
+    """What stopped a :func:`simplify` call that was handed this object:
+    ``budget_spent`` is True when the node budget ran out with nodes still
+    queued and the diagram not emptied."""
+
+    budget_spent: bool = False
+
+
 def simplify(
-    diagram: GaussDiagram, budget: int = 2000
+    diagram: GaussDiagram, budget: int = 2000, stats: SearchStats | None = None
 ) -> tuple[GaussDiagram, list[MoveEvent]]:
     """Greedy chord-count descent by breadth-first search over R1/R2
     deletions and R3 slides.
 
     Returns the best diagram found (never more chords than the input) and a
     replayable move trace reaching it.  ``budget`` caps the number of nodes
-    expanded; exhaustion returns the best found so far.  Deterministic for a
+    expanded; exhaustion returns the best found so far, and sets
+    ``stats.budget_spent`` when ``stats`` is given.  Deterministic for a
     fixed site ordering.
     """
     if budget < 0:
@@ -392,4 +402,6 @@ def simplify(
                 if best.n == 0:
                     return best, best_trace
             queue.append((child, child_trace))
+    if stats is not None:
+        stats.budget_spent = bool(queue) and best.n > 0
     return best, best_trace

@@ -270,10 +270,45 @@ class TestNTrivial:
         )
         assert captured.out == 2 * line
         assert captured.err == (
-            "ntrivial: --budget 0: 4 of 6 subsets unknown "
-            "(neither emptied by the R-move search nor refuted)\n"
+            "ntrivial: 4 of 6 subsets unknown (neither emptied by the R-move "
+            "search nor refuted): 4 with --budget 0 spent\n"
         )
         assert main(argv) == 0 and capsys.readouterr().err == ""
+
+    def test_cap_named_when_it_kept_subsets_unknown(self, capsys, tmp_path):
+        # no move applies to the virtual trefoil left after dropping the
+        # kink, so the cap on its Jones and Khovanov rows, not the budget,
+        # keeps the subset unknown
+        path = tmp_path / "fams.json"
+        path.write_text('{"mode": "GPV", "families": [[3]]}')
+        argv = ["ntrivial", "--code", VIRTUAL_TREFOIL + " O3+ U3+", "--families", str(path)]
+        code = main(argv + ["--cap-chords", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "ntrivial: 1 of 1 subsets unknown (neither emptied by the R-move "
+            "search nor refuted): 1 with the Jones and Khovanov rows skipped "
+            "above --cap-chords 1\n"
+        )
+
+    def test_ended_search_named_when_no_limit_was_reached(self, capsys, tmp_path):
+        # deleting chord 3 leaves a diagram no move applies to, whose every
+        # battery row matches the unknot's; neither --budget nor
+        # --cap-chords stopped anything
+        path = tmp_path / "fams.json"
+        path.write_text('{"mode": "GPV", "families": [[3]]}')
+        argv = ["ntrivial", "--code", "O1- U2+ U1- U3+ O3+ O4+ O2+ U4+", "--families", str(path)]
+        stdout = None
+        for extra in ([], ["--budget", "100000", "--cap-chords", "16"]):
+            code = main(argv + extra)
+            captured = capsys.readouterr()
+            assert code == 2 and stdout in (None, captured.out)
+            stdout = captured.out
+            assert captured.err.endswith(
+                "with the R-move search ended and every battery row matching "
+                "the unknot's\n"
+            )
+            assert "--budget" not in captured.err and "--cap-chords" not in captured.err
 
 
 class TestTrivialize:

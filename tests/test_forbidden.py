@@ -30,7 +30,15 @@ from vknots.forbidden import (
     trivialize_forbidden,
 )
 from vknots.khovanov import jones_hat
-from vknots.moves import MoveError, MoveEvent, apply_move, apply_trace, enumerate_moves, simplify
+from vknots.moves import (
+    MoveError,
+    MoveEvent,
+    SearchStats,
+    apply_move,
+    apply_trace,
+    enumerate_moves,
+    simplify,
+)
 
 VT = virtual_trefoil()
 LT = right_trefoil("long")
@@ -347,6 +355,30 @@ class TestCertify:
         d = parse_gauss_code("O1+ O2- U1+ U2- O3+ U3+", "long")
         v = certify_trivial(d, budget=0)
         assert v.status == "unknown"
+
+    @pytest.mark.parametrize(
+        "code, kind, budget, cap, reason",
+        [
+            # the search could still delete chords when its budget ran out
+            ("O1+ O2- U1+ U2- O3+ U3+", "long", 0, 12, "budget"),
+            # no move applies to the virtual trefoil, and the cap skips the
+            # jones_hat row that refutes it
+            ("O1+ O2+ U1+ U2+", "closed", 2000, 1, "cap"),
+            # no move applies, and every battery row matches the unknot's
+            ("O1+ U2+ O3- U1+ O2+ U3-", "closed", 2000, 12, "search"),
+        ],
+    )
+    def test_unknown_names_what_stopped_it(self, code, kind, budget, cap, reason):
+        d = parse_gauss_code(code, kind)
+        v = certify_trivial(d, budget, cap)
+        assert (v.status, v.reason) == ("unknown", reason)
+        stats = SearchStats()
+        reduced, _ = simplify(d, budget, stats=stats)
+        assert reduced.n and stats.budget_spent == (reason == "budget")
+
+    def test_decided_verdicts_carry_no_reason(self):
+        assert certify_trivial(parse_gauss_code("")).reason is None
+        assert certify_trivial(VT).reason is None
 
     def test_soundness_cross_check(self, rng):
         # certified diagrams never carry a refuting battery value

@@ -43,6 +43,20 @@ TREFOIL = right_trefoil("closed")
 VT = virtual_trefoil()
 
 
+@pytest.fixture(autouse=True)
+def cold_column_memo(request):
+    """A test that monkeypatches, for example ``_switch_images`` or
+    ``_x_columns``, starts and ends with an empty C_x column memo: its
+    mutant then reaches every switch map, even on diagrams earlier tests
+    cached, and no column computed under it outlives the test."""
+    if "monkeypatch" not in request.fixturenames:
+        yield
+        return
+    khovanov._x_columns.cache_clear()
+    yield
+    khovanov._x_columns.cache_clear()
+
+
 def oracle_circle_count(diagram: GaussDiagram, markers) -> int:
     """Independent circle counter: build the smoothed diagram as an explicit
     graph on arc-end nodes and count connected components with networkx."""
@@ -823,16 +837,64 @@ class TestReducedComplex:
         # the other half of the check: d o d = 0 on C_x, in the elimination
         x_columns = khovanov._x_columns
 
-        def lossy(sw, size, rank):
+        def lossy(sw, size):
             # merges into circle 0 become zero maps on C_x only
             kind, _, _, c = sw
-            cols = x_columns(sw, size, rank)
+            cols = x_columns(sw, size)
             return [0] * len(cols) if kind == "merge" and c == 0 else cols
 
         monkeypatch.setattr(khovanov, "_x_columns", lossy)
         d = random_diagram(random.Random(1), 5, "closed")
         with pytest.raises(AssertionError, match="d o d != 0"):
             homology(d)
+
+
+class TestColumnMemo:
+    """The C_x columns of each switch map are computed once per process;
+    the tables must not depend on what the memo holds."""
+
+    def test_tables_do_not_depend_on_the_memo(self):
+        rng = random.Random(1515)
+        diagrams = [random_diagram(rng, n, "closed") for n in range(10)]
+        diagrams += [random_braid_closure(rng, real) for real in (10, 11, 12)]
+        others = [random_diagram(rng, 9, "closed") for _ in range(4)]
+        want = [oracle_homology(d) for d in diagrams]
+        for d, table in zip(diagrams, want):
+            khovanov._x_columns.cache_clear()
+            assert homology(d).as_dict() == table, ("cold", d.code())
+        for d in others:
+            homology(d)
+        warm = khovanov._x_columns.cache_info().currsize
+        for d, table in zip(diagrams, want):
+            assert homology(d).as_dict() == table, ("warm", d.code())
+        assert khovanov._x_columns.cache_info().hits and warm
+        khovanov._x_columns.cache_clear()
+        for d, table in zip(diagrams, want):
+            assert homology(d).as_dict() == table, ("cleared", d.code())
+
+    def test_memo_stays_within_its_bound(self):
+        bound = khovanov._x_columns.cache_info().maxsize
+        assert bound is not None
+        # every consistent switch on up to 8 circles: circle 0 keeps arc 0,
+        # so it is a merged or split circle exactly when the new circle 0 is
+        keys = []
+        for size in range(1, 9):
+            for a, b in itertools.combinations(range(size), 2):
+                keys += [(("merge", a, b, c), size) for c in range(size - 1) if (a == 0) == (c == 0)]
+            for a in range(size):
+                for b, c in itertools.combinations(range(size + 1), 2):
+                    if (a == 0) == (b == 0):
+                        keys.append((("split", a, b, c), size))
+        assert len(keys) > bound
+        khovanov._x_columns.cache_clear()
+        for sw, size in keys:
+            assert len(khovanov._x_columns(sw, size)) == 1 << (size - 1)
+            assert khovanov._x_columns.cache_info().currsize <= bound
+        assert khovanov._x_columns.cache_info().misses == len(keys)
+        # columns evicted from a full memo are computed again, and equal
+        table = homology(TREFOIL).as_dict()
+        khovanov._x_columns.cache_clear()
+        assert homology(TREFOIL).as_dict() == table
 
 
 class TestHomology:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .diagram import Chord, GaussDiagram
+from .khovanov import DEFAULT_HOMOLOGY_CAP, distinguish_from_unknot, lemma5_scan
 
 STRANDS = 4
 
@@ -136,6 +137,20 @@ def permutation(word: BraidWord) -> tuple[int, ...]:
     return tuple(where)
 
 
+def _closure_bottoms(perm: tuple[int, ...]) -> list[int]:
+    """The bottoms the closure's component passes, in order from bottom 1,
+    for a word of permutation ``perm``: the top of strand i returns to the
+    bottom of strand i+1 (mod 4).  Raises unless it passes all of them."""
+    bottoms = [1]
+    while (nxt := perm[bottoms[-1] - 1] % STRANDS + 1) != 1:
+        bottoms.append(nxt)
+    if sorted(bottoms) != list(range(1, STRANDS + 1)):
+        raise BraidError(
+            f"closure is not a knot: the component visits bottoms {sorted(bottoms)}"
+        )
+    return bottoms
+
+
 @dataclass(frozen=True)
 class GeneratorDef:
     """Named commutator generators.  Derived inverses are free."""
@@ -187,12 +202,8 @@ def closure(word: BraidWord) -> GaussDiagram:
     """
     # trace the component through the braid, bottom 1 first
     passes: list[list[tuple[int, bool]]] = []
-    bottoms: list[int] = []
-    pos = 1
-    while True:
-        bottoms.append(pos)
+    for p in _closure_bottoms(permutation(word)):
         events: list[tuple[int, bool]] = []
-        p = pos
         for idx, l in enumerate(word.letters):
             if l.pos == p:
                 events.append((idx, True))
@@ -201,14 +212,6 @@ def closure(word: BraidWord) -> GaussDiagram:
                 events.append((idx, False))
                 p = l.pos
         passes.append(events)
-        nxt = p % STRANDS + 1
-        if nxt == 1 or len(bottoms) > STRANDS:
-            break
-        pos = nxt
-    if sorted(bottoms) != list(range(1, STRANDS + 1)):
-        raise BraidError(
-            f"closure is not a knot: the component visits bottoms {sorted(bottoms)}"
-        )
 
     slot = 0
     occurrences: dict[int, list[tuple[int, bool]]] = {}
@@ -227,27 +230,61 @@ def closure(word: BraidWord) -> GaussDiagram:
     return GaussDiagram("closed", chords)
 
 
+def _compose(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
+    """Permutation of a word whose letters are those of ``first``, then
+    those of ``then``."""
+    return tuple(then[p - 1] for p in first)
+
+
+def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm, start=1):
+        inv[p - 1] = i
+    return tuple(inv)
+
+
+def _family_counts(k: int, defs: GeneratorDef) -> tuple[int, int, tuple[int, ...]]:
+    """(letters, real letters, permutation) of ``b_family(k, defs)``,
+    without building it: |b(k)| = 2(|g(k)| + |b(k-1)|) counts both kinds
+    of letter, and the permutation of [g, b] = g b g^-1 b^-1 composes
+    those of g and b."""
+    if k < 1:
+        raise BraidError("the braid family is indexed from 1")
+    letters, real, perm = len(defs.A), defs.A.real_count(), permutation(defs.A)
+    for step in range(2, k + 1):
+        g = defs.generator(step)
+        g_perm = permutation(g)
+        letters = 2 * (len(g) + letters)
+        real = 2 * (g.real_count() + real)
+        perm = _compose(_compose(_compose(g_perm, perm), _invert(g_perm)), _invert(perm))
+    return letters, real, perm
+
+
 def scan_family(
     ks: Iterable[int],
     defs: GeneratorDef,
-    homology_cap: int = 12,
+    homology_cap: int = DEFAULT_HOMOLOGY_CAP,
 ) -> list[dict]:
     """Per-k report rows: word length, chord count, homology verdict with
     witness, and the gradings of states passing the fast certificate.
-    Rows whose closure exceeds the homology cap are marked skipped."""
-    from .khovanov import distinguish_from_unknot, lemma5_scan
 
+    Rows whose closure exceeds the homology cap are marked skipped.  A
+    row's counts come from :func:`_family_counts`, and its closure is a
+    knot when it passes all four bottoms; a word and its closure are built
+    only for a row within the cap, since |b(k)| doubles with each k.
+    Every real letter is a chord of the closure."""
     rows = []
     for k in ks:
-        word = b_family(k, defs)
-        diagram = closure(word)
+        letters, real, perm = _family_counts(k, defs)
+        _closure_bottoms(perm)  # raises unless the closure is a knot
         row: dict = {
             "k": k,
-            "letters": len(word),
-            "chords": diagram.n,
-            "skipped": diagram.n > homology_cap,
+            "letters": letters,
+            "chords": real,
+            "skipped": real > homology_cap,
         }
         if not row["skipped"]:
+            diagram = closure(b_family(k, defs))
             nontrivial, witness = distinguish_from_unknot(diagram, homology_cap)
             row["nontrivial"] = nontrivial
             row["witness"] = list(witness) if witness else None

@@ -1,8 +1,10 @@
 import json
 import random
+import time
 
 import pytest
 
+from vknots import braids
 from vknots.braids import (
     BraidError,
     BraidWord,
@@ -19,6 +21,7 @@ from vknots.braids import (
     product,
     scan_family,
 )
+from vknots.cli import main
 from vknots.corpus import virtual_trefoil
 from vknots.khovanov import bracket, jones_hat
 from vknots.moves import simplify
@@ -181,6 +184,62 @@ class TestScanFamily:
     def test_cap_marks_skipped(self):
         rows = scan_family(range(1, 4), EXAMPLE_GENS, 12)
         assert rows[-1]["skipped"] is True and "nontrivial" not in rows[-1]
+
+    # EX is EXAMPLE_GENS; F is a non-pure pair whose commutators are pure
+    # from k = 2 on; CL is the pure pair A12, A23
+    FAMILIES = {
+        "EX": EXAMPLE_GENS,
+        "F": GeneratorDef(
+            parse_braid_word("s1 s2 v1 S2 S1 v2"), parse_braid_word("s2 s3 v2 S3 S2 v3")
+        ),
+        "CL": GeneratorDef(parse_braid_word("s1 s1"), parse_braid_word("s2 s2")),
+    }
+
+    def test_counts_match_built_words(self):
+        for name, gens in self.FAMILIES.items():
+            rows = scan_family(range(1, 8), gens, 0)
+            for k, row in enumerate(rows, start=1):
+                word = b_family(k, gens)
+                assert (row["letters"], row["chords"]) == (len(word), closure(word).n), (name, k)
+                assert row["skipped"] == (row["chords"] > 0)
+
+    def test_non_knot_closure_rejected_like_closure(self):
+        rejected = 0
+        for a, b in (("s1 s2 s3", "s2"), ("s1", "s2"), ("v1 v2", "s3 v1")):
+            gens = GeneratorDef(parse_braid_word(a), parse_braid_word(b))
+            for k in range(1, 5):
+                try:
+                    closure(b_family(k, gens))
+                except BraidError as exc:
+                    with pytest.raises(BraidError) as scanned:
+                        scan_family([k], gens, 0)
+                    assert str(scanned.value) == str(exc)
+                    rejected += 1
+                else:
+                    scan_family([k], gens, 0)
+        assert 0 < rejected < 12
+
+    def test_words_built_only_within_the_cap(self, monkeypatch, capsys):
+        built = []
+        family = braids.b_family
+
+        def counting_family(k, defs):
+            built.append(k)
+            return family(k, defs)
+
+        monkeypatch.setattr(braids, "b_family", counting_family)
+        assert main(["braid", "--scan", "1:2"]) == 0
+        head = capsys.readouterr().out
+        start = time.perf_counter()
+        assert main(["braid", "--scan", "1:30"]) == 2
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        # |b(30)| has over a billion letters; only k = 1, 2 are in the cap
+        assert built == [1, 2, 1, 2] and elapsed < 10
+        rows = json.loads(out)["rows"]
+        assert [r["k"] for r in rows] == list(range(1, 31))
+        assert json.dumps(rows[:2]) == json.dumps(json.loads(head)["rows"])
+        assert err == "braid --scan: --cap-chords 12 exceeded: skipped 28 of 30 rows\n"
 
 
 class TestGeneratorJson:

@@ -256,6 +256,20 @@ class TestCensusSums:
                 assert (bracket(d), jones_hat(d)) == self.power_shift_sums(d), d.code()
 
 
+def counting_traces(monkeypatch) -> list[int]:
+    """The masks of every state ``_StateSpace._trace`` traces on its own
+    from here on, in call order."""
+    traces = []
+    trace = khovanov._StateSpace._trace
+
+    def counting_trace(self, mask):
+        traces.append(mask)
+        return trace(self, mask)
+
+    monkeypatch.setattr(khovanov._StateSpace, "_trace", counting_trace)
+    return traces
+
+
 class TestGrayCensus:
     """The census along the Gray walk against the census tallied from
     single-state traces, and the walks a request pays for."""
@@ -269,7 +283,8 @@ class TestGrayCensus:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def test_matches_traced_census(self):
+    def test_matches_traced_census(self, monkeypatch):
+        traces = counting_traces(monkeypatch)
         rng = random.Random(7331)
         for n in range(11):
             for _ in range(3 if n < 9 else 1):
@@ -282,27 +297,44 @@ class TestGrayCensus:
                 )
                 want = self.traced_census(d)
                 for copy in (d, relabelled):
+                    traces.clear()
                     assert khovanov._StateSpace("closed", copy.chords).census == want
                     walked = khovanov._StateSpace("closed", copy.chords)
                     arcs, sizes = walked.walk()
                     assert walked.census == want, d.code()
+                    # neither the census nor the walk traces a single state
+                    assert traces == []
                     traced = [walked._trace(mask) for mask in range(1 << n)]
                     assert arcs == [arc for _, arc in traced]
                     assert sizes == [len(circles) for circles, _ in traced]
-                    assert walked._states == {}
 
-    def test_state_sums_keep_no_state(self):
+    def test_state_sums_keep_no_state(self, monkeypatch):
+        traces = counting_traces(monkeypatch)
         d = random_diagram(random.Random(12), 8, "closed")
         khovanov._space_of.cache_clear()
         bracket(d)
         jones_hat(d)
-        assert _space(d)._states == {}
+        assert traces == []
         # homology traces no single state, and its per-state walk arrays
         # live only for the call
         homology(d)
-        sp = _space(d)
-        assert sp._states == {}
-        assert not [v for v in vars(sp).values() if isinstance(v, list) and len(v) == 1 << d.n]
+        assert traces == []
+        assert not [v for v in vars(_space(d)).values() if isinstance(v, list) and len(v) == 1 << d.n]
+
+    def test_cached_space_keeps_no_single_state(self):
+        # every state traced on its own, by each per-state function, leaves
+        # nothing per state in the cached space
+        d = random_diagram(random.Random(15), 8, "closed")
+        for visit in (
+            lambda: list(enhanced_states(d)),
+            lambda: [
+                lemma5_check(d, markers) for markers in itertools.product((1, -1), repeat=d.n)
+            ],
+        ):
+            khovanov._space_of.cache_clear()
+            visit()
+            sizes = [len(v) for v in vars(_space(d)).values() if hasattr(v, "__len__")]
+            assert sizes and max(sizes) < 1 << d.n, sizes
 
     def test_kh_request_walks_the_cube_once(self, monkeypatch, capsys):
         walks, traces = [], []
@@ -329,6 +361,27 @@ class TestGrayCensus:
         # circle count of every state and tallies the census that jones_hat
         # and bracket then read; no state is traced on its own
         assert walks == [reduced.n] and traces == []
+
+    def test_eval_request_walks_the_cube_once_per_diagram(self, monkeypatch, capsys, tmp_path):
+        walks = []
+        gray = khovanov._StateSpace._gray
+
+        def counting_gray(self):
+            walks.append(self.n)
+            return gray(self)
+
+        monkeypatch.setattr(khovanov._StateSpace, "_gray", counting_gray)
+        traces = counting_traces(monkeypatch)
+        khovanov._space_of.cache_clear()
+        rng = random.Random(16)
+        diagrams = [random_diagram(rng, n, kind) for n, kind in ((6, "closed"), (7, "long"), (5, "closed"))]
+        path = tmp_path / "d.txt"
+        path.write_text("".join(f"{d.kind}: {d.code()}\n" for d in diagrams))
+        assert main(["eval", "--input", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["diagrams"]) == 3
+        # bracket and jones_hat read one census per diagram, tallied on one
+        # Gray walk; no state is traced on its own
+        assert walks == [6, 7, 5] and traces == []
 
 
 def kh_oracle(d: GaussDiagram) -> str:
@@ -963,11 +1016,12 @@ class TestLemma5:
                 khovanov._space_of.cache_clear()
                 assert lemma5_scan(d) == want, d.code()
 
-    def test_scan_traces_no_state(self):
+    def test_scan_traces_no_state(self, monkeypatch):
+        traces = counting_traces(monkeypatch)
         d = random_diagram(random.Random(14), 8, "closed")
         khovanov._space_of.cache_clear()
         lemma5_scan(d)
-        assert _space(d)._states == {}
+        assert traces == []
 
     def test_rank_consequence(self):
         # the certificate's real content: the all-1 state on a passing

@@ -308,7 +308,8 @@ def load_arrow_polynomial(data: bytes | str) -> ArrowPolynomial:
             endpoints.append((ep[0], ep[1]))
         signs = {}
         for label, s in (term.get("signs") or {}).items():
-            signs[label] = {"+": 1, "-": -1, FREE: FREE}.get(s, s)
+            # a list or an object is no key; the pattern refuses it as a sign
+            signs[label] = {"+": 1, "-": -1, FREE: FREE}.get(s, s) if isinstance(s, str) else s
         try:
             terms.append((coeff, ArrowPattern(kind, tuple(endpoints), signs)))
         except ArrowError as exc:

@@ -170,6 +170,9 @@ def load_generator_def(data: bytes | str) -> GeneratorDef:
         raise BraidError(f"generator file is not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "A" not in obj or "B" not in obj:
         raise BraidError("generator JSON needs fields 'A' and 'B'")
+    for name in ("A", "B"):
+        if not isinstance(obj[name], str):
+            raise BraidError(f"generator field {name!r} must be a braid word string")
     return GeneratorDef(
         parse_braid_word(obj["A"], "A"), parse_braid_word(obj["B"], "B")
     )

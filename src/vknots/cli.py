@@ -30,6 +30,7 @@ from .arrows import (
 from .braids import (
     BraidError,
     EXAMPLE_GENS,
+    _family_counts,
     b_family,
     closure,
     load_generator_def,
@@ -59,6 +60,8 @@ from .khovanov import (
     MAX_CAP_CHORDS,
     bracket,
     homology,
+    homology_and_bracket,
+    jones_from_bracket,
     jones_hat,
     lemma5_scan,
     reduce_for_state_sums,
@@ -68,6 +71,9 @@ from .laurent import LaurentPoly
 from .moves import MoveError, apply_move, apply_trace, enumerate_moves
 
 OK, INPUT_ERROR, EXHAUSTED = 0, 1, 2
+
+# |b(k)| doubles with k; b(16)'s 393,208 letters close and print at a 263 MiB peak
+MAX_BK_LETTERS = 1 << 19
 
 INVARIANTS = {"v21": v21, "v22": v22}
 
@@ -139,11 +145,12 @@ def cmd_eval(args) -> int:
     rows = []
     for d in diagrams:
         closed = d if d.kind == "closed" else reclose(d)
+        br = bracket(closed)
         row = {
             "kind": d.kind,
             "code": d.code(),
-            "bracket": bracket(closed).pairs(),
-            "jones_hat": jones_hat(closed).pairs(),
+            "bracket": br.pairs(),
+            "jones_hat": jones_from_bracket(br, writhe(closed)).pairs(),
             "v21": v21(d) if d.kind == "long" else None,
             "v22": v22(d) if d.kind == "long" else None,
             "arrow_pairing": None,
@@ -164,13 +171,14 @@ def cmd_kh(args) -> int:
             _emit({"code": d.code(), "skipped": True, "chords": closed.n}, args.format)
             skipped += 1
             continue
-        # The table and the Jones polynomial are read on the reduced diagram;
-        # removing a kink of sign e divides the bracket by -A**(3e), so
+        # One walk of the reduced diagram gives the table and the bracket,
+        # and the Jones polynomial is read off that bracket.  Removing a kink
+        # of sign e divides the bracket by -A**(3e), so
         # <D> = (-A^3)**(w(D) - w(D')) <D'>.
         reduced, dw = reduce_for_state_sums(closed)
-        table = homology(reduced, args.cap_chords)
-        jh = jones_hat(reduced)
-        br = bracket(reduced) * LaurentPoly({3 * dw: (-1) ** (dw % 2)})
+        table, br = homology_and_bracket(reduced, args.cap_chords)
+        jh = jones_from_bracket(br, writhe(reduced))
+        br = br * LaurentPoly({3 * dw: (-1) ** (dw % 2)})
         report = {
             "writhe": writhe(closed),
             "table": [
@@ -287,6 +295,11 @@ def cmd_braid(args) -> int:
         skipped = sum(1 for r in rows if r["skipped"])
         return _report_skipped("braid --scan", args.cap_chords, skipped, len(rows), "rows")
     if args.bk:
+        letters = _family_counts(args.bk, gens)[0]
+        if letters > MAX_BK_LETTERS:
+            raise CapExceeded(
+                f"braid --bk capped at {MAX_BK_LETTERS} letters, b({args.bk}) has {letters}"
+            )
         word = b_family(args.bk, gens)
     elif args.word is not None:
         word = parse_braid_word(args.word)

@@ -79,36 +79,34 @@ Chord reversal
     forbidden moves read directions (docs/moves.md, "Chord reversal").
 
 State space
-    Every operation reads one state space per diagram: the circles of a
-    state traced on its own, and a census of the states per
-    (negative-marker count, circle count).  The census walks the states in
+    Every operation builds the state space of the diagram it is given (the
+    two smoothings of each chord) and keeps none of it past the call; a
+    state's circles are traced on their own.  The census, the number of
+    states per (negative-marker count, circle count), walks the states in
     reflected Gray-code order, so each step rewrites the four arc ends of
     one chord, and keeps no state; it counts circles on a ``seen`` list
     stamped with the mask, since reading the arc arrays of
     :meth:`_StateSpace.walk` made an ``eval`` request on 4-9 chords take
-    0.70 ms instead of 0.58 ms.  ``homology`` goes along the same walk and
-    keeps, for every state, only the circle index of each arc and the
-    circle count, for the length of the call; it tallies the census on the
-    way, so a ``kh`` report walks the cube once and traces no state on its
-    own.  That cube is the reduced diagram's: ``kh`` first
-    runs :func:`reduce_for_state_sums` (kink and R2 deletions up to chord
-    reversal, then ``moves.simplify`` for R3 slides) and reads all three
-    sums on the diagram it returns, so a request walks 2**(reduced n)
-    states.  The table and the Jones polynomial are invariant under those
-    steps; the bracket is not under R1, and the report rescales it by
-    <D> = (-A^3)**(w(D) - w(D')) <D'>.  The chord cap is still judged on
-    the input.  The bracket depends on a state only through its census
-    key, so it sums the O(n^2) census entries instead of the 2**n states,
-    and the Jones polynomial is read off that sum.
+    0.70 ms instead of 0.58 ms.  The bracket depends on a state only
+    through its census key, so it sums the O(n^2) census entries instead
+    of the 2**n states, and the Jones polynomial is read off that sum.
 
-    Only the last diagram's space is cached, keyed by kind and chord tuple:
-    the tuple carries the chord ids that order the markers, which diagram
-    equality ignores.  The cache is how ``kh`` reads the table, the Jones
-    polynomial and the bracket, three functions of a diagram, from one
-    walk; every cache hit on the benchmark workloads was on the diagram
-    just before.  It keeps only what calls share, the smoothings and the
-    census: no single state, and no walk array past its call.  Two more
-    memos outlive a diagram, both bounded pure functions of small keys,
+    :func:`homology_and_bracket` keeps, for every state, only the circle
+    index of each arc and the circle count, for the length of the call:
+    ``walk`` returns them with the census it tallies on the way, and the
+    bracket is summed from that census.  So a ``kh`` report walks the cube
+    once and traces no state on its own; it reads the Jones polynomial off
+    that bracket by :func:`jones_from_bracket`, as :func:`jones_hat` does,
+    and ``eval`` reads both sums off one census.  The cube is the reduced
+    diagram's: ``kh`` first runs :func:`reduce_for_state_sums` (kink and R2
+    deletions up to chord reversal, then ``moves.simplify`` for R3 slides)
+    and reads its sums on the diagram it returns, so a request walks
+    2**(reduced n) states.  The table and the Jones polynomial are
+    invariant under those steps; the bracket is not under R1, and the
+    report rescales it by <D> = (-A^3)**(w(D) - w(D')) <D'>.  The chord cap
+    is still judged on the input.
+
+    Two memos outlive a diagram, both bounded pure functions of small keys,
     and ``homology``'s speed rests on them: the C_x columns of each switch
     map, keyed by (merge or split, a, b, c, circle count), and the order of
     the label masks by bit count.  Neither is built at import; the tables
@@ -355,7 +353,6 @@ class _StateSpace:
             partner[a], partner[b], partner[c], partner[d] = b, a, d, c
             yield mask, partner
 
-    @functools.cached_property
     def census(self) -> dict[tuple[int, int], int]:
         """Number of states per (negative-marker count, circle count),
         counted along the Gray walk on a ``seen`` list stamped with the
@@ -377,10 +374,10 @@ class _StateSpace:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def walk(self) -> tuple[list[list[int]], list[int]]:
+    def walk(self) -> tuple[list[list[int]], list[int], dict[tuple[int, int], int]]:
         """The circle index of each arc and the circle count of every state,
-        indexed by mask, traced along the Gray walk; the census is tallied
-        on the way.  Neither list is kept."""
+        indexed by mask, traced along the Gray walk, and the census tallied
+        on the way."""
         size = 1 << self.n
         arcs: list[list[int]] = [[]] * size
         sizes = [0] * size
@@ -390,9 +387,7 @@ class _StateSpace:
             sizes[mask] = count
             key = (mask.bit_count(), count)
             counts[key] = counts.get(key, 0) + 1
-        # cached_property reads a value already in the instance dict
-        vars(self).setdefault("census", counts)
-        return arcs, sizes
+        return arcs, sizes, counts
 
     def homological_i(self, mask: int) -> int:
         """i = (w - sigma)/2, where sigma = n - 2 * #negative markers."""
@@ -425,12 +420,8 @@ class _StateSpace:
                 raise AssertionError("a marker switch changes the circle count by at most 1")
 
 
-# the one-entry cache of "State space" above
-_space_of = functools.lru_cache(maxsize=1)(_StateSpace)
-
-
 def _space(diagram: GaussDiagram) -> _StateSpace:
-    return _space_of(diagram.kind, diagram.chords)
+    return _StateSpace(diagram.kind, diagram.chords)
 
 
 # -- public operations -----------------------------------------------------------
@@ -469,13 +460,13 @@ def enhanced_states(diagram: GaussDiagram) -> Iterable[EnhancedState]:
             yield EnhancedState(markers, labels)
 
 
-def _census_bracket(sp: _StateSpace) -> LaurentPoly:
-    """The bracket summed over the census: a state with b negative markers
-    has sigma = n - 2b, and (-A^2 - A^-2)**s = (-1)**s * sum_k C(s, k)
-    A**(4k - 2s) turns each census entry into s + 1 integer terms."""
+def _census_bracket(n: int, census: dict[tuple[int, int], int]) -> LaurentPoly:
+    """The bracket summed over the census of n chords: a state with b negative
+    markers has sigma = n - 2b, and (-A^2 - A^-2)**s = (-1)**s * sum_k
+    C(s, k) A**(4k - 2s) turns each census entry into s + 1 integer terms."""
     acc: dict[int, int] = {}
-    for (neg, size), count in sp.census.items():
-        sigma = sp.n - 2 * neg
+    for (neg, size), count in census.items():
+        sigma = n - 2 * neg
         signed = -count if size % 2 else count
         for k in range(size + 1):
             e = sigma + 4 * k - 2 * size
@@ -489,7 +480,7 @@ def bracket(diagram: GaussDiagram) -> LaurentPoly:
     <D> = sum over states of A**sigma * (-A^2 - A^-2)**|s|, so the
     chord-free diagram evaluates to -A^2 - A^-2.
     """
-    return _census_bracket(_space(diagram))
+    return _census_bracket(diagram.n, _space(diagram).census())
 
 
 def jones_hat(diagram: GaussDiagram) -> LaurentPoly:
@@ -500,7 +491,7 @@ def jones_hat(diagram: GaussDiagram) -> LaurentPoly:
     2k) * C(s, k), the state sum's term.  It does not call :func:`bracket`,
     so counting that name counts only the bracket's own callers."""
     sp = _space(diagram)
-    return jones_from_bracket(_census_bracket(sp), sp.w)
+    return jones_from_bracket(_census_bracket(sp.n, sp.census()), sp.w)
 
 
 def jones_from_bracket(br: LaurentPoly, w: int) -> LaurentPoly:
@@ -669,10 +660,17 @@ def _x_columns(sw: tuple[str, int, int, int], size: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-def homology(
+def homology(diagram: GaussDiagram, cap: int = DEFAULT_HOMOLOGY_CAP) -> GradedDims:
+    """Z2 Khovanov homology dimensions per bidegree (i, j); the table of
+    :func:`homology_and_bracket`."""
+    return homology_and_bracket(diagram, cap)[0]
+
+
+def homology_and_bracket(
     diagram: GaussDiagram, cap: int = DEFAULT_HOMOLOGY_CAP
-) -> GradedDims:
-    """Z2 Khovanov homology dimensions per bidegree (i, j).
+) -> tuple[GradedDims, LaurentPoly]:
+    """Z2 Khovanov homology dimensions per bidegree (i, j), and the
+    Kauffman bracket summed over the census of the same walk.
 
     Walks the 2**n states once and builds, per j-column, only the
     subcomplex C_x whose circle 0 is labelled x, from the walk's arc
@@ -687,7 +685,7 @@ def homology(
     if diagram.n > cap:
         raise CapExceeded(f"homology capped at {cap} chords, got {diagram.n}")
     sp = _space(diagram)
-    arcs, sizes = sp.walk()
+    arcs, sizes, census = sp.walk()
     w = sp.w
 
     # A basis element (mask, 2*mu + 1) of C_x has its circle 0 labelled x
@@ -756,7 +754,7 @@ def homology(
             # the other summand, im(nu X), is C_x shifted two j-steps up
             for key in ((i, j), (i, j + 2)):
                 table[key] = table.get(key, 0) + dim
-    return GradedDims.from_dict(table)
+    return GradedDims.from_dict(table), _census_bracket(sp.n, census)
 
 
 def lemma5_check(diagram: GaussDiagram, markers: StateVec) -> bool:
@@ -795,7 +793,7 @@ def lemma5_scan(
     if diagram.n > cap:
         raise CapExceeded(f"lemma5 scan capped at {cap} chords, got {diagram.n}")
     sp = _space(diagram)
-    _, sizes = sp.walk()
+    _, sizes, _ = sp.walk()
     bits = [1 << k for k in range(sp.n)]
     out = []
     for mask, size in enumerate(sizes):

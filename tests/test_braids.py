@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from vknots import braids
+from vknots import braids, cli
 from vknots.braids import (
     BraidError,
     BraidWord,
@@ -240,6 +240,26 @@ class TestScanFamily:
         assert [r["k"] for r in rows] == list(range(1, 31))
         assert json.dumps(rows[:2]) == json.dumps(json.loads(head)["rows"])
         assert err == "braid --scan: --cap-chords 12 exceeded: skipped 28 of 30 rows\n"
+
+    def test_bk_word_built_only_within_the_letter_ceiling(self, monkeypatch, capsys):
+        built = []
+        family = braids.b_family
+
+        def counting_family(k, defs):
+            built.append(k)
+            return family(k, defs)
+
+        monkeypatch.setattr(braids, "b_family", counting_family)
+        monkeypatch.setattr(cli, "b_family", counting_family)
+        start = time.perf_counter()
+        assert main(["braid", "--bk", "40"]) == 2
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        # |b(40)| has about 6.6e12 letters; its count is read, no word built
+        assert built == [] and elapsed < 10 and out == ""
+        assert err.count("\n") == 1 and str(cli.MAX_BK_LETTERS) in err
+        assert main(["braid", "--bk", "2"]) == 0
+        assert built == [2]
 
 
 class TestGeneratorJson:

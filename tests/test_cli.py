@@ -463,6 +463,11 @@ class TestJsonShape:
             (["ntrivial", "--code", VIRTUAL_TREFOIL, "--families"],
              '{"mode": "F", "families": [[{"slots": [1000, 1001], "kind": "Fo"}]]}',
              "not a Fo triangle"),
+            (["eval", "--code", RIGHT_TREFOIL, "--kind", "long", "--arrow-poly"],
+             '{"kind": "long", "terms": [{"coeff": 1, "endpoints":'
+             ' [["1", "t"], ["1", "h"]], "signs": {"1": ["+"]}}]}', "sign must be"),
+            (["braid", "--bk", "1", "--gens"], '{"A": 5, "B": "s2"}', "field 'A'"),
+            (["braid", "--bk", "1", "--gens"], '{"A": "s1 s1", "B": ["s2"]}', "field 'B'"),
         ],
     )
     def test_wrong_shape_is_exit_1(self, capsys, tmp_path, argv, text, message):

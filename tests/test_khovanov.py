@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import networkx as nx
 import pytest
@@ -242,7 +244,7 @@ class TestCensusSums:
         delta = LaurentPoly({2: -1, -2: -1})
         qq = LaurentPoly({1: 1, -1: 1})
         br = jh = LaurentPoly.zero()
-        for (neg, size), count in sp.census.items():
+        for (neg, size), count in sp.census().items():
             br = br + (delta**size).shift(sp.n - 2 * neg) * count
             i = (sp.w - sp.n) // 2 + neg
             jh = jh + (qq**size).shift(sp.w + i) * (-count if i % 2 else count)
@@ -298,10 +300,10 @@ class TestGrayCensus:
                 want = self.traced_census(d)
                 for copy in (d, relabelled):
                     traces.clear()
-                    assert khovanov._StateSpace("closed", copy.chords).census == want
+                    assert khovanov._StateSpace("closed", copy.chords).census() == want
                     walked = khovanov._StateSpace("closed", copy.chords)
-                    arcs, sizes = walked.walk()
-                    assert walked.census == want, d.code()
+                    arcs, sizes, census = walked.walk()
+                    assert census == want, d.code()
                     # neither the census nor the walk traces a single state
                     assert traces == []
                     traced = [walked._trace(mask) for mask in range(1 << n)]
@@ -311,30 +313,12 @@ class TestGrayCensus:
     def test_state_sums_keep_no_state(self, monkeypatch):
         traces = counting_traces(monkeypatch)
         d = random_diagram(random.Random(12), 8, "closed")
-        khovanov._space_of.cache_clear()
         bracket(d)
         jones_hat(d)
         assert traces == []
-        # homology traces no single state, and its per-state walk arrays
-        # live only for the call
+        # homology traces no single state
         homology(d)
         assert traces == []
-        assert not [v for v in vars(_space(d)).values() if isinstance(v, list) and len(v) == 1 << d.n]
-
-    def test_cached_space_keeps_no_single_state(self):
-        # every state traced on its own, by each per-state function, leaves
-        # nothing per state in the cached space
-        d = random_diagram(random.Random(15), 8, "closed")
-        for visit in (
-            lambda: list(enhanced_states(d)),
-            lambda: [
-                lemma5_check(d, markers) for markers in itertools.product((1, -1), repeat=d.n)
-            ],
-        ):
-            khovanov._space_of.cache_clear()
-            visit()
-            sizes = [len(v) for v in vars(_space(d)).values() if hasattr(v, "__len__")]
-            assert sizes and max(sizes) < 1 << d.n, sizes
 
     def test_kh_request_walks_the_cube_once(self, monkeypatch, capsys):
         walks, traces = [], []
@@ -350,7 +334,6 @@ class TestGrayCensus:
 
         monkeypatch.setattr(khovanov._StateSpace, "_gray", counting_gray)
         monkeypatch.setattr(khovanov._StateSpace, "_trace", counting_trace)
-        khovanov._space_of.cache_clear()
         d = random_diagram(random.Random(13), 8, "closed")
         d = apply_move(d, enumerate_moves(d, ["R2_add"])[0])
         reduced, _ = khovanov.reduce_for_state_sums(d)
@@ -372,7 +355,6 @@ class TestGrayCensus:
 
         monkeypatch.setattr(khovanov._StateSpace, "_gray", counting_gray)
         traces = counting_traces(monkeypatch)
-        khovanov._space_of.cache_clear()
         rng = random.Random(16)
         diagrams = [random_diagram(rng, n, kind) for n, kind in ((6, "closed"), (7, "long"), (5, "closed"))]
         path = tmp_path / "d.txt"
@@ -382,6 +364,23 @@ class TestGrayCensus:
         # bracket and jones_hat read one census per diagram, tallied on one
         # Gray walk; no state is traced on its own
         assert walks == [6, 7, 5] and traces == []
+
+    def test_no_state_space_outlives_a_request(self, monkeypatch, capsys):
+        spaces = []
+        init = khovanov._StateSpace.__init__
+
+        def recording_init(self, kind, chords):
+            spaces.append(weakref.ref(self))
+            init(self, kind, chords)
+
+        monkeypatch.setattr(khovanov._StateSpace, "__init__", recording_init)
+        code = random_diagram(random.Random(17), 7, "closed").code()
+        assert main(["kh", "--code", code]) == 0
+        assert main(["eval", "--code", code]) == 0
+        capsys.readouterr()
+        gc.collect()
+        # each request built one state space and kept none of it
+        assert len(spaces) == 2 and [ref() for ref in spaces] == [None, None]
 
 
 def kh_oracle(d: GaussDiagram) -> str:
@@ -484,7 +483,7 @@ class TestChordReversal:
         rng = random.Random(4242)
         for d in closed_corpus(4242, range(1, 10)):
             before = self.space(d)
-            arcs, sizes = before.walk()
+            arcs, sizes, census = before.walk()
             switches = [list(before.switches(mask, arcs, sizes)) for mask in range(1 << d.n)]
             sums = (homology(d).as_dict(), jones_hat(d), bracket(d))
             ids = list(d.chord_ids())
@@ -492,11 +491,11 @@ class TestChordReversal:
                 flipped = reversed_chords(d, set(subset))
                 assert [(c.tail, c.head) for c in flipped.chords] != [
                     (c.tail, c.head) for c in d.chords]
-                # the census read on its own walk, then the arc arrays
-                assert self.space(flipped).census == before.census, flipped.code()
+                # the census read on its own walk, then the arc arrays and
+                # the census of the homology walk
+                assert self.space(flipped).census() == census, flipped.code()
                 after = self.space(flipped)
-                assert after.walk() == (arcs, sizes), flipped.code()
-                assert after.census == before.census
+                assert after.walk() == (arcs, sizes, census), flipped.code()
                 assert [
                     list(after.switches(mask, arcs, sizes)) for mask in range(1 << d.n)
                 ] == switches, flipped.code()
@@ -666,7 +665,7 @@ class TestSwitch:
         kinds = set()
         for d in diagrams:
             sp = _space(d)
-            arcs, sizes = sp.walk()
+            arcs, sizes, _ = sp.walk()
             for mask in range(1 << sp.n):
                 size = len(sp.circles(mask))
                 got = {
@@ -1013,13 +1012,11 @@ class TestLemma5:
                     markers = tuple(-1 if (mask >> k) & 1 else 1 for k in range(n))
                     if lemma5_check(d, markers):
                         want.append((markers, *lemma5_gradings(d, markers)))
-                khovanov._space_of.cache_clear()
                 assert lemma5_scan(d) == want, d.code()
 
     def test_scan_traces_no_state(self, monkeypatch):
         traces = counting_traces(monkeypatch)
         d = random_diagram(random.Random(14), 8, "closed")
-        khovanov._space_of.cache_clear()
         lemma5_scan(d)
         assert traces == []
 

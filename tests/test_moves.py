@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from vknots.corpus import random_diagram, virtual_trefoil
 from vknots.diagram import GaussDiagram, parse_gauss_code
+from vknots.forbidden import Family, check_n_trivial, disjoint_sites, trivialize_forbidden
 from vknots.moves import (
     MOVE_KINDS,
     MoveError,
@@ -13,6 +15,7 @@ from vknots.moves import (
     apply_move,
     apply_trace,
     enumerate_moves,
+    SearchStats,
     inverse_event,
     simplify,
 )
@@ -266,3 +269,78 @@ class TestSimplify:
         d = parse_gauss_code("O1+ U1+")
         out, trace = simplify(d, 0)
         assert out == d and trace == []
+
+
+def scrambled_diagram(rng, n, kind):
+    """A diagram of n chords grown from a small random one by R1 and R2
+    insertions, each followed by a random R3 slide when one applies."""
+    d = random_diagram(rng, rng.randint(0, min(n, 3)), kind)
+    while d.n < n:
+        grow = ["R1_add"] if d.n + 2 > n else ["R1_add", "R2_add", "R2_add"]
+        d = apply_move(d, rng.choice(enumerate_moves(d, grow)))
+        slides = enumerate_moves(d, ["R3"])
+        if slides:
+            d = apply_move(d, rng.choice(slides))
+    return d
+
+
+def golden_diagrams(seed, per):
+    """``per`` random and ``per`` scrambled diagrams of each kind and each
+    chord count 0..12."""
+    rng = random.Random(seed)
+    return [
+        make(rng, n, kind)
+        for n in range(13)
+        for kind in ("closed", "long")
+        for make in (random_diagram, scrambled_diagram)
+        for _ in range(per)
+    ]
+
+
+def event_list(events):
+    return [[e.kind, list(e.data)] for e in events]
+
+
+class TestSearchGolden:
+    """One sha256 over each search's outputs on seeded diagrams, so that a
+    change to how the searches represent their nodes shows any change in
+    what they return."""
+
+    def test_simplify(self):
+        h = hashlib.sha256()
+        for d in golden_diagrams(1801, 6):
+            for budget in (0, 50, 2000):
+                stats = SearchStats()
+                out, trace = simplify(d, budget, stats=stats)
+                h.update(repr((event_list(trace), out.code(), out.chord_ids(),
+                               stats.budget_spent)).encode())
+        assert h.hexdigest() == (
+            "ebce4f6fc566c61cad550f6ba31d4ec2b61d82f594c2d919f3b0c50837526394")
+
+    def test_trivialize_forbidden(self):
+        h = hashlib.sha256()
+        for d in golden_diagrams(1802, 3):
+            trace = trivialize_forbidden(d, 6)
+            h.update(repr(None if trace is None else event_list(trace)).encode())
+        assert h.hexdigest() == (
+            "516bd2c6bc3f6c59a1e22475cb691e8a118212a8888568ee38b1567325d03128")
+
+    def test_check_n_trivial(self):
+        h = hashlib.sha256()
+        for d in golden_diagrams(1803, 2):
+            ids = d.chord_ids()
+            runs = []
+            if d.n >= 4:
+                runs.append(("GPV", [Family(ids[:2]), Family(ids[2:4])]))
+            elif d.n >= 2:
+                runs.append(("GPV", [Family(ids[:1]), Family(ids[1:2])]))
+            sites = disjoint_sites(d, 2)
+            if sites:
+                runs.append(("F", [Family((s,)) for s in sites]))
+            for mode, families in runs:
+                verdicts, aggregate = check_n_trivial(d, families, mode, budget=200)
+                h.update(repr((mode, aggregate, sorted(
+                    (k, v.status, event_list(v.trace), v.witness, v.reason)
+                    for k, v in verdicts.items()))).encode())
+        assert h.hexdigest() == (
+            "490cd33f290073a49e02c60677a88ed628ae0756ef38582cfb7d2a1b0bfbfd8e")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Literal
 
 Kind = Literal["closed", "long"]
 
@@ -130,31 +130,20 @@ class GaussDiagram:
         chord, _ = self.at(slot)
         return chord.other(slot % len(self._slots))
 
-    def adjacent_pairs(self) -> Iterator[int]:
-        """Start slots k of adjacent slot pairs (k, k+1): cyclic for closed,
-        linear for long.  A 1-chord closed diagram has one pair, not two."""
-        m = self.slot_count
-        if m < 2:
-            return
-        if self.kind == "long":
-            yield from range(m - 1)
-        elif m == 2:
-            yield 0
-        else:
-            yield from range(m)
+    def adjacent_pairs(self) -> range:
+        """Start slots k of adjacent slot pairs (k, k+1): see :func:`pair_starts`."""
+        return pair_starts(self.kind, self.slot_count)
 
     def is_adjacent(self, a: int, b: int) -> bool:
-        """True when slot b immediately follows slot a."""
-        m = self.slot_count
-        if self.kind == "long":
-            return b == a + 1
-        return m >= 2 and b == (a + 1) % m and not (m == 2 and a == 1)
+        """True when slot b immediately follows slot a: see :func:`follows`."""
+        return follows(self.kind, self.slot_count, a, b)
 
     # -- equality up to id relabeling --------------------------------------
 
     def _eq_key(self) -> tuple:
         """``(kind, cells)``: slot s is one int packing (role, sign, (other
-        end - s) % 2n), tails below heads.  Built once and kept."""
+        end - s) % 2n), tails below heads (the cell format is spelled out
+        above :func:`pair_starts`).  Built once and kept."""
         if self._key is None:
             m = len(self._slots)
             cells = [0] * m
@@ -211,14 +200,8 @@ class GaussDiagram:
 
     def search_key(self) -> tuple:
         """Relabel-free key, equal exactly when ``(kind, canonical_code())``
-        is.  A closed diagram's key is the least rotation of the equality
-        key's cells, which starts at a least cell; a long one's is the
-        equality key itself."""
-        key = kind, t = self._eq_key()
-        if kind == "long" or not t:
-            return key
-        low = min(t)
-        return kind, min(t[r:] + t[:r] for r in range(len(t)) if t[r] == low)
+        is: :func:`rotation_key` of the equality key."""
+        return rotation_key(*self._eq_key())
 
     def rotated(self, r: int) -> GaussDiagram:
         """Closed diagram re-based so that old slot r becomes slot 0."""
@@ -242,40 +225,32 @@ class GaussDiagram:
         drop = set(ids)
         for cid in drop:
             self.chord(cid)
-        dead = set()
-        for c in self.chords:
-            if c.id in drop:
-                dead.update((c.tail, c.head))
-        remap: dict[int, int] = {}
-        for slot in range(self.slot_count):
-            if slot not in dead:
-                remap[slot] = len(remap)
-        return GaussDiagram(
-            self.kind,
-            (
-                Chord(c.id, remap[c.tail], remap[c.head], c.sign)
-                for c in self.chords
-                if c.id not in drop
-            ),
-        )
+        dead = {s for c in self.chords if c.id in drop for s in (c.tail, c.head)}
+        return self._reordered([s for s in range(self.slot_count) if s not in dead])
 
     def swap_slots(self, a: int, b: int) -> GaussDiagram:
         """Exchange the endpoints in slots a and b (chord data otherwise kept)."""
         m = self.slot_count
-        a %= m
-        b %= m
-        return self._traded({a: b, b: a})
+        order = list(range(m))
+        order[a % m], order[b % m] = order[b % m], order[a % m]
+        return self._reordered(order)
 
-    def _traded(self, trade: dict[int, int]) -> GaussDiagram:
-        """Move every endpoint in a slot of ``trade`` to its image; ``trade``
-        must permute its own keys.  Untouched chords are reused."""
+    def _reordered(self, order: list[int]) -> GaussDiagram:
+        """The diagram whose slot i holds the endpoint of old slot
+        ``order[i]``; a chord with neither end listed is dropped, and one
+        with one end listed is refused.  Chords that keep their slots are
+        reused.  :func:`reorder_cells` is the same rewrite of the cells."""
+        where = [-1] * self.slot_count
+        for i, s in enumerate(order):
+            where[s] = i
         return GaussDiagram(
             self.kind,
             (
-                Chord(c.id, trade.get(c.tail, c.tail), trade.get(c.head, c.head), c.sign)
-                if c.tail in trade or c.head in trade
-                else c
+                c
+                if where[c.tail] == c.tail and where[c.head] == c.head
+                else Chord(c.id, where[c.tail], where[c.head], c.sign)
                 for c in self.chords
+                if where[c.tail] >= 0 or where[c.head] >= 0
             ),
         )
 
@@ -317,6 +292,56 @@ class GaussDiagram:
             head = next(s for r, _, s in ends if r == HEAD)
             chords.append(Chord(next_id, tail, head, ends[0][1]))
         return GaussDiagram(self.kind, chords)
+
+
+# -- slot adjacency and cells ---------------------------------------------------
+#
+# A diagram's cells (``GaussDiagram._eq_key``) hold all of it but its chord
+# ids: the cell of slot s of m is ``q * m + (other end - s) % m``, with q = 0
+# for a positive tail, 1 for a negative tail, 2 for a positive head and 3
+# for a negative head.  So ``cell // m`` is the role and sign, ``cell >= 2 * m``
+# marks a head, ``cell % (2 * m) >= m`` a negative chord, and the other end
+# is ``(s + cell) % m``.  The move searches keep their nodes as cells.
+
+
+def pair_starts(kind: Kind, m: int) -> range:
+    """Start slots k of the adjacent slot pairs (k, k+1) of a diagram with
+    m slots: cyclic for closed, linear for long.  A 1-chord closed diagram
+    has one pair, not two."""
+    if kind == "long" or m == 2:
+        return range(max(m - 1, 0))
+    return range(m)
+
+
+def follows(kind: Kind, m: int, a: int, b: int) -> bool:
+    """True when slot b immediately follows slot a among m slots."""
+    if kind == "long":
+        return b == a + 1
+    return m >= 2 and b == (a + 1) % m and not (m == 2 and a == 1)
+
+
+def reorder_cells(cells: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
+    """Cells of the diagram whose slot i holds the endpoint of old slot
+    ``order[i]``, as :meth:`GaussDiagram._reordered` builds it: ``order``
+    lists each kept chord's two ends and no end of a dropped chord."""
+    m, k = len(cells), len(order)
+    where = [0] * m
+    for i, s in enumerate(order):
+        where[s] = i
+    return tuple(
+        cells[s] // m * k + (where[(s + cells[s]) % m] - i) % k
+        for i, s in enumerate(order)
+    )
+
+
+def rotation_key(kind: Kind, cells: tuple[int, ...]) -> tuple:
+    """Relabel-free search key of a diagram from its cells: a closed
+    diagram's is the least rotation of the cells, which starts at a least
+    cell; a long one's is ``(kind, cells)`` itself."""
+    if kind == "long" or not cells:
+        return kind, cells
+    low = min(cells)
+    return kind, min(cells[r:] + cells[:r] for r in range(len(cells)) if cells[r] == low)
 
 
 # -- parsing / text I/O ------------------------------------------------------

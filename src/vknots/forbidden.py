@@ -34,10 +34,18 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .diagram import DiagramError, GaussDiagram, reclose
+from .diagram import DiagramError, GaussDiagram, reclose, reorder_cells, rotation_key
 from .khovanov import DEFAULT_HOMOLOGY_CAP, homology, jones_hat
 from .laurent import LaurentPoly
-from .moves import MoveError, MoveEvent, SearchStats, _sites_at, apply_move, enumerate_moves, simplify
+from .moves import (
+    MoveError,
+    MoveEvent,
+    SearchStats,
+    _site_events,
+    _sites_at,
+    _slot_order,
+    simplify,
+)
 from .arrows import Invariant, _alternating_terms, v21, v22
 
 UNKNOT_TABLE = {(0, -1): 1, (0, 1): 1}
@@ -128,7 +136,7 @@ def find_triangles(diagram: GaussDiagram) -> list[TriangleSite]:
     return [
         TriangleSite(k, kind, triangle_sign(diagram, k))
         for k in diagram.adjacent_pairs()
-        for kind, _ in _sites_at(diagram, k, ("Fo", "Fu"))
+        for kind, _ in _sites_at(*diagram._eq_key(), k, ("Fo", "Fu"))
     ]
 
 
@@ -138,7 +146,7 @@ def site_at(diagram: GaussDiagram, slot: int, kind: str) -> TriangleSite:
     an adjacent pair, between 0 and 2n - 1, and is not wrapped."""
     if kind not in ("Fo", "Fu"):
         raise FamilyError(f"triangle kind must be 'Fo' or 'Fu', not {kind!r}")
-    if (kind, (slot,)) not in _sites_at(diagram, slot, (kind,)):
+    if (kind, (slot,)) not in _sites_at(*diagram._eq_key(), slot, (kind,)):
         raise FamilyError(f"slots ({slot}, {slot + 1}) are not a {kind} triangle")
     return TriangleSite(slot, kind, triangle_sign(diagram, slot))
 
@@ -427,21 +435,23 @@ def trivialize_forbidden(
     its event (R1_del carries its chord's sign), so kinds whose children
     would all be hopeless are not enumerated, and no hopeless child is
     built.  The others are built one at a time, in (kind order, event data)
-    order, and only until a trace is found.
+    order, and only until a trace is found.  As in ``moves.simplify``, a
+    node is the diagram's cells and a child is a slot-order rewrite of its
+    parent's (see docs/moves.md, "Search representation").
     """
     if budget < 0:
         raise MoveError("trivialize budget must be >= 0")
-    start = diagram
-    if start.n == 0:
+    kind, start = diagram._eq_key()
+    if not start:
         return []
 
-    def successors(d: GaussDiagram, pos: int, neg: int, depth_left: int):
+    def successors(cells: tuple[int, ...], pos: int, neg: int, depth_left: int):
         kinds = [
-            kind
-            for kind, removals in _SIGNS_REMOVED.items()
+            move
+            for move, removals in _SIGNS_REMOVED.items()
             if any(max(pos - dp, neg - dn) <= depth_left for dp, dn in removals)
         ]
-        evs = enumerate_moves(d, kinds)
+        evs = [e for block in _site_events(kind, cells, kinds) for e in block]
         evs.sort(key=lambda e: (_SEARCH_ORDER[e.kind], e.data))
         for e in evs:
             if e.kind == "R2_del":
@@ -453,23 +463,24 @@ def trivialize_forbidden(
                     continue
             else:
                 child_pos, child_neg = pos, neg
-            yield e, apply_move(d, e), child_pos, child_neg
+            yield e, reorder_cells(cells, _slot_order(len(cells), e)), child_pos, child_neg
 
-    start_pos = sum(1 for c in start.chords if c.sign > 0)
-    start_neg = start.n - start_pos
+    start_pos = sum(1 for c in diagram.chords if c.sign > 0)
+    start_neg = diagram.n - start_pos
     for limit in range(1, budget + 1):
         best_seen: dict[tuple, int] = {}
 
-        def dfs(d: GaussDiagram, pos: int, neg: int, depth_left: int, trace: list[MoveEvent]):
-            if d.n == 0:
+        def dfs(cells: tuple[int, ...], pos: int, neg: int, depth_left: int,
+                trace: list[MoveEvent]):
+            if not cells:
                 return list(trace)
             if max(pos, neg) > depth_left:
                 return None
-            key = d.search_key()
+            key = rotation_key(kind, cells)
             if best_seen.get(key, -1) >= depth_left:
                 return None
             best_seen[key] = depth_left
-            for event, child, child_pos, child_neg in successors(d, pos, neg, depth_left - 1):
+            for event, child, child_pos, child_neg in successors(cells, pos, neg, depth_left - 1):
                 trace.append(event)
                 found = dfs(child, child_pos, child_neg, depth_left - 1, trace)
                 if found is not None:

@@ -4,7 +4,14 @@ Only the classical moves R1, R2, R3 act nontrivially on a Gauss diagram;
 the virtual and mixed moves of the generalized calculus are identities
 there and are never emitted.  The forbidden moves Fo and Fu are not
 Reidemeister moves; one site recognizer, :func:`_sites_at`, reads them
-together with R1_del, R2_del and R3 (see docs/moves.md).
+together with R1_del, R2_del and R3 (see docs/moves.md).  It reads a
+diagram's packed slot cells (``vknots.diagram``), not its chords, and so
+do the searches, :func:`simplify` here and
+``forbidden.trivialize_forbidden``: a search node is a cell tuple, a child
+is one slot-order rewrite of its parent's cells (:func:`_slot_order`, the
+helper :func:`apply_move` also uses), and no node is a ``GaussDiagram``;
+:func:`simplify` builds its result by replaying its best trace through
+:func:`apply_move`.
 
 The oriented R3 catalogue is *generated*, not transcribed: three straight
 lines in general position (a horizontal top strand over a vertical middle
@@ -24,7 +31,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Container, Iterable, Sequence
 
-from .diagram import HEAD, TAIL, Chord, DiagramError, GaussDiagram
+from .diagram import (
+    HEAD,
+    TAIL,
+    DiagramError,
+    GaussDiagram,
+    Kind,
+    follows,
+    pair_starts,
+    reorder_cells,
+    rotation_key,
+)
 
 MOVE_KINDS = (
     "R1_add",
@@ -110,104 +127,88 @@ def _r3_catalogue() -> frozenset[tuple]:
 R3_CATALOGUE = _r3_catalogue()
 
 
-def _pair_start(diagram: GaussDiagram, k: int) -> bool:
-    """True when slots (k, k+1) are an adjacent pair.  ``k`` is read as
-    given, not modulo the slot count."""
-    m = len(diagram._slots)
-    return 0 <= k < m and diagram.is_adjacent(k, (k + 1) % m)
-
-
-def _r3_fragment(diagram: GaussDiagram, kt: int, km: int, kb: int):
-    """Fragment summary of the three adjacent pairs, or None if malformed."""
-    m = diagram.slot_count
-    pairs = []
-    for k in (kt, km, kb):
-        if not _pair_start(diagram, k):
-            return None
-        pairs.append((diagram.at(k), diagram.at((k + 1) % m)))
-    (t1, t2), (m1, m2), (b1, b2) = pairs
-    if {t1[1], t2[1]} != {TAIL} or {b1[1], b2[1]} != {HEAD}:
-        return None
-    if {m1[1], m2[1]} != {TAIL, HEAD}:
-        return None
-    top_ids = {t1[0].id, t2[0].id}
-    if len(top_ids) != 2:
-        return None
-    cx = m1[0] if m1[1] == HEAD else m2[0]
-    cz = m1[0] if m1[1] == TAIL else m2[0]
-    if cx.id not in top_ids or cz.id in top_ids:
-        return None
-    cy_id = next(cid for cid in top_ids if cid != cx.id)
-    if {b1[0].id, b2[0].id} != {cy_id, cz.id}:
-        return None
-    cy = diagram.chord(cy_id)
-    used = {kt, (kt + 1) % m, km, (km + 1) % m, kb, (kb + 1) % m}
-    if len(used) != 6:
-        return None
-    top_first = "x" if t1[0].id == cx.id else "y"
-    mid_first = "x" if m1[1] == HEAD else "z"
-    bot_first = "y" if b1[0].id == cy.id else "z"
-    return (top_first, mid_first, bot_first, cx.sign, cy.sign, cz.sign), (cx, cy, cz)
-
-
 # -- recognition and enumeration -------------------------------------------------
 
 
 def _sites_at(
-    diagram: GaussDiagram, k: int, kinds: Container[str]
+    kind: Kind, cells: tuple[int, ...], k: int, kinds: Container[str]
 ) -> list[tuple[str, tuple]]:
     """The R1_del, R2_del, R3, Fo and Fu sites among ``kinds`` whose data
     starts with slot k, that is whose first adjacent pair is (k, k+1), as
-    ``(kind, data)`` pairs.
+    ``(kind, data)`` pairs, read from a diagram's kind and cells (see
+    ``vknots.diagram``).
 
-    This is the one recognizer of these sites: :func:`enumerate_moves`
-    calls it once per adjacent pair and :func:`apply_move` checks an event
-    against it.  Only R1_del needs one chord at (k, k+1); R2_del, R3 and
-    Fo need two tails of distinct chords there, Fu two heads.
+    This is the one recognizer of these sites: :func:`enumerate_moves` and
+    the searches call it once per adjacent pair, and :func:`apply_move`
+    checks an event against it.  Only R1_del needs one chord at (k, k+1);
+    R2_del, R3 and Fo need two tails of distinct chords there, Fu two
+    heads.  An R3 site adds the pair holding x's head and z's tail, and the
+    pair holding the heads of y and z; its fragment must be in
+    :data:`R3_CATALOGUE`.
     """
-    if not _pair_start(diagram, k):
+    m = len(cells)
+    if k not in pair_starts(kind, m):  # k is read as given, not modulo m
         return []
-    slots, chords = diagram._slots, diagram.chords
-    m = len(slots)
-    (i1, r1), (i2, r2) = slots[k], slots[(k + 1) % m]
-    c1 = chords[i1]
-    if i1 == i2:
+    k1 = (k + 1) % m
+    a, b = cells[k], cells[k1]
+    heads = 2 * m
+    if (k + a) % m == k1:
         if "R1_del" not in kinds:
             return []
-        return [("R1_del", (k, c1.sign, "OU" if r1 == TAIL else "UO"))]
-    if r1 != r2:
+        return [("R1_del", (k, -1 if a % heads >= m else 1, "OU" if a < heads else "UO"))]
+    if (a < heads) != (b < heads):
         return []
-    if r1 == HEAD:
+    if a >= heads:
         return [("Fu", (k,))] if "Fu" in kinds else []
-    c2 = chords[i2]
+    s1, s2 = -1 if a >= m else 1, -1 if b >= m else 1
+    h1, h2 = (k + a) % m, (k1 + b) % m
     sites = []
-    if "R2_del" in kinds and c1.sign != c2.sign:
-        if diagram.is_adjacent(c1.head, c2.head):
-            sites.append(("R2_del", (k, c1.head, True, c1.sign)))
-        elif diagram.is_adjacent(c2.head, c1.head):
-            sites.append(("R2_del", (k, c2.head, False, c1.sign)))
+    if "R2_del" in kinds and s1 != s2:
+        if follows(kind, m, h1, h2):
+            sites.append(("R2_del", (k, h1, True, s1)))
+        elif follows(kind, m, h2, h1):
+            sites.append(("R2_del", (k, h2, False, s1)))
     if "R3" in kinds and m >= 6:
-        for cx, cy in ((c1, c2), (c2, c1)):
-            hx = cx.head
-            for km in (hx, (hx - 1) % m):
-                partner = (km + 1) % m if km == hx else km
-                iz, rz = slots[partner]
-                cz = chords[iz]
-                if rz != TAIL or cz.id in (cx.id, cy.id):
+        # x is first the chord with its tail at k, then the one at k + 1;
+        # y is the other top chord and z has its tail next to x's head
+        for first, hx, hy, sx, sy in (("x", h1, h2, s1, s2), ("y", h2, h1, s2, s1)):
+            for km, zt in ((hx, (hx + 1) % m), ((hx - 1) % m, (hx - 1) % m)):
+                z = cells[zt]
+                if z >= heads or zt in (k, k1) or not follows(kind, m, km, (km + 1) % m):
                     continue
-                hy, hz = cy.head, cz.head
-                if diagram.is_adjacent(hy, hz):
+                hz = (zt + z) % m
+                if follows(kind, m, hy, hz):
                     kb = hy
-                elif diagram.is_adjacent(hz, hy):
+                elif follows(kind, m, hz, hy):
                     kb = hz
                 else:
                     continue
-                frag = _r3_fragment(diagram, k, km, kb)
-                if frag is not None and frag[0] in R3_CATALOGUE:
+                fragment = (
+                    first,
+                    "x" if km == hx else "z",
+                    "y" if kb == hy else "z",
+                    sx,
+                    sy,
+                    -1 if z >= m else 1,
+                )
+                if fragment in R3_CATALOGUE:
                     sites.append(("R3", (k, km, kb)))
     if "Fo" in kinds:
         sites.append(("Fo", (k,)))
     return sites
+
+
+def _site_events(
+    kind: Kind, cells: tuple[int, ...], kinds: Container[str]
+) -> tuple[list[MoveEvent], list[MoveEvent], list[MoveEvent], list[MoveEvent]]:
+    """The R1_del, R2_del and R3 events, and the Fo and Fu events together,
+    each list in slot order, among ``kinds``."""
+    r1_del, r2_del, r3, forbidden = [], [], [], []
+    found = {"R1_del": r1_del, "R2_del": r2_del, "R3": r3, "Fo": forbidden, "Fu": forbidden}
+    for k in pair_starts(kind, len(cells)):
+        for site, data in _sites_at(kind, cells, k, kinds):
+            found[site].append(MoveEvent(site, data))
+    return r1_del, r2_del, r3, forbidden
 
 
 def enumerate_moves(
@@ -220,11 +221,7 @@ def enumerate_moves(
     unknown = kinds.difference(MOVE_KINDS)
     if unknown:
         raise MoveError(f"unknown move kinds {sorted(unknown)}")
-    r1_del, r2_del, r3, forbidden = [], [], [], []
-    found = {"R1_del": r1_del, "R2_del": r2_del, "R3": r3, "Fo": forbidden, "Fu": forbidden}
-    for k in diagram.adjacent_pairs():
-        for kind, data in _sites_at(diagram, k, kinds):
-            found[kind].append(MoveEvent(kind, data))
+    r1_del, r2_del, r3, forbidden = _site_events(*diagram._eq_key(), kinds)
 
     m = diagram.slot_count
     gaps = range(m + 1) if diagram.kind == "long" else range(max(m, 1))
@@ -246,22 +243,36 @@ def enumerate_moves(
     return events + forbidden
 
 
+# How many adjacent pair starts lead each slot-local event's data.
+_PAIRS = {"R1_del": 1, "R2_del": 2, "R3": 3, "Fo": 1, "Fu": 1}
+
+
+def _slot_order(m: int, event: MoveEvent) -> list[int]:
+    """The old slots of a diagram with m slots, in the order the event
+    leaves them: R1_del and R2_del drop their pairs, R3, Fo and Fu swap the
+    two ends inside each of theirs.  The event must be a site."""
+    starts = event.data[: _PAIRS[event.kind]]
+    if event.kind in ("R1_del", "R2_del"):
+        dead = {s for k in starts for s in (k, (k + 1) % m)}
+        return [s for s in range(m) if s not in dead]
+    # an R3 site's six slots are distinct, so its three swaps commute
+    order = list(range(m))
+    for k in starts:
+        order[k], order[(k + 1) % m] = order[(k + 1) % m], order[k]
+    return order
+
+
 # -- application ---------------------------------------------------------------
 
 
 def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
     """Rewrite ``diagram`` at the event's site; raises MoveError when stale."""
-    m = diagram.slot_count
     kind = event.kind
 
-    if kind in ("R1_del", "R2_del", "Fo", "Fu"):
-        k = event.data[0]
-        if (kind, event.data) not in _sites_at(diagram, k, (kind,)):
+    if kind in _PAIRS:
+        if (kind, event.data) not in _sites_at(*diagram._eq_key(), event.data[0], (kind,)):
             raise MoveError(f"{kind}: {event.data} is not a {kind} site of the diagram")
-        if kind in ("Fo", "Fu"):
-            return diagram.swap_slots(k, (k + 1) % m)
-        ids = {diagram.at(k)[0].id, diagram.at(k + 1)[0].id}
-        return diagram.delete_chords(ids)
+        return diagram._reordered(_slot_order(diagram.slot_count, event))
 
     if kind == "R1_add":
         g, sign, orient = event.data
@@ -279,20 +290,6 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
         return diagram.insert_endpoints(
             [(g1, 0, roles1, sign_first), (g1, 1, roles1, -sign_first)] + pair2
         )
-
-    if kind == "R3":
-        kt, km, kb = event.data
-        frag = _r3_fragment(diagram, kt, km, kb)
-        if frag is None:
-            raise MoveError("R3: slots do not form a triangle fragment")
-        if frag[0] not in R3_CATALOGUE:
-            raise MoveError("R3: fragment is not an oriented R3 configuration")
-        # the six slots are distinct, so the three adjacent transpositions
-        # commute and one trade applies them all
-        trade = {}
-        for k in (kt, km, kb):
-            trade[k], trade[(k + 1) % m] = (k + 1) % m, k
-        return diagram._traded(trade)
 
     if kind == "virtualize":
         (chord_id,) = event.data
@@ -360,11 +357,15 @@ def apply_trace(diagram: GaussDiagram, events: Sequence[MoveEvent]) -> GaussDiag
 
 @dataclass
 class SearchStats:
-    """What stopped a :func:`simplify` call that was handed this object:
-    ``budget_spent`` is True when the node budget ran out with nodes still
-    queued and the diagram not emptied."""
+    """What a :func:`simplify` call that was handed this object did:
+    ``expanded`` nodes it expanded, ``deduplicated`` children it dropped
+    because their search key was already seen, and ``budget_spent`` True
+    when the node budget ran out with nodes still queued and the diagram
+    not emptied."""
 
     budget_spent: bool = False
+    expanded: int = 0
+    deduplicated: int = 0
 
 
 def simplify(
@@ -375,33 +376,43 @@ def simplify(
 
     Returns the best diagram found (never more chords than the input) and a
     replayable move trace reaching it.  ``budget`` caps the number of nodes
-    expanded; exhaustion returns the best found so far, and sets
-    ``stats.budget_spent`` when ``stats`` is given.  Deterministic for a
-    fixed site ordering.
+    expanded; exhaustion returns the best found so far.  When ``stats`` is
+    given, the call fills it in.  Deterministic for a fixed site ordering.
+
+    A search node is a diagram's cells, and a child is one slot-order
+    rewrite of its parent's (see docs/moves.md, "Search representation").
+    The returned diagram is the input with the best trace replayed through
+    :func:`apply_move`, so it carries the input's chord ids.
     """
     if budget < 0:
         raise MoveError("simplify budget must be >= 0")
 
-    best = diagram
+    kind, cells = diagram._eq_key()
+    best_m = len(cells)
     best_trace: list[MoveEvent] = []
-    seen = {diagram.search_key()}
-    queue: deque[tuple[GaussDiagram, list[MoveEvent]]] = deque([(diagram, [])])
-    expanded = 0
-    while queue and expanded < budget and best.n > 0:
+    seen = {rotation_key(kind, cells)}
+    queue: deque[tuple[tuple[int, ...], list[MoveEvent]]] = deque([(cells, [])])
+    expanded = deduplicated = 0
+    while queue and expanded < budget and best_m > 0:
         current, trace = queue.popleft()
         expanded += 1
-        for event in enumerate_moves(current, REDUCING_KINDS):
-            child = apply_move(current, event)
-            key = child.search_key()
+        m = len(current)
+        r1_del, r2_del, r3, _ = _site_events(kind, current, REDUCING_KINDS)
+        for event in r1_del + r2_del + r3:
+            child = reorder_cells(current, _slot_order(m, event))
+            key = rotation_key(kind, child)
             if key in seen:
+                deduplicated += 1
                 continue
             seen.add(key)
             child_trace = trace + [event]
-            if child.n < best.n:
-                best, best_trace = child, child_trace
-                if best.n == 0:
-                    return best, best_trace
+            if len(child) < best_m:
+                best_m, best_trace = len(child), child_trace
+                if best_m == 0:
+                    break
             queue.append((child, child_trace))
     if stats is not None:
-        stats.budget_spent = bool(queue) and best.n > 0
-    return best, best_trace
+        stats.budget_spent = bool(queue) and best_m > 0
+        stats.expanded = expanded
+        stats.deduplicated = deduplicated
+    return apply_trace(diagram, best_trace), best_trace

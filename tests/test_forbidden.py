@@ -9,7 +9,7 @@ import pytest
 from vknots import forbidden, khovanov
 from vknots.arrows import gpv_alt_sum, v21, v22
 from vknots.corpus import gpv2_trivial, random_diagram, right_trefoil, virtual_trefoil
-from vknots.diagram import Chord, GaussDiagram, parse_gauss_code
+from vknots.diagram import Chord, GaussDiagram, parse_gauss_code, reorder_cells, rotation_key
 from vknots.forbidden import (
     Family,
     FamilyError,
@@ -512,30 +512,30 @@ class TestTrivializeForbidden:
 
     def test_builds_no_child_its_bound_rejects(self, monkeypatch):
         # a child that passes dfs's depth bound is either empty or has its
-        # search key read next, so every nonempty child built must be read
-        built: list[GaussDiagram] = []
+        # search key read next, so every nonempty child built must be read;
+        # a child is built as its parent's cells rewritten by reorder_cells
+        built: list[tuple] = []
         coded: set[int] = set()
-        original_key = GaussDiagram.search_key
 
-        def counting_apply(d, event):
-            child = apply_move(d, event)
+        def counting_rewrite(cells, order):
+            child = reorder_cells(cells, order)
             built.append(child)
             return child
 
-        def recording_key(self):
-            coded.add(id(self))
-            return original_key(self)
+        def recording_key(kind, cells):
+            coded.add(id(cells))
+            return rotation_key(kind, cells)
 
         rng = random.Random(607)
         diagrams = [random_diagram(rng, n, kind)
                     for n in range(2, 8) for kind in ("closed", "long")]
         eager_built = sum(eager_children(d, 6) for d in diagrams)
-        monkeypatch.setattr(forbidden, "apply_move", counting_apply)
-        monkeypatch.setattr(GaussDiagram, "search_key", recording_key)
+        monkeypatch.setattr(forbidden, "reorder_cells", counting_rewrite)
+        monkeypatch.setattr(forbidden, "rotation_key", recording_key)
         for d in diagrams:
             trivialize_forbidden(d, 6)
         assert built
-        assert all(child.n == 0 or id(child) in coded for child in built)
+        assert all(not child or id(child) in coded for child in built)
         assert len(built) < eager_built
 
     def test_negative_budget_raises(self):
@@ -572,18 +572,17 @@ class TestSignBound:
         # before its key is read, so no child is built
         d = kink_chain(p)
         built, keys = [], []
-        original_key = GaussDiagram.search_key
 
-        def counting_apply(diagram, event):
-            built.append(event)
-            return apply_move(diagram, event)
+        def counting_rewrite(cells, order):
+            built.append(order)
+            return reorder_cells(cells, order)
 
-        def counting_key(self):
+        def counting_key(kind, cells):
             keys.append(1)
-            return original_key(self)
+            return rotation_key(kind, cells)
 
-        monkeypatch.setattr(forbidden, "apply_move", counting_apply)
-        monkeypatch.setattr(GaussDiagram, "search_key", counting_key)
+        monkeypatch.setattr(forbidden, "reorder_cells", counting_rewrite)
+        monkeypatch.setattr(forbidden, "rotation_key", counting_key)
         assert trivialize_forbidden(d, p - 1) is None
         assert built == [] and keys == []
         trace = trivialize_forbidden(d, p)
@@ -597,18 +596,17 @@ class TestSignBound:
                     for positive in (0, n - 1)]
         eager_keys, keys = [], []
         original_code = GaussDiagram.canonical_code
-        original_key = GaussDiagram.search_key
 
         def counting_code(self):
             eager_keys.append(1)
             return original_code(self)
 
-        def counting_key(self):
+        def counting_key(kind, cells):
             keys.append(1)
-            return original_key(self)
+            return rotation_key(kind, cells)
 
         monkeypatch.setattr(GaussDiagram, "canonical_code", counting_code)
-        monkeypatch.setattr(GaussDiagram, "search_key", counting_key)
+        monkeypatch.setattr(forbidden, "rotation_key", counting_key)
         for d in diagrams:
             assert trivialize_forbidden(d, 6) == eager_trivialize(d, 6)
         assert len(keys) < len(eager_keys)

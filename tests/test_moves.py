@@ -179,6 +179,20 @@ class TestOneRecognizer:
                     accepted[e.kind] += 1
         assert min(accepted.values()) > 20, accepted
 
+    def test_matches_a_chord_oracle(self):
+        # the oracle shares no code with the recognizer, so this catches a
+        # site that enumerate_moves and apply_move both misread
+        rng = random.Random(6063)
+        listed = dict.fromkeys(LOCAL_KINDS, 0)
+        for i in range(600):
+            n, kind = rng.randint(0, 12), rng.choice(("closed", "long"))
+            d = (random_diagram if i % 2 else scrambled_diagram)(rng, n, kind)
+            events = enumerate_moves(d, LOCAL_KINDS)
+            assert sorted((e.kind, e.data) for e in events) == oracle_events(d), d
+            for e in events:
+                listed[e.kind] += 1
+        assert min(listed.values()) > 100, listed
+
     def test_enumeration_has_no_duplicates(self):
         rng = random.Random(6061)
         for _ in range(300):
@@ -202,6 +216,75 @@ class TestOneRecognizer:
                 assert starts == sorted(starts)
             f_starts = [e.data[0] for e in events if e.kind in ("Fo", "Fu")]
             assert f_starts == sorted(set(f_starts))
+
+
+def oracle_events(d):
+    """The R1_del, R2_del, R3, Fo and Fu events of ``d``, found from
+    ``d.chords`` alone, as sorted (kind, data) pairs.  The R3 check is the
+    chord-based fragment reading the move recognizer had before it read
+    cells."""
+    m = 2 * len(d.chords)
+    ends = {}
+    for c in d.chords:
+        ends[c.tail] = (c, "t")
+        ends[c.head] = (c, "h")
+
+    def follows(a, b):
+        if d.kind == "long":
+            return b == a + 1
+        return m >= 2 and b == (a + 1) % m and not (m == 2 and a == 1)
+
+    def pair(k):
+        return ends[k], ends[(k + 1) % m]
+
+    events = []
+    for c in d.chords:
+        if follows(c.tail, c.head):
+            events.append(("R1_del", (c.tail, c.sign, "OU")))
+        if follows(c.head, c.tail):
+            events.append(("R1_del", (c.head, c.sign, "UO")))
+    tails, mixed, heads = [], [], []
+    for c1, c2 in itertools.permutations(d.chords, 2):
+        if follows(c1.tail, c2.tail):
+            events.append(("Fo", (c1.tail,)))
+            tails.append(c1.tail)
+            if c1.sign != c2.sign:
+                if follows(c1.head, c2.head):
+                    events.append(("R2_del", (c1.tail, c1.head, True, c1.sign)))
+                if follows(c2.head, c1.head):
+                    events.append(("R2_del", (c1.tail, c2.head, False, c1.sign)))
+        if follows(c1.head, c2.head):
+            events.append(("Fu", (c1.head,)))
+            heads.append(c1.head)
+        if follows(c1.head, c2.tail):
+            mixed.append(c1.head)
+        if follows(c2.tail, c1.head):
+            mixed.append(c2.tail)
+
+    def r3_fragment(kt, km, kb):
+        (t1, t2), (m1, m2), (b1, b2) = pair(kt), pair(km), pair(kb)
+        cx = m1[0] if m1[1] == "h" else m2[0]
+        cz = m1[0] if m1[1] == "t" else m2[0]
+        top = {t1[0].id, t2[0].id}
+        if cx.id not in top or cz.id in top:
+            return None
+        cy = t1[0] if t2[0].id == cx.id else t2[0]
+        if {b1[0].id, b2[0].id} != {cy.id, cz.id}:
+            return None
+        return (
+            "x" if t1[0].id == cx.id else "y",
+            "x" if m1[1] == "h" else "z",
+            "y" if b1[0].id == cy.id else "z",
+            cx.sign,
+            cy.sign,
+            cz.sign,
+        )
+
+    for kt, km, kb in itertools.product(tails, mixed, heads):
+        if len({kt, (kt + 1) % m, km, (km + 1) % m, kb, (kb + 1) % m}) == 6:
+            if r3_fragment(kt, km, kb) in R3_CATALOGUE:
+                events.append(("R3", (kt, km, kb)))
+    return sorted(events)
 
 
 class TestR3Catalogue:
@@ -264,6 +347,19 @@ class TestSimplify:
             out, trace = simplify(d, 300)
             assert out.n <= d.n
             assert apply_trace(d, trace) == out
+
+    def test_stats_count_expanded_and_deduplicated_nodes(self):
+        stats = SearchStats()
+        simplify(virtual_trefoil(), 2000, stats=stats)
+        assert stats == SearchStats(budget_spent=False, expanded=1, deduplicated=0)
+        d = parse_gauss_code(
+            "U1+ U2- O3+ O4- O5- U6- O7+ U7+ U8+ O1+ O2- U5- U9- U4- U3+ O9- O6- O8+")
+        stats = SearchStats()
+        assert simplify(d, 2000, stats=stats)[0].n == 0
+        assert stats == SearchStats(budget_spent=False, expanded=78, deduplicated=195)
+        stats = SearchStats()
+        assert simplify(d, 50, stats=stats)[0].n == 2
+        assert stats == SearchStats(budget_spent=True, expanded=50, deduplicated=128)
 
     def test_budget_zero_returns_input(self):
         d = parse_gauss_code("O1+ U1+")

@@ -12,10 +12,10 @@ from vknots.moves import (
     MoveError,
     MoveEvent,
     R3_CATALOGUE,
+    SearchStats,
     apply_move,
     apply_trace,
     enumerate_moves,
-    SearchStats,
     inverse_event,
     simplify,
 )

@@ -12,7 +12,9 @@ the two interleaved two-chord patterns that survive all Reidemeister moves.
 Finite-type behaviour under virtualization is tested by
 :func:`gpv_alt_sum`, the alternating sum over deletions of a chosen set of
 chords (GPV-order).  It and the forbidden-move sums of
-:mod:`vknots.forbidden` take their terms from :func:`_alternating_terms`.
+:mod:`vknots.forbidden` take their terms from :func:`_alternating_terms`,
+which replays each subset of toggle events (``virtualize`` here, ``Fo``
+and ``Fu`` there) through ``moves.apply_trace``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .diagram import HEAD, TAIL, DiagramError, GaussDiagram, Kind
+from .moves import MoveEvent, apply_trace
 
 Invariant = Callable[[GaussDiagram], int]
 
@@ -239,15 +242,13 @@ def v22(diagram: GaussDiagram) -> int:
 
 
 def _alternating_terms(
-    diagram: GaussDiagram,
-    members: Sequence,
-    apply: Callable[[GaussDiagram, tuple], GaussDiagram],
+    diagram: GaussDiagram, events: Sequence[MoveEvent]
 ) -> Iterator[tuple[int, GaussDiagram]]:
-    """The terms ((-1)**|S|, apply(diagram, S)) over all subsets S of
-    ``members``, by size and then in ``itertools.combinations`` order."""
-    for r in range(len(members) + 1):
-        for chosen in itertools.combinations(members, r):
-            yield (-1) ** r, apply(diagram, chosen)
+    """The terms ((-1)**|S|, apply_trace(diagram, S)) over all subsets S of
+    ``events``, by size and then in ``itertools.combinations`` order."""
+    for r in range(len(events) + 1):
+        for chosen in itertools.combinations(events, r):
+            yield (-1) ** r, apply_trace(diagram, chosen)
 
 
 def gpv_alt_sum(
@@ -262,10 +263,8 @@ def gpv_alt_sum(
     ids = sorted(set(chord_ids))
     for cid in ids:
         diagram.chord(cid)
-    return sum(
-        sign * invariant(d)
-        for sign, d in _alternating_terms(diagram, ids, GaussDiagram.delete_chords)
-    )
+    events = [MoveEvent("virtualize", (cid,)) for cid in ids]
+    return sum(sign * invariant(d) for sign, d in _alternating_terms(diagram, events))
 
 
 # -- JSON interface ---------------------------------------------------------------

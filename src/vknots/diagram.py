@@ -66,12 +66,12 @@ class GaussDiagram:
     Equality and hashing ignore chord ids: two diagrams are equal when
     their kinds agree and slot by slot their (role, sign, offset to the
     other end) cells do.  The key ``(kind, cells)`` is built on the first
-    ``==``, ``hash`` or :meth:`search_key` and kept; a diagram never
-    compared costs nothing for it.  Closed diagrams additionally expose
-    :meth:`canonical_code`, the minimal lexicographic rotation of the
-    serialized code, for comparison of based circles up to rotation;
-    :meth:`search_key`, the least rotation of the cells, has the same
-    equality and is cheaper to build.
+    ``==`` or ``hash`` and kept; a diagram never compared costs nothing
+    for it.  Closed diagrams additionally expose :meth:`canonical_code`,
+    the minimal lexicographic rotation of the serialized code, for
+    comparison of based circles up to rotation; :func:`rotation_key` of
+    the key, the least rotation of the cells, has the same equality and is
+    cheaper to build.
     """
 
     __slots__ = ("kind", "chords", "_slots", "_by_id", "_key")
@@ -129,14 +129,6 @@ class GaussDiagram:
     def other_end(self, slot: int) -> int:
         chord, _ = self.at(slot)
         return chord.other(slot % len(self._slots))
-
-    def adjacent_pairs(self) -> range:
-        """Start slots k of adjacent slot pairs (k, k+1): see :func:`pair_starts`."""
-        return pair_starts(self.kind, self.slot_count)
-
-    def is_adjacent(self, a: int, b: int) -> bool:
-        """True when slot b immediately follows slot a: see :func:`follows`."""
-        return follows(self.kind, self.slot_count, a, b)
 
     # -- equality up to id relabeling --------------------------------------
 
@@ -198,11 +190,6 @@ class GaussDiagram:
             if role == TAIL
         )
 
-    def search_key(self) -> tuple:
-        """Relabel-free key, equal exactly when ``(kind, canonical_code())``
-        is: :func:`rotation_key` of the equality key."""
-        return rotation_key(*self._eq_key())
-
     def rotated(self, r: int) -> GaussDiagram:
         """Closed diagram re-based so that old slot r becomes slot 0."""
         if self.kind != "closed":
@@ -229,7 +216,11 @@ class GaussDiagram:
         return self._reordered([s for s in range(self.slot_count) if s not in dead])
 
     def swap_slots(self, a: int, b: int) -> GaussDiagram:
-        """Exchange the endpoints in slots a and b (chord data otherwise kept)."""
+        """Exchange the endpoints in slots a and b (chord data otherwise kept).
+
+        No library path calls it: ``moves.apply_move`` swaps slots through
+        ``moves._slot_order``, and the tests check its R3 rewrite against
+        three chained swaps."""
         m = self.slot_count
         order = list(range(m))
         order[a % m], order[b % m] = order[b % m], order[a % m]

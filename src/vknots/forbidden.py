@@ -6,10 +6,11 @@ tails (Fo) or two adjacent heads (Fu) belonging to distinct chords.  The
 local disk where the move applies is a *triangle* and carries a sign; one
 forbidden move flips the sign of its triangle.  Jointly the two moves
 unknot every virtual knot, which makes the alternating sums over triangle
-toggles (:func:`f_alt_sum`) a genuine finite-type filtration.  GPV and F
-sums share one subset primitive and differ only in the toggle (chord
-deletion or forbidden moves); every site set is resolved and checked for
-disjointness in :func:`_checked_sites`, so sign-0 descriptors will do.
+toggles (:func:`f_alt_sum`) a genuine finite-type filtration.  A toggle
+is a move trace: GPV and F sums share one subset primitive, which replays
+``virtualize`` or ``Fo``/``Fu`` events through ``moves.apply_trace``;
+every site set is resolved and checked for disjointness in
+:func:`_checked_sites`, so sign-0 descriptors will do.
 
 Sign convention (the only free choice; every identity below is invariant
 under a global flip): a triangle at slots (k, k+1) is positive when the
@@ -44,6 +45,8 @@ from .moves import (
     _site_events,
     _sites_at,
     _slot_order,
+    apply_move,
+    apply_trace,
     simplify,
 )
 from .arrows import Invariant, _alternating_terms, v21, v22
@@ -67,6 +70,9 @@ class TriangleSite:
 
     def slots(self, diagram: GaussDiagram) -> tuple[int, int]:
         return self.slot, (self.slot + 1) % diagram.slot_count
+
+    def _event(self) -> MoveEvent:
+        return MoveEvent(self.kind, (self.slot,))
 
 
 @dataclass(frozen=True)
@@ -133,10 +139,9 @@ def find_triangles(diagram: GaussDiagram) -> list[TriangleSite]:
     """All triangles, in slot order: the Fo and Fu sites the move
     recognizer reads at each adjacent pair, with their signs (the
     ``("Fo", "Fu")`` enumeration of :func:`~vknots.moves.enumerate_moves`)."""
+    *_, forbidden = _site_events(*diagram._eq_key(), ("Fo", "Fu"))
     return [
-        TriangleSite(k, kind, triangle_sign(diagram, k))
-        for k in diagram.adjacent_pairs()
-        for kind, _ in _sites_at(*diagram._eq_key(), k, ("Fo", "Fu"))
+        TriangleSite(e.data[0], e.kind, triangle_sign(diagram, e.data[0])) for e in forbidden
     ]
 
 
@@ -178,14 +183,14 @@ def disjoint_sites(diagram: GaussDiagram, count: int) -> list[TriangleSite] | No
 
 
 def apply_forbidden(diagram: GaussDiagram, site: TriangleSite) -> GaussDiagram:
-    """One forbidden move: exchange the two endpoints of the site.
+    """One forbidden move: exchange the two endpoints of the site, by
+    ``moves.apply_move`` after :func:`site_at` refuses a stale site.
 
     Chord signs and directions are untouched; the triangle re-detected at
     the same slots has the opposite sign.
     """
-    site_at(diagram, site.slot, site.kind)  # staleness check
-    m = diagram.slot_count
-    return diagram.swap_slots(site.slot, (site.slot + 1) % m)
+    site_at(diagram, site.slot, site.kind)
+    return apply_move(diagram, site._event())
 
 
 def _checked_sites(
@@ -203,12 +208,6 @@ def _checked_sites(
     return checked
 
 
-def _toggle(diagram: GaussDiagram, sites: Iterable[TriangleSite]) -> GaussDiagram:
-    for s in sites:
-        diagram = apply_forbidden(diagram, s)
-    return diagram
-
-
 # -- alternating sums and expansions ------------------------------------------
 
 
@@ -218,8 +217,8 @@ def f_alt_sum(
     """Alternating sum of ``invariant`` over all toggle patterns of the
     disjoint triangle sites.  Vanishing for every n+1 disjoint triangles is
     the defining property of F-order <= n."""
-    sites = _checked_sites(diagram, sites)
-    return sum(sign * invariant(d) for sign, d in _alternating_terms(diagram, sites, _toggle))
+    events = [s._event() for s in _checked_sites(diagram, sites)]
+    return sum(sign * invariant(d) for sign, d in _alternating_terms(diagram, events))
 
 
 def expand_semivirtual(
@@ -230,7 +229,8 @@ def expand_semivirtual(
     ids = sorted(set(chord_ids))
     for cid in ids:
         diagram.chord(cid)
-    return FormalDiagramSum(tuple(_alternating_terms(diagram, ids, GaussDiagram.delete_chords)))
+    events = [MoveEvent("virtualize", (cid,)) for cid in ids]
+    return FormalDiagramSum(tuple(_alternating_terms(diagram, events)))
 
 
 def expand_semitriple(
@@ -241,38 +241,40 @@ def expand_semitriple(
     marked triangles' signs."""
     sites = _checked_sites(diagram, sites)
     outer = math.prod(s.sign for s in sites)
+    events = [s._event() for s in sites]
     return FormalDiagramSum(
-        tuple((outer * sign, d) for sign, d in _alternating_terms(diagram, sites, _toggle))
+        tuple((outer * sign, d) for sign, d in _alternating_terms(diagram, events))
     )
 
 
 # -- the similarity identity ----------------------------------------------------
 
 
-# How each mode applies a set of family members: GPV virtualizes (deletes)
-# chords, F makes the forbidden move at each triangle site.
-_APPLY = {"GPV": GaussDiagram.delete_chords, "F": _toggle}
-
-
 def _validate_families(
     diagram: GaussDiagram, families: Sequence[Family], mode: str
-) -> list[tuple]:
-    if mode not in _APPLY:
+) -> list[list[MoveEvent]]:
+    """Each family as the move trace that toggles it: one ``virtualize``
+    event per chord in GPV mode, one ``Fo``/``Fu`` event per site in F
+    mode, in chord id or slot order.  Raises when the mode is unknown,
+    the family list is empty, or two families share a chord or a slot."""
+    if mode not in ("GPV", "F"):
         raise FamilyError(f"mode must be 'GPV' or 'F', not {mode!r}")
+    if not families:
+        raise FamilyError("the family list is empty: give at least one family")
     if mode == "F":
-        ordered = [tuple(sorted(fam.members, key=lambda s: s.slot)) for fam in families]
+        ordered = [sorted(fam.members, key=lambda s: s.slot) for fam in families]
         _checked_sites(diagram, itertools.chain(*ordered))
-        return ordered
+        return [[s._event() for s in sites] for sites in ordered]
     ordered = []
     seen: set[int] = set()
     for fam in families:
-        ids = tuple(sorted(fam.members))
+        ids = sorted(fam.members)
         for cid in ids:
             diagram.chord(cid)
             if cid in seen:
                 raise FamilyError(f"chord {cid} appears in two families")
             seen.add(cid)
-        ordered.append(ids)
+        ordered.append([MoveEvent("virtualize", (cid,)) for cid in ids])
     return ordered
 
 
@@ -295,21 +297,17 @@ def lemma3_residual(
     diagram present the same knot.
     """
     ordered = _validate_families(diagram, families, mode)
-    apply = _APPLY[mode]
     v_k = invariant(diagram)
-    full = diagram
-    for members in ordered:
-        full = apply(full, members)
-    v_kp = invariant(full)
+    v_kp = invariant(apply_trace(diagram, [e for members in ordered for e in members]))
 
     total = 0
     for picks in itertools.product(*(range(len(members)) for members in ordered)):
         base = diagram
         marks = []
         for members, pick in zip(ordered, picks):
-            base = apply(base, members[:pick])
+            base = apply_trace(base, members[:pick])
             marks.append(members[pick])
-        total += sum(sign * invariant(d) for sign, d in _alternating_terms(base, marks, apply))
+        total += sum(sign * invariant(d) for sign, d in _alternating_terms(base, marks))
     return v_k - v_kp - total
 
 
@@ -385,14 +383,11 @@ def check_n_trivial(
     the aggregate is True only when every subset is certified.
     """
     ordered = _validate_families(diagram, families, mode)
-    apply = _APPLY[mode]
     verdicts: dict[tuple[int, ...], Verdict] = {}
     aggregate = True
     for r in range(1, len(ordered) + 1):
         for subset in itertools.combinations(range(len(ordered)), r):
-            toggled = diagram
-            for idx in subset:
-                toggled = apply(toggled, ordered[idx])
+            toggled = apply_trace(diagram, [e for idx in subset for e in ordered[idx]])
             verdict = certify_trivial(toggled, budget, cap)
             verdicts[subset] = verdict
             aggregate = aggregate and verdict.certified

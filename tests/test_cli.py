@@ -468,6 +468,10 @@ class TestJsonShape:
              ' [["1", "t"], ["1", "h"]], "signs": {"1": ["+"]}}]}', "sign must be"),
             (["braid", "--bk", "1", "--gens"], '{"A": 5, "B": "s2"}', "field 'A'"),
             (["braid", "--bk", "1", "--gens"], '{"A": "s1 s1", "B": ["s2"]}', "field 'B'"),
+            (["ntrivial", "--code", RIGHT_TREFOIL, "--families"], '{"mode": "GPV"}',
+             "family list is empty"),
+            (["ntrivial", "--code", RIGHT_TREFOIL, "--families"],
+             '{"mode": "GPV", "families": []}', "family list is empty"),
         ],
     )
     def test_wrong_shape_is_exit_1(self, capsys, tmp_path, argv, text, message):

@@ -6,10 +6,17 @@ import random
 
 import pytest
 
-from vknots import forbidden, khovanov
+from vknots import forbidden, khovanov, moves
 from vknots.arrows import gpv_alt_sum, v21, v22
 from vknots.corpus import gpv2_trivial, random_diagram, right_trefoil, virtual_trefoil
-from vknots.diagram import Chord, GaussDiagram, parse_gauss_code, reorder_cells, rotation_key
+from vknots.diagram import (
+    Chord,
+    GaussDiagram,
+    pair_starts,
+    parse_gauss_code,
+    reorder_cells,
+    rotation_key,
+)
 from vknots.forbidden import (
     Family,
     FamilyError,
@@ -107,7 +114,7 @@ class TestTriangles:
             d = random_diagram(rng, rng.randint(0, 8), rng.choice(("closed", "long")))
             # adjacent same-role endpoints of distinct chords, read slot by slot
             expected = []
-            for k in d.adjacent_pairs():
+            for k in pair_starts(d.kind, d.slot_count):
                 (c1, r1), (c2, r2) = d.at(k), d.at(k + 1)
                 if c1.id != c2.id and r1 == r2:
                     expected.append((k, "Fo" if r1 == "t" else "Fu"))
@@ -341,6 +348,12 @@ class TestLemma3:
         with pytest.raises(FamilyError, match="two families"):
             lemma3_residual(v21, LT, [Family((1,)), Family((1, 2))], "GPV")
 
+    @pytest.mark.parametrize("mode", ["GPV", "F"])
+    def test_empty_family_list_rejected(self, mode):
+        # with no families the residual would read -v(K), not 0
+        with pytest.raises(FamilyError, match="family list is empty"):
+            lemma3_residual(v21, LT, [], mode)
+
 
 class TestCertify:
     def test_empty_certified(self):
@@ -481,6 +494,41 @@ class TestNTrivial:
         k = gpv2_trivial()
         with pytest.raises(FamilyError):
             check_n_trivial(k, [Family((1, 2)), Family((2, 3))], "GPV")
+
+    @pytest.mark.parametrize("mode", ["GPV", "F"])
+    def test_empty_family_list_rejected(self, mode):
+        # no subsets would leave a vacuous aggregate True for any knot
+        with pytest.raises(FamilyError, match="family list is empty"):
+            check_n_trivial(right_trefoil(), [], mode)
+
+    def test_gpv_toggles_reach_delete_chords_at_call_time(self, monkeypatch):
+        # a patch of the class after import sees each virtualized chord:
+        # 2 + 2 for the single families, 4 for their union
+        calls = []
+        original = GaussDiagram.delete_chords
+
+        def counted(self, ids):
+            calls.append(tuple(ids))
+            return original(self, ids)
+
+        monkeypatch.setattr(GaussDiagram, "delete_chords", counted)
+        check_n_trivial(gpv2_trivial(), [Family((1, 2)), Family((3, 4))], "GPV", budget=300)
+        assert sorted(calls) == [(1,), (1,), (2,), (2,), (3,), (3,), (4,), (4,)]
+
+    def test_f_toggles_replay_through_apply_move(self, monkeypatch):
+        rng = random.Random(717)
+        d, _, fams = similar_instance(rng, 2)
+        kinds = []
+        original = moves.apply_move
+
+        def counted(diagram, event):
+            kinds.append(event.kind)
+            return original(diagram, event)
+
+        monkeypatch.setattr(moves, "apply_move", counted)
+        check_n_trivial(d, fams, "F", budget=500)
+        # one event per site for each single family, two for their union
+        assert sum(k in ("Fo", "Fu") for k in kinds) == 4
 
 
 class TestTrivializeForbidden:

@@ -11,10 +11,17 @@ the two interleaved two-chord patterns that survive all Reidemeister moves.
 
 Finite-type behaviour under virtualization is tested by
 :func:`gpv_alt_sum`, the alternating sum over deletions of a chosen set of
-chords (GPV-order).  It and the forbidden-move sums of
+chords S (GPV-order).  It and the forbidden-move sums of
 :mod:`vknots.forbidden` take their terms from :func:`_alternating_terms`,
 which replays each subset of toggle events (``virtualize`` here, ``Fo``
-and ``Fu`` there) through ``moves.apply_trace``.
+and ``Fu`` there) through ``moves.apply_trace``.  A pairing needs no
+deletions: by the subdiagram expansion (Goussarov-Polyak-Viro), its
+alternating sum over S is its count of the matchings whose chords contain
+S, which ``pairing(..., containing=S)`` reads off the one chord-subset
+enumeration of :func:`embeddings`, at O(n**(k - |S|)) subsets for a
+pattern of order k.  The CLI's ``gpv-sum`` takes that route;
+:func:`gpv_alt_sum` stays the definition for any invariant and the check
+of the identity.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .diagram import HEAD, TAIL, DiagramError, GaussDiagram, Kind
 from .moves import MoveEvent, apply_trace
@@ -131,19 +138,32 @@ def _match_sequence(
     return assign
 
 
-def embeddings(pattern: ArrowPattern, diagram: GaussDiagram) -> list[Matching]:
-    """All matchings of ``pattern`` into ``diagram``.
+def embeddings(
+    pattern: ArrowPattern, diagram: GaussDiagram, containing: Collection[int] = ()
+) -> list[Matching]:
+    """All matchings of ``pattern`` into ``diagram`` whose chords include
+    every chord id in ``containing``.
 
     One matching per chord subset: closed-kind matching is up to rotation of
     the based circle, and a rotation-symmetric pattern still counts a
     matched subset once (the subdiagram expansion counts subdiagrams, not
-    symmetries).
+    symmetries).  Only the subsets that contain ``containing`` are read, in
+    the order the full enumeration meets them; more chords than the
+    pattern's order leave none.
     """
     if pattern.kind != diagram.kind:
         raise ArrowError(f"pattern kind {pattern.kind!r} != diagram kind {diagram.kind!r}")
     k = pattern.order
+    subsets: Iterable[tuple[int, ...]] = itertools.combinations(diagram.chord_ids(), k)
+    if containing:
+        fixed = tuple(sorted(set(containing)))
+        for cid in fixed:
+            diagram.chord(cid)
+        rest = [cid for cid in diagram.chord_ids() if cid not in fixed]
+        extras = itertools.combinations(rest, k - len(fixed)) if len(fixed) <= k else ()
+        subsets = (fixed + extra for extra in extras)
     out = []
-    for subset in itertools.combinations(diagram.chord_ids(), k):
+    for subset in subsets:
         seq = _subdiagram_sequence(diagram, subset)
         rotations = range(1) if diagram.kind == "long" else range(max(2 * k, 1))
         for r in rotations:
@@ -174,12 +194,19 @@ def matching_weight(
     return w
 
 
-def pairing(poly: ArrowPolynomial | ArrowPattern, diagram: GaussDiagram) -> int:
+def pairing(
+    poly: ArrowPolynomial | ArrowPattern,
+    diagram: GaussDiagram,
+    containing: Collection[int] = (),
+) -> int:
     """Evaluate an arrow polynomial against a diagram.
 
     A free-signed pattern stands for its sum over sign assignments weighted
     by the product of the signs, so each matching contributes the sign
     product of its free-labelled chords; sign-fixed labels contribute 1.
+    With ``containing`` only the matchings whose chords include those ids
+    count: that is the alternating sum over their deletions
+    (:func:`gpv_alt_sum` of the pairing), by the subdiagram expansion.
     """
     if isinstance(poly, ArrowPattern):
         poly = ArrowPolynomial(((1, poly),))
@@ -187,7 +214,7 @@ def pairing(poly: ArrowPolynomial | ArrowPattern, diagram: GaussDiagram) -> int:
         raise ArrowError(f"polynomial kind {poly.kind!r} != diagram kind {diagram.kind!r}")
     total = 0
     for coeff, pattern in poly.terms:
-        for m in embeddings(pattern, diagram):
+        for m in embeddings(pattern, diagram, containing=containing):
             total += coeff * matching_weight(pattern, diagram, m)
     return total
 
@@ -224,18 +251,22 @@ V22_PATTERN = ArrowPattern(
 )
 
 
-def v21(diagram: GaussDiagram) -> int:
-    """Degree-2 invariant of long virtual knots (interleaved pattern t1 h2 h1 t2)."""
+def v21(diagram: GaussDiagram, containing: Collection[int] = ()) -> int:
+    """Degree-2 invariant of long virtual knots (interleaved pattern t1 h2 h1 t2).
+
+    With ``containing``, its alternating sum over the deletions of those
+    chords (see :func:`pairing`)."""
     if diagram.kind != "long":
         raise DiagramError("v21 is defined for long diagrams")
-    return pairing(V21_PATTERN, diagram)
+    return pairing(V21_PATTERN, diagram, containing)
 
 
-def v22(diagram: GaussDiagram) -> int:
-    """Companion degree-2 invariant (interleaved pattern h1 t2 t1 h2)."""
+def v22(diagram: GaussDiagram, containing: Collection[int] = ()) -> int:
+    """Companion degree-2 invariant (interleaved pattern h1 t2 t1 h2); takes
+    ``containing`` as :func:`v21` does."""
     if diagram.kind != "long":
         raise DiagramError("v22 is defined for long diagrams")
-    return pairing(V22_PATTERN, diagram)
+    return pairing(V22_PATTERN, diagram, containing)
 
 
 # -- alternating subset sums ----------------------------------------------------

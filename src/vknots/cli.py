@@ -110,15 +110,21 @@ def _load_diagrams(args) -> list[GaussDiagram]:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return read_diagram_file(text, args.kind)
+    diagrams = read_diagram_file(text, args.kind)
+    if not diagrams:
+        raise ParseError("no diagrams in input")
+    return diagrams
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def _check_subset_cap(command: str, what: str, count: int, cap: int) -> None:
-    """An alternating sum over ``count`` members evaluates its invariant
-    2**count times per diagram; refuse more members than the cap first."""
+    """Refuse an alternating sum over more than ``cap`` members before any
+    evaluation.  ``f-sum`` evaluates its invariant 2**count times per
+    diagram and ``ntrivial`` certifies 2**count - 1 subsets; ``gpv-sum``
+    counts the arrow matches that contain its chords in one pairing, and
+    keeps the same cap so its exit codes stay those of the 2**count sum."""
     if count > cap:
         raise CapExceeded(f"{command} capped at {cap} {what}, got {count}")
 
@@ -194,10 +200,16 @@ def cmd_kh(args) -> int:
 
 def cmd_gpv_sum(args) -> int:
     fn = INVARIANTS[args.invariant]
-    _check_subset_cap("gpv-sum", "chords", len(set(args.chords)), args.cap_chords)
+    chords = sorted(set(args.chords))
+    _check_subset_cap("gpv-sum", "chords", len(chords), args.cap_chords)
     values = []
     for d in _load_diagrams(args):
-        values.append(gpv_alt_sum(fn, d, args.chords))
+        # checked before the invariant refuses a closed diagram, in the order
+        # gpv_alt_sum checks them; v21/v22 then count the matches containing
+        # them, which is their alternating sum over the deletions
+        for cid in chords:
+            d.chord(cid)
+        values.append(fn(d, containing=chords))
     _emit({"invariant": args.invariant, "values": values}, args.format)
     return OK
 

@@ -256,7 +256,8 @@ def _validate_families(
     """Each family as the move trace that toggles it: one ``virtualize``
     event per chord in GPV mode, one ``Fo``/``Fu`` event per site in F
     mode, in chord id or slot order.  Raises when the mode is unknown,
-    the family list is empty, or two families share a chord or a slot."""
+    the family list is empty, one family lists a chord twice, or two
+    families share a chord or a slot."""
     if mode not in ("GPV", "F"):
         raise FamilyError(f"mode must be 'GPV' or 'F', not {mode!r}")
     if not families:
@@ -269,6 +270,9 @@ def _validate_families(
     seen: set[int] = set()
     for fam in families:
         ids = sorted(fam.members)
+        for cid, nxt in zip(ids, ids[1:]):
+            if cid == nxt:
+                raise FamilyError(f"chord {cid} is listed twice in family {list(fam.members)}")
         for cid in ids:
             diagram.chord(cid)
             if cid in seen:

@@ -26,7 +26,7 @@ from vknots.corpus import (
     right_trefoil,
     virtual_trefoil,
 )
-from vknots.diagram import GaussDiagram, cut, concat_long, parse_gauss_code, reclose
+from vknots.diagram import DiagramError, GaussDiagram, cut, concat_long, parse_gauss_code, reclose
 
 LT = right_trefoil("long")
 TTHH = ArrowPattern("long", (("1", "t"), ("2", "t"), ("1", "h"), ("2", "h")))
@@ -158,6 +158,40 @@ class TestEmbeddings:
             d = random_diagram(rng, rng.randint(0, 4), "closed")
             for p in patterns:
                 assert len(embeddings(p, d)) == oracle_count(p, d), (p, d.code())
+
+    def test_containing_nothing_is_the_full_enumeration(self):
+        rng = random.Random(4141)
+        for _ in range(30):
+            d = random_diagram(rng, rng.randint(0, 7), "long")
+            for p in (TTHH, V21_PATTERN, V22_PATTERN):
+                full = embeddings(p, d)
+                assert len(full) == oracle_count(p, d)
+                assert embeddings(p, d, containing=()) == full
+                assert embeddings(p, d, containing=[]) == full
+
+    @pytest.mark.parametrize("kind", ["long", "closed"])
+    def test_containing_keeps_the_matches_through_those_chords(self, kind):
+        # the same matchings, in the same order, as filtering the full list
+        rng = random.Random(4242)
+        patterns = [ArrowPattern(kind, p.endpoints) for p in (TTHH, V21_PATTERN)]
+        patterns.append(ArrowPattern(kind, (("1", "t"), ("1", "h"))))
+        for _ in range(40):
+            d = random_diagram(rng, rng.randint(1, 8), kind)
+            for p in patterns:
+                full = embeddings(p, d)
+                for size in range(4):
+                    chosen = rng.sample(d.chord_ids(), min(size, d.n))
+                    want = [m for m in full if set(chosen) <= set(m.as_dict().values())]
+                    assert embeddings(p, d, containing=chosen) == want, (p, d.code(), chosen)
+
+    def test_containing_more_than_the_order_gives_none(self):
+        d = random_diagram(random.Random(43), 6, "long")
+        assert embeddings(V21_PATTERN, d, containing=(1, 2, 3)) == []
+        assert pairing(V21_PATTERN, d, containing=(1, 2, 3)) == 0
+
+    def test_containing_an_unknown_chord(self):
+        with pytest.raises(DiagramError, match="unknown chord id 9"):
+            embeddings(V21_PATTERN, LT, containing=(1, 9))
 
 
 class TestPairing:
@@ -298,6 +332,19 @@ class TestGpvAltSum:
                     assert gpv_alt_sum(fn, d, chosen) == want, (d, chosen)
                     cases += 1
         assert cases == 960
+
+    @pytest.mark.parametrize("kind", ["long", "closed"])
+    def test_pairing_containing_is_the_alternating_sum(self, kind):
+        # the subdiagram expansion, for a polynomial of either kind
+        poly = ArrowPolynomial(
+            ((3, ArrowPattern(kind, TTHH.endpoints)), (-2, ArrowPattern(kind, V21_PATTERN.endpoints)))
+        )
+        rng = random.Random(4343)
+        for _ in range(40):
+            d = random_diagram(rng, rng.randint(0, 7), kind)
+            chosen = rng.sample(d.chord_ids(), rng.randint(0, min(3, d.n)))
+            want = gpv_alt_sum(lambda e: pairing(poly, e), d, chosen)
+            assert pairing(poly, d, containing=chosen) == want, (d.code(), chosen)
 
     def test_user_polynomial_degree_bound(self):
         # a degree-2 pattern is killed by any 3 deletions

@@ -1,12 +1,14 @@
 import json
+import random
 
 import jsonschema
 import pytest
 
 from vknots import cli, forbidden, schemas
 from vknots.cli import main
-from vknots.corpus import GPV2_TRIVIAL, RIGHT_TREFOIL, VIRTUAL_TREFOIL
-from vknots.diagram import parse_gauss_code
+from vknots.arrows import gpv_alt_sum, v21, v22
+from vknots.corpus import GPV2_TRIVIAL, RIGHT_TREFOIL, VIRTUAL_TREFOIL, random_diagram
+from vknots.diagram import GaussDiagram, parse_gauss_code
 from vknots.khovanov import MAX_CAP_CHORDS
 from vknots.moves import apply_move, enumerate_moves, simplify
 
@@ -159,16 +161,72 @@ class TestSums:
         jsonschema.validate(report, schemas.SUM_REPORT)
 
 
+class TestGpvSumCounts:
+    """gpv-sum counts the arrow matches that contain the chosen chords: the
+    values, errors and exit codes of the alternating sum over deletions."""
+
+    def test_equals_the_alternating_sum(self, capsys):
+        rng = random.Random(2020)
+        for n in range(61):
+            # the code renumbers the chords, so the ids are read from its parse
+            d = parse_gauss_code(random_diagram(rng, n, "long").code(), "long")
+            name, fn = (("v21", v21), ("v22", v22))[n % 2]
+            size = min(n % 5, n)
+            chosen = rng.sample(d.chord_ids(), size)
+            listed = chosen + chosen[:1]  # a repeated chord counts once
+            code, (report,) = run_json(capsys, "gpv-sum", "--code", d.code(), "--kind", "long",
+                                       "--invariant", name, "--chords", ",".join(map(str, listed)))
+            assert code == 0 and report["values"] == [gpv_alt_sum(fn, d, chosen)], (d.code(), chosen)
+
+    def test_deletes_no_chord(self, capsys, monkeypatch):
+        calls = []
+        delete = GaussDiagram.delete_chords
+
+        def counting(self, ids):
+            calls.append(ids)
+            return delete(self, ids)
+
+        monkeypatch.setattr(GaussDiagram, "delete_chords", counting)
+        d = parse_gauss_code(random_diagram(random.Random(60), 60, "long").code(), "long")
+        code, (report,) = run_json(capsys, "gpv-sum", "--code", d.code(), "--kind", "long",
+                                   "--chords", "7,41")
+        assert code == 0 and calls == []
+        monkeypatch.setattr(GaussDiagram, "delete_chords", delete)
+        assert report["values"] == [gpv_alt_sum(v21, d, [7, 41])]
+
+    @pytest.mark.parametrize(
+        "kind, chords, err",
+        [
+            # the first unknown id in sorted order is named, before the kind
+            ("long", "9,7,1", "error: unknown chord id 7\n"),
+            ("closed", "9,7,1", "error: unknown chord id 7\n"),
+            ("closed", "1,2", "error: v21 is defined for long diagrams\n"),
+            ("closed", "", "error: v21 is defined for long diagrams\n"),
+        ],
+    )
+    def test_errors(self, capsys, kind, chords, err):
+        code = main(["gpv-sum", "--code", RIGHT_TREFOIL, "--kind", kind, "--chords", chords])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and captured.err == err
+
+    def test_error_on_a_later_diagram_prints_no_values(self, capsys, tmp_path):
+        path = tmp_path / "codes.txt"
+        path.write_text(f"{RIGHT_TREFOIL}\nO1+ U1+\n")
+        code = main(["gpv-sum", "--input", str(path), "--kind", "long", "--chords", "1,3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and captured.err == "error: unknown chord id 3\n"
+
+
 class TestSumCaps:
-    """gpv-sum and f-sum evaluate the invariant 2**|S| times per diagram;
-    more chords or sites than --cap-chords are refused before the first
-    evaluation."""
+    """f-sum evaluates the invariant 2**|S| times per diagram and gpv-sum
+    once, on the matches that contain the chords; more chords or sites than
+    --cap-chords are refused before the first evaluation."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counter = []
 
-        def counting(d):
+        def counting(d, containing=()):
             counter.append(d)
             return 0
 
@@ -182,7 +240,7 @@ class TestSumCaps:
         assert code == 2 and captured.out == "" and calls == []
         assert "gpv-sum capped at 2 chords, got 3" in captured.err
         code, (report,) = run_json(capsys, *argv, "--cap-chords", "3")
-        assert code == 0 and report["values"] == [0] and len(calls) == 8
+        assert code == 0 and report["values"] == [0] and len(calls) == 1
 
     def test_f_sum(self, capsys, tmp_path, calls):
         path = tmp_path / "fam.json"
@@ -392,6 +450,25 @@ class TestBudgetFlag:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert f"unrecognized arguments: --cap-chords {cap}" in captured.err
+
+
+class TestEmptyInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ntrivial", "--families", "FAMILIES"],
+            ["gpv-sum", "--kind", "long", "--chords", "1"],
+        ],
+    )
+    def test_is_exit_1(self, capsys, tmp_path, argv):
+        (tmp_path / "fams.json").write_text('{"mode": "GPV", "families": [[1]]}')
+        path = tmp_path / "empty.txt"
+        path.write_text("# no codes\n\n")
+        argv = [str(tmp_path / "fams.json") if a == "FAMILIES" else a for a in argv]
+        code = main(argv + ["--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: no diagrams in input\n"
 
 
 class TestUsageErrors:

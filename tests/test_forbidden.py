@@ -495,6 +495,20 @@ class TestNTrivial:
         with pytest.raises(FamilyError):
             check_n_trivial(k, [Family((1, 2)), Family((2, 3))], "GPV")
 
+    @pytest.mark.parametrize(
+        "listed, message",
+        [
+            ([[1, 1]], "chord 1 is listed twice in family [1, 1]"),
+            ([[3], [2, 1, 2]], "chord 2 is listed twice in family [2, 1, 2]"),
+            ([[1, 2], [2, 3]], "chord 2 appears in two families"),
+        ],
+    )
+    def test_repeated_chord_named_where_it_repeats(self, listed, message):
+        _, families = load_families(json.dumps({"mode": "GPV", "families": listed}))
+        with pytest.raises(FamilyError) as exc:
+            check_n_trivial(gpv2_trivial(), families, "GPV")
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("mode", ["GPV", "F"])
     def test_empty_family_list_rejected(self, mode):
         # no subsets would leave a vacuous aggregate True for any knot

@@ -7,6 +7,7 @@ Submodules:
 - :mod:`vknots.arrows`   arrow-diagram pairing, v21/v22, GPV-order sums
 - :mod:`vknots.forbidden` forbidden moves, F-order sums, n-triviality
 - :mod:`vknots.khovanov` bracket, unnormalized Jones, Z2 Khovanov homology
+                         from one walk of the states, Lemma 5 certificates
 - :mod:`vknots.braids`   4-strand braid words, commutator family, closures
 - :mod:`vknots.cli`      command-line interface
 """
@@ -53,17 +54,12 @@ from .forbidden import (
     trivialize_forbidden,
 )
 from .khovanov import (
-    CircleSet,
-    EnhancedState,
     GradedDims,
     bracket,
-    differential,
     distinguish_from_unknot,
-    gradings,
     homology,
     jones_hat,
     lemma5_check,
-    trace_circles,
     writhe,
 )
 from .braids import (

@@ -70,7 +70,8 @@ class ArrowPattern:
         for label, s in signs.items():
             if label not in seen:
                 raise ArrowError(f"sign constraint for unknown label {label}")
-            if isinstance(s, bool) or s not in (1, -1, FREE):
+            # type(s) is int refuses True and 1.0, which compare equal to 1
+            if s != FREE and (type(s) is not int or s not in (1, -1)):
                 raise ArrowError(f"label {label}: sign must be +1, -1 or 'free'")
         for label in seen:
             signs.setdefault(label, FREE)

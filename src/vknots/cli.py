@@ -306,7 +306,7 @@ def cmd_braid(args) -> int:
         _emit({"rows": rows}, args.format)
         skipped = sum(1 for r in rows if r["skipped"])
         return _report_skipped("braid --scan", args.cap_chords, skipped, len(rows), "rows")
-    if args.bk:
+    if args.bk is not None:
         letters = _family_counts(args.bk, gens)[0]
         if letters > MAX_BK_LETTERS:
             raise CapExceeded(

@@ -126,10 +126,6 @@ class GaussDiagram:
             raise DiagramError(f"slot {slot}: the empty diagram has no slots") from None
         return self.chords[idx], role
 
-    def other_end(self, slot: int) -> int:
-        chord, _ = self.at(slot)
-        return chord.other(slot % len(self._slots))
-
     # -- equality up to id relabeling --------------------------------------
 
     def _eq_key(self) -> tuple:

@@ -33,9 +33,11 @@ Differential
     circle keeps its arcs, and circles are listed in order of their
     smallest arc, so the map from untouched old circles to new ones is
     monotone: a label mask moves by deleting the bits of the old circles
-    and inserting the bits of the new ones.  ``homology`` and
-    ``differential`` both go through :meth:`_StateSpace.switches` and
-    :func:`_switch_images`.
+    and inserting the bits of the new ones.  The differential has one
+    implementation, and it is never applied to a single enhanced state:
+    ``homology`` reads each switch from :meth:`_StateSpace.switches` and
+    each label map from :func:`_switch_images`, through
+    :func:`_x_columns`.
 
 Reduced complex
     Circle 0 is the circle through arc 0 in every state, since circles are
@@ -127,10 +129,9 @@ State space
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .diagram import Chord, DiagramError, GaussDiagram
 from .gf2 import gf2_rank
@@ -146,39 +147,6 @@ StateVec = tuple[int, ...]
 
 class CapExceeded(DiagramError):
     """Raised when a diagram is larger than the configured chord cap."""
-
-
-@dataclass(frozen=True)
-class CircleSet:
-    """Partition of the 2n boundary arcs into state circles.
-
-    Circles are tuples of arc indices, sorted, and listed in increasing
-    order of their smallest arc; a chord-free diagram has one empty circle.
-    """
-
-    circles: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.circles)
-
-
-@dataclass(frozen=True)
-class EnhancedState:
-    """Markers per chord (in chord-id order) plus a label per circle.
-
-    Labels follow the circle order of :func:`trace_circles` and are the
-    strings ``"1"`` and ``"x"``.
-    """
-
-    markers: StateVec
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if any(m not in (1, -1) for m in self.markers):
-            raise DiagramError("markers must be +1 or -1")
-        if any(l not in ("1", "x") for l in self.labels):
-            raise DiagramError("labels must be '1' or 'x'")
 
 
 @dataclass(frozen=True)
@@ -427,39 +395,6 @@ def _space(diagram: GaussDiagram) -> _StateSpace:
 # -- public operations -----------------------------------------------------------
 
 
-def trace_circles(diagram: GaussDiagram, markers: StateVec) -> CircleSet:
-    """Circles of the diagram smoothed along ``markers`` (one per chord,
-    in chord-id order)."""
-    sp = _space(diagram)
-    return CircleSet(sp.circles(sp.mask_of(tuple(markers))))
-
-
-def gradings(diagram: GaussDiagram, state: EnhancedState) -> tuple[int, int, int, int]:
-    """(sigma, tau, i, j) of an enhanced state."""
-    sp = _space(diagram)
-    mask = sp.mask_of(state.markers)
-    circles = sp.circles(mask)
-    if len(state.labels) != len(circles):
-        raise DiagramError(
-            f"state has {len(circles)} circles but {len(state.labels)} labels"
-        )
-    sigma = sp.n - 2 * mask.bit_count()
-    tau = sum(1 if l == "1" else -1 for l in state.labels)
-    i = sp.homological_i(mask)
-    j = sp.w + i + tau
-    return sigma, tau, i, j
-
-
-def enhanced_states(diagram: GaussDiagram) -> Iterable[EnhancedState]:
-    """All enhanced states, in (state bitmask, lexicographic labels) order."""
-    sp = _space(diagram)
-    for mask in range(1 << sp.n):
-        markers = sp.markers_of(mask)
-        k = len(sp.circles(mask))
-        for labels in itertools.product("1x", repeat=k):
-            yield EnhancedState(markers, labels)
-
-
 def _census_bracket(n: int, census: dict[tuple[int, int], int]) -> LaurentPoly:
     """The bracket summed over the census of n chords: a state with b negative
     markers has sigma = n - 2b, and (-A^2 - A^-2)**s = (-1)**s * sum_k
@@ -508,18 +443,6 @@ def jones_from_bracket(br: LaurentPoly, w: int) -> LaurentPoly:
     return LaurentPoly(acc)
 
 
-def _label_mask(labels: tuple[str, ...]) -> int:
-    mask = 0
-    for idx, l in enumerate(labels):
-        if l == "x":
-            mask |= 1 << idx
-    return mask
-
-
-def _mask_labels(mask: int, count: int) -> tuple[str, ...]:
-    return tuple("x" if (mask >> idx) & 1 else "1" for idx in range(count))
-
-
 def _drop_bit(mask: int, pos: int) -> int:
     """``mask`` with bit ``pos`` removed and the higher bits shifted down."""
     return (mask & ((1 << pos) - 1)) | ((mask >> (pos + 1)) << pos)
@@ -551,29 +474,6 @@ def _switch_images(sw: tuple[str, int, int, int], lam: int) -> list[int]:
         _insert_bit(_insert_bit(base, b, 1), c, 0),
         _insert_bit(_insert_bit(base, b, 0), c, 1),
     ]
-
-
-def differential(diagram: GaussDiagram, state: EnhancedState) -> list[EnhancedState]:
-    """Images of one enhanced state under the Z2 differential, one per
-    surviving positive-marker switch.  Every image T has i(T) = i(S) + 1
-    and j(T) = j(S)."""
-    sp = _space(diagram)
-    mask = sp.mask_of(state.markers)
-    near = [mask] + [mask | bit for bit, _, _ in sp._tails if not mask & bit]
-    traced = {m: sp._trace(m) for m in near}
-    arcs = {m: arc_circle for m, (_, arc_circle) in traced.items()}
-    sizes = {m: len(circles) for m, (circles, _) in traced.items()}
-    if len(state.labels) != sizes[mask]:
-        raise DiagramError("label count does not match the state's circles")
-    lam = _label_mask(state.labels)
-    out = []
-    for new_mask, split, a, b, c in sp.switches(mask, arcs, sizes):
-        sw = ("split" if split else "merge", a, b, c)
-        for lam2 in _switch_images(sw, lam):
-            out.append(
-                EnhancedState(sp.markers_of(new_mask), _mask_labels(lam2, sizes[new_mask]))
-            )
-    return out
 
 
 def _label_planes(size: int) -> list[int]:

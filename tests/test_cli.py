@@ -549,6 +549,9 @@ class TestJsonShape:
              "family list is empty"),
             (["ntrivial", "--code", RIGHT_TREFOIL, "--families"],
              '{"mode": "GPV", "families": []}', "family list is empty"),
+            (["eval", "--code", RIGHT_TREFOIL, "--kind", "long", "--arrow-poly"],
+             '{"kind": "long", "terms": [{"coeff": 1, "endpoints":'
+             ' [["1", "t"], ["1", "h"]], "signs": {"1": 1.0}}]}', "sign must be"),
         ],
     )
     def test_wrong_shape_is_exit_1(self, capsys, tmp_path, argv, text, message):
@@ -610,6 +613,19 @@ class TestBraid:
     def test_bk(self, capsys):
         code, (report,) = run_json(capsys, "braid", "--bk", "2")
         assert code == 0 and report["chords"] == 8
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            # --bk 0 is passed, so the family's own index check answers
+            (["--bk", "0"], "error: the braid family is indexed from 1\n"),
+            ([], "error: braid: pass --word, --bk or --scan\n"),
+        ],
+    )
+    def test_bad_bk_is_exit_1(self, capsys, argv, err):
+        code = main(["braid", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", err)
 
     def test_scan_with_skips(self, capsys):
         code, (report,) = run_json(capsys, "braid", "--scan", "1:3")

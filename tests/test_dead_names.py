@@ -4,6 +4,9 @@ A name counts as read when some module in ``src/``, ``tests/`` or
 ``bench/`` loads it (as a name, an attribute or an import) or spells it
 as a whole string constant (``bench/spans.py`` wraps functions by name);
 its own definition does not count.
+
+A name that only the tests read is listed in ``TEST_ONLY`` with the
+reason it stays: an oracle, a paper operation, or a report schema.
 """
 
 import ast
@@ -12,6 +15,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vknots"
 ALLOWED = {"__version__"}
+
+# Names that no ``bench/`` module and no package module but ``__init__``
+# reads, with the reason each may stay.
+TEST_ONLY = {
+    "arrows.subdiagram_expand": "oracle: the 2**n subdiagram expansion the pairing avoids",
+    "braids.free_reduce": "paper operation: free reduction of a braid word",
+    "corpus.figure_eight": "oracle: a named knot whose invariant values the tests pin",
+    "corpus.gpv2_trivial": "oracle: the 2-family virtualization-trivial example",
+    "corpus.left_trefoil": "oracle: a named knot whose invariant values the tests pin",
+    "corpus.right_trefoil": "oracle: a named knot whose invariant values the tests pin",
+    "corpus.unknot": "oracle: the trivial diagram every invariant is normalized on",
+    "corpus.virtual_trefoil": "oracle: a named virtual knot whose invariant values the tests pin",
+    "diagram.concat_long": "paper operation: connected sum of long diagrams",
+    "diagram.cut": "paper operation: cutting a closed diagram to a long one",
+    "forbidden.apply_forbidden": "paper operation: one forbidden move at a site",
+    "forbidden.expand_semitriple": "paper operation: a semi-triple point as a formal sum of diagrams",
+    "forbidden.lemma3_residual": "oracle: the Lemma 3 similarity identity",
+    "khovanov.lemma5_check": "oracle: the Lemma 5 certificate on one state, against lemma5_scan",
+    "khovanov.lemma5_gradings": "oracle: the (i, j) of one Lemma 5 state, against lemma5_scan",
+    "moves.inverse_event": "paper operation: the move undoing a generalized Reidemeister move",
+    "schemas.BRAID_REPORT": "report schema of braid, validated by the CLI tests",
+    "schemas.LEMMA5_REPORT": "report schema of lemma5, validated by the CLI tests",
+}
 
 
 def defined_names(tree: ast.Module) -> set[str]:
@@ -40,6 +66,33 @@ def read_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
     return names
+
+
+def library_only_dead() -> list[str]:
+    """Package names read by no ``bench/`` module and by no package module
+    but ``__init__``; a definition that reads its own name does not count."""
+    read: set[str] = set()
+    for path in (ROOT / "bench").rglob("*.py"):
+        read |= read_names(ast.parse(path.read_text(encoding="utf-8")))
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = defined_names(ast.Module(body=[node], type_ignores=[]))
+            read |= read_names(node) - own
+    out = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        out += [f"{path.stem}.{name}" for name in sorted(defined_names(tree) - read - ALLOWED)]
+    return out
+
+
+def test_every_test_only_name_is_listed():
+    assert sorted(set(library_only_dead()) - TEST_ONLY.keys()) == []
+
+
+def test_every_listed_test_only_name_is_test_only():
+    # an entry whose name is gone, or that the library now reads, is stale
+    assert sorted(TEST_ONLY.keys() - set(library_only_dead())) == []
 
 
 def test_no_module_level_name_is_dead():

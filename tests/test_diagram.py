@@ -111,8 +111,6 @@ class TestStructure:
         d = GaussDiagram("closed", ())
         with pytest.raises(DiagramError, match="no slots"):
             d.at(0)
-        with pytest.raises(DiagramError, match="no slots"):
-            d.other_end(0)
 
     def test_relabelled_copies_equal_and_hash_alike(self, rng):
         for n in range(1, 8):

@@ -21,12 +21,8 @@ from vknots.diagram import Chord, GaussDiagram, parse_gauss_code, reclose
 from vknots.gf2 import gf2_rank
 from vknots.khovanov import (
     CapExceeded,
-    EnhancedState,
     bracket,
-    differential,
     distinguish_from_unknot,
-    enhanced_states,
-    gradings,
     homology,
     jones_from_bracket,
     jones_hat,
@@ -35,7 +31,6 @@ from vknots.khovanov import (
     lemma5_scan,
     _space,
     _switch_images,
-    trace_circles,
     writhe,
 )
 from vknots.laurent import LaurentPoly
@@ -86,21 +81,24 @@ def oracle_circle_count(diagram: GaussDiagram, markers) -> int:
 
 class TestTraceCircles:
     def test_empty_diagram_one_circle(self):
-        assert trace_circles(unknot(), ()).count == 1
+        sp = _space(unknot())
+        assert len(sp.circles(sp.mask_of(()))) == 1
 
     def test_trefoil_oriented_state(self):
         # all-positive markers on the positive trefoil = Seifert smoothing
-        assert trace_circles(TREFOIL, (1, 1, 1)).count == 2
+        sp = _space(TREFOIL)
+        assert len(sp.circles(sp.mask_of((1, 1, 1)))) == 2
 
     def test_virtual_trefoil_all_positive(self):
-        assert trace_circles(VT, (1, 1)).count == 1
+        sp = _space(VT)
+        assert len(sp.circles(sp.mask_of((1, 1)))) == 1
 
     def test_partition_covers_arcs_once(self, rng):
         for _ in range(30):
             d = random_diagram(rng, rng.randint(1, 7), "closed")
             markers = tuple(rng.choice((1, -1)) for _ in range(d.n))
-            cs = trace_circles(d, markers)
-            arcs = sorted(a for circle in cs.circles for a in circle)
+            sp = _space(d)
+            arcs = sorted(a for circle in sp.circles(sp.mask_of(markers)) for a in circle)
             assert arcs == list(range(d.slot_count))
 
     def test_against_networkx_oracle(self):
@@ -108,7 +106,8 @@ class TestTraceCircles:
         for _ in range(150):
             d = random_diagram(rng, rng.randint(0, 7), "closed")
             markers = tuple(rng.choice((1, -1)) for _ in range(d.n))
-            assert trace_circles(d, markers).count == oracle_circle_count(d, markers)
+            sp = _space(d)
+            assert len(sp.circles(sp.mask_of(markers))) == oracle_circle_count(d, markers)
             # an equal copy with reversed chord ids lists the same markers in
             # reverse; right after d, it must not reuse d's chord order
             ids = d.chord_ids()
@@ -118,33 +117,12 @@ class TestTraceCircles:
             )
             assert copy == d
             flipped = markers[::-1]
-            assert trace_circles(copy, flipped).count == oracle_circle_count(copy, flipped)
+            sp = _space(copy)
+            assert len(sp.circles(sp.mask_of(flipped))) == oracle_circle_count(copy, flipped)
 
     def test_marker_length_mismatch(self):
         with pytest.raises(Exception, match="markers"):
-            trace_circles(TREFOIL, (1, 1))
-
-
-class TestGradings:
-    def test_empty_diagram_label_one(self):
-        s = EnhancedState((), ("1",))
-        assert gradings(unknot(), s) == (0, 1, 0, 1)
-
-    def test_trefoil_all_positive(self):
-        cs = trace_circles(TREFOIL, (1, 1, 1))
-        s = EnhancedState((1, 1, 1), tuple("1" for _ in range(cs.count)))
-        sigma, tau, i, j = gradings(TREFOIL, s)
-        assert (sigma, i) == (3, 0)
-
-    def test_trefoil_all_negative_all_x(self):
-        cs = trace_circles(TREFOIL, (-1, -1, -1))
-        s = EnhancedState((-1, -1, -1), tuple("x" for _ in range(cs.count)))
-        sigma, tau, i, j = gradings(TREFOIL, s)
-        assert i == 3 and j == 3 + 3 + tau and tau == -cs.count
-
-    def test_label_count_checked(self):
-        with pytest.raises(Exception, match="labels"):
-            gradings(TREFOIL, EnhancedState((1, 1, 1), ("1",)))
+            _space(TREFOIL).mask_of((1, 1))
 
 
 class TestBracket:
@@ -213,12 +191,19 @@ class TestJonesHat:
         assert len(seen) == 4
 
     def test_equals_chain_euler(self, rng):
+        # sum over every enhanced state (mask, label mask lam), with
+        # bit k of lam labelling circle k by x: (-1)**i * q**j, where
+        # j = w + i + #(1 labels) - #(x labels)
         for _ in range(10):
             d = random_diagram(rng, rng.randint(0, 6), "closed")
+            sp = _space(d)
             acc = {}
-            for s in enhanced_states(d):
-                _, _, i, j = gradings(d, s)
-                acc[j] = acc.get(j, 0) + (-1) ** i
+            for mask in range(1 << sp.n):
+                size = len(sp.circles(mask))
+                i = sp.homological_i(mask)
+                for lam in range(1 << size):
+                    j = sp.w + i + size - 2 * lam.bit_count()
+                    acc[j] = acc.get(j, 0) + (-1) ** i
             assert jones_hat(d) == LaurentPoly(acc)
 
     def test_full_r_move_invariance(self):
@@ -566,60 +551,6 @@ class TestReduceForStateSums:
         assert beyond >= 10
 
 
-class TestDifferential:
-    def test_merge_of_two_x_circles_dies(self):
-        # R2-style diagram where switching chord 1 merges two circles
-        d = parse_gauss_code("O1+ O2- U1+ U2-", "closed")
-        for s in enhanced_states(d):
-            if s.markers != (1, 1):
-                continue
-            outs = differential(d, s)
-            for t in outs:
-                _, _, i, j = gradings(d, t)
-                _, _, i0, j0 = gradings(d, s)
-                assert (i, j) == (i0 + 1, j0)
-
-    def test_split_of_label_one_gives_two(self):
-        d = parse_gauss_code("O1+ U1+", "closed")  # kink: + marker state has 2 circles
-        # state with the negative marker has 1 circle; switching from the
-        # positive state merges or splits depending on direction
-        s = EnhancedState((1,), ("1", "1"))
-        outs = differential(d, s)
-        assert len(outs) == 1  # merge of (1,1) -> 1
-
-        d2 = parse_gauss_code("O1- U1-", "closed")  # negative kink: + marker is 1 circle
-        s2 = EnhancedState((1,), ("1",))
-        outs2 = differential(d2, s2)
-        assert len(outs2) == 2  # split of 1 -> 1x + x1
-        assert sorted(t.labels for t in outs2) == [("1", "x"), ("x", "1")]
-        s3 = EnhancedState((1,), ("x",))
-        outs3 = differential(d2, s3)
-        assert [t.labels for t in outs3] == [("x", "x")]
-
-    def test_xx_merge_emits_nothing(self):
-        d = parse_gauss_code("O1+ U1+", "closed")
-        assert differential(d, EnhancedState((1,), ("x", "x"))) == []
-
-    def test_virtual_trefoil_has_zero_map_switch(self):
-        # some positive-marker switch preserves the circle count
-        found_zero = False
-        for s in enhanced_states(VT):
-            outs = differential(VT, s)
-            pos = sum(1 for mu in s.markers if mu > 0)
-            if pos and len(outs) < pos * 1:  # fewer images than switches
-                found_zero = True
-        assert found_zero
-
-    def test_images_raise_i_preserve_j(self, rng):
-        for _ in range(10):
-            d = random_diagram(rng, rng.randint(1, 5), "closed")
-            for s in enhanced_states(d):
-                _, _, i0, j0 = gradings(d, s)
-                for t in differential(d, s):
-                    _, _, i, j = gradings(d, t)
-                    assert (i, j) == (i0 + 1, j0)
-
-
 def oracle_switch(sp, mask, k):
     """Reference switch: diff the whole circle tuples of both states.
 
@@ -696,10 +627,7 @@ class TestSwitch:
             return images[:1] if sw[0] == "split" else images
 
         monkeypatch.setattr(khovanov, "_switch_images", lossy)
-        # the same patch reaches the differential ...
-        d = parse_gauss_code("O1- U1-", "closed")
-        assert len(differential(d, EnhancedState((1,), ("1",)))) == 1
-        # ... and the homology assembly, whose d o d check catches it
+        # the homology assembly's d o d check catches it
         with pytest.raises(AssertionError, match="d o d"):
             homology(TREFOIL)
 
@@ -716,12 +644,8 @@ class TestSwitch:
             return [khovanov._insert_bit(rest, c - 1, xa | xb)]
 
         d = random_diagram(random.Random(0), 5, "closed")
-        states = list(enhanced_states(d))
-        images = [differential(d, s) for s in states]
         monkeypatch.setattr(khovanov, "_switch_images", misplaced)
-        # the same patch reaches the differential ...
-        assert [differential(d, s) for s in states] != images
-        # ... and the homology assembly, whose d o d check catches it
+        # the homology assembly's d o d check catches it
         with pytest.raises(AssertionError, match="d o d"):
             homology(d)
 
@@ -1028,13 +952,16 @@ class TestLemma5:
         for _ in range(120):
             d = random_diagram(rng, rng.randint(0, 6), "closed")
             table = None
+            sp = _space(d)
             for markers in itertools.product((1, -1), repeat=d.n):
                 if not lemma5_check(d, markers):
                     continue
-                s = EnhancedState(
-                    markers, tuple("1" for _ in range(trace_circles(d, markers).count))
-                )
-                assert differential(d, s) == []
+                # the all-1 state (label mask 0) is a cycle: every switch
+                # of a positive marker maps it to nothing
+                mask = sp.mask_of(markers)
+                for k in range(d.n):
+                    if not (mask >> k) & 1:
+                        assert oracle_images(*oracle_switch(sp, mask, k), 0) == []
                 i, j = lemma5_gradings(d, markers)
                 if table is None:
                     table = homology(d).as_dict()

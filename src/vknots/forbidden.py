@@ -416,7 +416,7 @@ _SIGNS_REMOVED = {
 
 
 def trivialize_forbidden(
-    diagram: GaussDiagram, budget: int = 10
+    diagram: GaussDiagram, budget: int = 10, stats: SearchStats | None = None
 ) -> list[MoveEvent] | None:
     """Move sequence over {Fo, Fu, R1_del, R2_del, R3} emptying the diagram,
     or None when no sequence of length <= budget is found; raises MoveError
@@ -437,12 +437,16 @@ def trivialize_forbidden(
     order, and only until a trace is found.  As in ``moves.simplify``, a
     node is the diagram's cells and a child is a slot-order rewrite of its
     parent's (see docs/moves.md, "Search representation").
+
+    When ``stats`` is given, the call fills it in, summed over every depth
+    limit: ``expanded`` nodes passed the check against the deepest visit
+    of their search key so far, ``deduplicated`` nodes were cut by it, and
+    ``budget_spent`` is True when no trace was found.
     """
     if budget < 0:
         raise MoveError("trivialize budget must be >= 0")
     kind, start = diagram._eq_key()
-    if not start:
-        return []
+    expanded = deduplicated = 0
 
     def successors(cells: tuple[int, ...], pos: int, neg: int, depth_left: int):
         kinds = [
@@ -466,19 +470,23 @@ def trivialize_forbidden(
 
     start_pos = sum(1 for c in diagram.chords if c.sign > 0)
     start_neg = diagram.n - start_pos
-    for limit in range(1, budget + 1):
+    # depth limit 0 finds only the empty diagram's empty trace
+    for limit in range(budget + 1):
         best_seen: dict[tuple, int] = {}
 
         def dfs(cells: tuple[int, ...], pos: int, neg: int, depth_left: int,
                 trace: list[MoveEvent]):
+            nonlocal expanded, deduplicated
             if not cells:
                 return list(trace)
             if max(pos, neg) > depth_left:
                 return None
             key = rotation_key(kind, cells)
             if best_seen.get(key, -1) >= depth_left:
+                deduplicated += 1
                 return None
             best_seen[key] = depth_left
+            expanded += 1
             for event, child, child_pos, child_neg in successors(cells, pos, neg, depth_left - 1):
                 trace.append(event)
                 found = dfs(child, child_pos, child_neg, depth_left - 1, trace)
@@ -489,8 +497,12 @@ def trivialize_forbidden(
 
         found = dfs(start, start_pos, start_neg, limit, [])
         if found is not None:
-            return found
-    return None
+            break
+    if stats is not None:
+        stats.budget_spent = found is None
+        stats.expanded = expanded
+        stats.deduplicated = deduplicated
+    return found
 
 
 # -- families file ------------------------------------------------------------------

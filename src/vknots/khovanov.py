@@ -86,12 +86,25 @@ State space
     state's circles are traced on their own.  The census, the number of
     states per (negative-marker count, circle count), walks the states in
     reflected Gray-code order, so each step rewrites the four arc ends of
-    one chord, and keeps no state; it counts circles on a ``seen`` list
-    stamped with the mask, since reading the arc arrays of
-    :meth:`_StateSpace.walk` made an ``eval`` request on 4-9 chords take
-    0.70 ms instead of 0.58 ms.  The bracket depends on a state only
-    through its census key, so it sums the O(n^2) census entries instead
-    of the 2**n states, and the Jones polynomial is read off that sum.
+    one chord, and keeps no state.  It traces only the first state whole
+    and steps the circle count from there.  Cut a state's circles at the
+    switched chord's four arc ends: what is left of the circles through
+    them is two strands, which pair the four ends in one of three ways.
+    The chord's two smoothings pair them in two of the three ways, and the
+    ends lie on two circles when the smoothing pairs them as the strands
+    do and on one circle otherwise; every other circle stays.  So a switch
+    moves the count by at most 1, and one strand decides by how much.
+    After the switch to the pairs (a, b), (c, d), the census walks from
+    the far end of b's arc until an end of the chord comes up.  Reaching
+    a, the strands pair as the new smoothing does: the switch split a
+    circle.  Reaching the end the old smoothing paired with b, they pair
+    as the old one did: two circles merged.  Reaching the third end, they
+    pair as neither does and the count stays, which only a virtual
+    diagram allows.  A state of n chords has at most n + 1 circles, so
+    the tally is a flat list indexed by neg * (n + 2) + count.  The
+    bracket depends on a state only through its census key, so it sums
+    the O(n^2) census entries instead of the 2**n states, and the Jones
+    polynomial is read off that sum.
 
     :func:`homology_and_bracket` keeps, for every state, only the circle
     index of each arc and the circle count, for the length of the call:
@@ -99,14 +112,17 @@ State space
     bracket is summed from that census.  So a ``kh`` report walks the cube
     once and traces no state on its own; it reads the Jones polynomial off
     that bracket by :func:`jones_from_bracket`, as :func:`jones_hat` does,
-    and ``eval`` reads both sums off one census.  The cube is the reduced
-    diagram's: ``kh`` first runs :func:`reduce_for_state_sums` (kink and R2
-    deletions up to chord reversal, then ``moves.simplify`` for R3 slides)
-    and reads its sums on the diagram it returns, so a request walks
-    2**(reduced n) states.  The table and the Jones polynomial are
-    invariant under those steps; the bracket is not under R1, and the
-    report rescales it by <D> = (-A^3)**(w(D) - w(D')) <D'>.  The chord cap
-    is still judged on the input.
+    and ``eval`` reads both sums off one census.  ``walk`` does not step
+    counts as the census does: the switches read every state's circles,
+    numbered by their smallest arc, so it traces each state whole.  The
+    cube is the reduced diagram's: ``kh`` first runs
+    :func:`reduce_for_state_sums` (kink and R2 deletions up to chord
+    reversal, then ``moves.simplify`` for R3 slides) and reads its sums on
+    the diagram it returns, so a request walks 2**(reduced n) states.  The
+    table and the Jones polynomial are invariant under those steps; the
+    bracket is not under R1, and the report rescales it by
+    <D> = (-A^3)**(w(D) - w(D')) <D'>.  The chord cap is still judged on
+    the input.
 
     Two memos outlive a diagram, both bounded pure functions of small keys,
     and ``homology``'s speed rests on them: the C_x columns of each switch
@@ -323,24 +339,54 @@ class _StateSpace:
 
     def census(self) -> dict[tuple[int, int], int]:
         """Number of states per (negative-marker count, circle count),
-        counted along the Gray walk on a ``seen`` list stamped with the
-        mask; no state is kept."""
-        m = 2 * self.n
-        seen = [-1] * m
-        counts: dict[tuple[int, int], int] = {}
-        for mask, partner in self._gray():
-            count = 0 if m else 1  # the chord-free diagram is one circle
-            for start in range(m):
-                if seen[start] == mask:
-                    continue
+        counted along the Gray walk; no state is kept.
+
+        Only the first state is traced whole.  A switch moves the count by
+        at most 1, since it changes only the circles through the switched
+        chord's four arc ends.  A step that switches chord k to the pairs
+        (a, b), (c, d) walks from the far end of b's arc along the new
+        smoothings until an end of chord k comes up: a means the step split
+        a circle (+1), the end the old smoothing paired with b means it
+        merged two (-1), and the third end, possible only on a virtual
+        diagram, keeps the count (see "State space" above).  The step
+        table is built per call."""
+        n = self.n
+        m = 2 * n
+        # the chord of every arc end: L=2i sits at slot i, R=2i+1 at slot i+1
+        chord_at = [0] * m
+        for k, c in enumerate(self.chords):
+            chord_at[c.tail] = chord_at[c.head] = k
+        owner = [chord_at[((e + 1) >> 1) % m] for e in range(2 * m)]
+        # per chord and new marker: (a, far end of b's arc, old partner of b)
+        steps = [
+            [(new[0], new[1] ^ 1, old[old.index(new[1]) ^ 1]) for new, old in (pair, pair[::-1])]
+            for pair in self._smoothings
+        ]
+        stride = n + 2  # a state of n chords has at most n + 1 circles
+        tally = [0] * ((n + 1) * stride)
+        walk = self._gray()
+        prev, partner = next(walk)
+        _, count = self._arc_circles(partner)
+        tally[count] += 1
+        neg = 0
+        for mask, partner in walk:
+            bit = prev ^ mask
+            prev = mask
+            k = bit.bit_length() - 1
+            if mask & bit:
+                neg += 1
+                a, end, merged = steps[k][1]
+            else:
+                neg -= 1
+                a, end, merged = steps[k][0]
+            while owner[end] != k:
+                end = partner[end] ^ 1
+            if end == a:
                 count += 1
-                end = 2 * start
-                while seen[end >> 1] != mask:
-                    seen[end >> 1] = mask
-                    end = partner[end ^ 1]
-            key = (mask.bit_count(), count)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+            elif end == merged:
+                count -= 1
+            tally[neg * stride + count] += 1
+        return {divmod(key, stride): states for key, states in enumerate(tally) if states}
 
     def walk(self) -> tuple[list[list[int]], list[int], dict[tuple[int, int], int]]:
         """The circle index of each arc and the circle count of every state,

@@ -361,7 +361,7 @@ class SearchStats:
     ``expanded`` nodes it expanded, ``deduplicated`` children it dropped
     because their search key was already seen, and ``budget_spent`` True
     when the node budget ran out with nodes still queued and the diagram
-    not emptied."""
+    not emptied.  ``forbidden.trivialize_forbidden`` fills it in too."""
 
     budget_spent: bool = False
     expanded: int = 0

@@ -600,6 +600,37 @@ class TestTrivializeForbidden:
         assert all(not child or id(child) in coded for child in built)
         assert len(built) < eager_built
 
+    def test_stats_count_expanded_and_deduplicated_nodes(self, monkeypatch):
+        # every node that passes the sign bound reads its search key once,
+        # and is then either expanded or cut by the best_seen check
+        keys = []
+
+        def counting_key(kind, cells):
+            keys.append(1)
+            return rotation_key(kind, cells)
+
+        monkeypatch.setattr(forbidden, "rotation_key", counting_key)
+        stats = SearchStats()
+        assert trivialize_forbidden(parse_gauss_code(""), 0, stats=stats) == []
+        assert stats == SearchStats(budget_spent=False, expanded=0, deduplicated=0)
+        stats = SearchStats()
+        assert trivialize_forbidden(VT, 1, stats=stats) is None
+        assert stats == SearchStats(budget_spent=True, expanded=0, deduplicated=0)
+        rng = random.Random(608)
+        seen = []
+        for n in range(2, 8):
+            for kind in ("closed", "long"):
+                d = random_diagram(rng, n, kind)
+                keys.clear()
+                stats = SearchStats()
+                trace = trivialize_forbidden(d, 6, stats=stats)
+                assert stats.expanded + stats.deduplicated == len(keys), d.code()
+                assert stats.budget_spent == (trace is None)
+                assert trace == trivialize_forbidden(d, 6)
+                seen.append((stats.expanded, stats.deduplicated))
+        assert seen[:2] == [(2, 0), (3, 0)] and seen[4] == (25, 21)
+        assert sum(dedup for _, dedup in seen) == 362
+
     def test_negative_budget_raises(self):
         for d in (parse_gauss_code(""), VT):
             with pytest.raises(MoveError, match="trivialize budget must be >= 0"):

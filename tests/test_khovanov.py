@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -9,6 +10,8 @@ import pytest
 
 from vknots.corpus import (
     figure_eight,
+    gpv2_trivial,
+    left_trefoil,
     random_diagram,
     right_trefoil,
     unknot,
@@ -295,6 +298,28 @@ class TestGrayCensus:
                     assert arcs == [arc for _, arc in traced]
                     assert sizes == [len(circles) for circles, _ in traced]
 
+    def test_stepped_count_matches_traced_census(self):
+        # each Gray step of the census moves the circle count by -1, 0 or +1
+        # from one partial trace; the traced circle counts of the walk give
+        # the steps this set of diagrams takes, independently of the census
+        rng = random.Random(2211)
+        diagrams = [unknot(), parse_gauss_code("O1+ U1+"), parse_gauss_code("O1- U1-")]
+        diagrams += [random_braid_closure(rng, real) for real in (11, 11, 12, 12)]
+        diagrams += [right_trefoil(), left_trefoil(), figure_eight(), VT, reclose(gpv2_trivial())]
+        steps, kinks = set(), 0
+        for d in diagrams:
+            sp = khovanov._StateSpace(d.kind, d.chords)
+            assert sp.census() == self.traced_census(d), d.code()
+            _, sizes, _ = sp.walk()
+            gray = [g ^ (g >> 1) for g in range(1 << d.n)]
+            steps.update(sizes[b] - sizes[a] for a, b in zip(gray, gray[1:]))
+            m = d.slot_count
+            kinks += sum((c.tail - c.head) % m in (1, m - 1) for c in d.chords)
+        assert [d.n for d in diagrams[3:7]] == [11, 11, 12, 12]
+        assert steps == {-1, 0, 1}
+        # a chord whose two ends lie on one arc
+        assert kinks
+
     def test_state_sums_keep_no_state(self, monkeypatch):
         traces = counting_traces(monkeypatch)
         d = random_diagram(random.Random(12), 8, "closed")
@@ -394,6 +419,37 @@ def random_braid_closure(rng: random.Random, real: int) -> GaussDiagram:
             return closure(parse_braid_word(" ".join(tokens)))
         except BraidError:
             continue
+
+
+class TestStateSumGolden:
+    """One sha256 over state-sum outputs on seeded diagrams, derived before
+    the census counted circles by Gray steps, so that a change to how the
+    census tallies its states shows any change in the bytes they print."""
+
+    def test_eval_reports(self, capsys, tmp_path):
+        rng = random.Random(2201)
+        diagrams = [
+            random_diagram(rng, n, kind)
+            for n in range(4, 10)
+            for kind in ("closed", "long")
+            for _ in range(4)
+        ]
+        path = tmp_path / "d.txt"
+        path.write_text("".join(f"{d.kind}: {d.code()}\n" for d in diagrams))
+        assert main(["eval", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cd18af1428a2cd552939feb24caada1b2d585192ae3eb9b496e13622aaadb47d")
+
+    def test_bracket_and_jones_hat_of_braid_closures(self):
+        rng = random.Random(2202)
+        h = hashlib.sha256()
+        for real in (10, 11, 12):
+            for _ in range(3):
+                d = random_braid_closure(rng, real)
+                h.update(repr((d.code(), bracket(d).pairs(), jones_hat(d).pairs())).encode())
+        assert h.hexdigest() == (
+            "c99166a7b8bd6498a0e801dd4b929f0e9854f47efb42404804bf40cc06b49876")
 
 
 class TestKhOnReducedDiagram:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -270,3 +271,44 @@ class TestGeneratorJson:
     def test_missing_field(self):
         with pytest.raises(BraidError, match="'A' and 'B'"):
             load_generator_def('{"A": "s1"}')
+
+
+class TestClosureGolden:
+    """One sha256 over closures, permutations and non-knot refusals,
+    derived before one strand walk served both ``closure`` and
+    ``permutation``, so that any change to the chords, slots or error text
+    they produce shows."""
+
+    @staticmethod
+    def words():
+        suffix = parse_braid_word("s1 s2 s3 v1 v2 v3")
+        for name, gens in TestScanFamily.FAMILIES.items():
+            for k in range(1, 8):
+                word = b_family(k, gens)
+                yield product(word, suffix) if name == "CL" else word
+        rng = random.Random(2301)
+        for _ in range(2000):
+            tokens = [rng.choice("sSv") + str(rng.randint(1, 3)) for _ in range(rng.randint(0, 16))]
+            yield parse_braid_word(" ".join(tokens))
+
+    def test_chords_permutations_and_refusals(self):
+        h = hashlib.sha256()
+        for w in self.words():
+            try:
+                out = closure(w).chords
+            except BraidError as exc:
+                out = str(exc)
+            h.update(repr((permutation(w), out)).encode())
+        assert h.hexdigest() == (
+            "256c938fba82e121e01deef4669ce74687ef5f0496d8ea5a6b9d57101c6a93d1")
+
+    def test_chord_k_is_the_kth_real_letter(self):
+        for w in self.words():
+            try:
+                d = closure(w)
+            except BraidError:
+                continue
+            signs = [1 if l.kind == braids.REAL_POS else -1
+                     for l in w.letters if l.kind != braids.VIRTUAL]
+            assert d.n == w.real_count() == len(signs)
+            assert [(c.id, c.sign) for c in d.chords] == list(enumerate(signs, start=1))

@@ -124,17 +124,27 @@ def free_reduce(word: BraidWord) -> BraidWord:
     return BraidWord(tuple(stack))
 
 
+def _strands(word: BraidWord) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+    """One walk up the word, naming each strand by its bottom: the
+    permutation, and per real letter in word order its (over strand, under
+    strand, sign).  At a positive letter the strand entering from the left
+    passes over."""
+    at = list(range(1, STRANDS + 1))  # at[p - 1] is the strand at position p
+    crossings = []
+    for l in word.letters:
+        p = l.pos
+        left, right = at[p - 1], at[p]
+        at[p - 1], at[p] = right, left
+        if l.kind == REAL_POS:
+            crossings.append((left, right, 1))
+        elif l.kind == REAL_NEG:
+            crossings.append((right, left, -1))
+    return tuple(at.index(b) + 1 for b in range(1, STRANDS + 1)), crossings
+
+
 def permutation(word: BraidWord) -> tuple[int, ...]:
     """Bottom-to-top strand permutation: entry i-1 is where bottom i ends."""
-    where = list(range(1, STRANDS + 1))
-    for l in word.letters:
-        a, b = l.pos, l.pos + 1
-        for idx in range(STRANDS):
-            if where[idx] == a:
-                where[idx] = b
-            elif where[idx] == b:
-                where[idx] = a
-    return tuple(where)
+    return _strands(word)[0]
 
 
 def _closure_bottoms(perm: tuple[int, ...]) -> list[int]:
@@ -199,37 +209,29 @@ def b_family(k: int, defs: GeneratorDef) -> BraidWord:
 def closure(word: BraidWord) -> GaussDiagram:
     """Close the braid into a knot diagram and return its Gauss diagram.
 
-    Real letters become chords (sign from the letter kind, arrow from the
-    over pass to the under pass); virtual letters and the return arcs
-    contribute none.  Raises when the closure is not a single component.
+    Chord k is the k-th real letter of the word (sign from the letter
+    kind, arrow from the over pass to the under pass); virtual letters and
+    the return arcs contribute none.  Slots follow the component from the
+    bottom of strand 1.  Raises when the closure is not a single
+    component.
     """
-    # trace the component through the braid, bottom 1 first
-    passes: list[list[tuple[int, bool]]] = []
-    for p in _closure_bottoms(permutation(word)):
-        events: list[tuple[int, bool]] = []
-        for idx, l in enumerate(word.letters):
-            if l.pos == p:
-                events.append((idx, True))
-                p = l.pos + 1
-            elif l.pos + 1 == p:
-                events.append((idx, False))
-                p = l.pos
-        passes.append(events)
-
-    slot = 0
-    occurrences: dict[int, list[tuple[int, bool]]] = {}
-    for events in passes:
-        for idx, entered_left in events:
-            if word.letters[idx].kind != VIRTUAL:
-                occurrences.setdefault(idx, []).append((slot, entered_left))
-                slot += 1
+    perm, crossings = _strands(word)
+    # the component runs up the strands in closure order, each strand
+    # meeting its crossings in word order: a strand's first slot follows
+    # the crossings of the strands before it
+    met = [0] * (STRANDS + 1)
+    for over, under, _ in crossings:
+        met[over] += 1
+        met[under] += 1
+    slot = [0] * (STRANDS + 1)
+    start = 0
+    for b in _closure_bottoms(perm):
+        slot[b], start = start, start + met[b]
     chords = []
-    for cid, idx in enumerate(sorted(occurrences), start=1):
-        letter = word.letters[idx]
-        (s1, left1), (s2, left2) = occurrences[idx]
-        over_first = left1 == (letter.kind == REAL_POS)
-        tail, head = (s1, s2) if over_first else (s2, s1)
-        chords.append(Chord(cid, tail, head, 1 if letter.kind == REAL_POS else -1))
+    for cid, (over, under, sign) in enumerate(crossings, start=1):
+        chords.append(Chord(cid, slot[over], slot[under], sign))
+        slot[over] += 1
+        slot[under] += 1
     return GaussDiagram("closed", chords)
 
 

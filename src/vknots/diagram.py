@@ -191,15 +191,7 @@ class GaussDiagram:
         if self.kind != "closed":
             raise DiagramError("only closed diagrams can be rotated")
         m = self.slot_count
-        if m == 0:
-            return self
-        return GaussDiagram(
-            "closed",
-            (
-                Chord(c.id, (c.tail - r) % m, (c.head - r) % m, c.sign)
-                for c in self.chords
-            ),
-        )
+        return self._reordered([(r + i) % m for i in range(m)])
 
     # -- chord surgery ------------------------------------------------------
 
@@ -406,16 +398,7 @@ def cut(diagram: GaussDiagram, slot: int) -> GaussDiagram:
         raise DiagramError("cut expects a closed diagram")
     if not 0 <= slot <= diagram.slot_count:
         raise DiagramError(f"cut position {slot} outside [0, {diagram.slot_count}]")
-    m = diagram.slot_count
-    if m == 0:
-        return GaussDiagram("long", ())
-    return GaussDiagram(
-        "long",
-        (
-            Chord(c.id, (c.tail - slot) % m, (c.head - slot) % m, c.sign)
-            for c in diagram.chords
-        ),
-    )
+    return GaussDiagram("long", diagram.rotated(slot).chords)
 
 
 def reclose(diagram: GaussDiagram) -> GaussDiagram:

@@ -178,9 +178,6 @@ class GradedDims:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.dims)
 
-    def dim(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
-
     def euler(self) -> LaurentPoly:
         acc: dict[int, int] = {}
         for (i, j), d in self.dims:
@@ -319,23 +316,24 @@ class _StateSpace:
             count += 1
         return arc_circle, count
 
-    def _gray(self) -> Iterator[tuple[int, list[int]]]:
-        """Every state as (mask, partner), in reflected Gray-code order.
+    def _gray(self) -> Iterator[tuple[int, int, list[int]]]:
+        """Every state as (k, mask, partner), in reflected Gray-code order.
 
         ``partner`` joins the arc ends as the state's smoothings do.  It is
         one list: step g flips the marker of chord k, the lowest set bit of
-        g, and rewrites only that chord's four entries."""
+        g, and rewrites only that chord's four entries; the first state,
+        flipped from none, has k = -1."""
         partner = [0] * (4 * self.n)
         for a, b, c, d in (ends[0] for ends in self._smoothings):
             partner[a], partner[b], partner[c], partner[d] = b, a, d, c
         mask = 0
-        yield mask, partner
+        yield -1, mask, partner
         for g in range(1, 1 << self.n):
             k = (g & -g).bit_length() - 1
             mask ^= 1 << k
             a, b, c, d = self._smoothings[k][(mask >> k) & 1]
             partner[a], partner[b], partner[c], partner[d] = b, a, d, c
-            yield mask, partner
+            yield k, mask, partner
 
     def census(self) -> dict[tuple[int, int], int]:
         """Number of states per (negative-marker count, circle count),
@@ -365,15 +363,12 @@ class _StateSpace:
         stride = n + 2  # a state of n chords has at most n + 1 circles
         tally = [0] * ((n + 1) * stride)
         walk = self._gray()
-        prev, partner = next(walk)
+        _, _, partner = next(walk)
         _, count = self._arc_circles(partner)
         tally[count] += 1
         neg = 0
-        for mask, partner in walk:
-            bit = prev ^ mask
-            prev = mask
-            k = bit.bit_length() - 1
-            if mask & bit:
+        for k, mask, partner in walk:
+            if (mask >> k) & 1:
                 neg += 1
                 a, end, merged = steps[k][1]
             else:
@@ -396,7 +391,7 @@ class _StateSpace:
         arcs: list[list[int]] = [[]] * size
         sizes = [0] * size
         counts: dict[tuple[int, int], int] = {}
-        for mask, partner in self._gray():
+        for _, mask, partner in self._gray():
             arcs[mask], count = self._arc_circles(partner)
             sizes[mask] = count
             key = (mask.bit_count(), count)

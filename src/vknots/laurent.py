@@ -33,9 +33,6 @@ class LaurentPoly:
     def one(cls) -> LaurentPoly:
         return cls({0: 1})
 
-    def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
-
     def items(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs in increasing exponent order."""
         return list(self._coeffs.items())

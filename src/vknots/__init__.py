@@ -24,7 +24,7 @@ from .diagram import (
     reclose,
     virtualize,
 )
-from .moves import MoveError, MoveEvent, apply_move, apply_trace, enumerate_moves, inverse_event, simplify
+from .moves import MoveError, MoveEvent, apply_move, apply_trace, enumerate_moves, simplify
 from .arrows import (
     ArrowPattern,
     ArrowPolynomial,
@@ -38,7 +38,6 @@ from .arrows import (
     v22,
 )
 from .forbidden import (
-    Family,
     FamilyError,
     FormalDiagramSum,
     TriangleSite,

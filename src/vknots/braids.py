@@ -27,9 +27,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .diagram import Chord, GaussDiagram
-from .khovanov import DEFAULT_HOMOLOGY_CAP, distinguish_from_unknot, lemma5_scan
+from .khovanov import CapExceeded, DEFAULT_HOMOLOGY_CAP, distinguish_from_unknot, lemma5_scan
 
 STRANDS = 4
+
+# |b(k)| doubles with k; b(16)'s 393,208 letters close and print at a 263 MiB peak
+MAX_BK_LETTERS = 1 << 19
 
 REAL_POS = "real_pos"
 REAL_NEG = "real_neg"
@@ -66,7 +69,6 @@ class BraidLetter:
 @dataclass(frozen=True)
 class BraidWord:
     letters: tuple[BraidLetter, ...] = ()
-    name: str | None = None
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -81,7 +83,7 @@ class BraidWord:
 _LETTER = re.compile(r"([sSv])([1-3])\Z")
 
 
-def parse_braid_word(text: str, name: str | None = None) -> BraidWord:
+def parse_braid_word(text: str) -> BraidWord:
     letters = []
     for tok in text.replace(",", " ").split():
         m = _LETTER.match(tok)
@@ -90,7 +92,7 @@ def parse_braid_word(text: str, name: str | None = None) -> BraidWord:
         ch, pos = m.groups()
         kind = {"s": REAL_POS, "S": REAL_NEG, "v": VIRTUAL}[ch]
         letters.append(BraidLetter(int(pos), kind))
-    return BraidWord(tuple(letters), name)
+    return BraidWord(tuple(letters))
 
 
 def inverse(word: BraidWord) -> BraidWord:
@@ -183,17 +185,12 @@ def load_generator_def(data: bytes | str) -> GeneratorDef:
     for name in ("A", "B"):
         if not isinstance(obj[name], str):
             raise BraidError(f"generator field {name!r} must be a braid word string")
-    return GeneratorDef(
-        parse_braid_word(obj["A"], "A"), parse_braid_word(obj["B"], "B")
-    )
+    return GeneratorDef(parse_braid_word(obj["A"]), parse_braid_word(obj["B"]))
 
 
 # Editable example generators (not a reproduction of any specific family):
 # both are pure words, and A alone closes to the virtual trefoil.
-EXAMPLE_GENS = GeneratorDef(
-    parse_braid_word("s1 v1 s1 v1", "A"),
-    parse_braid_word("s2 v2 s2 v2", "B"),
-)
+EXAMPLE_GENS = GeneratorDef(parse_braid_word("s1 v1 s1 v1"), parse_braid_word("s2 v2 s2 v2"))
 
 
 def b_family(k: int, defs: GeneratorDef) -> BraidWord:
@@ -203,7 +200,7 @@ def b_family(k: int, defs: GeneratorDef) -> BraidWord:
     word = defs.A
     for step in range(2, k + 1):
         word = commutator(defs.generator(step), word)
-    return BraidWord(word.letters, f"b({k})")
+    return word
 
 
 def closure(word: BraidWord) -> GaussDiagram:
@@ -252,16 +249,29 @@ def _family_counts(k: int, defs: GeneratorDef) -> tuple[int, int, tuple[int, ...
     """(letters, real letters, permutation) of ``b_family(k, defs)``,
     without building it: |b(k)| = 2(|g(k)| + |b(k-1)|) counts both kinds
     of letter, and the permutation of [g, b] = g b g^-1 b^-1 composes
-    those of g and b."""
+    those of g and b.
+
+    Raises CapExceeded before counting when k > 20, the bit length of
+    ``MAX_BK_LETTERS``, and once some b(j), j <= k, has more than
+    ``MAX_BK_LETTERS`` letters.  A letter in either generator makes
+    |b(k)| >= 2**(k - 1), so the bound on k adds a refusal only for an
+    empty pair, whose members are all empty."""
     if k < 1:
         raise BraidError("the braid family is indexed from 1")
+    bound = f"b(k) is capped at k <= {MAX_BK_LETTERS.bit_length()} and {MAX_BK_LETTERS} letters"
+    if k > MAX_BK_LETTERS.bit_length():
+        raise CapExceeded(f"{bound}, got k = {k}")
     letters, real, perm = len(defs.A), defs.A.real_count(), permutation(defs.A)
-    for step in range(2, k + 1):
+    step = 1
+    while letters <= MAX_BK_LETTERS and step < k:
+        step += 1
         g = defs.generator(step)
         g_perm = permutation(g)
         letters = 2 * (len(g) + letters)
         real = 2 * (g.real_count() + real)
         perm = _compose(_compose(_compose(g_perm, perm), _invert(g_perm)), _invert(perm))
+    if letters > MAX_BK_LETTERS:
+        raise CapExceeded(f"{bound}, b({step}) has {letters}")
     return letters, real, perm
 
 
@@ -277,7 +287,8 @@ def scan_family(
     row's counts come from :func:`_family_counts`, and its closure is a
     knot when it passes all four bottoms; a word and its closure are built
     only for a row within the cap, since |b(k)| doubles with each k.
-    Every real letter is a chord of the closure."""
+    Every real letter is a chord of the closure.  A k past the bounds of
+    :func:`_family_counts` raises CapExceeded when its row is reached."""
     rows = []
     for k in ks:
         letters, real, perm = _family_counts(k, defs)

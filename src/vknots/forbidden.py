@@ -76,17 +76,6 @@ class TriangleSite:
 
 
 @dataclass(frozen=True)
-class Family:
-    """One set of toggle sites: chord ids in GPV mode, TriangleSites in F mode."""
-
-    members: tuple
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise FamilyError("a family must be nonempty")
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Three-valued triviality verdict.
 
@@ -251,28 +240,36 @@ def expand_semitriple(
 
 
 def _validate_families(
-    diagram: GaussDiagram, families: Sequence[Family], mode: str
+    diagram: GaussDiagram, families: Sequence[Sequence]
 ) -> list[list[MoveEvent]]:
-    """Each family as the move trace that toggles it: one ``virtualize``
-    event per chord in GPV mode, one ``Fo``/``Fu`` event per site in F
-    mode, in chord id or slot order.  Raises when the mode is unknown,
-    the family list is empty, one family lists a chord twice, or two
+    """Each family as the move trace that toggles it.  A family is a
+    nonempty sequence of chord ids (GPV mode), each toggled by a
+    ``virtualize`` event in chord id order, or of :class:`TriangleSite`
+    (F mode), each toggled by an ``Fo``/``Fu`` event in slot order.  Raises
+    when the family list or a family is empty, the members are not all
+    chord ids or all sites, one family lists a chord twice, or two
     families share a chord or a slot."""
-    if mode not in ("GPV", "F"):
-        raise FamilyError(f"mode must be 'GPV' or 'F', not {mode!r}")
     if not families:
         raise FamilyError("the family list is empty: give at least one family")
-    if mode == "F":
-        ordered = [sorted(fam.members, key=lambda s: s.slot) for fam in families]
+    if not all(families):
+        raise FamilyError("a family must be nonempty")
+    members = [m for fam in families for m in fam]
+    if all(isinstance(m, TriangleSite) for m in members):
+        ordered = [sorted(fam, key=lambda s: s.slot) for fam in families]
         _checked_sites(diagram, itertools.chain(*ordered))
         return [[s._event() for s in sites] for sites in ordered]
+    if not all(type(m) is int for m in members):
+        raise FamilyError(
+            "family members must be all chord ids (GPV) or all TriangleSites (F), got "
+            + ", ".join(sorted({type(m).__name__ for m in members}))
+        )
     ordered = []
     seen: set[int] = set()
     for fam in families:
-        ids = sorted(fam.members)
+        ids = sorted(fam)
         for cid, nxt in zip(ids, ids[1:]):
             if cid == nxt:
-                raise FamilyError(f"chord {cid} is listed twice in family {list(fam.members)}")
+                raise FamilyError(f"chord {cid} is listed twice in family {list(fam)}")
         for cid in ids:
             diagram.chord(cid)
             if cid in seen:
@@ -285,8 +282,7 @@ def _validate_families(
 def lemma3_residual(
     invariant: Invariant,
     diagram: GaussDiagram,
-    families: Sequence[Family],
-    mode: str,
+    families: Sequence[Sequence],
 ) -> int:
     """Residual v(K) - v(K') - sum of expanded transversal terms.
 
@@ -300,7 +296,7 @@ def lemma3_residual(
     residual is exactly 0 whenever all nonempty subfamily toggles of the
     diagram present the same knot.
     """
-    ordered = _validate_families(diagram, families, mode)
+    ordered = _validate_families(diagram, families)
     v_k = invariant(diagram)
     v_kp = invariant(apply_trace(diagram, [e for members in ordered for e in members]))
 
@@ -376,17 +372,18 @@ def certify_trivial(
 
 def check_n_trivial(
     diagram: GaussDiagram,
-    families: Sequence[Family],
-    mode: str,
+    families: Sequence[Sequence],
     budget: int = 2000,
     cap: int = DEFAULT_HOMOLOGY_CAP,
 ) -> tuple[dict[tuple[int, ...], Verdict], bool]:
     """Certify triviality of every nonempty subfamily application.
 
     Returns (per-subset verdicts keyed by sorted family indices, aggregate);
-    the aggregate is True only when every subset is certified.
+    the aggregate is True only when every subset is certified.  Each
+    family is a sequence of chord ids or of :class:`TriangleSite`, and the
+    members decide the mode (see :func:`_validate_families`).
     """
-    ordered = _validate_families(diagram, families, mode)
+    ordered = _validate_families(diagram, families)
     verdicts: dict[tuple[int, ...], Verdict] = {}
     aggregate = True
     for r in range(1, len(ordered) + 1):
@@ -422,26 +419,32 @@ def trivialize_forbidden(
     or None when no sequence of length <= budget is found; raises MoveError
     when ``budget`` is negative.
 
-    Iterative deepening with deletion-first ordering; forbidden moves are
-    unknotting operations, so failure only means the budget was too small.
-    A diagram with p positive and q negative chords needs at least
-    max(p, q) moves to become empty, since R2_del removes one chord of each
-    sign, R1_del one chord, and Fo, Fu and R3 keep every chord and its
-    sign; a node with fewer moves left is hopeless.  The bound never exceeds
-    the true distance, so it prunes only subtrees that hold no trace and
-    the search returns the same first trace as one pruned by the chord
-    count alone (see docs/moves.md).  A child's sign counts are known from
-    its event (R1_del carries its chord's sign), so kinds whose children
-    would all be hopeless are not enumerated, and no hopeless child is
-    built.  The others are built one at a time, in (kind order, event data)
-    order, and only until a trace is found.  As in ``moves.simplify``, a
-    node is the diagram's cells and a child is a slot-order rewrite of its
-    parent's (see docs/moves.md, "Search representation").
+    Iterative deepening with deletion-first ordering.  No move adds a
+    chord, so the diagrams reachable from the input form a finite graph:
+    once a depth limit's search is cut by nothing that depends on the
+    limit (no hopeless node, no kind left out, no R1_del child skipped),
+    it has walked that whole graph without meeting the empty diagram, and
+    no deeper limit is tried.  A diagram with p positive and q negative
+    chords needs at least max(p, q) moves to become empty, since R2_del
+    removes one chord of each sign, R1_del one chord, and Fo, Fu and R3
+    keep every chord and its sign; a node with fewer moves left is
+    hopeless.  The bound never exceeds the true distance, so it prunes
+    only subtrees that hold no trace and the search returns the same first
+    trace as one pruned by the chord count alone (see docs/moves.md).  A
+    child's sign counts are known from its event (R1_del carries its
+    chord's sign), so kinds whose children would all be hopeless are not
+    enumerated, and no hopeless child is built.  The others are built one
+    at a time, in (kind order, event data) order, and only until a trace
+    is found.  As in ``moves.simplify``, a node is the diagram's cells and
+    a child is a slot-order rewrite of its parent's (see docs/moves.md,
+    "Search representation").
 
     When ``stats`` is given, the call fills it in, summed over every depth
-    limit: ``expanded`` nodes passed the check against the deepest visit
-    of their search key so far, ``deduplicated`` nodes were cut by it, and
-    ``budget_spent`` is True when no trace was found.
+    limit tried: ``expanded`` nodes passed the check against the deepest
+    visit of their search key so far, ``deduplicated`` nodes were cut by
+    it, and ``budget_spent`` is True when no trace was found and the last
+    limit was cut by its depth, False when a trace was found or the move
+    graph ran out.
     """
     if budget < 0:
         raise MoveError("trivialize budget must be >= 0")
@@ -449,11 +452,13 @@ def trivialize_forbidden(
     expanded = deduplicated = 0
 
     def successors(cells: tuple[int, ...], pos: int, neg: int, depth_left: int):
+        nonlocal depth_cut
         kinds = [
             move
             for move, removals in _SIGNS_REMOVED.items()
             if any(max(pos - dp, neg - dn) <= depth_left for dp, dn in removals)
         ]
+        depth_cut = depth_cut or len(kinds) < len(_SIGNS_REMOVED)
         evs = [e for block in _site_events(kind, cells, kinds) for e in block]
         evs.sort(key=lambda e: (_SEARCH_ORDER[e.kind], e.data))
         for e in evs:
@@ -463,6 +468,7 @@ def trivialize_forbidden(
                 positive = e.data[1] > 0
                 child_pos, child_neg = pos - positive, neg - (not positive)
                 if max(child_pos, child_neg) > depth_left:
+                    depth_cut = True
                     continue
             else:
                 child_pos, child_neg = pos, neg
@@ -473,13 +479,15 @@ def trivialize_forbidden(
     # depth limit 0 finds only the empty diagram's empty trace
     for limit in range(budget + 1):
         best_seen: dict[tuple, int] = {}
+        depth_cut = False  # whether this limit's search was cut by its depth
 
         def dfs(cells: tuple[int, ...], pos: int, neg: int, depth_left: int,
                 trace: list[MoveEvent]):
-            nonlocal expanded, deduplicated
+            nonlocal expanded, deduplicated, depth_cut
             if not cells:
                 return list(trace)
             if max(pos, neg) > depth_left:
+                depth_cut = True
                 return None
             key = rotation_key(kind, cells)
             if best_seen.get(key, -1) >= depth_left:
@@ -496,10 +504,10 @@ def trivialize_forbidden(
             return None
 
         found = dfs(start, start_pos, start_neg, limit, [])
-        if found is not None:
+        if found is not None or not depth_cut:
             break
     if stats is not None:
-        stats.budget_spent = found is None
+        stats.budget_spent = found is None and depth_cut
         stats.expanded = expanded
         stats.deduplicated = deduplicated
     return found
@@ -508,11 +516,12 @@ def trivialize_forbidden(
 # -- families file ------------------------------------------------------------------
 
 
-def load_families(data: bytes | str) -> tuple[str, list[Family]]:
+def load_families(data: bytes | str) -> tuple[str, list[tuple]]:
     """Parse the families JSON: ``{"mode": "GPV"|"F", "families": [...]}``
     where GPV members are chord ids and F members are
     ``{"slots": [k, k+1], "kind": "Fo"|"Fu"}`` descriptors (``[2n-1, 2n]``
-    crosses a closed diagram's basepoint), read as sign-0 sites.  JSON
+    crosses a closed diagram's basepoint), read as sign-0 sites.  Returns
+    the mode and each family as a nonempty tuple of its members.  JSON
     booleans are not integers here."""
     try:
         obj = json.loads(data)
@@ -528,10 +537,12 @@ def load_families(data: bytes | str) -> tuple[str, list[Family]]:
         raise FamilyError("'families' must be a list of member lists")
     families = []
     for fam in listed:
+        if not fam:
+            raise FamilyError("a family must be nonempty")
         if mode == "GPV":
             if not all(type(c) is int for c in fam):
                 raise FamilyError("GPV family members must be chord ids")
-            families.append(Family(tuple(fam)))
+            families.append(tuple(fam))
         else:
             sites = []
             for desc in fam:
@@ -548,5 +559,5 @@ def load_families(data: bytes | str) -> tuple[str, list[Family]]:
                 ):
                     raise FamilyError(f"bad site descriptor {desc!r}")
                 sites.append(TriangleSite(slots[0], kind, 0))
-            families.append(Family(tuple(sites)))
+            families.append(tuple(sites))
     return mode, families

@@ -26,10 +26,6 @@ class LaurentPoly:
         self._coeffs = dict(sorted(acc.items()))
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
-        return cls()
-
-    @classmethod
     def one(cls) -> LaurentPoly:
         return cls({0: 1})
 

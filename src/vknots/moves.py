@@ -41,6 +41,7 @@ from .diagram import (
     pair_starts,
     reorder_cells,
     rotation_key,
+    virtualize,
 )
 
 MOVE_KINDS = (
@@ -292,58 +293,9 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
         )
 
     if kind == "virtualize":
-        (chord_id,) = event.data
-        return diagram.delete_chords([chord_id])
+        return virtualize(diagram, *event.data)
 
     raise MoveError(f"unknown move kind {kind!r}")
-
-
-def inverse_event(diagram: GaussDiagram, event: MoveEvent) -> MoveEvent:
-    """Event undoing ``event`` on ``apply_move(diagram, event)``.
-
-    For closed diagrams a deletion whose slot pair wraps past slot 0 is
-    undone only up to rotation (the re-insertion lands at the end).
-    """
-    m = diagram.slot_count
-    kind = event.kind
-    if kind == "R1_add":
-        g, sign, orient = event.data
-        return MoveEvent("R1_del", (g, sign, orient))
-    if kind == "R1_del":
-        k, sign, orient = event.data
-        gap = m - 2 if (k + 1) >= m else k
-        return MoveEvent("R1_add", (gap, sign, orient))
-    if kind == "R2_add":
-        g1, g2, par, sign, roles1 = event.data
-        if g1 < g2:
-            p1, p2 = g1, g2 + 2
-        elif g1 > g2:
-            p1, p2 = g1 + 2, g2
-        else:
-            p1, p2 = g1, g1 + 2  # pair1 lands first at a shared gap
-        if roles1 == TAIL:
-            return MoveEvent("R2_del", (p1, p2, par, sign))
-        return MoveEvent("R2_del", (p2, p1, par, sign if par else -sign))
-    if kind == "R2_del":
-        k1, k2, par, sign = event.data
-        wrap_tails = k1 + 1 >= m
-        wrap_heads = k2 + 1 >= m
-        dead = sorted({k1, (k1 + 1) % m, k2, (k2 + 1) % m})
-
-        def gap_for(k: int, wraps: bool) -> int:
-            if wraps:
-                return m - 4
-            return k - sum(1 for d in dead if d < k)
-
-        g1 = gap_for(k1, wrap_tails)
-        g2 = gap_for(k2, wrap_heads)
-        heads_first = g1 == g2 and (wrap_tails or (not wrap_heads and k2 < k1))
-        if heads_first:
-            return MoveEvent("R2_add", (g2, g1, par, sign if par else -sign, HEAD))
-        return MoveEvent("R2_add", (g1, g2, par, sign, TAIL))
-    if kind in ("R3", "Fo", "Fu"):
-        return event
-    raise MoveError(f"no inverse for move kind {kind!r}")
 
 
 def apply_trace(diagram: GaussDiagram, events: Sequence[MoveEvent]) -> GaussDiagram:

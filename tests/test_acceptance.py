@@ -34,7 +34,6 @@ from vknots.corpus import (
 )
 from vknots.diagram import reclose
 from vknots.forbidden import (
-    Family,
     certify_trivial,
     disjoint_sites,
     f_alt_sum,
@@ -164,10 +163,10 @@ def test_criterion_06_lemma3_identities():
         fams = []
         for _ in range(3):
             d, new = _insert_r2_pair(rng, d)
-            fams.append(Family(tuple(new)))
-        assert lemma3_residual(v21, d, fams, "GPV") == 0, d.code()
-        assert lemma3_residual(v22, d, fams, "GPV") == 0, d.code()
-        full = d.delete_chords([c for f in fams for c in f.members])
+            fams.append(new)
+        assert lemma3_residual(v21, d, fams) == 0, d.code()
+        assert lemma3_residual(v22, d, fams) == 0, d.code()
+        full = d.delete_chords([c for f in fams for c in f])
         assert v21(d) == v21(full) and v22(d) == v22(full), d.code()
 
     checked = 0  # F mode, n = 2 single-site families on inserted R2 pairs
@@ -185,9 +184,9 @@ def test_criterion_06_lemma3_identities():
             sites.append(site_at(d, min(ta, tb), "Fo"))
         if len(sites) != 2:
             continue
-        fams = [Family((s,)) for s in sites]
-        assert lemma3_residual(v21, d, fams, "F") == 0, d.code()
-        assert lemma3_residual(v22, d, fams, "F") == 0, d.code()
+        fams = [(s,) for s in sites]
+        assert lemma3_residual(v21, d, fams) == 0, d.code()
+        assert lemma3_residual(v22, d, fams) == 0, d.code()
         checked += 1
     report(6, True, "similarity identity residuals exactly 0 (50 GPV n=3, 50 F n=2)")
 

@@ -24,7 +24,7 @@ from vknots.braids import (
 )
 from vknots.cli import main
 from vknots.corpus import virtual_trefoil
-from vknots.khovanov import bracket, jones_hat
+from vknots.khovanov import CapExceeded, bracket, jones_hat
 from vknots.moves import simplify
 
 
@@ -68,7 +68,10 @@ class TestWordOps:
 
 class TestBFamily:
     def test_b1_is_a(self):
-        assert b_family(1, EXAMPLE_GENS).letters == EXAMPLE_GENS.A.letters
+        # a word is its letters: no name tells b(1) from A
+        assert b_family(1, EXAMPLE_GENS) == EXAMPLE_GENS.A
+        gens = load_generator_def('{"A": "s1 v1 s1 v1", "B": "s2 v2 s2 v2"}')
+        assert gens == EXAMPLE_GENS
 
     def test_b2_is_commutator_literally(self):
         expected = product(
@@ -232,15 +235,27 @@ class TestScanFamily:
         assert main(["braid", "--scan", "1:2"]) == 0
         head = capsys.readouterr().out
         start = time.perf_counter()
-        assert main(["braid", "--scan", "1:30"]) == 2
+        assert main(["braid", "--scan", "1:16"]) == 2
         elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
-        # |b(30)| has over a billion letters; only k = 1, 2 are in the cap
+        # |b(16)| has 393,208 letters; only k = 1, 2 are in the cap
         assert built == [1, 2, 1, 2] and elapsed < 10
         rows = json.loads(out)["rows"]
-        assert [r["k"] for r in rows] == list(range(1, 31))
+        assert [r["k"] for r in rows] == list(range(1, 17))
         assert json.dumps(rows[:2]) == json.dumps(json.loads(head)["rows"])
-        assert err == "braid --scan: --cap-chords 12 exceeded: skipped 28 of 30 rows\n"
+        assert err == "braid --scan: --cap-chords 12 exceeded: skipped 14 of 16 rows\n"
+
+    def test_k_bounded_before_counting(self):
+        # an empty pair has empty members at every k, so only the bound on
+        # k stops its count
+        empty = GeneratorDef(BraidWord(), BraidWord())
+        assert braids._family_counts(20, empty) == (0, 0, (1, 2, 3, 4))
+        for gens in (empty, EXAMPLE_GENS):
+            with pytest.raises(CapExceeded) as exc:
+                braids._family_counts(21, gens)
+            assert str(exc.value) == "b(k) is capped at k <= 20 and 524288 letters, got k = 21"
+        with pytest.raises(CapExceeded, match="b\\(17\\) has 786424"):
+            scan_family([17], EXAMPLE_GENS, 12)
 
     def test_bk_word_built_only_within_the_letter_ceiling(self, monkeypatch, capsys):
         built = []
@@ -253,12 +268,13 @@ class TestScanFamily:
         monkeypatch.setattr(braids, "b_family", counting_family)
         monkeypatch.setattr(cli, "b_family", counting_family)
         start = time.perf_counter()
-        assert main(["braid", "--bk", "40"]) == 2
+        assert main(["braid", "--bk", "17"]) == 2
         elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
-        # |b(40)| has about 6.6e12 letters; its count is read, no word built
+        # |b(17)| has 786,424 letters; its count is read, no word built
         assert built == [] and elapsed < 10 and out == ""
-        assert err.count("\n") == 1 and str(cli.MAX_BK_LETTERS) in err
+        assert err == (f"error: b(k) is capped at k <= 20 and {braids.MAX_BK_LETTERS} letters, "
+                       "b(17) has 786424\n")
         assert main(["braid", "--bk", "2"]) == 0
         assert built == [2]
 

@@ -1,5 +1,6 @@
 import json
 import random
+import signal
 
 import jsonschema
 import pytest
@@ -644,6 +645,43 @@ class TestBraid:
         path.write_text('{"A": "", "B": ""}')
         code, (report,) = run_json(capsys, "braid", "--bk", "3", "--gens", str(path))
         assert code == 0 and report["chords"] == 0
+
+
+class TestExtremeBounds:
+    """Commands whose work grows without bound in an argument end at once:
+    the search stops when its move graph runs out, and the braid family
+    refuses a k past its bounds before any row."""
+
+    @staticmethod
+    def timed_main(argv, seconds=10):
+        def expired(signum, frame):
+            # pytest.fail raises past main's handlers, which catch OSError
+            # and so TimeoutError
+            pytest.fail(f"{argv} ran over {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(seconds)
+        try:
+            return main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_unbounded_arguments_end_at_once(self, capsys):
+        # the right trefoil alternates O and U: it has no Fo, Fu, R1, R2 or
+        # R3 site, so no depth finds a trace
+        depth = ["trivialize", "--code", RIGHT_TREFOIL, "--depth"]
+        assert self.timed_main(depth + ["100000000"]) == 2
+        huge = capsys.readouterr()
+        assert main(depth + ["8"]) == 2
+        small = capsys.readouterr()
+        assert huge.out == small.out
+        assert huge.err == small.err.replace("--depth 8 ", "--depth 100000000 ")
+        bound = "error: b(k) is capped at k <= 20 and 524288 letters, got k = "
+        for argv, k in ((["--bk", "100000000"], "100000000"),
+                        (["--scan", "1:1000000000"], "1000000000")):
+            assert self.timed_main(["braid", *argv]) == 2
+            assert capsys.readouterr() == ("", f"{bound}{k}\n")
 
 
 class TestLemma5:

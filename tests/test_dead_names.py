@@ -34,15 +34,11 @@ TEST_ONLY = {
     "diagram.GaussDiagram.swap_slots": "oracle: three chained swaps against apply_move's R3 rewrite",
     "diagram.concat_long": "paper operation: connected sum of long diagrams",
     "diagram.cut": "paper operation: cutting a closed diagram to a long one",
-    "diagram.virtualize": "paper operation: a real crossing made virtual",
     "forbidden.apply_forbidden": "paper operation: one forbidden move at a site",
     "forbidden.expand_semitriple": "paper operation: a semi-triple point as a formal sum of diagrams",
     "forbidden.lemma3_residual": "oracle: the Lemma 3 similarity identity",
     "khovanov.lemma5_check": "oracle: the Lemma 5 certificate on one state, against lemma5_scan",
     "khovanov.lemma5_gradings": "oracle: the (i, j) of one Lemma 5 state, against lemma5_scan",
-    "laurent.LaurentPoly.shift": "oracle: multiplication by a monomial, against the product",
-    "laurent.LaurentPoly.zero": "oracle: the additive identity the arithmetic tests pin",
-    "moves.inverse_event": "paper operation: the move undoing a generalized Reidemeister move",
     "schemas.BRAID_REPORT": "report schema of braid, validated by the CLI tests",
     "schemas.LEMMA5_REPORT": "report schema of lemma5, validated by the CLI tests",
 }

@@ -18,7 +18,6 @@ from vknots.diagram import (
     rotation_key,
 )
 from vknots.forbidden import (
-    Family,
     FamilyError,
     TriangleSite,
     _battery,
@@ -84,7 +83,7 @@ def similar_instance(rng, n_families, base_max=3):
             pairs.append(new)
         sites = [tail_site(d, p) for p in pairs]
         if all(s is not None for s in sites):
-            return d, pairs, [Family((s,)) for s in sites]
+            return d, pairs, [(s,) for s in sites]
 
 
 class TestTriangles:
@@ -309,18 +308,18 @@ class TestLemma3:
             fams = []
             for _ in range(3):
                 d, new = insert_r2_pair(rng, d)
-                fams.append(Family(tuple(new)))
+                fams.append(new)
             for fn in (v21, v22):
-                assert lemma3_residual(fn, d, fams, "GPV") == 0
+                assert lemma3_residual(fn, d, fams) == 0
             # "in particular": order 2 < n = 3 forces equal values
-            full = d.delete_chords([c for f in fams for c in f.members])
+            full = d.delete_chords([c for f in fams for c in f])
             assert v21(d) == v21(full) and v22(d) == v22(full)
 
     def test_gpv_n1_telescoping(self, rng):
         for _ in range(20):
             d = random_diagram(rng, rng.randint(1, 5), "long")
             cid = rng.choice(d.chord_ids())
-            assert lemma3_residual(v21, d, [Family((cid,))], "GPV") == 0
+            assert lemma3_residual(v21, d, [(cid,)]) == 0
 
     def test_gpv_n2_nontrivial_terms(self):
         rng = random.Random(3131)
@@ -329,30 +328,31 @@ class TestLemma3:
             fams = []
             for _ in range(2):
                 d, new = insert_r2_pair(rng, d)
-                fams.append(Family(tuple(new)))
-            assert lemma3_residual(v21, d, fams, "GPV") == 0
+                fams.append(new)
+            assert lemma3_residual(v21, d, fams) == 0
 
     def test_f_mode_residual_zero(self):
         rng = random.Random(3232)
         for _ in range(25):
             d, pairs, fams = similar_instance(rng, 2)
-            assert lemma3_residual(v21, d, fams, "F") == 0
-            assert lemma3_residual(v22, d, fams, "F") == 0
+            assert lemma3_residual(v21, d, fams) == 0
+            assert lemma3_residual(v22, d, fams) == 0
 
     def test_kmatrix_instance(self):
         k = gpv2_trivial()
-        fams = [Family((1, 2)), Family((3, 4))]
-        assert lemma3_residual(v21, k, fams, "GPV") == 0
+        assert lemma3_residual(v21, k, [(1, 2), (3, 4)]) == 0
 
     def test_non_disjoint_families_rejected(self):
         with pytest.raises(FamilyError, match="two families"):
-            lemma3_residual(v21, LT, [Family((1,)), Family((1, 2))], "GPV")
+            lemma3_residual(v21, LT, [(1,), (1, 2)])
 
     @pytest.mark.parametrize("mode", ["GPV", "F"])
     def test_empty_family_list_rejected(self, mode):
-        # with no families the residual would read -v(K), not 0
+        # an empty families file of either mode; with no families the
+        # residual would read -v(K), not 0
+        _, families = load_families(json.dumps({"mode": mode, "families": []}))
         with pytest.raises(FamilyError, match="family list is empty"):
-            lemma3_residual(v21, LT, [], mode)
+            lemma3_residual(v21, LT, families)
 
 
 class TestCertify:
@@ -443,9 +443,7 @@ class TestCertify:
 class TestNTrivial:
     def test_kmatrix_gpv2(self):
         k = gpv2_trivial()
-        verdicts, aggregate = check_n_trivial(
-            k, [Family((1, 2)), Family((3, 4))], "GPV", budget=300
-        )
+        verdicts, aggregate = check_n_trivial(k, [(1, 2), (3, 4)], budget=300)
         assert aggregate is True
         assert set(verdicts) == {(0,), (1,), (0, 1)}
         assert all(v.certified for v in verdicts.values())
@@ -455,7 +453,7 @@ class TestNTrivial:
     def test_f_mode_delegation(self):
         rng = random.Random(717)
         d, pairs, fams = similar_instance(rng, 2)
-        verdicts, aggregate = check_n_trivial(d, fams, "F", budget=500)
+        verdicts, aggregate = check_n_trivial(d, fams, budget=500)
         assert aggregate is True
 
     def test_sign_zero_descriptors_match_resolved_sites(self):
@@ -478,22 +476,22 @@ class TestNTrivial:
                 }
             )
             _, families = load_families(text)
-            raw = [fam.members[0] for fam in families]
+            raw = [site for (site,) in families]
             assert all(s.sign == 0 for s in raw)
             if kind == "long":
                 assert f_alt_sum(v21, d, raw) == f_alt_sum(v21, d, sites)
                 assert f_alt_sum(v22, d, raw) == f_alt_sum(v22, d, sites)
             assert expand_semitriple(d, raw) == expand_semitriple(d, sites)
-            resolved = [Family((s,)) for s in sites]
-            assert check_n_trivial(d, families, "F", budget=200, cap=7) == check_n_trivial(
-                d, resolved, "F", budget=200, cap=7
+            resolved = [(s,) for s in sites]
+            assert check_n_trivial(d, families, budget=200, cap=7) == check_n_trivial(
+                d, resolved, budget=200, cap=7
             )
             checked += 1
 
     def test_shared_chord_rejected(self):
         k = gpv2_trivial()
         with pytest.raises(FamilyError):
-            check_n_trivial(k, [Family((1, 2)), Family((2, 3))], "GPV")
+            check_n_trivial(k, [(1, 2), (2, 3)])
 
     @pytest.mark.parametrize(
         "listed, message",
@@ -506,14 +504,41 @@ class TestNTrivial:
     def test_repeated_chord_named_where_it_repeats(self, listed, message):
         _, families = load_families(json.dumps({"mode": "GPV", "families": listed}))
         with pytest.raises(FamilyError) as exc:
-            check_n_trivial(gpv2_trivial(), families, "GPV")
+            check_n_trivial(gpv2_trivial(), families)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("mode", ["GPV", "F"])
     def test_empty_family_list_rejected(self, mode):
-        # no subsets would leave a vacuous aggregate True for any knot
+        # an empty families file of either mode; no subsets would leave a
+        # vacuous aggregate True for any knot
+        _, families = load_families(json.dumps({"mode": mode, "families": []}))
         with pytest.raises(FamilyError, match="family list is empty"):
-            check_n_trivial(right_trefoil(), [], mode)
+            check_n_trivial(right_trefoil(), families)
+
+    @pytest.mark.parametrize(
+        "families, message",
+        [
+            ([(1,), (TriangleSite(0, "Fo", 0),)], "got TriangleSite, int"),
+            ([("1",)], "got str"),
+            ([(1.0, 2)], "got float, int"),
+            ([(True,)], "got bool"),
+        ],
+    )
+    def test_members_decide_the_mode(self, families, message):
+        # chord ids mean GPV mode and TriangleSites F mode; anything else,
+        # or a mix, is refused before a diagram is toggled
+        k = gpv2_trivial()
+        for call in (check_n_trivial, lambda d, f: lemma3_residual(v21, d, f)):
+            with pytest.raises(FamilyError) as exc:
+                call(k, families)
+            assert str(exc.value) == (
+                "family members must be all chord ids (GPV) or all TriangleSites (F), " + message
+            )
+
+    def test_empty_family_rejected(self):
+        for call in (check_n_trivial, lambda d, f: lemma3_residual(v21, d, f)):
+            with pytest.raises(FamilyError, match="a family must be nonempty"):
+                call(gpv2_trivial(), [(1, 2), ()])
 
     def test_gpv_toggles_reach_delete_chords_at_call_time(self, monkeypatch):
         # a patch of the class after import sees each virtualized chord:
@@ -526,7 +551,7 @@ class TestNTrivial:
             return original(self, ids)
 
         monkeypatch.setattr(GaussDiagram, "delete_chords", counted)
-        check_n_trivial(gpv2_trivial(), [Family((1, 2)), Family((3, 4))], "GPV", budget=300)
+        check_n_trivial(gpv2_trivial(), [(1, 2), (3, 4)], budget=300)
         assert sorted(calls) == [(1,), (1,), (2,), (2,), (3,), (3,), (4,), (4,)]
 
     def test_f_toggles_replay_through_apply_move(self, monkeypatch):
@@ -540,7 +565,7 @@ class TestNTrivial:
             return original(diagram, event)
 
         monkeypatch.setattr(moves, "apply_move", counted)
-        check_n_trivial(d, fams, "F", budget=500)
+        check_n_trivial(d, fams, budget=500)
         # one event per site for each single family, two for their union
         assert sum(k in ("Fo", "Fu") for k in kinds) == 4
 
@@ -563,6 +588,18 @@ class TestTrivializeForbidden:
 
     def test_budget_exhaustion_returns_none(self):
         assert trivialize_forbidden(VT, 1) is None
+
+    def test_stops_when_the_move_graph_runs_out(self):
+        # the right trefoil alternates O and U, so it has no site of any
+        # searched kind: limits 0-2 are cut by its 3 positive chords, limit
+        # 3 leaves out the kinds that keep them, and limit 4 walks the one
+        # node with nothing cut, so no deeper limit is tried
+        stats = SearchStats()
+        assert trivialize_forbidden(right_trefoil(), 1000, stats=stats) is None
+        assert stats == SearchStats(budget_spent=False, expanded=2, deduplicated=0)
+        stats = SearchStats()
+        assert trivialize_forbidden(right_trefoil(), 3, stats=stats) is None
+        assert stats == SearchStats(budget_spent=True, expanded=1, deduplicated=0)
 
     def test_traces_match_eager_search(self):
         rng = random.Random(606)
@@ -756,7 +793,7 @@ def eager_children(diagram, budget):
 class TestFamiliesJson:
     def test_gpv(self):
         mode, fams = load_families('{"mode": "GPV", "families": [[1, 2], [3]]}')
-        assert mode == "GPV" and [f.members for f in fams] == [(1, 2), (3,)]
+        assert mode == "GPV" and fams == [(1, 2), (3,)]
 
     def test_f_sites(self):
         mode, fams = load_families(
@@ -764,7 +801,7 @@ class TestFamiliesJson:
                 {"mode": "F", "families": [[{"slots": [0, 1], "kind": "Fo"}]]}
             )
         )
-        assert mode == "F" and fams[0].members[0].slot == 0
+        assert mode == "F" and fams == [(TriangleSite(0, "Fo", 0),)]
 
     def test_bad_mode(self):
         with pytest.raises(FamilyError, match="mode"):
@@ -787,7 +824,7 @@ class TestFamiliesJson:
             d = random_diagram(rng, 4, "closed")
         text = json.dumps({"mode": "F", "families": [[{"slots": [7, 8], "kind": site.kind}]]})
         _, fams = load_families(text)
-        assert expand_semitriple(d, fams[0].members) == expand_semitriple(d, [site])
+        assert expand_semitriple(d, fams[0]) == expand_semitriple(d, [site])
 
     @pytest.mark.parametrize("kind", ["closed", "long"])
     @pytest.mark.parametrize("slots", [[1000, 1001], [4, 5], [-4, -3]])
@@ -797,9 +834,9 @@ class TestFamiliesJson:
         text = json.dumps({"mode": "F", "families": [[{"slots": slots, "kind": "Fo"}]]})
         _, fams = load_families(text)
         with pytest.raises(FamilyError, match="not a Fo triangle"):
-            f_alt_sum(v21, d, fams[0].members)
+            f_alt_sum(v21, d, fams[0])
         with pytest.raises(FamilyError, match="not a Fo triangle"):
-            check_n_trivial(d, fams, "F")
+            check_n_trivial(d, fams)
 
     def test_boolean_chord_ids_rejected(self):
         with pytest.raises(FamilyError, match="chord ids"):

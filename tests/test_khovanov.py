@@ -140,7 +140,7 @@ class TestBracket:
         rng = random.Random(62)
         for _ in range(20):
             d = random_diagram(rng, rng.randint(0, 6), "closed")
-            acc = LaurentPoly.zero()
+            acc = LaurentPoly()
             delta = LaurentPoly({2: -1, -2: -1})
             for markers in itertools.product((1, -1), repeat=d.n):
                 sigma = sum(markers)
@@ -231,7 +231,7 @@ class TestCensusSums:
         sp = _space(d)
         delta = LaurentPoly({2: -1, -2: -1})
         qq = LaurentPoly({1: 1, -1: 1})
-        br = jh = LaurentPoly.zero()
+        br = jh = LaurentPoly()
         for (neg, size), count in sp.census().items():
             br = br + (delta**size).shift(sp.n - 2 * neg) * count
             i = (sp.w - sp.n) // 2 + neg

@@ -6,7 +6,7 @@ import pytest
 
 from vknots.corpus import random_diagram, virtual_trefoil
 from vknots.diagram import GaussDiagram, parse_gauss_code
-from vknots.forbidden import Family, check_n_trivial, disjoint_sites, trivialize_forbidden
+from vknots.forbidden import check_n_trivial, disjoint_sites, trivialize_forbidden
 from vknots.moves import (
     MOVE_KINDS,
     MoveError,
@@ -16,7 +16,6 @@ from vknots.moves import (
     apply_move,
     apply_trace,
     enumerate_moves,
-    inverse_event,
     simplify,
 )
 
@@ -63,11 +62,10 @@ class TestApply:
 
     def test_r1_add_then_del(self):
         d = parse_gauss_code(TREFOIL, "long")
-        e = MoveEvent("R1_add", (3, -1, "UO"))
-        d2 = apply_move(d, e)
-        assert d2.n == 4
-        back = apply_move(d2, inverse_event(d, e))
-        assert back == d
+        for e in enumerate_moves(d, ["R1_add"]):
+            d2 = apply_move(d, e)
+            assert d2.n == 4
+            assert any(apply_move(d2, back) == d for back in enumerate_moves(d2, ["R1_del"]))
 
     def test_r2_add_then_del(self, rng):
         for _ in range(40):
@@ -77,17 +75,19 @@ class TestApply:
             e = MoveEvent("R2_add", (g1, g2, rng.choice((True, False)), rng.choice((1, -1)), "t"))
             d2 = apply_move(d, e)
             assert d2.n == d.n + 2
-            back = apply_move(d2, inverse_event(d, e))
-            assert back == d
+            assert any(apply_move(d2, back) == d for back in enumerate_moves(d2, ["R2_del"]))
 
     def test_r2_del_then_add_up_to_rotation(self, rng):
         seen = 0
         while seen < 30:
             d = random_diagram(rng, rng.randint(2, 6), rng.choice(("closed", "long")))
+            code = d.canonical_code()
             for e in enumerate_moves(d, ["R2_del"]):
                 d2 = apply_move(d, e)
-                back = apply_move(d2, inverse_event(d, e))
-                assert back.canonical_code() == d.canonical_code()
+                assert any(
+                    apply_move(d2, back).canonical_code() == code
+                    for back in enumerate_moves(d2, ["R2_add"])
+                )
                 seen += 1
 
     def test_r3_preserves_chords_and_signs(self, rng):
@@ -427,14 +427,14 @@ class TestSearchGolden:
             ids = d.chord_ids()
             runs = []
             if d.n >= 4:
-                runs.append(("GPV", [Family(ids[:2]), Family(ids[2:4])]))
+                runs.append(("GPV", [ids[:2], ids[2:4]]))
             elif d.n >= 2:
-                runs.append(("GPV", [Family(ids[:1]), Family(ids[1:2])]))
+                runs.append(("GPV", [ids[:1], ids[1:2]]))
             sites = disjoint_sites(d, 2)
             if sites:
-                runs.append(("F", [Family((s,)) for s in sites]))
+                runs.append(("F", [(s,) for s in sites]))
             for mode, families in runs:
-                verdicts, aggregate = check_n_trivial(d, families, mode, budget=200)
+                verdicts, aggregate = check_n_trivial(d, families, budget=200)
                 h.update(repr((mode, aggregate, sorted(
                     (k, v.status, event_list(v.trace), v.witness, v.reason)
                     for k, v in verdicts.items()))).encode())

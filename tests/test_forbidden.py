@@ -439,6 +439,31 @@ class TestCertify:
                         assert (v.status, v.trace, v.witness) == want, diagram.code()
         assert reduced_only
 
+    def test_golden_verdicts_on_toggles(self):
+        # one sha256 over certify_trivial's verdicts on GPV and F toggles of
+        # seeded diagrams, so that a change to the order of its checks
+        # shows any change in what it returns
+        rng = random.Random(2501)
+        h = hashlib.sha256()
+        for n in range(10):
+            for kind in ("closed", "long"):
+                for _ in range(6):
+                    d = random_diagram(rng, n, kind)
+                    traces = [
+                        [MoveEvent("virtualize", (cid,)) for cid in sorted(rng.sample(d.chord_ids(), r))]
+                        for r in range(1, min(n, 3) + 1)
+                    ]
+                    sites = disjoint_sites(d, 2) or []
+                    traces += [[s._event() for s in sites[:r]] for r in range(1, len(sites) + 1)]
+                    for trace in traces:
+                        toggled = apply_trace(d, trace)
+                        for budget, cap in ((2000, 12), (2000, 5), (3, 12), (3, 5)):
+                            v = certify_trivial(toggled, budget, cap)
+                            h.update(repr((v.status, [[e.kind, list(e.data)] for e in v.trace],
+                                           v.witness, v.reason)).encode())
+        assert h.hexdigest() == (
+            "984774018f75908bc78b8f2e76535a17ce6a98a4eb0d5a53f43a7cb0073852f8")
+
 
 class TestNTrivial:
     def test_kmatrix_gpv2(self):

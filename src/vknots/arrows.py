@@ -19,9 +19,11 @@ deletions: by the subdiagram expansion (Goussarov-Polyak-Viro), its
 alternating sum over S is its count of the matchings whose chords contain
 S, which ``pairing(..., containing=S)`` reads off the one chord-subset
 enumeration of :func:`embeddings`, at O(n**(k - |S|)) subsets for a
-pattern of order k.  The CLI's ``gpv-sum`` takes that route;
-:func:`gpv_alt_sum` stays the definition for any invariant and the check
-of the identity.
+pattern of order k.  :func:`v21` and :func:`v22` count their chord pairs
+directly, with the same ``containing``; the CLI's ``gpv-sum`` and
+``ntrivial``'s battery read them, :func:`pairing` stays the evaluator of
+any arrow polynomial, and :func:`gpv_alt_sum` stays the definition for
+any invariant and the check of the identity.
 """
 
 from __future__ import annotations
@@ -242,7 +244,9 @@ def subdiagram_expand(diagram: GaussDiagram, cap: int = 16) -> list[GaussDiagram
 # unchanged by a parallel R2 pair (the other two count exactly the chord
 # pair such a move creates).  Both evaluate to 1 on the long right trefoil
 # and to the second Conway coefficient on classical knots; they differ on
-# general virtual long knots.
+# general virtual long knots.  v21 and v22 count their chord pairs
+# directly; the patterns are the same invariants for the general
+# evaluator, :func:`pairing`, which the tests hold the counts against.
 
 V21_PATTERN = ArrowPattern(
     "long", (("1", TAIL), ("2", HEAD), ("1", HEAD), ("2", TAIL))
@@ -252,22 +256,51 @@ V22_PATTERN = ArrowPattern(
 )
 
 
-def v21(diagram: GaussDiagram, containing: Collection[int] = ()) -> int:
-    """Degree-2 invariant of long virtual knots (interleaved pattern t1 h2 h1 t2).
+def _interleaved(
+    name: str, diagram: GaussDiagram, containing: Collection[int], heads_first: bool
+) -> int:
+    """Sum of a.sign * b.sign over the ordered chord pairs (a, b) with
+    x(a) < y(b) < y(a) < x(b), where (x, y) is a chord's (tail, head), or
+    its (head, tail) when ``heads_first``; only the pairs whose two chords
+    include every id in ``containing``.
 
-    With ``containing``, its alternating sum over the deletions of those
-    chords (see :func:`pairing`)."""
+    So a runs forward (x < y) and b backward, and a pair is read at most
+    once.  One chord in ``containing`` fixes its side, two fix the pair,
+    and more leave none."""
     if diagram.kind != "long":
-        raise DiagramError("v21 is defined for long diagrams")
-    return pairing(V21_PATTERN, diagram, containing)
+        raise DiagramError(f"{name} is defined for long diagrams")
+
+    def span(c):
+        return (c.head, c.tail, c.sign) if heads_first else (c.tail, c.head, c.sign)
+
+    fixed = [span(diagram.chord(cid)) for cid in sorted(set(containing))]
+    forward = [s for s in fixed if s[0] < s[1]]
+    backward = [s for s in fixed if s[1] < s[0]]
+    if len(forward) > 1 or len(backward) > 1:
+        return 0
+    if not forward:
+        forward = [s for s in map(span, diagram.chords) if s[0] < s[1]]
+    if not backward:
+        backward = [s for s in map(span, diagram.chords) if s[1] < s[0]]
+    return sum(
+        sa * sb for xa, ya, sa in forward for xb, yb, sb in backward if xa < yb < ya < xb
+    )
+
+
+def v21(diagram: GaussDiagram, containing: Collection[int] = ()) -> int:
+    """Degree-2 invariant of long virtual knots: the signed count of the
+    chord pairs in the interleaved order t1 h2 h1 t2 (``V21_PATTERN``).
+
+    With ``containing``, only the pairs through those chords: that is its
+    alternating sum over their deletions (see :func:`pairing`), read in
+    O(n) pairs for one chord, one pair for two, and none for more."""
+    return _interleaved("v21", diagram, containing, heads_first=False)
 
 
 def v22(diagram: GaussDiagram, containing: Collection[int] = ()) -> int:
-    """Companion degree-2 invariant (interleaved pattern h1 t2 t1 h2); takes
-    ``containing`` as :func:`v21` does."""
-    if diagram.kind != "long":
-        raise DiagramError("v22 is defined for long diagrams")
-    return pairing(V22_PATTERN, diagram, containing)
+    """Companion degree-2 invariant (interleaved order h1 t2 t1 h2,
+    ``V22_PATTERN``); takes ``containing`` as :func:`v21` does."""
+    return _interleaved("v22", diagram, containing, heads_first=True)
 
 
 # -- alternating subset sums ----------------------------------------------------

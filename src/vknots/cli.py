@@ -67,7 +67,7 @@ from .khovanov import (
     reduce_for_state_sums,
     writhe,
 )
-from .moves import MoveError, apply_move, apply_trace, enumerate_moves
+from .moves import MoveError, SearchStats, apply_move, apply_trace, enumerate_moves
 
 OK, INPUT_ERROR, EXHAUSTED = 0, 1, 2
 
@@ -119,7 +119,7 @@ def _check_subset_cap(command: str, what: str, count: int, cap: int) -> None:
     """Refuse an alternating sum over more than ``cap`` members before any
     evaluation.  ``f-sum`` evaluates its invariant 2**count times per
     diagram and ``ntrivial`` certifies 2**count - 1 subsets; ``gpv-sum``
-    counts the arrow matches that contain its chords in one pairing, and
+    counts the chord pairs that contain its chords in one pass, and
     keeps the same cap so its exit codes stay those of the 2**count sum."""
     if count > cap:
         raise CapExceeded(f"{command} capped at {cap} {what}, got {count}")
@@ -201,8 +201,8 @@ def cmd_gpv_sum(args) -> int:
     values = []
     for d in _load_diagrams(args):
         # checked before the invariant refuses a closed diagram, in the order
-        # gpv_alt_sum checks them; v21/v22 then count the matches containing
-        # them, which is their alternating sum over the deletions
+        # gpv_alt_sum checks them; v21/v22 then count the chord pairs
+        # containing them, which is their alternating sum over the deletions
         for cid in chords:
             d.chord(cid)
         values.append(fn(d, containing=chords))
@@ -263,14 +263,18 @@ def cmd_ntrivial(args) -> int:
 
 
 def cmd_trivialize(args) -> int:
-    status = OK
     results = []
+    depth_cut = graph_out = 0
     for d in _load_diagrams(args):
-        trace = trivialize_forbidden(d, args.budget)
+        stats = SearchStats()
+        trace = trivialize_forbidden(d, args.budget, stats=stats)
         if trace is None:
             results.append({"code": d.code(), "found": False, "trace": None,
                             "replayed_empty": None})
-            status = EXHAUSTED
+            # budget_spent is False when the search walked the whole move
+            # graph: no depth would have found a trace
+            depth_cut += stats.budget_spent
+            graph_out += not stats.budget_spent
         else:
             replay = apply_trace(d, trace)
             results.append(
@@ -282,11 +286,13 @@ def cmd_trivialize(args) -> int:
                 }
             )
     _emit({"results": results}, args.format)
-    if status == EXHAUSTED:
-        missing = sum(1 for r in results if not r["found"])
-        print(f"trivialize: --depth {args.budget} exhausted: no trace for {missing} "
+    if depth_cut:
+        print(f"trivialize: --depth {args.budget} exhausted: no trace for {depth_cut} "
               f"of {len(results)} diagrams", file=sys.stderr)
-    return status
+    if graph_out:
+        print(f"trivialize: the move graph ran out with --depth {args.budget} unspent: no "
+              f"trace at any depth for {graph_out} of {len(results)} diagrams", file=sys.stderr)
+    return EXHAUSTED if depth_cut or graph_out else OK
 
 
 def cmd_braid(args) -> int:

@@ -314,34 +314,45 @@ def lemma3_residual(
 # -- triviality certification -----------------------------------------------------
 
 
+def _arrow_rows(diagram: GaussDiagram) -> list[tuple[str, str, str]]:
+    """The battery's first rows, on long diagrams only: v21, then v22, as
+    a one-row list for the first that is nonzero (the unknot's value is
+    0), or [] when neither is or the diagram is closed."""
+    if diagram.kind == "long":
+        for name, fn in (("v21", v21), ("v22", v22)):
+            val = fn(diagram)
+            if val != 0:
+                return [(name, str(val), "0")]
+    return []
+
+
 def _battery(
     diagram: GaussDiagram, cap: int, chords: int | None = None
 ) -> list[tuple[str, str, str]]:
     """The first (name, value, unknot value) row that witnesses
     nontriviality, as a one-row list, or [] when no row does.
 
-    Rows are tried in the order v21, v22 (long diagrams only), jones_hat,
-    then Z2 Khovanov homology.  The last two sum over the 2**n states, so
-    they run only when ``chords`` (the chord count the cap is judged on,
-    ``diagram.n`` by default) is at most ``cap``.  The normalized bracket
-    is not tried: for a fixed writhe, ``khovanov.jones_from_bracket`` maps
-    monomials one-to-one and sends the unknot's bracket to the unknot's
-    Jones polynomial, so the bracket differs from the unknot's exactly
-    when jones_hat does.
+    Rows are tried in the order v21, v22 (long diagrams only, see
+    :func:`_arrow_rows`), jones_hat, then Z2 Khovanov homology, the last
+    two on the closure of a long diagram.  They sum over the 2**n states,
+    so they run only when ``chords`` (the chord count the cap is judged
+    on, ``diagram.n`` by default) is at most ``cap``.  A closed diagram has
+    no arrow rows, so :func:`certify_trivial` reads them on its long input
+    and hands the closure of the reduced diagram here.  The normalized
+    bracket is not tried: for a fixed writhe,
+    ``khovanov.jones_from_bracket`` maps monomials one-to-one and sends the
+    unknot's bracket to the unknot's Jones polynomial, so the bracket
+    differs from the unknot's exactly when jones_hat does.
     """
+    rows = _arrow_rows(diagram)
     chords = diagram.n if chords is None else chords
-    if diagram.kind == "long":
-        for name, fn in (("v21", v21), ("v22", v22)):
-            val = fn(diagram)
-            if val != 0:
-                return [(name, str(val), "0")]
-        diagram = reclose(diagram)
-    if chords > cap:
-        return []
-    jh = jones_hat(diagram)
+    if rows or chords > cap:
+        return rows
+    closed = reclose(diagram) if diagram.kind == "long" else diagram
+    jh = jones_hat(closed)
     if jh != UNKNOT_JONES:
         return [("jones_hat", jh.to_str("q"), UNKNOT_JONES.to_str("q"))]
-    table = homology(diagram, cap).as_dict()
+    table = homology(closed, cap).as_dict()
     if table != UNKNOT_TABLE:
         return [("khovanov", str(table), str(UNKNOT_TABLE))]
     return []
@@ -352,17 +363,26 @@ def certify_trivial(
 ) -> Verdict:
     """Certified when the R-move search empties the diagram within budget;
     refuted when a battery invariant differs from the unknot's; unknown
-    otherwise.  The battery runs on the diagram the search reduced to: its
-    rows are invariant under the R-moves applied, so the witness is the
-    input's, and the state sums (Jones, Khovanov) run over 2**(reduced
-    chords) states, yet only when the input has at most ``cap`` chords.
-    A refutation is sound; unknown claims nothing, and says which limit,
-    if any, stopped it (see :class:`Verdict`)."""
+    otherwise.
+
+    The battery's rows are invariant under the search's R1/R2 deletions
+    and R3 slides, so each may be read on the input or on the diagram the
+    search reduced it to, and the witness is the input's either way.  The
+    arrow rows (v21, v22: long diagrams only, O(n**2) chord pairs) are read
+    on the input before the search, and a refutation there returns
+    without searching: a nonzero v21 or v22 means no search can empty the
+    diagram.  The state sums (Jones, Khovanov) run after the search, over
+    2**(reduced chords) states, yet only when the input has at most
+    ``cap`` chords.  A refutation is sound; unknown claims nothing, and
+    says which limit, if any, stopped it (see :class:`Verdict`)."""
+    rows = _arrow_rows(diagram)
+    if rows:
+        return Verdict("refuted", (), rows[0])
     stats = SearchStats()
     reduced, trace = simplify(diagram, budget, stats=stats)
     if reduced.n == 0:
         return Verdict("certified", tuple(trace))
-    rows = _battery(reduced, cap, diagram.n)
+    rows = _battery(reclose(reduced) if reduced.kind == "long" else reduced, cap, diagram.n)
     if rows:
         return Verdict("refuted", (), rows[0])
     if stats.budget_spent:

@@ -286,6 +286,64 @@ class TestV2Invariants:
         )
 
 
+V2 = [(v21, V21_PATTERN), (v22, V22_PATTERN)]
+
+
+class TestDirectCount:
+    """v21 and v22 count chord pairs themselves; the general pairing of
+    their patterns is the oracle."""
+
+    @pytest.mark.parametrize("fn, pattern", V2)
+    def test_equals_the_pairing_of_its_pattern(self, fn, pattern):
+        rng = random.Random(2502)
+        checked = 0
+        for n in list(range(13)) + [20, 30, 40, 50, 60]:
+            for _ in range(5):
+                d = random_diagram(rng, n, "long")
+                ids = d.chord_ids()
+                if n <= 6:
+                    chosen = [s for r in range(4) for s in itertools.combinations(ids, r)]
+                else:
+                    chosen = [tuple(rng.sample(ids, r)) for r in range(4) for _ in range(3)]
+                for s in chosen:
+                    assert fn(d, s) == pairing(pattern, d, containing=s), (d.code(), s)
+                    checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("fn, pattern", V2)
+    def test_repeated_ids_count_once(self, fn, pattern):
+        d = random_diagram(random.Random(2503), 8, "long")
+        for cid in d.chord_ids():
+            assert fn(d, (cid, cid)) == fn(d, (cid,)) == pairing(pattern, d, (cid, cid))
+        assert fn(d, (1, 2, 1)) == fn(d, (1, 2)) == pairing(pattern, d, (1, 2, 1))
+
+    @pytest.mark.parametrize("fn, pattern", V2)
+    @pytest.mark.parametrize("containing", [(9,), (1, 9), (12, 9), (1, 2, 3, 9)])
+    def test_unknown_ids_refused_as_the_pairing_does(self, fn, pattern, containing):
+        d = random_diagram(random.Random(2504), 5, "long")
+        with pytest.raises(DiagramError) as direct:
+            fn(d, containing)
+        with pytest.raises(DiagramError) as oracle:
+            pairing(pattern, d, containing)
+        assert str(direct.value) == str(oracle.value) == "unknown chord id 9"
+
+    @pytest.mark.parametrize("fn, name", [(v21, "v21"), (v22, "v22")])
+    def test_refuses_closed_diagrams(self, fn, name):
+        closed = right_trefoil("closed")
+        for containing in ((), (1,), (9,)):
+            with pytest.raises(DiagramError, match=f"^{name} is defined for long diagrams$"):
+                fn(closed, containing)
+
+    def test_reads_no_matching(self, monkeypatch):
+        import vknots.arrows as arrows
+
+        def no_matching(*args, **kwargs):
+            raise AssertionError("the pairing was called")
+
+        monkeypatch.setattr(arrows, "embeddings", no_matching)
+        assert (v21(LT), v22(LT), v21(LT, (1,)), v22(LT, (1, 2))) == (1, 1, 1, 0)
+
+
 class TestGpvAltSum:
     def test_triple_sums_vanish_on_trefoil(self):
         assert gpv_alt_sum(v21, LT, (1, 2, 3)) == 0

@@ -163,7 +163,7 @@ class TestSums:
 
 
 class TestGpvSumCounts:
-    """gpv-sum counts the arrow matches that contain the chosen chords: the
+    """gpv-sum counts the chord pairs that contain the chosen chords: the
     values, errors and exit codes of the alternating sum over deletions."""
 
     def test_equals_the_alternating_sum(self, capsys):
@@ -396,6 +396,36 @@ class TestTrivialize:
             '"replayed_empty":null,"trace":null}]}\n'
         )
         assert captured.err == "trivialize: --depth 1 exhausted: no trace for 1 of 2 diagrams\n"
+
+    @pytest.mark.parametrize("depth", ["8", "100000000"])
+    def test_move_graph_running_out_is_named_on_stderr(self, capsys, depth):
+        # no move sequence empties the right trefoil: the move graph runs
+        # out at depth limit 4, so no --depth is to blame
+        code = main(["trivialize", "--code", "O1+ U2+ O3+ U1+ O2+ U3+", "--depth", depth])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == (
+            '{"results":[{"code":"O1+ U2+ O3+ U1+ O2+ U3+","found":false,'
+            '"replayed_empty":null,"trace":null}]}\n'
+        )
+        assert captured.err == (
+            f"trivialize: the move graph ran out with --depth {depth} unspent: "
+            "no trace at any depth for 1 of 1 diagrams\n"
+        )
+
+    def test_each_stop_is_named_for_its_diagrams(self, capsys, tmp_path):
+        # five positive kinks need five R1 deletions, more than --depth 4;
+        # the right trefoil's move graph runs out at depth limit 4
+        path = tmp_path / "three.txt"
+        path.write_text("O1+ U1+\nO1+ U1+ O2+ U2+ O3+ U3+ O4+ U4+ O5+ U5+\n"
+                        "O1+ U2+ O3+ U1+ O2+ U3+\n")
+        code = main(["trivialize", "--input", str(path), "--depth", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "trivialize: --depth 4 exhausted: no trace for 1 of 3 diagrams\n"
+            "trivialize: the move graph ran out with --depth 4 unspent: "
+            "no trace at any depth for 1 of 3 diagrams\n"
+        )
 
     def test_found_trace_writes_no_stderr(self, capsys):
         code = main(["trivialize", "--code", VIRTUAL_TREFOIL])

@@ -6,7 +6,9 @@ public method of a public class, when some module loads it as an
 attribute.  A string constant counts only in ``bench/`` (``bench/spans.py``
 wraps functions by name), and a dotted one such as
 ``"GaussDiagram.canonical_code"`` counts for each of its parts.  A
-top-level definition's reads of its own name do not count.
+top-level definition's reads of its own name do not count, and neither
+does a load of a name that the function reading it, or a function around
+it, binds itself (a parameter or local of the same spelling).
 
 A name that only the tests read is listed in ``TEST_ONLY`` with the
 reason it stays: an oracle, a paper operation, or a report schema.
@@ -24,6 +26,7 @@ ALLOWED = {"__version__"}
 TEST_ONLY = {
     "arrows.ArrowPattern.labels": "oracle: the chord labels the pairing tests read off a pattern",
     "arrows.subdiagram_expand": "oracle: the 2**n subdiagram expansion the pairing avoids",
+    "arrows.V22_PATTERN": "oracle: the pattern whose pairing the direct v22 count is held to",
     "braids.free_reduce": "paper operation: free reduction of a braid word",
     "corpus.figure_eight": "oracle: a named knot whose invariant values the tests pin",
     "corpus.gpv2_trivial": "oracle: the 2-family virtualization-trivial example",
@@ -69,20 +72,64 @@ def public_methods(tree: ast.Module) -> set[str]:
     }
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def scope_names(scope: ast.AST) -> tuple[set[str], set[str]]:
+    """(bound, declared global) names of a function, lambda or
+    comprehension: its parameters, the names it stores to, imports,
+    catches or defines, and the names it declares ``global``.  Nested
+    scopes bind their own names."""
+    bound, declared = set(), set()
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = scope.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+        bound |= {p.arg for p in params if p is not None}
+        stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        stack = list(scope.generators)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound - declared, declared
+
+
 def read_names(tree: ast.AST, strings: bool) -> tuple[set[str], set[str]]:
     """(names, attributes) read in ``tree``: loaded names and imports, and
     attribute names with the dotted parts of string constants when
-    ``strings``."""
+    ``strings``.  A load of a name bound in an enclosing function scope
+    reads that local, not a module-level name."""
     names, attrs = set(), set()
-    for node in ast.walk(tree):
+
+    def visit(node: ast.AST, bound: frozenset) -> None:
+        if isinstance(node, SCOPES):
+            local, declared = scope_names(node)
+            bound = (bound - declared) | local
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
+            if node.id not in bound:
+                names.add(node.id)
         elif isinstance(node, ast.alias):
             names.add(node.name)
         elif isinstance(node, ast.Attribute):
             attrs.add(node.attr)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             attrs.update(node.value.split("."))
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
     return names, attrs
 
 
@@ -135,3 +182,52 @@ def test_no_module_level_name_is_dead():
             names |= n
             attrs |= a
     assert unread(sorted(PACKAGE.glob("*.py")), names, attrs) == []
+
+
+SYNTHETIC = """
+def param(): pass
+def assigned(): pass
+def comp(): pass
+def outer_local(): pass
+def caught(): pass
+def declared(): pass
+def plain(): pass
+
+def reads_params(param):
+    return param
+
+def reads_locals():
+    assigned = 1
+    try:
+        pass
+    except ValueError as caught:
+        return caught
+    return assigned, [comp for comp in range(3)]
+
+def reads_a_closure():
+    outer_local = 1
+    def inner():
+        return outer_local
+    return inner
+
+def reads_module_names():
+    global declared
+    return declared, plain
+
+readers = (reads_params, reads_locals, reads_a_closure, reads_module_names)
+"""
+
+
+def test_a_local_of_the_same_spelling_is_no_read(tmp_path):
+    path = tmp_path / "synthetic.py"
+    path.write_text(SYNTHETIC, encoding="utf-8")
+    names, attrs = read_names(ast.parse(SYNTHETIC), strings=False)
+    # only the globals the functions read count; ``readers`` is read by nothing
+    assert unread([path], names, attrs) == [
+        "synthetic.assigned",
+        "synthetic.caught",
+        "synthetic.comp",
+        "synthetic.outer_local",
+        "synthetic.param",
+        "synthetic.readers",
+    ]

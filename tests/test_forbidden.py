@@ -439,6 +439,23 @@ class TestCertify:
                         assert (v.status, v.trace, v.witness) == want, diagram.code()
         assert reduced_only
 
+    def test_arrow_rows_refute_before_the_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("simplify reached")
+
+        monkeypatch.setattr(forbidden, "simplify", no_search)
+        rng = random.Random(2505)
+        witnesses = set()
+        for _ in range(60):
+            d = random_diagram(rng, rng.randint(2, 9), "long")
+            toggled = apply_trace(d, [MoveEvent("virtualize", (rng.choice(d.chord_ids()),))])
+            if (v21(toggled), v22(toggled)) == (0, 0):
+                continue
+            v = certify_trivial(toggled)
+            assert v.status == "refuted" and v.witness == _battery(toggled, 12)[0]
+            witnesses.add(v.witness[0])
+        assert witnesses == {"v21", "v22"}
+
     def test_golden_verdicts_on_toggles(self):
         # one sha256 over certify_trivial's verdicts on GPV and F toggles of
         # seeded diagrams, so that a change to the order of its checks

@@ -16,14 +16,12 @@ chords S (GPV-order).  It and the forbidden-move sums of
 which replays each subset of toggle events (``virtualize`` here, ``Fo``
 and ``Fu`` there) through ``moves.apply_trace``.  A pairing needs no
 deletions: by the subdiagram expansion (Goussarov-Polyak-Viro), its
-alternating sum over S is its count of the matchings whose chords contain
-S, which ``pairing(..., containing=S)`` reads off the one chord-subset
-enumeration of :func:`embeddings`, at O(n**(k - |S|)) subsets for a
-pattern of order k.  :func:`v21` and :func:`v22` count their chord pairs
-directly, with the same ``containing``; the CLI's ``gpv-sum`` and
-``ntrivial``'s battery read them, :func:`pairing` stays the evaluator of
-any arrow polynomial, and :func:`gpv_alt_sum` stays the definition for
-any invariant and the check of the identity.
+alternating sum over S is its signed count of the matchings whose chords
+contain S.  :func:`v21` and :func:`v22` count those chord pairs
+directly, and the CLI's ``gpv-sum`` and ``ntrivial``'s battery read
+them; :func:`pairing` evaluates any arrow polynomial on the whole
+diagram, and :func:`gpv_alt_sum` stays the definition for any invariant
+and the tests' oracle for the direct count.
 """
 
 from __future__ import annotations
@@ -141,32 +139,19 @@ def _match_sequence(
     return assign
 
 
-def embeddings(
-    pattern: ArrowPattern, diagram: GaussDiagram, containing: Collection[int] = ()
-) -> list[Matching]:
-    """All matchings of ``pattern`` into ``diagram`` whose chords include
-    every chord id in ``containing``.
+def embeddings(pattern: ArrowPattern, diagram: GaussDiagram) -> list[Matching]:
+    """All matchings of ``pattern`` into ``diagram``: at most one per chord
+    subset of the pattern's order, in ``itertools.combinations`` order.
 
-    One matching per chord subset: closed-kind matching is up to rotation of
-    the based circle, and a rotation-symmetric pattern still counts a
-    matched subset once (the subdiagram expansion counts subdiagrams, not
-    symmetries).  Only the subsets that contain ``containing`` are read, in
-    the order the full enumeration meets them; more chords than the
-    pattern's order leave none.
+    Closed-kind matching is up to rotation of the based circle, and a
+    rotation-symmetric pattern still counts a matched subset once (the
+    subdiagram expansion counts subdiagrams, not symmetries).
     """
     if pattern.kind != diagram.kind:
         raise ArrowError(f"pattern kind {pattern.kind!r} != diagram kind {diagram.kind!r}")
     k = pattern.order
-    subsets: Iterable[tuple[int, ...]] = itertools.combinations(diagram.chord_ids(), k)
-    if containing:
-        fixed = tuple(sorted(set(containing)))
-        for cid in fixed:
-            diagram.chord(cid)
-        rest = [cid for cid in diagram.chord_ids() if cid not in fixed]
-        extras = itertools.combinations(rest, k - len(fixed)) if len(fixed) <= k else ()
-        subsets = (fixed + extra for extra in extras)
     out = []
-    for subset in subsets:
+    for subset in itertools.combinations(diagram.chord_ids(), k):
         seq = _subdiagram_sequence(diagram, subset)
         rotations = range(1) if diagram.kind == "long" else range(max(2 * k, 1))
         for r in rotations:
@@ -197,19 +182,15 @@ def matching_weight(
     return w
 
 
-def pairing(
-    poly: ArrowPolynomial | ArrowPattern,
-    diagram: GaussDiagram,
-    containing: Collection[int] = (),
-) -> int:
+def pairing(poly: ArrowPolynomial | ArrowPattern, diagram: GaussDiagram) -> int:
     """Evaluate an arrow polynomial against a diagram.
 
     A free-signed pattern stands for its sum over sign assignments weighted
     by the product of the signs, so each matching contributes the sign
     product of its free-labelled chords; sign-fixed labels contribute 1.
-    With ``containing`` only the matchings whose chords include those ids
-    count: that is the alternating sum over their deletions
-    (:func:`gpv_alt_sum` of the pairing), by the subdiagram expansion.
+    Its alternating sum over the deletions of chosen chords is
+    :func:`gpv_alt_sum` of the pairing; :func:`v21` and :func:`v22` count
+    that sum directly for their patterns.
     """
     if isinstance(poly, ArrowPattern):
         poly = ArrowPolynomial(((1, poly),))
@@ -217,7 +198,7 @@ def pairing(
         raise ArrowError(f"polynomial kind {poly.kind!r} != diagram kind {diagram.kind!r}")
     total = 0
     for coeff, pattern in poly.terms:
-        for m in embeddings(pattern, diagram, containing=containing):
+        for m in embeddings(pattern, diagram):
             total += coeff * matching_weight(pattern, diagram, m)
     return total
 
@@ -292,7 +273,7 @@ def v21(diagram: GaussDiagram, containing: Collection[int] = ()) -> int:
     chord pairs in the interleaved order t1 h2 h1 t2 (``V21_PATTERN``).
 
     With ``containing``, only the pairs through those chords: that is its
-    alternating sum over their deletions (see :func:`pairing`), read in
+    alternating sum over their deletions (see :func:`gpv_alt_sum`), read in
     O(n) pairs for one chord, one pair for two, and none for more."""
     return _interleaved("v21", diagram, containing, heads_first=False)
 
@@ -378,4 +359,5 @@ def load_arrow_polynomial(data: bytes | str) -> ArrowPolynomial:
             terms.append((coeff, ArrowPattern(kind, tuple(endpoints), signs)))
         except ArrowError as exc:
             raise ArrowError(f"term {i}: {exc}") from None
-    return ArrowPolynomial(tuple(terms))
+    # an empty sum keeps its declared kind as a zero-weighted empty pattern
+    return ArrowPolynomial(tuple(terms) or ((0, ArrowPattern(kind, ())),))

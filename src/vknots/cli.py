@@ -157,7 +157,7 @@ def cmd_eval(args) -> int:
             "v22": v22(d) if d.kind == "long" else None,
             "arrow_pairing": None,
         }
-        if poly is not None and (poly.kind is None or poly.kind == d.kind):
+        if poly is not None and poly.kind == d.kind:
             row["arrow_pairing"] = pairing(poly, d)
         rows.append(row)
     _emit({"diagrams": rows}, args.format)
@@ -558,6 +558,10 @@ def main(argv: list[str] | None = None) -> int:
     if budget is not None and budget < 0:
         flag = "--depth/--budget" if args.command == "trivialize" else "--budget"
         print(f"error: {flag} must be at least 0, got {budget}", file=sys.stderr)
+        return INPUT_ERROR
+    samples = getattr(args, "samples", None)
+    if samples is not None and samples < 1:
+        print(f"error: --samples must be at least 1, got {samples}", file=sys.stderr)
         return INPUT_ERROR
     try:
         return args.func(args)

@@ -159,40 +159,6 @@ class TestEmbeddings:
             for p in patterns:
                 assert len(embeddings(p, d)) == oracle_count(p, d), (p, d.code())
 
-    def test_containing_nothing_is_the_full_enumeration(self):
-        rng = random.Random(4141)
-        for _ in range(30):
-            d = random_diagram(rng, rng.randint(0, 7), "long")
-            for p in (TTHH, V21_PATTERN, V22_PATTERN):
-                full = embeddings(p, d)
-                assert len(full) == oracle_count(p, d)
-                assert embeddings(p, d, containing=()) == full
-                assert embeddings(p, d, containing=[]) == full
-
-    @pytest.mark.parametrize("kind", ["long", "closed"])
-    def test_containing_keeps_the_matches_through_those_chords(self, kind):
-        # the same matchings, in the same order, as filtering the full list
-        rng = random.Random(4242)
-        patterns = [ArrowPattern(kind, p.endpoints) for p in (TTHH, V21_PATTERN)]
-        patterns.append(ArrowPattern(kind, (("1", "t"), ("1", "h"))))
-        for _ in range(40):
-            d = random_diagram(rng, rng.randint(1, 8), kind)
-            for p in patterns:
-                full = embeddings(p, d)
-                for size in range(4):
-                    chosen = rng.sample(d.chord_ids(), min(size, d.n))
-                    want = [m for m in full if set(chosen) <= set(m.as_dict().values())]
-                    assert embeddings(p, d, containing=chosen) == want, (p, d.code(), chosen)
-
-    def test_containing_more_than_the_order_gives_none(self):
-        d = random_diagram(random.Random(43), 6, "long")
-        assert embeddings(V21_PATTERN, d, containing=(1, 2, 3)) == []
-        assert pairing(V21_PATTERN, d, containing=(1, 2, 3)) == 0
-
-    def test_containing_an_unknown_chord(self):
-        with pytest.raises(DiagramError, match="unknown chord id 9"):
-            embeddings(V21_PATTERN, LT, containing=(1, 9))
-
 
 class TestPairing:
     def test_sign_weight(self):
@@ -293,41 +259,51 @@ V2 = [(v21, V21_PATTERN), (v22, V22_PATTERN)]
 
 
 class TestDirectCount:
-    """v21 and v22 count chord pairs themselves; the general pairing of
-    their patterns is the oracle."""
+    """v21 and v22 count chord pairs themselves.  Their oracles share no
+    inequality with the count: the matchings of the pattern, which compare
+    endpoint sequences, and the deletion definition :func:`gpv_alt_sum`."""
 
     @pytest.mark.parametrize("fn, pattern", V2)
     def test_equals_the_pairing_of_its_pattern(self, fn, pattern):
+        # the signed count of the pattern's matches whose chords contain S
         rng = random.Random(2502)
         checked = 0
         for n in list(range(13)) + [20, 30, 40, 50, 60]:
             for _ in range(5):
                 d = random_diagram(rng, n, "long")
                 ids = d.chord_ids()
+                matches = [
+                    (set(m.as_dict().values()), matching_weight(pattern, d, m))
+                    for m in embeddings(pattern, d)
+                ]
                 if n <= 6:
                     chosen = [s for r in range(4) for s in itertools.combinations(ids, r)]
                 else:
                     chosen = [tuple(rng.sample(ids, r)) for r in range(4) for _ in range(3)]
                 for s in chosen:
-                    assert fn(d, s) == pairing(pattern, d, containing=s), (d.code(), s)
+                    want = sum(w for chords, w in matches if set(s) <= chords)
+                    assert fn(d, s) == want, (d.code(), s)
                     checked += 1
         assert checked > 1000
 
     @pytest.mark.parametrize("fn, pattern", V2)
     def test_repeated_ids_count_once(self, fn, pattern):
+        # held to the deletion definition, on the pairing of the pattern
         d = random_diagram(random.Random(2503), 8, "long")
+        paired = lambda e: pairing(pattern, e)
         for cid in d.chord_ids():
-            assert fn(d, (cid, cid)) == fn(d, (cid,)) == pairing(pattern, d, (cid, cid))
-        assert fn(d, (1, 2, 1)) == fn(d, (1, 2)) == pairing(pattern, d, (1, 2, 1))
+            assert fn(d, (cid, cid)) == fn(d, (cid,)) == gpv_alt_sum(paired, d, (cid, cid))
+        assert fn(d, (1, 2, 1)) == fn(d, (1, 2)) == gpv_alt_sum(paired, d, (1, 2, 1))
 
     @pytest.mark.parametrize("fn, pattern", V2)
     @pytest.mark.parametrize("containing", [(9,), (1, 9), (12, 9), (1, 2, 3, 9)])
     def test_unknown_ids_refused_as_the_pairing_does(self, fn, pattern, containing):
+        # as the alternating sum of the pairing over deletions refuses them
         d = random_diagram(random.Random(2504), 5, "long")
         with pytest.raises(DiagramError) as direct:
             fn(d, containing)
         with pytest.raises(DiagramError) as oracle:
-            pairing(pattern, d, containing)
+            gpv_alt_sum(lambda e: pairing(pattern, e), d, containing)
         assert str(direct.value) == str(oracle.value) == "unknown chord id 9"
 
     def test_reads_no_matching(self, monkeypatch):
@@ -386,19 +362,6 @@ class TestGpvAltSum:
                     assert gpv_alt_sum(fn, d, chosen) == want, (d, chosen)
                     cases += 1
         assert cases == 960
-
-    @pytest.mark.parametrize("kind", ["long", "closed"])
-    def test_pairing_containing_is_the_alternating_sum(self, kind):
-        # the subdiagram expansion, for a polynomial of either kind
-        poly = ArrowPolynomial(
-            ((3, ArrowPattern(kind, TTHH.endpoints)), (-2, ArrowPattern(kind, V21_PATTERN.endpoints)))
-        )
-        rng = random.Random(4343)
-        for _ in range(40):
-            d = random_diagram(rng, rng.randint(0, 7), kind)
-            chosen = rng.sample(d.chord_ids(), rng.randint(0, min(3, d.n)))
-            want = gpv_alt_sum(lambda e: pairing(poly, e), d, chosen)
-            assert pairing(poly, d, containing=chosen) == want, (d.code(), chosen)
 
     def test_user_polynomial_degree_bound(self):
         # a degree-2 pattern is killed by any 3 deletions

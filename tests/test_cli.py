@@ -103,6 +103,15 @@ class TestEval:
         )
         assert code == 0 and report["diagrams"][0]["arrow_pairing"] == 1
 
+    @pytest.mark.parametrize("terms", [[], [{"coeff": 1, "endpoints": [["1", "t"], ["1", "h"]]}]])
+    def test_arrow_poly_of_the_other_kind_is_null(self, capsys, tmp_path, terms):
+        # an empty closed polynomial is still closed: no pairing on a long diagram
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"kind": "closed", "terms": terms}))
+        code, (report,) = run_json(capsys, "eval", "--code", RIGHT_TREFOIL, "--kind", "long",
+                                   "--arrow-poly", str(path))
+        assert code == 0 and report["diagrams"][0]["arrow_pairing"] is None
+
     def test_input_file(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text(f"# corpus\n{VIRTUAL_TREFOIL}\nlong: {RIGHT_TREFOIL}\n")
@@ -765,6 +774,14 @@ class TestDeterminism:
         _, out1 = run(capsys, "kh", "--code", RIGHT_TREFOIL)
         _, out2 = run(capsys, "kh", "--code", RIGHT_TREFOIL)
         assert out1 == out2
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_selftest_refuses_no_samples(self, capsys, samples):
+        # with no samples the batteries would check nothing and still PASS
+        code = main(["selftest", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
 
     def test_selftest_deterministic_and_green(self, capsys):
         code1, out1 = run(capsys, "selftest", "--seed", "11", "--samples", "10")

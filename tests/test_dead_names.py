@@ -12,6 +12,13 @@ it, binds itself (a parameter or local of the same spelling).
 
 A name that only the tests read is listed in ``TEST_ONLY`` with the
 reason it stays: an oracle, a paper operation, or a report schema.
+
+A defaulted parameter of a package function or method counts as passed
+when some package or ``bench/`` module calls a function of that name with
+it, by keyword or by position (a call of a class passes to its
+``__init__``).  The calls are matched by name, as the reads are.  A
+parameter that no such call passes is listed in ``UNPASSED`` with the
+reason it stays, unless its function is in ``TEST_ONLY``.
 """
 
 import ast
@@ -44,6 +51,13 @@ TEST_ONLY = {
     "khovanov.lemma5_gradings": "oracle: the (i, j) of one Lemma 5 state, against lemma5_scan",
     "schemas.BRAID_REPORT": "report schema of braid, validated by the CLI tests",
     "schemas.LEMMA5_REPORT": "report schema of lemma5, validated by the CLI tests",
+}
+
+# Defaulted parameters that no package or ``bench/`` call is seen to pass,
+# with the reason each may stay.
+UNPASSED = {
+    "arrows.v21.containing": "passed through cli.INVARIANTS by gpv-sum, a call the AST does not name",
+    "arrows.v22.containing": "passed through cli.INVARIANTS by gpv-sum, a call the AST does not name",
 }
 
 
@@ -164,6 +178,84 @@ def library_only_dead() -> list[str]:
     return unread(modules, names, attrs)
 
 
+def defaulted_parameters(tree: ast.Module, module: str):
+    """``(qualified name, function name, position or None, method)`` for
+    every defaulted parameter of a top-level function or class method;
+    keyword-only parameters have no position."""
+    defs = [(node, f"{module}.{node.name}", False) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    defs += [(sub, f"{module}.{node.name}.{sub.name}", True) for node in tree.body
+             if isinstance(node, ast.ClassDef) for sub in node.body
+             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for func, qualname, method in defs:
+        a = func.args
+        positional = a.posonlyargs + a.args
+        for i in range(len(positional) - len(a.defaults), len(positional)):
+            yield f"{qualname}.{positional[i].arg}", func.name, i, method
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield f"{qualname}.{arg.arg}", func.name, None, method
+
+
+def passed_arguments(trees: list[ast.Module]) -> dict[str, tuple[int, set[str]]]:
+    """Per called name (a class call as ``__init__``): the most positional
+    arguments any call in ``trees`` passes, and the keywords the calls
+    pass.  A ``*args`` passes every position and a ``**kwargs`` (spelled
+    ``"**"``) every keyword."""
+    classes = {node.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    out: dict[str, tuple[int, set[str]]] = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        if name in classes:
+            name = "__init__"
+        most, keywords = out.get(name, (0, set()))
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        most = max(most, float("inf") if starred else len(node.args))
+        out[name] = (most, keywords | {kw.arg or "**" for kw in node.keywords})
+    return out
+
+
+def unpassed(package: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Defaulted parameters of the ``package`` modules (by stem) that no
+    call in ``callers`` passes, but those of the functions in
+    ``TEST_ONLY``."""
+    passed = passed_arguments(callers)
+    out = []
+    for module, tree in package.items():
+        for qualname, name, position, method in defaulted_parameters(tree, module):
+            function, param = qualname.rsplit(".", 1)
+            if function in TEST_ONLY:
+                continue
+            most, keywords = passed.get(name, (0, set()))
+            # a call through an instance, or of a class, passes self itself
+            if position is not None and position < most + method:
+                continue
+            if not keywords & {param, "**"}:
+                out.append(qualname)
+    return sorted(out)
+
+
+def unpassed_parameters() -> list[str]:
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "bench").rglob("*.py")]
+    return unpassed(package, list(package.values()) + bench)
+
+
+def test_every_unpassed_parameter_is_listed():
+    assert sorted(set(unpassed_parameters()) - UNPASSED.keys()) == []
+
+
+def test_every_listed_unpassed_parameter_is_unpassed():
+    # an entry whose parameter is gone, or that some call now passes, is stale
+    assert sorted(UNPASSED.keys() - set(unpassed_parameters())) == []
+
+
 def test_every_test_only_name_is_listed():
     assert sorted(set(library_only_dead()) - TEST_ONLY.keys()) == []
 
@@ -230,4 +322,32 @@ def test_a_local_of_the_same_spelling_is_no_read(tmp_path):
         "synthetic.outer_local",
         "synthetic.param",
         "synthetic.readers",
+    ]
+
+
+SYNTHETIC_CALLS = """
+class Box:
+    def __init__(self, size=1, *, label=None): pass
+    def grow(self, by=1, twice=False): pass
+
+def by_keyword(x, flag=False): pass
+def by_position(x, flag=False): pass
+def spread(x, flag=False): pass
+def never(x, flag=False, *, strict=True): pass
+
+Box(2).grow(3)
+by_keyword(1, flag=True)
+by_position(1, True)
+spread(*[1, True])
+"""
+
+
+def test_a_parameter_counts_as_passed_by_keyword_or_position():
+    tree = ast.parse(SYNTHETIC_CALLS)
+    # the class call passes size, and grow's call its first argument
+    assert unpassed({"synthetic": tree}, [tree]) == [
+        "synthetic.Box.__init__.label",
+        "synthetic.Box.grow.twice",
+        "synthetic.never.flag",
+        "synthetic.never.strict",
     ]

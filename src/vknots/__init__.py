@@ -28,7 +28,6 @@ from .moves import MoveError, MoveEvent, apply_move, apply_trace, enumerate_move
 from .arrows import (
     ArrowPattern,
     ArrowPolynomial,
-    Matching,
     embeddings,
     gpv_alt_sum,
     load_arrow_polynomial,

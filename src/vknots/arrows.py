@@ -105,16 +105,6 @@ class ArrowPolynomial:
         return self.terms[0][1].kind if self.terms else None
 
 
-@dataclass(frozen=True)
-class Matching:
-    """Injective, order/role/sign-respecting map pattern label -> chord id."""
-
-    assignment: tuple[tuple[str, int], ...]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.assignment)
-
-
 def _subdiagram_sequence(
     diagram: GaussDiagram, chord_ids: Sequence[int]
 ) -> list[tuple[int, str]]:
@@ -139,9 +129,10 @@ def _match_sequence(
     return assign
 
 
-def embeddings(pattern: ArrowPattern, diagram: GaussDiagram) -> list[Matching]:
-    """All matchings of ``pattern`` into ``diagram``: at most one per chord
-    subset of the pattern's order, in ``itertools.combinations`` order.
+def embeddings(pattern: ArrowPattern, diagram: GaussDiagram) -> list[dict[str, int]]:
+    """All matchings of ``pattern`` into ``diagram``, each a dict from label
+    to chord id: at most one per chord subset of the pattern's order, in
+    ``itertools.combinations`` order.
 
     Closed-kind matching is up to rotation of the based circle, and a
     rotation-symmetric pattern still counts a matched subset once (the
@@ -166,17 +157,17 @@ def embeddings(pattern: ArrowPattern, diagram: GaussDiagram) -> list[Matching]:
                     ok = False
                     break
             if ok:
-                out.append(Matching(tuple(sorted(assign.items()))))
+                out.append(assign)
                 break
     return out
 
 
 def matching_weight(
-    pattern: ArrowPattern, diagram: GaussDiagram, matching: Matching
+    pattern: ArrowPattern, diagram: GaussDiagram, matching: Mapping[str, int]
 ) -> int:
     """Product of matched chord signs over the pattern's free labels."""
     w = 1
-    for label, cid in matching.assignment:
+    for label, cid in matching.items():
         if pattern.signs[label] == FREE:
             w *= diagram.chord(cid).sign
     return w

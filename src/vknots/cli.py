@@ -405,7 +405,7 @@ def _selftest_batteries(seed: int, samples: int):
             containing = sum(
                 matching_weight(V21_PATTERN, d, m)
                 for m in embeddings(V21_PATTERN, d)
-                if marks <= set(m.as_dict().values())
+                if marks <= set(m.values())
             )
             if expand_semivirtual(d, marks).evaluate(v21) != containing:
                 raise AssertionError(f"semi-virtual expansion mismatch on {d.code()!r}")

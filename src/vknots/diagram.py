@@ -14,7 +14,8 @@ Every operation renormalizes slots back to this range.
 Text form: a whitespace/comma separated list of tokens ``O<label><sign>`` /
 ``U<label><sign>``, e.g. ``"O1+ U2+ O3+ U1+ O2+ U3+"`` for the right
 trefoil.  ``O`` marks the over-passage (tail of the chord), ``U`` the
-under-passage (head).
+under-passage (head).  A label is read as the chord id it names, so
+``O01+`` and ``O1+`` are endpoints of the same chord 1.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ def parse_gauss_code(text: str, kind: Kind = "closed") -> GaussDiagram:
     syntax, a label seen twice with the same O/U role, a sign mismatch
     between a label's two tokens, and labels missing their partner.
     """
-    ends: dict[str, dict[str, tuple[int, int]]] = {}
+    ends: dict[int, dict[str, tuple[int, int]]] = {}
     tokens = text.replace(",", " ").split()
     for slot, tok in enumerate(tokens):
         m = _TOKEN.match(tok)
@@ -344,18 +345,18 @@ def parse_gauss_code(text: str, kind: Kind = "closed") -> GaussDiagram:
         role_ch, label, sign_ch = m.groups()
         role = TAIL if role_ch == "O" else HEAD
         sign = 1 if sign_ch == "+" else -1
-        rec = ends.setdefault(label, {})
+        rec = ends.setdefault(int(label), {})
         if role in rec:
             raise ParseError(f"token {tok!r}: label {label} already has an {role_ch} endpoint")
         rec[role] = (slot, sign)
     chords = []
-    for label, rec in ends.items():
+    for cid, rec in ends.items():
         if TAIL not in rec or HEAD not in rec:
-            raise ParseError(f"label {label}: missing its {'U' if HEAD not in rec else 'O'} token")
+            raise ParseError(f"label {cid}: missing its {'U' if HEAD not in rec else 'O'} token")
         (tslot, tsign), (hslot, hsign) = rec[TAIL], rec[HEAD]
         if tsign != hsign:
-            raise ParseError(f"label {label}: sign mismatch between its O and U tokens")
-        chords.append(Chord(int(label), tslot, hslot, tsign))
+            raise ParseError(f"label {cid}: sign mismatch between its O and U tokens")
+        chords.append(Chord(cid, tslot, hslot, tsign))
     return GaussDiagram(kind, chords)
 
 

@@ -9,8 +9,8 @@ unknot every virtual knot, which makes the alternating sums over triangle
 toggles (:func:`f_alt_sum`) a genuine finite-type filtration.  A toggle
 is a move trace: GPV and F sums share one subset primitive, which replays
 ``virtualize`` or ``Fo``/``Fu`` events through ``moves.apply_trace``;
-every site set is resolved and checked for disjointness in
-:func:`_checked_sites`, so sign-0 descriptors will do.
+a site is its slot and kind, checked in :func:`_checked_sites`, and
+only the semi-triple expansion reads its :func:`triangle_sign`.
 
 Sign convention (the only free choice; every identity below is invariant
 under a global flip): a triangle at slots (k, k+1) is positive when the
@@ -62,11 +62,10 @@ class FamilyError(DiagramError):
 @dataclass(frozen=True)
 class TriangleSite:
     """Adjacent slot pair (slot, slot+1) carrying two tails (Fo) or two
-    heads (Fu) of distinct chords, with the triangle sign."""
+    heads (Fu) of distinct chords; its sign is :func:`triangle_sign`."""
 
     slot: int
     kind: str  # 'Fo' | 'Fu'
-    sign: int
 
     def slots(self, diagram: GaussDiagram) -> tuple[int, int]:
         return self.slot, (self.slot + 1) % diagram.slot_count
@@ -126,12 +125,10 @@ def triangle_sign(diagram: GaussDiagram, slot: int) -> int:
 
 def find_triangles(diagram: GaussDiagram) -> list[TriangleSite]:
     """All triangles, in slot order: the Fo and Fu sites the move
-    recognizer reads at each adjacent pair, with their signs (the
-    ``("Fo", "Fu")`` enumeration of :func:`~vknots.moves.enumerate_moves`)."""
+    recognizer reads at each adjacent pair (the ``("Fo", "Fu")``
+    enumeration of :func:`~vknots.moves.enumerate_moves`)."""
     *_, forbidden = _site_events(*diagram._eq_key(), ("Fo", "Fu"))
-    return [
-        TriangleSite(e.data[0], e.kind, triangle_sign(diagram, e.data[0])) for e in forbidden
-    ]
+    return [TriangleSite(e.data[0], e.kind) for e in forbidden]
 
 
 def site_at(diagram: GaussDiagram, slot: int, kind: str) -> TriangleSite:
@@ -142,7 +139,7 @@ def site_at(diagram: GaussDiagram, slot: int, kind: str) -> TriangleSite:
         raise FamilyError(f"triangle kind must be 'Fo' or 'Fu', not {kind!r}")
     if (kind, (slot,)) not in _sites_at(*diagram._eq_key(), slot, (kind,)):
         raise FamilyError(f"slots ({slot}, {slot + 1}) are not a {kind} triangle")
-    return TriangleSite(slot, kind, triangle_sign(diagram, slot))
+    return TriangleSite(slot, kind)
 
 
 def _footprint(diagram: GaussDiagram, site: TriangleSite) -> set[tuple[str, int]]:
@@ -157,18 +154,20 @@ def _footprint(diagram: GaussDiagram, site: TriangleSite) -> set[tuple[str, int]
 
 
 def disjoint_sites(diagram: GaussDiagram, count: int) -> list[TriangleSite] | None:
-    """Greedily pick ``count`` pairwise disjoint triangles (no shared slots
-    or chords), or None when the diagram has fewer."""
+    """Greedily pick ``count`` >= 0 pairwise disjoint triangles (no shared
+    slots or chords), or None when the diagram has fewer."""
+    if count < 0:
+        raise FamilyError(f"site count must be >= 0, got {count}")
     picked: list[TriangleSite] = []
     used: set[tuple[str, int]] = set()
     for site in find_triangles(diagram):
+        if len(picked) == count:
+            break
         touched = _footprint(diagram, site)
         if used.isdisjoint(touched):
             picked.append(site)
             used |= touched
-            if len(picked) == count:
-                return picked
-    return None
+    return picked if len(picked) == count else None
 
 
 def apply_forbidden(diagram: GaussDiagram, site: TriangleSite) -> GaussDiagram:
@@ -185,8 +184,8 @@ def apply_forbidden(diagram: GaussDiagram, site: TriangleSite) -> GaussDiagram:
 def _checked_sites(
     diagram: GaussDiagram, sites: Iterable[TriangleSite]
 ) -> list[TriangleSite]:
-    """The sites re-read through :func:`site_at` (so with their signs);
-    raises when one is stale or two share a slot or a chord."""
+    """The sites, each checked by :func:`site_at`; raises when one is
+    stale or two share a slot or a chord."""
     checked = [site_at(diagram, s.slot, s.kind) for s in sites]
     used: set[tuple[str, int]] = set()
     for s in checked:
@@ -229,7 +228,7 @@ def expand_semitriple(
     e * (original - toggled), so the whole sum carries the product of the
     marked triangles' signs."""
     sites = _checked_sites(diagram, sites)
-    outer = math.prod(s.sign for s in sites)
+    outer = math.prod(triangle_sign(diagram, s.slot) for s in sites)
     events = [s._event() for s in sites]
     return FormalDiagramSum(
         tuple((outer * sign, d) for sign, d in _alternating_terms(diagram, events))
@@ -374,7 +373,10 @@ def certify_trivial(
     diagram.  The state sums (Jones, Khovanov) run after the search, over
     2**(reduced chords) states, yet only when the input has at most
     ``cap`` chords.  A refutation is sound; unknown claims nothing, and
-    says which limit, if any, stopped it (see :class:`Verdict`)."""
+    says which limit, if any, stopped it (see :class:`Verdict`).  Raises
+    MoveError when ``budget`` is negative, before any row is read."""
+    if budget < 0:
+        raise MoveError("certify budget must be >= 0")
     rows = _arrow_rows(diagram)
     if rows:
         return Verdict("refuted", (), rows[0])
@@ -401,8 +403,11 @@ def check_n_trivial(
     Returns (per-subset verdicts keyed by sorted family indices, aggregate);
     the aggregate is True only when every subset is certified.  Each
     family is a sequence of chord ids or of :class:`TriangleSite`, and the
-    members decide the mode (see :func:`_validate_families`).
+    members decide the mode (see :func:`_validate_families`).  Raises
+    MoveError when ``budget`` is negative, before any subset is toggled.
     """
+    if budget < 0:
+        raise MoveError("certify budget must be >= 0")
     ordered = _validate_families(diagram, families)
     verdicts: dict[tuple[int, ...], Verdict] = {}
     aggregate = True
@@ -540,8 +545,8 @@ def load_families(data: bytes | str) -> tuple[str, list[tuple]]:
     """Parse the families JSON: ``{"mode": "GPV"|"F", "families": [...]}``
     where GPV members are chord ids and F members are
     ``{"slots": [k, k+1], "kind": "Fo"|"Fu"}`` descriptors (``[2n-1, 2n]``
-    crosses a closed diagram's basepoint), read as sign-0 sites.  Returns
-    the mode and each family as a nonempty tuple of its members.  JSON
+    crosses a closed diagram's basepoint), read as sites.  Returns the
+    mode and each family as a nonempty tuple of its members.  JSON
     booleans are not integers here."""
     try:
         obj = json.loads(data)
@@ -578,6 +583,6 @@ def load_families(data: bytes | str) -> tuple[str, list[tuple]]:
                     or kind not in ("Fo", "Fu")
                 ):
                     raise FamilyError(f"bad site descriptor {desc!r}")
-                sites.append(TriangleSite(slots[0], kind, 0))
+                sites.append(TriangleSite(slots[0], kind))
             families.append(tuple(sites))
     return mode, families

@@ -451,11 +451,9 @@ def _census_bracket(n: int, census: dict[tuple[int, int], int]) -> LaurentPoly:
 
 
 def bracket(diagram: GaussDiagram) -> LaurentPoly:
-    """Kauffman bracket state sum, normalized by <empty> = 1.
-
-    <D> = sum over states of A**sigma * (-A^2 - A^-2)**|s|, so the
-    chord-free diagram evaluates to -A^2 - A^-2.
-    """
+    """Kauffman bracket <D> = sum over states of A**sigma * delta**|s|,
+    where |s| counts the state's circles and delta = -A^2 - A^-2, so the
+    crossingless circle gives delta (no normalization by <O> = 1)."""
     return _census_bracket(diagram.n, _space(diagram).census())
 
 

@@ -105,7 +105,7 @@ class TestEmbeddings:
 
     def test_tthh_in_long_trefoil(self):
         ms = embeddings(TTHH, LT)
-        assert len(ms) == 1 and ms[0].as_dict() == {"1": 1, "2": 3}
+        assert len(ms) == 1 and ms[0] == {"1": 1, "2": 3}
 
     def test_reads_no_slot(self, monkeypatch):
         # matching sorts the chosen chords' endpoints; it never scans slots
@@ -273,7 +273,7 @@ class TestDirectCount:
                 d = random_diagram(rng, n, "long")
                 ids = d.chord_ids()
                 matches = [
-                    (set(m.as_dict().values()), matching_weight(pattern, d, m))
+                    (set(m.values()), matching_weight(pattern, d, m))
                     for m in embeddings(pattern, d)
                 ]
                 if n <= 6:
@@ -353,7 +353,7 @@ class TestGpvAltSum:
             ids = list(d.chord_ids())
             for pattern, fn in ((V21_PATTERN, v21), (V22_PATTERN, v22)):
                 matches = [
-                    (set(m.as_dict().values()), matching_weight(pattern, d, m))
+                    (set(m.values()), matching_weight(pattern, d, m))
                     for m in embeddings(pattern, d)
                 ]
                 for _ in range(4):

@@ -64,6 +64,17 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             read_diagram_file("O1+ U1+\nO1+ o2-")
 
+    def test_labels_are_read_as_chord_ids(self):
+        # a leading zero names the same chord
+        assert parse_gauss_code("O01+ U1+") == parse_gauss_code("O1+ U1+")
+        assert parse_gauss_code("O1+ U02- O002- U001+").code() == "O1+ U2- O2- U1+"
+
+    def test_same_chord_under_two_labels_names_its_token(self):
+        with pytest.raises(ParseError, match=r"^token 'O1\+': label 1 already has an O endpoint$"):
+            parse_gauss_code("O01+ U01+ O1+ U1+")
+        with pytest.raises(ParseError, match=r"^line 2: token 'O1\+'"):
+            read_diagram_file("O1+ U1+\nO01+ U01+ O1+ U1+")
+
 
 class TestRoundTrip:
     def test_trefoil(self):

@@ -104,8 +104,8 @@ class TestTriangles:
             d = random_diagram(rng, rng.randint(2, 6), "closed")
             for s in find_triangles(d):
                 d2 = apply_forbidden(d, s)
-                s2 = site_at(d2, s.slot, s.kind)
-                assert s2.sign == -s.sign
+                site_at(d2, s.slot, s.kind)
+                assert triangle_sign(d2, s.slot) == -triangle_sign(d, s.slot)
 
     def test_find_triangles_is_the_f_enumeration(self):
         rng = random.Random(7070)
@@ -121,7 +121,6 @@ class TestTriangles:
             sites = find_triangles(d)
             assert [(e.data[0], e.kind) for e in events] == expected
             assert [(s.slot, s.kind) for s in sites] == expected
-            assert all(s.sign == triangle_sign(d, s.slot) for s in sites)
 
     def test_site_at_reads_no_slot_modulo_2n(self):
         rng = random.Random(7071)
@@ -136,6 +135,15 @@ class TestTriangles:
                     else:
                         with pytest.raises(FamilyError, match="not a F"):
                             site_at(d, slot, kind)
+
+    @pytest.mark.parametrize("d", [parse_gauss_code(""), LT, VT])
+    def test_zero_disjoint_sites_is_the_empty_list(self, d):
+        # every diagram has zero disjoint sites; None means fewer than asked
+        assert disjoint_sites(d, 0) == []
+
+    def test_negative_site_count_refused(self):
+        with pytest.raises(FamilyError, match="site count must be >= 0, got -1"):
+            disjoint_sites(VT, -1)
 
 
 class TestApplyForbidden:
@@ -158,7 +166,7 @@ class TestApplyForbidden:
 
     def test_stale_site_rejected(self):
         with pytest.raises(FamilyError, match="not a F"):
-            apply_forbidden(LT, TriangleSite(0, "Fo", 1))
+            apply_forbidden(LT, TriangleSite(0, "Fo"))
 
 
 class TestFAltSum:
@@ -240,13 +248,12 @@ class TestFSideByBitmask:
             if sites is None:
                 continue
             rng.shuffle(sites)
-            signs = math.prod(s.sign for s in sites)
-            blank = [TriangleSite(s.slot, s.kind, 0) for s in sites]
+            signs = math.prod(triangle_sign(d, s.slot) for s in sites)
             invariants = [code_hash] + ([v21, v22] if d.kind == "long" else [])
             for inv in invariants:
                 expected = bitmask_f_sum(inv, d, sites)
-                assert f_alt_sum(inv, d, blank) == expected
-                assert expand_semitriple(d, blank).evaluate(inv) == signs * expected
+                assert f_alt_sum(inv, d, sites) == expected
+                assert expand_semitriple(d, sites).evaluate(inv) == signs * expected
             checked[count] += 1
 
 
@@ -280,11 +287,12 @@ class TestExpansions:
             s = sites[0]
             out = expand_semitriple(d, [s])
             toggled = apply_forbidden(d, s)
-            if s.sign > 0:
+            sign = triangle_sign(d, s.slot)
+            if sign > 0:
                 assert out.evaluate(v21) == v21(d) - v21(toggled)
             else:
                 assert out.evaluate(v21) == v21(toggled) - v21(d)
-            seen[s.sign] = True
+            seen[sign] = True
 
     def test_semitriple_matches_signed_f_sum(self, rng):
         checked = 0
@@ -293,9 +301,7 @@ class TestExpansions:
             sites = disjoint_sites(d, 2) or (find_triangles(d)[:1] or None)
             if not sites:
                 continue
-            prod = 1
-            for s in sites:
-                prod *= s.sign
+            prod = math.prod(triangle_sign(d, s.slot) for s in sites)
             assert expand_semitriple(d, sites).evaluate(v21) == prod * f_alt_sum(v21, d, sites)
             checked += 1
 
@@ -363,6 +369,23 @@ class TestCertify:
     def test_virtual_trefoil_refuted_by_jones(self):
         v = certify_trivial(VT)
         assert v.status == "refuted" and v.witness[0] == "jones_hat"
+
+    @pytest.mark.parametrize(
+        "d",
+        [LT, VT, parse_gauss_code("O1+ O2- U1+ U2- O3+ U3+", "long")],
+        ids=["v21-refuted", "closed", "reducible"],
+    )
+    def test_negative_budget_refused_before_any_row(self, d, monkeypatch):
+        # refused whether v21 would refute the input or the search would run
+        def no_row(*args):
+            raise AssertionError("a battery row was read")
+
+        monkeypatch.setattr(forbidden, "_arrow_rows", no_row)
+        monkeypatch.setattr(forbidden, "apply_trace", no_row)
+        with pytest.raises(MoveError, match="certify budget must be >= 0"):
+            certify_trivial(d, budget=-1)
+        with pytest.raises(MoveError, match="certify budget must be >= 0"):
+            check_n_trivial(gpv2_trivial(), [(1, 2), (3, 4)], budget=-1)
 
     def test_budget_zero_gives_unknown_on_reducible_unknot(self):
         d = parse_gauss_code("O1+ O2- U1+ U2- O3+ U3+", "long")
@@ -499,35 +522,26 @@ class TestNTrivial:
         assert aggregate is True
 
     def test_sign_zero_descriptors_match_resolved_sites(self):
-        # The library reads every site through site_at, so the sign-0
-        # descriptors of a families file give the resolved sites' results.
+        # A site is only its slot and kind, so the descriptors of a
+        # families file load as the very sites find_triangles lists.
         rng = random.Random(2468)
         checked = 0
         while checked < 40:
             kind = ("closed", "long")[checked % 2]
             d = random_diagram(rng, rng.randint(2, 7), kind)
-            sites = disjoint_sites(d, rng.randint(1, 3))
-            if sites is None:
+            found = find_triangles(d)
+            if not found:
                 continue
             text = json.dumps(
                 {
                     "mode": "F",
                     "families": [
-                        [{"slots": [s.slot, s.slot + 1], "kind": s.kind}] for s in sites
+                        [{"slots": [s.slot, s.slot + 1], "kind": s.kind}] for s in found
                     ],
                 }
             )
             _, families = load_families(text)
-            raw = [site for (site,) in families]
-            assert all(s.sign == 0 for s in raw)
-            if kind == "long":
-                assert f_alt_sum(v21, d, raw) == f_alt_sum(v21, d, sites)
-                assert f_alt_sum(v22, d, raw) == f_alt_sum(v22, d, sites)
-            assert expand_semitriple(d, raw) == expand_semitriple(d, sites)
-            resolved = [(s,) for s in sites]
-            assert check_n_trivial(d, families, budget=200, cap=7) == check_n_trivial(
-                d, resolved, budget=200, cap=7
-            )
+            assert families == [(s,) for s in found]
             checked += 1
 
     def test_shared_chord_rejected(self):
@@ -560,7 +574,7 @@ class TestNTrivial:
     @pytest.mark.parametrize(
         "families, message",
         [
-            ([(1,), (TriangleSite(0, "Fo", 0),)], "got TriangleSite, int"),
+            ([(1,), (TriangleSite(0, "Fo"),)], "got TriangleSite, int"),
             ([("1",)], "got str"),
             ([(1.0, 2)], "got float, int"),
             ([(True,)], "got bool"),
@@ -843,7 +857,7 @@ class TestFamiliesJson:
                 {"mode": "F", "families": [[{"slots": [0, 1], "kind": "Fo"}]]}
             )
         )
-        assert mode == "F" and fams == [(TriangleSite(0, "Fo", 0),)]
+        assert mode == "F" and fams == [(TriangleSite(0, "Fo"),)]
 
     def test_bad_mode(self):
         with pytest.raises(FamilyError, match="mode"):

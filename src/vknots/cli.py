@@ -516,9 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("braid", help="build/close braid words, scan the commutator family")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--gens", help="generator JSON {'A': word, 'B': word}")
-    p.add_argument("--word", help="braid word, e.g. 's1 v1 s1 v1'")
-    p.add_argument("--bk", type=int, help="build family member b(k)")
-    p.add_argument("--scan", type=_scan_range, help="scan family members, e.g. 1:4")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--word", help="braid word, e.g. 's1 v1 s1 v1'")
+    mode.add_argument("--bk", type=int, help="build family member b(k)")
+    mode.add_argument("--scan", type=_scan_range, help="scan family members, e.g. 1:4")
     p.add_argument("--cap-chords", type=int, default=DEFAULT_HOMOLOGY_CAP)
     p.set_defaults(func=cmd_braid)
 

@@ -11,6 +11,8 @@ is a move trace: GPV and F sums share one subset primitive, which replays
 ``virtualize`` or ``Fo``/``Fu`` events through ``moves.apply_trace``;
 a site is its slot and kind, checked in :func:`_checked_sites`, and
 only the semi-triple expansion reads its :func:`triangle_sign`.
+:func:`check_n_trivial` decides each toggled subset by
+:func:`certify_trivial`, the one reader of the unknot battery.
 
 Sign convention (the only free choice; every identity below is invariant
 under a global flip): a triangle at slots (k, k+1) is positive when the
@@ -76,16 +78,15 @@ class TriangleSite:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Three-valued triviality verdict.
+    """Three-valued triviality verdict of :func:`certify_trivial`.
 
     ``certified`` carries a move trace to the empty diagram; ``refuted``
     carries the name of a battery invariant together with its value and
-    the unknot's value; ``unknown`` carries neither, and a ``reason``
-    naming what stopped it, in the order the checks run: ``"budget"`` when
-    the R-move search spent its node budget, else ``"cap"`` when the
-    battery skipped its state sums above the chord cap, else ``"search"``
-    when the search ended on its own and every battery row matched the
-    unknot's.
+    the unknot's value; ``unknown`` carries neither, and a ``reason``:
+    ``"budget"`` when the R-move search spent its node budget, else
+    ``"cap"`` when the input had more chords than the cap on the state
+    sums, else ``"search"`` when the search ended on its own and every
+    battery row matched the unknot's.
     """
 
     status: str
@@ -313,80 +314,45 @@ def lemma3_residual(
 # -- triviality certification -----------------------------------------------------
 
 
-def _arrow_rows(diagram: GaussDiagram) -> list[tuple[str, str, str]]:
-    """The battery's first rows, on long diagrams only: v21, then v22, as
-    a one-row list for the first that is nonzero (the unknot's value is
-    0), or [] when neither is or the diagram is closed."""
-    if diagram.kind == "long":
-        for name, fn in (("v21", v21), ("v22", v22)):
-            val = fn(diagram)
-            if val != 0:
-                return [(name, str(val), "0")]
-    return []
-
-
-def _battery(
-    diagram: GaussDiagram, cap: int, chords: int | None = None
-) -> list[tuple[str, str, str]]:
-    """The first (name, value, unknot value) row that witnesses
-    nontriviality, as a one-row list, or [] when no row does.
-
-    Rows are tried in the order v21, v22 (long diagrams only, see
-    :func:`_arrow_rows`), jones_hat, then Z2 Khovanov homology, the last
-    two on the closure of a long diagram.  They sum over the 2**n states,
-    so they run only when ``chords`` (the chord count the cap is judged
-    on, ``diagram.n`` by default) is at most ``cap``.  A closed diagram has
-    no arrow rows, so :func:`certify_trivial` reads them on its long input
-    and hands the closure of the reduced diagram here.  The normalized
-    bracket is not tried: for a fixed writhe,
-    ``khovanov.jones_from_bracket`` maps monomials one-to-one and sends the
-    unknot's bracket to the unknot's Jones polynomial, so the bracket
-    differs from the unknot's exactly when jones_hat does.
-    """
-    rows = _arrow_rows(diagram)
-    chords = diagram.n if chords is None else chords
-    if rows or chords > cap:
-        return rows
-    closed = reclose(diagram) if diagram.kind == "long" else diagram
-    jh = jones_hat(closed)
-    if jh != UNKNOT_JONES:
-        return [("jones_hat", jh.to_str("q"), UNKNOT_JONES.to_str("q"))]
-    table = homology(closed, cap).as_dict()
-    if table != UNKNOT_TABLE:
-        return [("khovanov", str(table), str(UNKNOT_TABLE))]
-    return []
-
-
 def certify_trivial(
     diagram: GaussDiagram, budget: int = 2000, cap: int = DEFAULT_HOMOLOGY_CAP
 ) -> Verdict:
     """Certified when the R-move search empties the diagram within budget;
     refuted when a battery invariant differs from the unknot's; unknown
-    otherwise.
+    otherwise, with a reason (see :class:`Verdict`).
 
     The battery's rows are invariant under the search's R1/R2 deletions
-    and R3 slides, so each may be read on the input or on the diagram the
-    search reduced it to, and the witness is the input's either way.  The
-    arrow rows (v21, v22: long diagrams only, O(n**2) chord pairs) are read
-    on the input before the search, and a refutation there returns
-    without searching: a nonzero v21 or v22 means no search can empty the
-    diagram.  The state sums (Jones, Khovanov) run after the search, over
-    2**(reduced chords) states, yet only when the input has at most
-    ``cap`` chords.  A refutation is sound; unknown claims nothing, and
-    says which limit, if any, stopped it (see :class:`Verdict`).  Raises
-    MoveError when ``budget`` is negative, before any row is read."""
+    and R3 slides, so each may be read on the input or on the reduced
+    diagram, and the witness is the input's either way.  In order: v21,
+    then v22 (long inputs only, O(n**2) chord pairs, 0 on the unknot) on
+    the input, where a nonzero value refutes it without searching; the
+    search; then jones_hat and Z2 Khovanov homology on the closure of the
+    reduced diagram, over 2**(reduced chords) states, only when the input
+    has at most ``cap`` chords.  The normalized bracket is not tried: for
+    a fixed writhe, ``khovanov.jones_from_bracket`` maps monomials
+    one-to-one and sends the unknot's bracket to the unknot's Jones
+    polynomial, so the bracket differs from the unknot's exactly when
+    jones_hat does.  A refutation is sound; unknown claims nothing.
+    Raises MoveError when ``budget`` is negative, before any row is read."""
     if budget < 0:
         raise MoveError("certify budget must be >= 0")
-    rows = _arrow_rows(diagram)
-    if rows:
-        return Verdict("refuted", (), rows[0])
+    if diagram.kind == "long":
+        for name, fn in (("v21", v21), ("v22", v22)):
+            val = fn(diagram)
+            if val != 0:
+                return Verdict("refuted", witness=(name, str(val), "0"))
     stats = SearchStats()
     reduced, trace = simplify(diagram, budget, stats=stats)
     if reduced.n == 0:
         return Verdict("certified", tuple(trace))
-    rows = _battery(reclose(reduced) if reduced.kind == "long" else reduced, cap, diagram.n)
-    if rows:
-        return Verdict("refuted", (), rows[0])
+    if diagram.n <= cap:
+        closed = reclose(reduced) if reduced.kind == "long" else reduced
+        jh = jones_hat(closed)
+        if jh != UNKNOT_JONES:
+            return Verdict("refuted", witness=("jones_hat", jh.to_str("q"), UNKNOT_JONES.to_str("q")))
+        table = homology(closed, cap).as_dict()
+        if table != UNKNOT_TABLE:
+            return Verdict("refuted", witness=("khovanov", str(table), str(UNKNOT_TABLE)))
     if stats.budget_spent:
         return Verdict("unknown", reason="budget")
     return Verdict("unknown", reason="cap" if diagram.n > cap else "search")

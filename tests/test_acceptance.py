@@ -10,8 +10,6 @@ import json
 import random
 import time
 
-import pytest
-
 from vknots.arrows import gpv_alt_sum, v21, v22
 from vknots.braids import (
     BraidWord,

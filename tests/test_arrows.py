@@ -24,9 +24,8 @@ from vknots.corpus import (
     left_trefoil,
     random_diagram,
     right_trefoil,
-    virtual_trefoil,
 )
-from vknots.diagram import DiagramError, GaussDiagram, cut, concat_long, parse_gauss_code, reclose
+from vknots.diagram import DiagramError, GaussDiagram, concat_long, parse_gauss_code, reclose
 
 LT = right_trefoil("long")
 TTHH = ArrowPattern("long", (("1", "t"), ("2", "t"), ("1", "h"), ("2", "h")))

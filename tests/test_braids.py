@@ -24,7 +24,7 @@ from vknots.braids import (
 )
 from vknots.cli import main
 from vknots.corpus import virtual_trefoil
-from vknots.khovanov import CapExceeded, bracket, jones_hat
+from vknots.khovanov import CapExceeded, jones_hat
 from vknots.moves import simplify
 
 

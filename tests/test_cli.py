@@ -690,6 +690,23 @@ class TestBraid:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", err)
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--word", "s1 s1", "--bk", "2"], "argument --bk: not allowed with argument --word"),
+            (["--scan", "1:2", "--bk", "3"], "argument --bk: not allowed with argument --scan"),
+            (["--word", "s1", "--scan", "1:2"], "argument --scan: not allowed with argument --word"),
+        ],
+        ids=["word-bk", "scan-bk", "word-scan"],
+    )
+    def test_conflicting_modes_are_exit_1(self, capsys, argv, err):
+        # one mode per call: a second one is refused, not ignored
+        code = main(["braid", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("usage: vknots braid ")
+        assert captured.err.endswith(f"vknots braid: error: {err}\n")
+
     def test_scan_with_skips(self, capsys):
         code, (report,) = run_json(capsys, "braid", "--scan", "1:3")
         assert code == 2  # k = 3 exceeds the default cap

@@ -13,6 +13,10 @@ it, binds itself (a parameter or local of the same spelling).
 A name that only the tests read is listed in ``TEST_ONLY`` with the
 reason it stays: an oracle, a paper operation, or a report schema.
 
+Every name an import binds in a package module (but ``__init__``, whose
+imports are re-exports) or a test module is read in that module; a
+``__future__`` import binds nothing.
+
 A defaulted parameter of a package function or method counts as passed
 when some package or ``bench/`` module calls a function of that name with
 it, by keyword or by position (a call of a class passes to its
@@ -178,6 +182,28 @@ def library_only_dead() -> list[str]:
     return unread(modules, names, attrs)
 
 
+class _Unimported(ast.NodeTransformer):
+    """Drops every import, so that a name counts as read only where it
+    is loaded."""
+
+    def visit_Import(self, node):
+        return None
+
+    visit_ImportFrom = visit_Import
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names the imports of ``tree`` bind, at any depth, that the
+    module never reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    names, _ = read_names(_Unimported().visit(tree), strings=False)
+    return sorted(bound - names)
+
+
 def defaulted_parameters(tree: ast.Module, module: str):
     """``(qualified name, function name, position or None, method)`` for
     every defaulted parameter of a top-level function or class method;
@@ -276,6 +302,16 @@ def test_no_module_level_name_is_dead():
     assert unread(sorted(PACKAGE.glob("*.py")), names, attrs) == []
 
 
+def test_no_import_is_unused():
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    paths += sorted((ROOT / "tests").rglob("*.py"))
+    assert [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in paths
+        for name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ] == []
+
+
 SYNTHETIC = """
 def param(): pass
 def assigned(): pass
@@ -351,3 +387,29 @@ def test_a_parameter_counts_as_passed_by_keyword_or_position():
         "synthetic.never.flag",
         "synthetic.never.strict",
     ]
+
+
+SYNTHETIC_IMPORTS = """
+from __future__ import annotations
+import os.path
+import json as j
+import shutil
+from typing import Iterable, Sequence
+
+def local():
+    import re
+    return re.compile("x"), j
+
+def shadowed(shutil):
+    return shutil
+
+def annotated(x: Sequence) -> None:
+    return os.path.join(x)
+"""
+
+
+def test_an_import_counts_as_read_only_where_it_is_loaded():
+    # a dotted import binds its first part, ``as`` binds the alias, a
+    # parameter of the same spelling hides the module, and the import
+    # itself is no read
+    assert unused_imports(ast.parse(SYNTHETIC_IMPORTS)) == ["Iterable", "shutil"]

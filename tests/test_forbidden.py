@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -14,13 +13,13 @@ from vknots.diagram import (
     GaussDiagram,
     pair_starts,
     parse_gauss_code,
+    reclose,
     reorder_cells,
     rotation_key,
 )
 from vknots.forbidden import (
     FamilyError,
     TriangleSite,
-    _battery,
     apply_forbidden,
     certify_trivial,
     check_n_trivial,
@@ -48,6 +47,31 @@ from vknots.moves import (
 
 VT = virtual_trefoil()
 LT = right_trefoil("long")
+EMPTY = parse_gauss_code("")
+EMPTY_LONG = parse_gauss_code("", "long")
+
+
+def battery_on_input(d, cap):
+    """Oracle for certify_trivial's witness: the first battery row that
+    tells ``d`` from the unknot, read on ``d`` itself with no search, or
+    None.  Rows: v21, then v22 on a long diagram; then, when ``d`` has at
+    most ``cap`` chords, jones_hat and the Khovanov table of its closure,
+    each against its value on the empty diagram."""
+    if d.kind == "long":
+        for name, fn in (("v21", v21), ("v22", v22)):
+            value, unknot = fn(d), fn(EMPTY_LONG)
+            if value != unknot:
+                return name, str(value), str(unknot)
+    if d.n > cap:
+        return None
+    closed = reclose(d) if d.kind == "long" else d
+    jones, unknot = jones_hat(closed), jones_hat(EMPTY)
+    if jones != unknot:
+        return "jones_hat", jones.to_str("q"), unknot.to_str("q")
+    table, unknot = khovanov.homology(closed, cap).as_dict(), khovanov.homology(EMPTY).as_dict()
+    if table != unknot:
+        return "khovanov", str(table), str(unknot)
+    return None
 
 
 def insert_r2_pair(rng, d):
@@ -98,8 +122,9 @@ class TestTriangles:
         assert find_triangles(right_trefoil("closed")) == []
         assert find_triangles(LT) == []
 
-    def test_signs_flip_under_global_reversal(self, rng):
-        # toggling a site flips exactly that site's sign
+    def test_toggle_flips_its_own_sign(self, rng):
+        # toggling a site flips that site's sign; other sites that survive
+        # the toggle may flip too, so only the toggled one is checked
         for _ in range(30):
             d = random_diagram(rng, rng.randint(2, 6), "closed")
             for s in find_triangles(d):
@@ -380,8 +405,8 @@ class TestCertify:
         def no_row(*args):
             raise AssertionError("a battery row was read")
 
-        monkeypatch.setattr(forbidden, "_arrow_rows", no_row)
-        monkeypatch.setattr(forbidden, "apply_trace", no_row)
+        for name in ("v21", "v22", "jones_hat", "homology", "apply_trace"):
+            monkeypatch.setattr(forbidden, name, no_row)
         with pytest.raises(MoveError, match="certify budget must be >= 0"):
             certify_trivial(d, budget=-1)
         with pytest.raises(MoveError, match="certify budget must be >= 0"):
@@ -422,7 +447,7 @@ class TestCertify:
             d = random_diagram(rng, rng.randint(0, 5), rng.choice(("closed", "long")))
             v = certify_trivial(d, budget=400)
             if v.certified:
-                assert _battery(d, cap=10) == []
+                assert battery_on_input(d, 10) is None
 
     def test_state_sums_wait_for_the_cap(self, monkeypatch):
         def no_census(self):
@@ -431,11 +456,13 @@ class TestCertify:
         monkeypatch.setattr(khovanov._StateSpace, "census", property(no_census))
         # within the cap, jones_hat refutes the virtual trefoil and its long
         # form, whose v21 and v22 vanish
-        assert _battery(VT, cap=VT.n - 1) == []
-        assert certify_trivial(VT, cap=VT.n - 1).status == "unknown"
         long_vt = parse_gauss_code("O1+ O2+ U1+ U2+", "long")
         assert (v21(long_vt), v22(long_vt)) == (0, 0)
-        assert _battery(long_vt, cap=long_vt.n - 1) == []
+        for d in (VT, long_vt):
+            assert certify_trivial(d, cap=d.n - 1).reason == "cap"
+        monkeypatch.undo()
+        for d in (VT, long_vt):
+            assert certify_trivial(d, cap=d.n).witness[0] == "jones_hat"
 
     def test_battery_on_reduced_matches_the_input(self):
         # oracle: the battery run on the input diagram itself, with the cap
@@ -455,8 +482,8 @@ class TestCertify:
                         if reduced.n == 0:
                             want = ("certified", tuple(trace), None)
                         else:
-                            rows = _battery(diagram, cap)
-                            want = ("refuted", (), rows[0]) if rows else ("unknown", (), None)
+                            row = battery_on_input(diagram, cap)
+                            want = ("refuted", (), row) if row else ("unknown", (), None)
                             reduced_only += reduced.n < diagram.n
                         v = certify_trivial(diagram, 2000, cap)
                         assert (v.status, v.trace, v.witness) == want, diagram.code()
@@ -475,9 +502,64 @@ class TestCertify:
             if (v21(toggled), v22(toggled)) == (0, 0):
                 continue
             v = certify_trivial(toggled)
-            assert v.status == "refuted" and v.witness == _battery(toggled, 12)[0]
+            assert v.status == "refuted" and v.witness == battery_on_input(toggled, 12)
             witnesses.add(v.witness[0])
         assert witnesses == {"v21", "v22"}
+
+    def test_state_sums_read_closed_diagrams_only(self, monkeypatch):
+        # jones_hat and homology see only closures, on long and closed
+        # inputs and on their GPV and F toggles
+        reached = set()
+
+        def closed_only(fn):
+            def wrapper(d, *args):
+                assert d.kind == "closed", fn.__name__
+                reached.add((fn.__name__, given.kind))
+                return fn(d, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(forbidden, "jones_hat", closed_only(jones_hat))
+        monkeypatch.setattr(forbidden, "homology", closed_only(khovanov.homology))
+        rng = random.Random(2801)
+        for _ in range(40):
+            d = random_diagram(rng, rng.randint(1, 7), rng.choice(("closed", "long")))
+            sites = find_triangles(d)[:1]
+            for given in (
+                d,
+                apply_trace(d, [MoveEvent("virtualize", (rng.choice(d.chord_ids()),))]),
+                apply_trace(d, [s._event() for s in sites]),
+            ):
+                certify_trivial(given, 200, 12)
+        assert reached == {(f, k) for f in ("jones_hat", "homology") for k in ("closed", "long")}
+
+    def test_arrow_rows_read_once_on_long_inputs_only(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(d, *args):
+                calls.append((fn.__name__, d))
+                return fn(d, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(forbidden, "v21", counted(v21))
+        monkeypatch.setattr(forbidden, "v22", counted(v22))
+        rng = random.Random(2802)
+        read = set()
+        for _ in range(60):
+            d = random_diagram(rng, rng.randint(1, 7), rng.choice(("closed", "long")))
+            for given in (d, apply_trace(d, [MoveEvent("virtualize", (rng.choice(d.chord_ids()),))])):
+                calls.clear()
+                certify_trivial(given, 200, 12)
+                names = tuple(name for name, _ in calls)
+                if given.kind == "closed":
+                    assert names == ()
+                else:
+                    assert names in (("v21",), ("v21", "v22"))
+                    assert all(seen is given for _, seen in calls)
+                read.add(names)
+        assert read == {(), ("v21",), ("v21", "v22")}
 
     def test_golden_verdicts_on_toggles(self):
         # one sha256 over certify_trivial's verdicts on GPV and F toggles of
@@ -521,7 +603,7 @@ class TestNTrivial:
         verdicts, aggregate = check_n_trivial(d, fams, budget=500)
         assert aggregate is True
 
-    def test_sign_zero_descriptors_match_resolved_sites(self):
+    def test_loaded_sites_equal_found_sites(self):
         # A site is only its slot and kind, so the descriptors of a
         # families file load as the very sites find_triangles lists.
         rng = random.Random(2468)

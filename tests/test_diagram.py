@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -317,3 +319,132 @@ class TestBasepoint:
     def test_concat_rejects_closed(self):
         with pytest.raises(DiagramError, match="long"):
             concat_long(parse_gauss_code(VT), parse_gauss_code(VT))
+
+
+SEPARATORS = (" ", " ", ",", ", ", "\t", "\n", " ,\t", "  \n")
+# Characters no token may hold; each is inserted into a token.
+BAD_CHARACTERS = "xou*.#=Oo"
+# Digits that ``int`` reads but the grammar refuses.
+UNICODE_DIGITS = "٣３²३"
+
+
+def golden_tokens(rng, n):
+    """Tokens of a random n-chord code: random labels below 1000, some
+    written with leading zeros, endpoints in random order."""
+    labels = rng.sample(range(1000), n)
+    signs = {label: rng.choice("+-") for label in labels}
+    ends = [(label, role) for label in labels for role in "OU"]
+    rng.shuffle(ends)
+    return [role + "0" * rng.choice((0, 0, 0, 1, 2)) + str(label) + signs[label]
+            for label, role in ends]
+
+
+def golden_join(rng, tokens):
+    text = "".join(tok + rng.choice(SEPARATORS) for tok in tokens)
+    return rng.choice(("", " ", ",", "\n\t")) + text
+
+
+def golden_mutant(rng, tokens):
+    """``tokens`` with one fault: a dropped token, a repeated role, a
+    flipped sign, a bad character, a Unicode digit, or two glued tokens."""
+    tokens = list(tokens)
+    i = rng.randrange(len(tokens))
+    tok = tokens[i]
+    fault = rng.choice(("drop", "role", "sign", "char", "digit", "glue"))
+    if fault == "drop":
+        del tokens[i]
+    elif fault == "role":
+        tokens[i] = {"O": "U", "U": "O"}.get(tok[0], "O") + tok[1:]
+    elif fault == "sign":
+        tokens[i] = tok[:-1] + {"+": "-", "-": "+"}.get(tok[-1], "+")
+    elif fault == "char":
+        at = rng.randrange(len(tok) + 1)
+        tokens[i] = tok[:at] + rng.choice(BAD_CHARACTERS) + tok[at:]
+    elif fault == "digit":
+        at = rng.randrange(1, len(tok) - 1)
+        tokens[i] = tok[:at] + rng.choice(UNICODE_DIGITS) + tok[at + 1:]
+    elif i + 1 < len(tokens):
+        tokens[i:i + 2] = [tok + tokens[i + 1]]
+    else:
+        tokens[i - 1:i + 1] = [tokens[i - 1] + tok]
+    return tokens
+
+
+def golden_outcome(read):
+    """What ``read()`` gives: its diagrams' kind, chords and code, or the
+    type and text of what it raised."""
+    try:
+        out = read()
+    except (ParseError, DiagramError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(d.kind, [(c.id, c.tail, c.head, c.sign) for c in d.chords], d.code())
+            for d in (out if isinstance(out, list) else [out])]
+
+
+class TestParseGolden:
+    """One sha256 over what ``parse_gauss_code`` and ``read_diagram_file``
+    give on seeded codes, valid ones and mutants with one or two faults,
+    derived before the parser read its tokens in one pass, so that any
+    change to the chords, kind, code or refusal text shows."""
+
+    def test_valid_codes(self):
+        rng = random.Random(2901)
+        h = hashlib.sha256()
+        for n in range(61):
+            for kind in ("closed", "long"):
+                for _ in range(3):
+                    text = golden_join(rng, golden_tokens(rng, n))
+                    h.update(repr(golden_outcome(lambda: parse_gauss_code(text, kind))).encode())
+        assert h.hexdigest() == (
+            "92b0f491128310622b627c0e342753b7712a6fb521aac4013d0eadeab56b81bb")
+
+    def test_mutant_refusals(self):
+        rng = random.Random(2902)
+        h = hashlib.sha256()
+        for _ in range(1500):
+            tokens = golden_tokens(rng, rng.randint(1, 40))
+            for _ in range(rng.choice((1, 1, 2))):
+                if tokens:
+                    tokens = golden_mutant(rng, tokens)
+            text = golden_join(rng, tokens)
+            kind = rng.choice(("closed", "long"))
+            h.update(repr(golden_outcome(lambda: parse_gauss_code(text, kind))).encode())
+        assert h.hexdigest() == (
+            "4ed5c20f8415fbf7cb50be2a0d3eb5f1fc265d54e5dafe52bccdbd9efa0d0d79")
+
+    def test_file_line_errors(self):
+        rng = random.Random(2903)
+        h = hashlib.sha256()
+        for _ in range(300):
+            lines = []
+            for _ in range(rng.randint(1, 6)):
+                tokens = golden_tokens(rng, rng.randint(0, 8))
+                if tokens and rng.random() < 0.3:
+                    tokens = golden_mutant(rng, tokens)
+                prefix = rng.choice(("", "", "long: ", "closed:", " long:"))
+                comment = rng.choice(("", "", " # note", "#"))
+                lines.append(prefix + golden_join(rng, tokens).replace("\n", " ") + comment)
+                if rng.random() < 0.2:
+                    lines.append(rng.choice(("", "# comment", "   ")))
+            text = "\n".join(lines)
+            kind = rng.choice(("closed", "long"))
+            h.update(repr(golden_outcome(lambda: read_diagram_file(text, kind))).encode())
+        assert h.hexdigest() == (
+            "2712e3f84111b90be137f310952a0a47438bd790fc95ea2c22a5710e6e729134")
+
+    def test_named_mutants(self):
+        cases = {
+            "O1+ U1+ O2+": "label 2: missing its U token",
+            "O1+ O1+ U1+": "token 'O1+': label 1 already has an O endpoint",
+            "O1+ U1-": "label 1: sign mismatch between its O and U tokens",
+            "O1+ U1* ": "bad token 'U1*': expected O<label>+/- or U<label>+/-",
+            "O٣+ U٣+": "bad token 'O٣+': expected O<label>+/- or U<label>+/-",
+            "O1+U1+": "bad token 'O1+U1+': expected O<label>+/- or U<label>+/-",
+            "O1+ O1+ x": "token 'O1+': label 1 already has an O endpoint",
+            "O1+ x O1+": "bad token 'x': expected O<label>+/- or U<label>+/-",
+        }
+        for text, message in cases.items():
+            with pytest.raises(ParseError) as info:
+                parse_gauss_code(text)
+            assert str(info.value) == message
+

@@ -21,7 +21,8 @@ under-passage (head).  A label is read as the chord id it names, so
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from operator import itemgetter
 from typing import Iterable, Literal
 
 Kind = Literal["closed", "long"]
@@ -38,20 +39,32 @@ class DiagramError(ValueError):
     """Raised when an operation's precondition on a diagram fails."""
 
 
-@dataclass(frozen=True, order=True)
-class Chord:
-    """One real crossing: directed (tail = over, head = under) and signed."""
+class Chord(namedtuple("Chord", "id tail head sign")):
+    """One real crossing: directed (tail = over, head = under) and signed.
 
-    id: int
-    tail: int
-    head: int
-    sign: int
+    An immutable tuple ``(id, tail, head, sign)`` of ints, so it orders,
+    hashes and compares as that tuple does (equal to a plain 4-tuple of
+    the same fields)."""
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise DiagramError(f"chord {self.id}: sign must be +1 or -1")
-        if self.tail == self.head:
-            raise DiagramError(f"chord {self.id}: tail and head occupy the same slot")
+    __slots__ = ()
+
+    def __new__(cls, id: int, tail: int, head: int, sign: int) -> Chord:
+        if not (type(id) is int and type(tail) is int and type(head) is int
+                and type(sign) is int):
+            for name, value in zip(cls._fields, (id, tail, head, sign)):
+                if type(value) is not int:
+                    raise DiagramError(
+                        f"chord {id!r}: {name} must be an int, not {type(value).__name__}")
+        if sign != 1 and sign != -1:
+            raise DiagramError(f"chord {id}: sign must be +1 or -1")
+        if tail == head:
+            raise DiagramError(f"chord {id}: tail and head occupy the same slot")
+        return tuple.__new__(cls, (id, tail, head, sign))
+
+    @classmethod
+    def _make(cls, fields: Iterable[int]) -> Chord:
+        # namedtuple's _make (and _replace through it) would skip __new__
+        return cls(*fields)
 
     def other(self, slot: int) -> int:
         if slot == self.tail:
@@ -59,6 +72,9 @@ class Chord:
         if slot == self.head:
             return self.tail
         raise DiagramError(f"slot {slot} is not an endpoint of chord {self.id}")
+
+
+_ID = itemgetter(0)
 
 
 class GaussDiagram:
@@ -75,28 +91,35 @@ class GaussDiagram:
     cheaper to build.
     """
 
-    __slots__ = ("kind", "chords", "_slots", "_by_id", "_key")
+    __slots__ = ("kind", "chords", "_ends", "_by_id", "_key")
 
     def __init__(self, kind: Kind, chords: Iterable[Chord]):
         if kind not in ("closed", "long"):
             raise DiagramError(f"unknown diagram kind {kind!r}")
-        chords = tuple(sorted(chords, key=lambda c: c.id))
-        n = len(chords)
-        slots: list[tuple[int, str] | None] = [None] * (2 * n)
+        chords = tuple(sorted(chords, key=_ID))
+        m = 2 * len(chords)
         by_id: dict[int, Chord] = {}
+        # slot s holds the tail of chords[e >> 1] when e = ends[s] is even,
+        # and its head when e is odd
+        ends = [-1] * m
         for idx, c in enumerate(chords):
-            if c.id in by_id:
-                raise DiagramError(f"duplicate chord id {c.id}")
-            by_id[c.id] = c
-            for slot, role in ((c.tail, TAIL), (c.head, HEAD)):
-                if not 0 <= slot < 2 * n:
-                    raise DiagramError(f"chord {c.id}: slot {slot} outside [0, {2 * n})")
-                if slots[slot] is not None:
-                    raise DiagramError(f"slot {slot} used by two endpoints")
-                slots[slot] = (idx, role)
+            cid, tail, head, _ = c
+            if cid in by_id:
+                raise DiagramError(f"duplicate chord id {cid}")
+            by_id[cid] = c
+            if not 0 <= tail < m:
+                raise DiagramError(f"chord {cid}: slot {tail} outside [0, {m})")
+            if ends[tail] >= 0:
+                raise DiagramError(f"slot {tail} used by two endpoints")
+            ends[tail] = 2 * idx
+            if not 0 <= head < m:
+                raise DiagramError(f"chord {cid}: slot {head} outside [0, {m})")
+            if ends[head] >= 0:
+                raise DiagramError(f"slot {head} used by two endpoints")
+            ends[head] = 2 * idx + 1
         self.kind: Kind = kind
         self.chords: tuple[Chord, ...] = chords
-        self._slots: tuple[tuple[int, str], ...] = tuple(slots)  # type: ignore[arg-type]
+        self._ends = ends
         self._by_id = by_id
         self._key: tuple | None = None
 
@@ -122,10 +145,10 @@ class GaussDiagram:
     def at(self, slot: int) -> tuple[Chord, str]:
         """(chord, role) of the endpoint in ``slot``; role is 't' or 'h'."""
         try:
-            idx, role = self._slots[slot % len(self._slots)]
+            end = self._ends[slot % len(self._ends)]
         except ZeroDivisionError:
             raise DiagramError(f"slot {slot}: the empty diagram has no slots") from None
-        return self.chords[idx], role
+        return self.chords[end >> 1], HEAD if end & 1 else TAIL
 
     # -- equality up to id relabeling --------------------------------------
 
@@ -134,12 +157,12 @@ class GaussDiagram:
         end - s) % 2n), tails below heads (the cell format is spelled out
         above :func:`pair_starts`).  Built once and kept."""
         if self._key is None:
-            m = len(self._slots)
+            m = len(self._ends)
             cells = [0] * m
-            for c in self.chords:
-                s = m if c.sign < 0 else 0
-                cells[c.tail] = s + (c.head - c.tail) % m
-                cells[c.head] = 2 * m + s + (c.tail - c.head) % m
+            for _, tail, head, sign in self.chords:
+                s = m if sign < 0 else 0
+                cells[tail] = s + (head - tail) % m
+                cells[head] = 2 * m + s + (tail - head) % m
             self._key = (self.kind, tuple(cells))
         return self._key
 
@@ -164,9 +187,10 @@ class GaussDiagram:
         """``code()`` of the diagram read from slot r onwards, cyclically."""
         seen: dict[int, int] = {}
         tokens = []
-        for idx, role in self._slots[r:] + self._slots[:r]:
+        for end in self._ends[r:] + self._ends[:r]:
+            idx = end >> 1
             label = seen.setdefault(idx, len(seen) + 1)
-            tokens.append(("O" if role == TAIL else "U") + str(label) + signs[idx])
+            tokens.append(("U" if end & 1 else "O") + str(label) + signs[idx])
         return " ".join(tokens)
 
     def canonical_code(self) -> str:
@@ -183,8 +207,8 @@ class GaussDiagram:
         signs = ["+" if c.sign > 0 else "-" for c in self.chords]
         return min(
             self._code_from(r, signs)
-            for r, (_, role) in enumerate(self._slots)
-            if role == TAIL
+            for r, end in enumerate(self._ends)
+            if not end & 1
         )
 
     def rotated(self, r: int) -> GaussDiagram:
@@ -326,7 +350,12 @@ def rotation_key(kind: Kind, cells: tuple[int, ...]) -> tuple:
 
 # -- parsing / text I/O ------------------------------------------------------
 
-_TOKEN = re.compile(r"([OU])([0-9]+)([+-])\Z")
+# [0-9], not \d: a label is ASCII digits.  A code's tokens all match _TOKEN
+# exactly when, joined by single spaces, they match _CODE.
+_TOKEN_SYNTAX = r"[OU][0-9]+[+-]"
+_TOKEN = re.compile(_TOKEN_SYNTAX)
+_CODE = re.compile(f"{_TOKEN_SYNTAX}(?: {_TOKEN_SYNTAX})*")
+_LABELS = bytes.maketrans(b"OU+-", b"    ")  # a valid code is ASCII
 
 
 def parse_gauss_code(text: str, kind: Kind = "closed") -> GaussDiagram:
@@ -335,29 +364,60 @@ def parse_gauss_code(text: str, kind: Kind = "closed") -> GaussDiagram:
     Raises :class:`ParseError` naming the offending token for: bad token
     syntax, a label seen twice with the same O/U role, a sign mismatch
     between a label's two tokens, and labels missing their partner.
+
+    The whole code is checked by one regex match and its labels read by
+    one ``int`` map; only a refused code is read again token by token, by
+    :func:`_token_fault`, to name its first fault.
     """
-    ends: dict[int, dict[str, tuple[int, int]]] = {}
     tokens = text.replace(",", " ").split()
-    for slot, tok in enumerate(tokens):
-        m = _TOKEN.match(tok)
-        if not m:
-            raise ParseError(f"bad token {tok!r}: expected O<label>+/- or U<label>+/-")
-        role_ch, label, sign_ch = m.groups()
-        role = TAIL if role_ch == "O" else HEAD
-        sign = 1 if sign_ch == "+" else -1
-        rec = ends.setdefault(int(label), {})
-        if role in rec:
-            raise ParseError(f"token {tok!r}: label {label} already has an {role_ch} endpoint")
-        rec[role] = (slot, sign)
+    joined = " ".join(tokens)
+    if tokens and not _CODE.fullmatch(joined):
+        raise _token_fault(tokens)
+    try:
+        labels = list(map(int, joined.encode().translate(_LABELS).split()))
+    except ValueError:
+        # a label past int's digit limit: raised in token order, after any
+        # fault of an earlier token
+        raise _token_fault(tokens) from None
+    tails: dict[int, int] = {}
+    heads: dict[int, int] = {}
+    for slot, tok, cid in zip(range(len(tokens)), tokens, labels):
+        if tok[0] == "O":
+            tails[cid] = slot
+        else:
+            heads[cid] = slot
+    if 2 * len(tails) != len(tokens) or tails.keys() != heads.keys():
+        raise _token_fault(tokens)
     chords = []
-    for cid, rec in ends.items():
-        if TAIL not in rec or HEAD not in rec:
-            raise ParseError(f"label {cid}: missing its {'U' if HEAD not in rec else 'O'} token")
-        (tslot, tsign), (hslot, hsign) = rec[TAIL], rec[HEAD]
-        if tsign != hsign:
-            raise ParseError(f"label {cid}: sign mismatch between its O and U tokens")
-        chords.append(Chord(cid, tslot, hslot, tsign))
+    for cid, tslot in tails.items():
+        hslot = heads[cid]
+        sign_ch = tokens[tslot][-1]
+        if tokens[hslot][-1] != sign_ch:
+            raise _token_fault(tokens)
+        chords.append(Chord(cid, tslot, hslot, 1 if sign_ch == "+" else -1))
     return GaussDiagram(kind, chords)
+
+
+def _token_fault(tokens: list[str]) -> ParseError:
+    """The first fault of a refused code, reading its tokens one by one:
+    in slot order, a token of bad syntax or the second token of a label
+    with one role; then, labels in order of first appearance, a missing
+    partner or a sign mismatch."""
+    ends: dict[int, dict[str, str]] = {}
+    for tok in tokens:
+        if not _TOKEN.fullmatch(tok):
+            return ParseError(f"bad token {tok!r}: expected O<label>+/- or U<label>+/-")
+        role_ch, label = tok[0], tok[1:-1]
+        rec = ends.setdefault(int(label), {})
+        if role_ch in rec:
+            return ParseError(f"token {tok!r}: label {label} already has an {role_ch} endpoint")
+        rec[role_ch] = tok[-1]
+    for cid, rec in ends.items():
+        if len(rec) < 2:
+            return ParseError(f"label {cid}: missing its {'U' if 'U' not in rec else 'O'} token")
+        if rec["O"] != rec["U"]:
+            return ParseError(f"label {cid}: sign mismatch between its O and U tokens")
+    raise AssertionError("a code without a fault")
 
 
 def read_diagram_file(text: str, default_kind: Kind = "closed") -> list[GaussDiagram]:

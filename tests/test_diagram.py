@@ -448,3 +448,132 @@ class TestParseGolden:
                 parse_gauss_code(text)
             assert str(info.value) == message
 
+
+class TestChordRefusals:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((1, 0, 1, 1.0), "chord 1: sign must be an int, not float"),
+            ((1, 0, 1, True), "chord 1: sign must be an int, not bool"),
+            ((True, 0, 1, 1), "chord True: id must be an int, not bool"),
+            ((1, 0.0, 1, 1), "chord 1: tail must be an int, not float"),
+            ((1, 0, "1", 1), "chord 1: head must be an int, not str"),
+            (("a", 0, 1, 1), "chord 'a': id must be an int, not str"),
+            ((1, 0.0, 1.0, 1.0), "chord 1: tail must be an int, not float"),
+            ((1, 0, 1, 0), "chord 1: sign must be +1 or -1"),
+            ((1, 0, 1, 2), "chord 1: sign must be +1 or -1"),
+            ((4, 2, 2, 1), "chord 4: tail and head occupy the same slot"),
+            ((4, 2, 2, 0), "chord 4: sign must be +1 or -1"),
+        ],
+    )
+    def test_message(self, fields, message):
+        with pytest.raises(DiagramError) as info:
+            Chord(*fields)
+        assert str(info.value) == message
+
+    def test_non_int_slot_refused_before_the_diagram(self):
+        with pytest.raises(DiagramError, match=r"^chord 1: tail must be an int, not float$"):
+            GaussDiagram("closed", [Chord(1, 0.0, 1, 1)])
+
+    def test_replace_keeps_the_checks(self):
+        c = Chord(1, 0, 1, 1)
+        assert c._replace(sign=-1) == Chord(1, 0, 1, -1)
+        with pytest.raises(DiagramError, match="sign must be"):
+            c._replace(sign=0)
+        with pytest.raises(DiagramError, match="same slot"):
+            Chord._make((1, 3, 3, 1))
+
+    def test_is_its_field_tuple(self):
+        c = Chord(3, 5, 2, -1)
+        assert (c.id, c.tail, c.head, c.sign) == (3, 5, 2, -1)
+        assert c == (3, 5, 2, -1) and hash(c) == hash((3, 5, 2, -1))
+        assert repr(c) == "Chord(id=3, tail=5, head=2, sign=-1)"
+        assert sorted([Chord(2, 0, 1, 1), Chord(1, 2, 3, 1)])[0].id == 1
+        with pytest.raises(AttributeError):
+            c.sign = 1
+
+
+def construction_oracle(kind, chords):
+    """The message of the first fault that a diagram of ``chords`` has, in
+    the order the checks were first written: the kind, then the chords by
+    id (input order among equal ids), each its id, its tail slot, then its
+    head slot; None when there is none."""
+    if kind not in ("closed", "long"):
+        return f"unknown diagram kind {kind!r}"
+    chords = sorted(chords, key=lambda c: c.id)
+    m = 2 * len(chords)
+    seen_ids, used = [], []
+    for c in chords:
+        if c.id in seen_ids:
+            return f"duplicate chord id {c.id}"
+        seen_ids.append(c.id)
+        for slot in (c.tail, c.head):
+            if not 0 <= slot < m:
+                return f"chord {c.id}: slot {slot} outside [0, {m})"
+            if slot in used:
+                return f"slot {slot} used by two endpoints"
+            used.append(slot)
+    return None
+
+
+class TestDiagramRefusals:
+    @pytest.mark.parametrize(
+        "kind, chords, message",
+        [
+            ("open", [], "unknown diagram kind 'open'"),
+            ("open", [(1, 0, 5, 1)], "unknown diagram kind 'open'"),
+            ("closed", [(1, 0, 1, 1), (1, 2, 3, 1)], "duplicate chord id 1"),
+            ("long", [(1, 0, 5, 1), (2, 1, 2, 1)], "chord 1: slot 5 outside [0, 4)"),
+            ("closed", [(1, -1, 0, 1)], "chord 1: slot -1 outside [0, 2)"),
+            ("closed", [(1, 0, 1, 1), (2, 1, 2, 1)], "slot 1 used by two endpoints"),
+            # two faults: the first chord in id order is named, whatever
+            # the input order
+            ("closed", [(2, 0, 9, 1), (1, 0, 7, 1)], "chord 1: slot 7 outside [0, 4)"),
+            ("closed", [(5, 0, 9, 1), (3, 1, 2, 1), (3, 0, 4, -1)], "duplicate chord id 3"),
+            ("long", [(3, 0, 9, 1), (1, 0, 1, 1), (2, 1, 2, 1)],
+             "slot 1 used by two endpoints"),
+            ("closed", [(2, 1, 0, 1), (1, 0, 3, 1)], "slot 0 used by two endpoints"),
+            # within a chord the tail is checked before the head
+            ("closed", [(1, 9, 8, 1)], "chord 1: slot 9 outside [0, 2)"),
+            ("closed", [(1, 0, 1, 1), (2, 3, 0, 1)], "slot 0 used by two endpoints"),
+        ],
+    )
+    def test_message(self, kind, chords, message):
+        chords = [Chord(*c) for c in chords]
+        assert construction_oracle(kind, chords) == message
+        with pytest.raises(DiagramError) as info:
+            GaussDiagram(kind, chords)
+        assert str(info.value) == message
+
+    def test_seeded_faults_match_the_oracle(self):
+        rng = random.Random(2904)
+        refused = 0
+        for _ in range(3000):
+            n = rng.randint(1, 9)
+            d = random_diagram(rng, n, "closed")
+            chords = list(d.chords)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(n)
+                c = chords[i]
+                cid, tail, head, sign = c.id, c.tail, c.head, c.sign
+                fault = rng.randrange(3)
+                if fault == 0:
+                    cid = rng.choice(chords).id
+                elif fault == 1:
+                    tail = rng.randint(-3, 2 * n + 3)
+                else:
+                    head = rng.randint(-3, 2 * n + 3)
+                if tail != head:
+                    chords[i] = Chord(cid, tail, head, sign)
+            rng.shuffle(chords)
+            kind = rng.choice(("closed", "long", "closed", "long", "line"))
+            expected = construction_oracle(kind, chords)
+            try:
+                built = GaussDiagram(kind, chords)
+            except DiagramError as exc:
+                assert str(exc) == expected, chords
+                refused += 1
+            else:
+                assert expected is None, chords
+                assert built.chords == tuple(sorted(chords))
+        assert refused > 1500

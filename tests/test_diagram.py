@@ -322,9 +322,9 @@ class TestBasepoint:
 
 
 SEPARATORS = (" ", " ", ",", ", ", "\t", "\n", " ,\t", "  \n")
-# Characters no token may hold; each is inserted into a token.
+# Characters whose insertion anywhere makes a token invalid.
 BAD_CHARACTERS = "xou*.#=Oo"
-# Digits that ``int`` reads but the grammar refuses.
+# Non-ASCII digits, which the grammar refuses though ``int`` reads all but ².
 UNICODE_DIGITS = "٣３²३"
 
 

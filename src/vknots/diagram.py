@@ -317,13 +317,6 @@ def pair_starts(kind: Kind, m: int) -> range:
     return range(m)
 
 
-def follows(kind: Kind, m: int, a: int, b: int) -> bool:
-    """True when slot b immediately follows slot a among m slots."""
-    if kind == "long":
-        return b == a + 1
-    return m >= 2 and b == (a + 1) % m and not (m == 2 and a == 1)
-
-
 def reorder_cells(cells: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
     """Cells of the diagram whose slot i holds the endpoint of old slot
     ``order[i]``, as :meth:`GaussDiagram._reordered` builds it: ``order``

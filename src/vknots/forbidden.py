@@ -37,16 +37,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .diagram import DiagramError, GaussDiagram, reclose, reorder_cells, rotation_key
+from .diagram import DiagramError, GaussDiagram, pair_starts, reclose, rotation_key
 from .khovanov import DEFAULT_HOMOLOGY_CAP, homology, jones_hat
 from .laurent import LaurentPoly
 from .moves import (
     MoveError,
     MoveEvent,
     SearchStats,
-    _site_events,
-    _sites_at,
-    _slot_order,
+    _child_cells,
+    _sites,
     apply_move,
     apply_trace,
     simplify,
@@ -126,21 +125,28 @@ def triangle_sign(diagram: GaussDiagram, slot: int) -> int:
 
 def find_triangles(diagram: GaussDiagram) -> list[TriangleSite]:
     """All triangles, in slot order: the Fo and Fu sites the move
-    recognizer reads at each adjacent pair (the ``("Fo", "Fu")``
+    recognizer reads at every adjacent pair (the ``("Fo", "Fu")``
     enumeration of :func:`~vknots.moves.enumerate_moves`)."""
-    *_, forbidden = _site_events(*diagram._eq_key(), ("Fo", "Fu"))
-    return [TriangleSite(e.data[0], e.kind) for e in forbidden]
+    kind, cells = diagram._eq_key()
+    *_, forbidden = _sites(kind, cells, pair_starts(kind, len(cells)), ("Fo", "Fu"))
+    return [TriangleSite(data[0], move) for move, data in forbidden]
 
 
 def site_at(diagram: GaussDiagram, slot: int, kind: str) -> TriangleSite:
     """Validated triangle site at (slot, slot+1); raises when stale.  The
-    site is read by the move recognizer, so ``slot`` must be the start of
-    an adjacent pair, between 0 and 2n - 1, and is not wrapped."""
+    site is read by the move recognizer, so ``slot`` must be an int (not a
+    bool) and the start of an adjacent pair, between 0 and 2n - 1, and is
+    not wrapped."""
     if kind not in ("Fo", "Fu"):
         raise FamilyError(f"triangle kind must be 'Fo' or 'Fu', not {kind!r}")
-    if (kind, (slot,)) not in _sites_at(*diagram._eq_key(), slot, (kind,)):
-        raise FamilyError(f"slots ({slot}, {slot + 1}) are not a {kind} triangle")
-    return TriangleSite(slot, kind)
+    if type(slot) is not int:
+        raise FamilyError(f"triangle slot must be an int, not {type(slot).__name__}")
+    dkind, cells = diagram._eq_key()
+    if slot in pair_starts(dkind, len(cells)):
+        *_, forbidden = _sites(dkind, cells, (slot,), (kind,))
+        if forbidden:  # it can only be (kind, (slot,))
+            return TriangleSite(slot, kind)
+    raise FamilyError(f"slots ({slot}, {slot + 1}) are not a {kind} triangle")
 
 
 def _footprint(diagram: GaussDiagram, site: TriangleSite) -> set[tuple[str, int]]:
@@ -389,18 +395,9 @@ def check_n_trivial(
 # -- unknotting search over forbidden + Reidemeister moves -------------------------
 
 
-# Search order of the move kinds, and the (positive, negative) chord counts
-# a move of each kind can remove: R2_del removes one chord of each sign
-# (its two chords have opposite signs), R1_del one chord of the sign in its
-# event data, Fo, Fu and R3 none.
-_SEARCH_ORDER = {"R2_del": 0, "R1_del": 1, "Fo": 2, "Fu": 3, "R3": 4}
-_SIGNS_REMOVED = {
-    "R2_del": ((1, 1),),
-    "R1_del": ((1, 0), (0, 1)),
-    "Fo": ((0, 0),),
-    "Fu": ((0, 0),),
-    "R3": ((0, 0),),
-}
+# The kinds the search moves by.  A node's children come in the order
+# R2_del, R1_del, Fo, Fu, R3, each kind ordered by its site data.
+_SEARCH_KINDS = ("R1_del", "R2_del", "R3", "Fo", "Fu")
 
 
 def trivialize_forbidden(
@@ -426,9 +423,10 @@ def trivialize_forbidden(
     chord's sign), so kinds whose children would all be hopeless are not
     enumerated, and no hopeless child is built.  The others are built one
     at a time, in (kind order, event data) order, and only until a trace
-    is found.  As in ``moves.simplify``, a node is the diagram's cells and
-    a child is a slot-order rewrite of its parent's (see docs/moves.md,
-    "Search representation").
+    is found.  As in ``moves.simplify``, a node is the diagram's cells, a
+    site is a ``(kind, data)`` tuple, a child is built by
+    ``moves._child_cells``, and events are built only for the trace
+    returned (see docs/moves.md, "Search representation").
 
     When ``stats`` is given, the call fills it in, summed over every depth
     limit tried: ``expanded`` nodes passed the check against the deepest
@@ -442,29 +440,6 @@ def trivialize_forbidden(
     kind, start = diagram._eq_key()
     expanded = deduplicated = 0
 
-    def successors(cells: tuple[int, ...], pos: int, neg: int, depth_left: int):
-        nonlocal depth_cut
-        kinds = [
-            move
-            for move, removals in _SIGNS_REMOVED.items()
-            if any(max(pos - dp, neg - dn) <= depth_left for dp, dn in removals)
-        ]
-        depth_cut = depth_cut or len(kinds) < len(_SIGNS_REMOVED)
-        evs = [e for block in _site_events(kind, cells, kinds) for e in block]
-        evs.sort(key=lambda e: (_SEARCH_ORDER[e.kind], e.data))
-        for e in evs:
-            if e.kind == "R2_del":
-                child_pos, child_neg = pos - 1, neg - 1
-            elif e.kind == "R1_del":
-                positive = e.data[1] > 0
-                child_pos, child_neg = pos - positive, neg - (not positive)
-                if max(child_pos, child_neg) > depth_left:
-                    depth_cut = True
-                    continue
-            else:
-                child_pos, child_neg = pos, neg
-            yield e, reorder_cells(cells, _slot_order(len(cells), e)), child_pos, child_neg
-
     start_pos = sum(1 for c in diagram.chords if c.sign > 0)
     start_neg = diagram.n - start_pos
     # depth limit 0 finds only the empty diagram's empty trace
@@ -473,10 +448,10 @@ def trivialize_forbidden(
         depth_cut = False  # whether this limit's search was cut by its depth
 
         def dfs(cells: tuple[int, ...], pos: int, neg: int, depth_left: int,
-                trace: list[MoveEvent]):
+                trace: list[tuple[str, tuple]]):
             nonlocal expanded, deduplicated, depth_cut
             if not cells:
-                return list(trace)
+                return [MoveEvent(*site) for site in trace]
             if max(pos, neg) > depth_left:
                 depth_cut = True
                 return None
@@ -486,9 +461,30 @@ def trivialize_forbidden(
                 return None
             best_seen[key] = depth_left
             expanded += 1
-            for event, child, child_pos, child_neg in successors(cells, pos, neg, depth_left - 1):
-                trace.append(event)
-                found = dfs(child, child_pos, child_neg, depth_left - 1, trace)
+            left = depth_left - 1
+            if max(pos, neg) <= left:
+                kinds = _SEARCH_KINDS
+            else:
+                # max(pos, neg) == left + 1: only R2_del, and R1_del when
+                # the counts differ, lower it
+                depth_cut = True
+                kinds = ("R1_del", "R2_del") if pos != neg else ("R2_del",)
+            r1_del, r2_del, r3, forbidden = _sites(
+                kind, cells, pair_starts(kind, len(cells)), kinds)
+            steps = [(site, pos - 1, neg - 1) for site in r2_del]
+            for site in r1_del:
+                child_pos, child_neg = (pos - 1, neg) if site[1][1] > 0 else (pos, neg - 1)
+                if max(child_pos, child_neg) > left:
+                    depth_cut = True
+                else:
+                    steps.append((site, child_pos, child_neg))
+            # Fo sorts before Fu
+            forbidden.sort()
+            r3.sort()
+            steps += [(site, pos, neg) for site in forbidden + r3]
+            for site, child_pos, child_neg in steps:
+                trace.append(site)
+                found = dfs(_child_cells(cells, site), child_pos, child_neg, left, trace)
                 if found is not None:
                     return found
                 trace.pop()

@@ -3,15 +3,17 @@
 Only the classical moves R1, R2, R3 act nontrivially on a Gauss diagram;
 the virtual and mixed moves of the generalized calculus are identities
 there and are never emitted.  The forbidden moves Fo and Fu are not
-Reidemeister moves; one site recognizer, :func:`_sites_at`, reads them
-together with R1_del, R2_del and R3 (see docs/moves.md).  It reads a
-diagram's packed slot cells (``vknots.diagram``), not its chords, and so
-do the searches, :func:`simplify` here and
-``forbidden.trivialize_forbidden``: a search node is a cell tuple, a child
-is one slot-order rewrite of its parent's cells (:func:`_slot_order`, the
-helper :func:`apply_move` also uses), and no node is a ``GaussDiagram``;
-:func:`simplify` builds its result by replaying its best trace through
-:func:`apply_move`.
+Reidemeister moves; one site recognizer, :func:`_sites`, reads them
+together with R1_del, R2_del and R3 (see docs/moves.md), in one pass over
+the pair starts it is given.  It reads a diagram's packed slot cells
+(``vknots.diagram``), not its chords, and so do the searches,
+:func:`simplify` here and ``forbidden.trivialize_forbidden``: a search
+node is a cell tuple, a site is a plain ``(kind, data)`` tuple, and a
+child is its parent's cells rewritten by :func:`_child_cells` (a swap
+move rewrites only the cells it touches).  No node is a ``GaussDiagram``
+and no site a :class:`MoveEvent`; a search builds events only for the
+trace it returns, and :func:`simplify` builds its result by replaying
+that trace through :func:`apply_move`.
 
 The oriented R3 catalogue is *generated*, not transcribed: three straight
 lines in general position (a horizontal top strand over a vertical middle
@@ -37,7 +39,6 @@ from .diagram import (
     DiagramError,
     GaussDiagram,
     Kind,
-    follows,
     pair_starts,
     reorder_cells,
     rotation_key,
@@ -131,84 +132,82 @@ R3_CATALOGUE = _r3_catalogue()
 # -- recognition and enumeration -------------------------------------------------
 
 
-def _sites_at(
-    kind: Kind, cells: tuple[int, ...], k: int, kinds: Container[str]
-) -> list[tuple[str, tuple]]:
-    """The R1_del, R2_del, R3, Fo and Fu sites among ``kinds`` whose data
-    starts with slot k, that is whose first adjacent pair is (k, k+1), as
-    ``(kind, data)`` pairs, read from a diagram's kind and cells (see
-    ``vknots.diagram``).
+def _sites(
+    kind: Kind, cells: tuple[int, ...], starts: Iterable[int], kinds: Container[str]
+) -> tuple[list, list, list, list]:
+    """The R1_del, R2_del and R3 sites, and the Fo and Fu sites together,
+    among ``kinds`` whose first adjacent pair (k, k+1) starts at a k of
+    ``starts``, as four lists of ``(kind, data)`` pairs in the order of
+    ``starts``, read from a diagram's kind and cells (see
+    ``vknots.diagram``).  Every k must be a pair start of the diagram
+    (``diagram.pair_starts``); it is read as given, not modulo m.
 
     This is the one recognizer of these sites: :func:`enumerate_moves` and
-    the searches call it once per adjacent pair, and :func:`apply_move`
-    checks an event against it.  Only R1_del needs one chord at (k, k+1);
-    R2_del, R3 and Fo need two tails of distinct chords there, Fu two
-    heads.  An R3 site adds the pair holding x's head and z's tail, and the
-    pair holding the heads of y and z; its fragment must be in
+    the searches pass every pair start, and :func:`apply_move` checks an
+    event against the sites at its first slot.  Only R1_del needs one chord
+    at (k, k+1); R2_del, R3 and Fo need two tails of distinct chords there,
+    Fu two heads.  An R3 site adds the pair holding x's head and z's tail,
+    and the pair holding the heads of y and z; its fragment must be in
     :data:`R3_CATALOGUE`.
     """
     m = len(cells)
-    if k not in pair_starts(kind, m):  # k is read as given, not modulo m
-        return []
-    k1 = (k + 1) % m
-    a, b = cells[k], cells[k1]
     heads = 2 * m
-    if (k + a) % m == k1:
-        if "R1_del" not in kinds:
-            return []
-        return [("R1_del", (k, -1 if a % heads >= m else 1, "OU" if a < heads else "UO"))]
-    if (a < heads) != (b < heads):
-        return []
-    if a >= heads:
-        return [("Fu", (k,))] if "Fu" in kinds else []
-    s1, s2 = -1 if a >= m else 1, -1 if b >= m else 1
-    h1, h2 = (k + a) % m, (k1 + b) % m
-    sites = []
-    if "R2_del" in kinds and s1 != s2:
-        if follows(kind, m, h1, h2):
-            sites.append(("R2_del", (k, h1, True, s1)))
-        elif follows(kind, m, h2, h1):
-            sites.append(("R2_del", (k, h2, False, s1)))
-    if "R3" in kinds and m >= 6:
-        # x is first the chord with its tail at k, then the one at k + 1;
-        # y is the other top chord and z has its tail next to x's head
-        for first, hx, hy, sx, sy in (("x", h1, h2, s1, s2), ("y", h2, h1, s2, s1)):
-            for km, zt in ((hx, (hx + 1) % m), ((hx - 1) % m, (hx - 1) % m)):
-                z = cells[zt]
-                if z >= heads or zt in (k, k1) or not follows(kind, m, km, (km + 1) % m):
-                    continue
-                hz = (zt + z) % m
-                if follows(kind, m, hy, hz):
-                    kb = hy
-                elif follows(kind, m, hz, hy):
-                    kb = hz
-                else:
-                    continue
-                fragment = (
-                    first,
-                    "x" if km == hx else "z",
-                    "y" if kb == hy else "z",
-                    sx,
-                    sy,
-                    -1 if z >= m else 1,
-                )
-                if fragment in R3_CATALOGUE:
-                    sites.append(("R3", (k, km, kb)))
-    if "Fo" in kinds:
-        sites.append(("Fo", (k,)))
-    return sites
-
-
-def _site_events(
-    kind: Kind, cells: tuple[int, ...], kinds: Container[str]
-) -> tuple[list[MoveEvent], list[MoveEvent], list[MoveEvent], list[MoveEvent]]:
-    """The R1_del, R2_del and R3 events, and the Fo and Fu events together,
-    each list in slot order, among ``kinds``."""
+    # two distinct chords take m >= 4 slots, and among them slot b follows
+    # slot a exactly when (b - a) % period == 1
+    period = m if kind == "closed" else m + 1
+    want_r1, want_r2 = "R1_del" in kinds, "R2_del" in kinds
+    want_r3 = "R3" in kinds and m >= 6
+    want_fo, want_fu = "Fo" in kinds, "Fu" in kinds
     r1_del, r2_del, r3, forbidden = [], [], [], []
-    found = {"R1_del": r1_del, "R2_del": r2_del, "R3": r3, "Fo": forbidden, "Fu": forbidden}
-    for k in pair_starts(kind, len(cells)):
-        for site, data in _sites_at(kind, cells, k, kinds):
-            found[site].append(MoveEvent(site, data))
+    for k in starts:
+        k1 = (k + 1) % m
+        a, b = cells[k], cells[k1]
+        if (k + a) % m == k1:
+            if want_r1:
+                r1_del.append(
+                    ("R1_del", (k, -1 if a % heads >= m else 1, "OU" if a < heads else "UO")))
+            continue
+        if a >= heads or b >= heads:
+            if want_fu and a >= heads and b >= heads:
+                forbidden.append(("Fu", (k,)))
+            continue
+        # two tails: a >= m and b >= m mark negative chords
+        s1, s2 = -1 if a >= m else 1, -1 if b >= m else 1
+        h1, h2 = (k + a) % m, (k1 + b) % m
+        if want_r2 and s1 != s2:
+            if (h2 - h1) % period == 1:
+                r2_del.append(("R2_del", (k, h1, True, s1)))
+            elif (h1 - h2) % period == 1:
+                r2_del.append(("R2_del", (k, h2, False, s1)))
+        if want_r3:
+            # x is first the chord with its tail at k, then the one at k + 1;
+            # y is the other top chord and z has its tail next to x's head,
+            # in the mixed pair (km, km1)
+            for first, hx, hy, sx, sy in (("x", h1, h2, s1, s2), ("y", h2, h1, s2, s1)):
+                up, down = (hx + 1) % m, (hx - 1) % m
+                for km, km1, zt in ((hx, up, up), (down, hx, down)):
+                    z = cells[zt]
+                    if z >= heads or zt == k or zt == k1 or (km1 - km) % period != 1:
+                        continue
+                    hz = (zt + z) % m
+                    if (hz - hy) % period == 1:
+                        kb = hy
+                    elif (hy - hz) % period == 1:
+                        kb = hz
+                    else:
+                        continue
+                    fragment = (
+                        first,
+                        "x" if km == hx else "z",
+                        "y" if kb == hy else "z",
+                        sx,
+                        sy,
+                        -1 if z >= m else 1,
+                    )
+                    if fragment in R3_CATALOGUE:
+                        r3.append(("R3", (k, km, kb)))
+        if want_fo:
+            forbidden.append(("Fo", (k,)))
     return r1_del, r2_del, r3, forbidden
 
 
@@ -222,38 +221,52 @@ def enumerate_moves(
     unknown = kinds.difference(MOVE_KINDS)
     if unknown:
         raise MoveError(f"unknown move kinds {sorted(unknown)}")
-    r1_del, r2_del, r3, forbidden = _site_events(*diagram._eq_key(), kinds)
-
     m = diagram.slot_count
+    r1_del, r2_del, r3, forbidden = _sites(
+        *diagram._eq_key(), pair_starts(diagram.kind, m), kinds)
+
     gaps = range(m + 1) if diagram.kind == "long" else range(max(m, 1))
-    events = r1_del
+    events = [MoveEvent(*site) for site in r1_del]
     if "R1_add" in kinds:
         events += [
             MoveEvent("R1_add", data)
             for data in itertools.product(gaps, (1, -1), ("OU", "UO"))
         ]
-    events += r2_del
+    events += [MoveEvent(*site) for site in r2_del]
     if "R2_add" in kinds:
         events += [
             MoveEvent("R2_add", data)
             for data in itertools.product(gaps, gaps, (True, False), (1, -1), (TAIL, HEAD))
         ]
-    events += r3
+    events += [MoveEvent(*site) for site in r3]
     if "virtualize" in kinds:
         events += [MoveEvent("virtualize", (c.id,)) for c in diagram.chords]
-    return events + forbidden
+    return events + [MoveEvent(*site) for site in forbidden]
 
 
 # How many adjacent pair starts lead each slot-local event's data.
 _PAIRS = {"R1_del": 1, "R2_del": 2, "R3": 3, "Fo": 1, "Fu": 1}
 
+# The length of each kind's event data, and how many of its leading fields
+# are ints: slots, gaps or a chord id.
+_SHAPE = {
+    "R1_del": (3, 1),
+    "R1_add": (3, 1),
+    "R2_del": (4, 2),
+    "R2_add": (5, 2),
+    "R3": (3, 3),
+    "virtualize": (1, 1),
+    "Fo": (1, 1),
+    "Fu": (1, 1),
+}
 
-def _slot_order(m: int, event: MoveEvent) -> list[int]:
-    """The old slots of a diagram with m slots, in the order the event
+
+def _slot_order(m: int, kind: str, data: tuple) -> list[int]:
+    """The old slots of a diagram with m slots, in the order a site's move
     leaves them: R1_del and R2_del drop their pairs, R3, Fo and Fu swap the
-    two ends inside each of theirs.  The event must be a site."""
-    starts = event.data[: _PAIRS[event.kind]]
-    if event.kind in ("R1_del", "R2_del"):
+    two ends inside each of theirs.  ``(kind, data)`` must be a site."""
+    starts = data[: _PAIRS[kind]]
+    if kind == "R1_del" or kind == "R2_del":
         dead = {s for k in starts for s in (k, (k + 1) % m)}
         return [s for s in range(m) if s not in dead]
     # an R3 site's six slots are distinct, so its three swaps commute
@@ -263,27 +276,69 @@ def _slot_order(m: int, event: MoveEvent) -> list[int]:
     return order
 
 
+def _child_cells(cells: tuple[int, ...], site: tuple[str, tuple]) -> tuple[int, ...]:
+    """The cells of the diagram a site's move leaves, equal to the cells of
+    :func:`apply_move`'s result.  An R1_del or R2_del child is
+    ``reorder_cells`` along :func:`_slot_order`.  An R3, Fo or Fu child
+    keeps m slots and rewrites only the cells of its swapped slots and of
+    their partners: every data field of these kinds is a pair start."""
+    kind, data = site
+    m = len(cells)
+    if kind == "R1_del" or kind == "R2_del":
+        return reorder_cells(cells, _slot_order(m, kind, data))
+    moved = {}  # old slot -> new slot
+    for k in data:
+        k1 = (k + 1) % m
+        moved[k], moved[k1] = k1, k
+    child = list(cells)
+    for s, t in moved.items():
+        c = cells[s]
+        o = (s + c) % m
+        if o in moved:
+            child[t] = c - c % m + (moved[o] - t) % m
+        else:
+            child[t] = c - c % m + (o - t) % m
+            c = cells[o]
+            child[o] = c - c % m + (t - o) % m
+    return tuple(child)
+
+
 # -- application ---------------------------------------------------------------
 
 
 def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
-    """Rewrite ``diagram`` at the event's site; raises MoveError when stale."""
-    kind = event.kind
+    """Rewrite ``diagram`` at the event's site.  Raises MoveError when the
+    event's data is malformed (the wrong length, or a slot, gap or chord id
+    that is not an int; a bool is not one) and when the event is stale."""
+    kind, data = event.kind, event.data
+    length, ints = _SHAPE[kind]
+    if (
+        not isinstance(data, tuple)
+        or len(data) != length
+        or not all(type(x) is int for x in data[:ints])
+    ):
+        raise MoveError(
+            f"{kind}: malformed data {data!r}: want a tuple of {length} fields, "
+            f"the first {ints} of them ints")
 
     if kind in _PAIRS:
-        if (kind, event.data) not in _sites_at(*diagram._eq_key(), event.data[0], (kind,)):
-            raise MoveError(f"{kind}: {event.data} is not a {kind} site of the diagram")
-        return diagram._reordered(_slot_order(diagram.slot_count, event))
+        k = data[0]
+        dkind, cells = diagram._eq_key()
+        if k not in pair_starts(dkind, len(cells)) or (kind, data) not in itertools.chain(
+            *_sites(dkind, cells, (k,), (kind,))
+        ):
+            raise MoveError(f"{kind}: {data} is not a {kind} site of the diagram")
+        return diagram._reordered(_slot_order(len(cells), kind, data))
 
     if kind == "R1_add":
-        g, sign, orient = event.data
+        g, sign, orient = data
         roles = (TAIL, HEAD) if orient == "OU" else (HEAD, TAIL)
         return diagram.insert_endpoints(
             [(g, 0, roles[0], sign), (g, 0, roles[1], sign)]
         )
 
     if kind == "R2_add":
-        g1, g2, par, sign_first, roles1 = event.data
+        g1, g2, par, sign_first, roles1 = data
         roles2 = HEAD if roles1 == TAIL else TAIL
         pair2 = [(g2, 0, roles2, sign_first), (g2, 1, roles2, -sign_first)]
         if not par:
@@ -292,10 +347,7 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
             [(g1, 0, roles1, sign_first), (g1, 1, roles1, -sign_first)] + pair2
         )
 
-    if kind == "virtualize":
-        return virtualize(diagram, *event.data)
-
-    raise MoveError(f"unknown move kind {kind!r}")
+    return virtualize(diagram, *data)
 
 
 def apply_trace(diagram: GaussDiagram, events: Sequence[MoveEvent]) -> GaussDiagram:
@@ -331,9 +383,11 @@ def simplify(
     expanded; exhaustion returns the best found so far.  When ``stats`` is
     given, the call fills it in.  Deterministic for a fixed site ordering.
 
-    A search node is a diagram's cells, and a child is one slot-order
-    rewrite of its parent's (see docs/moves.md, "Search representation").
-    The returned diagram is the input with the best trace replayed through
+    A search node is a diagram's cells, a child is :func:`_child_cells` of
+    its parent's, and a node's trace is a linked list of ``(kind, data)``
+    sites ending in its parent's, turned into events only for the best
+    trace (see docs/moves.md, "Search representation").  The returned
+    diagram is the input with the best trace replayed through
     :func:`apply_move`, so it carries the input's chord ids.
     """
     if budget < 0:
@@ -341,25 +395,26 @@ def simplify(
 
     kind, cells = diagram._eq_key()
     best_m = len(cells)
-    best_trace: list[MoveEvent] = []
+    # a node's trace is a linked list of sites, (last site, parent's trace)
+    best: tuple | None = None
     seen = {rotation_key(kind, cells)}
-    queue: deque[tuple[tuple[int, ...], list[MoveEvent]]] = deque([(cells, [])])
+    queue: deque[tuple[tuple[int, ...], tuple | None]] = deque([(cells, None)])
     expanded = deduplicated = 0
     while queue and expanded < budget and best_m > 0:
         current, trace = queue.popleft()
         expanded += 1
-        m = len(current)
-        r1_del, r2_del, r3, _ = _site_events(kind, current, REDUCING_KINDS)
-        for event in r1_del + r2_del + r3:
-            child = reorder_cells(current, _slot_order(m, event))
+        r1_del, r2_del, r3, _ = _sites(
+            kind, current, pair_starts(kind, len(current)), REDUCING_KINDS)
+        for site in r1_del + r2_del + r3:
+            child = _child_cells(current, site)
             key = rotation_key(kind, child)
             if key in seen:
                 deduplicated += 1
                 continue
             seen.add(key)
-            child_trace = trace + [event]
+            child_trace = (site, trace)
             if len(child) < best_m:
-                best_m, best_trace = len(child), child_trace
+                best_m, best = len(child), child_trace
                 if best_m == 0:
                     break
             queue.append((child, child_trace))
@@ -367,4 +422,9 @@ def simplify(
         stats.budget_spent = bool(queue) and best_m > 0
         stats.expanded = expanded
         stats.deduplicated = deduplicated
+    best_trace = []
+    while best is not None:
+        site, best = best
+        best_trace.append(MoveEvent(*site))
+    best_trace.reverse()
     return apply_trace(diagram, best_trace), best_trace

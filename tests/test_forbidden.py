@@ -14,7 +14,6 @@ from vknots.diagram import (
     pair_starts,
     parse_gauss_code,
     reclose,
-    reorder_cells,
     rotation_key,
 )
 from vknots.forbidden import (
@@ -750,12 +749,13 @@ class TestTrivializeForbidden:
     def test_builds_no_child_its_bound_rejects(self, monkeypatch):
         # a child that passes dfs's depth bound is either empty or has its
         # search key read next, so every nonempty child built must be read;
-        # a child is built as its parent's cells rewritten by reorder_cells
+        # a child is built from its parent's cells by moves._child_cells
         built: list[tuple] = []
         coded: set[int] = set()
+        original = forbidden._child_cells
 
-        def counting_rewrite(cells, order):
-            child = reorder_cells(cells, order)
+        def counting_child(cells, site):
+            child = original(cells, site)
             built.append(child)
             return child
 
@@ -767,7 +767,7 @@ class TestTrivializeForbidden:
         diagrams = [random_diagram(rng, n, kind)
                     for n in range(2, 8) for kind in ("closed", "long")]
         eager_built = sum(eager_children(d, 6) for d in diagrams)
-        monkeypatch.setattr(forbidden, "reorder_cells", counting_rewrite)
+        monkeypatch.setattr(forbidden, "_child_cells", counting_child)
         monkeypatch.setattr(forbidden, "rotation_key", recording_key)
         for d in diagrams:
             trivialize_forbidden(d, 6)
@@ -840,21 +840,24 @@ class TestSignBound:
         # before its key is read, so no child is built
         d = kink_chain(p)
         built, keys = [], []
+        original = forbidden._child_cells
 
-        def counting_rewrite(cells, order):
-            built.append(order)
-            return reorder_cells(cells, order)
+        def counting_child(cells, site):
+            built.append(site)
+            return original(cells, site)
 
         def counting_key(kind, cells):
             keys.append(1)
             return rotation_key(kind, cells)
 
-        monkeypatch.setattr(forbidden, "reorder_cells", counting_rewrite)
+        monkeypatch.setattr(forbidden, "_child_cells", counting_child)
         monkeypatch.setattr(forbidden, "rotation_key", counting_key)
         assert trivialize_forbidden(d, p - 1) is None
         assert built == [] and keys == []
         trace = trivialize_forbidden(d, p)
         assert len(trace) == p and all(e.kind == "R1_del" for e in trace)
+        # the counter is live: the trace's p children were built through it
+        assert len(built) >= p
         assert apply_trace(d, trace).n == 0
 
     def test_fewer_keys_read_than_the_eager_search(self, monkeypatch):

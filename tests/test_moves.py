@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from vknots import moves
 from vknots.corpus import random_diagram, virtual_trefoil
-from vknots.diagram import GaussDiagram, parse_gauss_code
+from vknots.diagram import GaussDiagram, pair_starts, parse_gauss_code
 from vknots.forbidden import check_n_trivial, disjoint_sites, trivialize_forbidden
 from vknots.moves import (
     MOVE_KINDS,
@@ -285,6 +286,120 @@ def oracle_events(d):
             if r3_fragment(kt, km, kb) in R3_CATALOGUE:
                 events.append(("R3", (kt, km, kb)))
     return sorted(events)
+
+
+class TestMalformedEvents:
+    """apply_move refuses malformed event data with MoveError before the
+    recognizer reads it."""
+
+    @pytest.mark.parametrize("event", [
+        MoveEvent("R1_del", ()),
+        MoveEvent("R1_del", (0.0, 1, "OU")),
+        MoveEvent("R1_del", (0, 1)),
+        MoveEvent("R2_del", (0, True, True, 1)),
+        MoveEvent("R3", (0, 2, 4.0)),
+        MoveEvent("Fo", (True,)),
+        MoveEvent("Fu", (1, 2)),
+        MoveEvent("Fo", [1]),
+        MoveEvent("virtualize", ()),
+        MoveEvent("virtualize", (1.0,)),
+        MoveEvent("R1_add", ()),
+        MoveEvent("R2_add", (0, 0, True, 1)),
+        MoveEvent("R2_add", (0, False, True, 1, "t")),
+    ])
+    def test_refused_with_move_error(self, event):
+        d = parse_gauss_code("O1+ O2- U1+ U2- O3+ U3+", "long")
+        with pytest.raises(MoveError, match=f"{event.kind}: malformed data"):
+            apply_move(d, event)
+
+    def test_bool_slot_is_not_read_as_its_int(self):
+        # slot 1 starts an Fo pair and slot True equals 1, but is no slot
+        d = parse_gauss_code("U3+ O1+ O2- U1+ U2- O3+")
+        assert apply_move(d, MoveEvent("Fo", (1,))).n == 3
+        with pytest.raises(MoveError, match="malformed"):
+            apply_move(d, MoveEvent("Fo", (True,)))
+
+    @pytest.mark.parametrize("slot", [1.0, True])
+    def test_site_at_refuses_a_slot_that_is_not_an_int(self, slot):
+        from vknots.forbidden import FamilyError, site_at
+
+        d = parse_gauss_code("U3+ O1+ O2- U1+ U2- O3+")
+        assert site_at(d, 1, "Fo").slot == 1
+        with pytest.raises(FamilyError, match="must be an int"):
+            site_at(d, slot, "Fo")
+
+
+def kernel_diagrams(seed):
+    """Seeded random and scrambled diagrams of each kind, 0-8 chords."""
+    rng = random.Random(seed)
+    return [
+        make(rng, n, kind)
+        for n in range(9)
+        for kind in ("closed", "long")
+        for make in (random_diagram, scrambled_diagram)
+        for _ in range(6)
+    ]
+
+
+class TestSearchKernel:
+    """The searches' node kernel: the one recognizer read at one start or
+    at all of them, and the child cells a site's move leaves."""
+
+    KINDS = ("R1_del", "R2_del", "R3", "Fo", "Fu")
+
+    def test_one_start_equals_the_all_starts_scan(self):
+        counts = dict.fromkeys(("wrap", "m2", "R3"), 0)
+        for d in kernel_diagrams(3001):
+            kind, cells = d._eq_key()
+            m = len(cells)
+            starts = pair_starts(kind, m)
+            scan = moves._sites(kind, cells, starts, self.KINDS)
+            for k in starts:
+                at_k = moves._sites(kind, cells, (k,), self.KINDS)
+                assert at_k == tuple(
+                    [site for site in found if site[1][0] == k] for found in scan), (d, k)
+                counts["wrap"] += kind == "closed" and k == m - 1 and any(at_k)
+            counts["m2"] += kind == "closed" and m == 2 and len(scan[0]) == 1
+            counts["R3"] += len(scan[2])
+        assert min(counts.values()) > 5, counts
+
+    def test_child_cells_equal_apply_move(self):
+        counts = dict.fromkeys(self.KINDS, 0)
+        wraps = 0
+        for d in kernel_diagrams(3002):
+            kind, cells = d._eq_key()
+            m = len(cells)
+            for found in moves._sites(kind, cells, pair_starts(kind, m), self.KINDS):
+                for site in found:
+                    child = moves._child_cells(cells, site)
+                    assert child == apply_move(d, MoveEvent(*site))._eq_key()[1], (d, site)
+                    counts[site[0]] += 1
+                    wraps += kind == "closed" and m - 1 in site[1][:moves._PAIRS[site[0]]]
+        assert min(counts.values()) > 20 and wraps > 20, (counts, wraps)
+
+    def test_searches_build_events_only_for_the_returned_trace(self, monkeypatch):
+        built = []
+        original = MoveEvent.__post_init__
+
+        def counting_init(self):
+            built.append(self.kind)
+            original(self)
+
+        diagrams = kernel_diagrams(3003)[::3]
+        monkeypatch.setattr(MoveEvent, "__post_init__", counting_init)
+        nodes = 0
+        for d in diagrams:
+            built.clear()
+            stats = SearchStats()
+            _, trace = simplify(d, 300, stats=stats)
+            assert len(built) == len(trace)
+            nodes += stats.expanded
+            built.clear()
+            stats = SearchStats()
+            trace = trivialize_forbidden(d, 5, stats=stats)
+            assert len(built) == (0 if trace is None else len(trace))
+            nodes += stats.expanded
+        assert nodes > 10 * len(diagrams)
 
 
 class TestR3Catalogue:

@@ -160,6 +160,14 @@ class TestTriangles:
                         with pytest.raises(FamilyError, match="not a F"):
                             site_at(d, slot, kind)
 
+    @pytest.mark.parametrize("slot", [1.0, True])
+    def test_site_at_refuses_a_slot_that_is_not_an_int(self, slot):
+        # slot 1 starts an Fo pair, and 1.0 and True equal 1
+        d = parse_gauss_code("U3+ O1+ O2- U1+ U2- O3+")
+        assert site_at(d, 1, "Fo").slot == 1
+        with pytest.raises(FamilyError, match="must be an int"):
+            site_at(d, slot, "Fo")
+
     @pytest.mark.parametrize("d", [parse_gauss_code(""), LT, VT])
     def test_zero_disjoint_sites_is_the_empty_list(self, d):
         # every diagram has zero disjoint sites; None means fewer than asked

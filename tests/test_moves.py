@@ -319,15 +319,6 @@ class TestMalformedEvents:
         with pytest.raises(MoveError, match="malformed"):
             apply_move(d, MoveEvent("Fo", (True,)))
 
-    @pytest.mark.parametrize("slot", [1.0, True])
-    def test_site_at_refuses_a_slot_that_is_not_an_int(self, slot):
-        from vknots.forbidden import FamilyError, site_at
-
-        d = parse_gauss_code("U3+ O1+ O2- U1+ U2- O3+")
-        assert site_at(d, 1, "Fo").slot == 1
-        with pytest.raises(FamilyError, match="must be an int"):
-            site_at(d, slot, "Fo")
-
 
 def kernel_diagrams(seed):
     """Seeded random and scrambled diagrams of each kind, 0-8 chords."""

@@ -298,7 +298,6 @@ class TestMalformedEvents:
         MoveEvent("R1_del", (0, 1)),
         MoveEvent("R2_del", (0, True, True, 1)),
         MoveEvent("R3", (0, 2, 4.0)),
-        MoveEvent("Fo", (True,)),
         MoveEvent("Fu", (1, 2)),
         MoveEvent("Fo", [1]),
         MoveEvent("virtualize", ()),
@@ -336,17 +335,15 @@ class TestSearchKernel:
     """The searches' node kernel: the one recognizer read at one start or
     at all of them, and the child cells a site's move leaves."""
 
-    KINDS = ("R1_del", "R2_del", "R3", "Fo", "Fu")
-
     def test_one_start_equals_the_all_starts_scan(self):
         counts = dict.fromkeys(("wrap", "m2", "R3"), 0)
         for d in kernel_diagrams(3001):
             kind, cells = d._eq_key()
             m = len(cells)
             starts = pair_starts(kind, m)
-            scan = moves._sites(kind, cells, starts, self.KINDS)
+            scan = moves._sites(kind, cells, starts, LOCAL_KINDS)
             for k in starts:
-                at_k = moves._sites(kind, cells, (k,), self.KINDS)
+                at_k = moves._sites(kind, cells, (k,), LOCAL_KINDS)
                 assert at_k == tuple(
                     [site for site in found if site[1][0] == k] for found in scan), (d, k)
                 counts["wrap"] += kind == "closed" and k == m - 1 and any(at_k)
@@ -355,12 +352,12 @@ class TestSearchKernel:
         assert min(counts.values()) > 5, counts
 
     def test_child_cells_equal_apply_move(self):
-        counts = dict.fromkeys(self.KINDS, 0)
+        counts = dict.fromkeys(LOCAL_KINDS, 0)
         wraps = 0
         for d in kernel_diagrams(3002):
             kind, cells = d._eq_key()
             m = len(cells)
-            for found in moves._sites(kind, cells, pair_starts(kind, m), self.KINDS):
+            for found in moves._sites(kind, cells, pair_starts(kind, m), LOCAL_KINDS):
                 for site in found:
                     child = moves._child_cells(cells, site)
                     assert child == apply_move(d, MoveEvent(*site))._eq_key()[1], (d, site)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import signal
@@ -571,6 +572,63 @@ class TestUsageErrors:
         assert code == 1 and captured.out == ""
         assert f"argument {flag}:" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestCliGolden:
+    """The exact bytes argparse gives each of a fixed list of command lines:
+    sha256 of the JSON list (argv, exit code, stdout, stderr), with help
+    and usage text wrapped at 80 columns.  The digests were taken with the
+    argparse of CPython 3.11; another version's help layout is a new
+    recording, not a regression."""
+
+    T = RIGHT_TREFOIL
+    CASES = [
+        ([], "fc9c5979d1f2dd79355d13f68dcaa07e178964c3fd79a0569053267524be61c6"),
+        (["-h"], "17cb0d19ef50db6bce6b376ef96d0960fac1fb724a43515d6cfbf5b7af865cca"),
+        (["--help"], "5fe5c9ccd045ceb29a7eea5aa2bfc63cb05388208dbbceff78855ea1d1ef002d"),
+        (["-h", "eval"], "3c5bf887a3eed28c6984098762e7cf6fcb79754a971569dd73234577011fe262"),
+        (["nosuch", "--code", T],
+         "9cb288f4dd8141428e3e83d9177df746b13866c4bfd2cc4608f7ff51589554ca"),
+        (["EVAL", "--code", T],
+         "93585bf95ce8fc1544f154405c96af2cf2985da3b68e4a95291ca3ba7dd6966c"),
+        (["eva", "--code", T],
+         "8c3cdfb01500aa898efc9d60f71e8ddbaa3adc95213025039a3a2047cfcbedf0"),
+        (["eval", "-h"], "964ead64c4410bc4b9032a4fefdf005a71d3d70ce22be45810f96e6e570f2773"),
+        (["eval", "--he"], "f73e62cbe4275220f0fb45dee500d3e790d73e1161da7d1666ad71f539d5b264"),
+        (["eval", "--co", T],
+         "3ccefefe551368a2d0f42aa4ccea95c432cc58361ddcf1d147fdeb2607cd7b29"),
+        (["eval", f"--code={T}"],
+         "9a856036192c2a4d4cdaa77b81171afc83ea4459af5be3571eb50a3e95a1b7db"),
+        (["eval", "--code", T, "--", "--kind", "long"],
+         "27e64e3530959f0579a6b3370279da8bc2b4e9989554174f52336d95bccab83b"),
+        (["eval", "--code", T, "stray"],
+         "d3d597f036585c6aa170696e193edf66d1281922082934b29e4740d465c7a841"),
+        (["eval", "--code", T, "--nosuch"],
+         "2bb0aa5b7e64a05531a2f0541b5bae7e8a0c53c37147ef448b94ce2075780a5e"),
+        (["kh", "--code", T, "--kind", "braided"],
+         "f68086882c3ea8e203dbb778a4a6ec7a444fdc8bf27adff409bad881b86145ab"),
+        (["trivialize", "--code", VIRTUAL_TREFOIL, "--depth", "x"],
+         "fbdd3a68d66555f2a9fae3eb9c5faebc49ea972c5e424e568744a6ea86b444c2"),
+        (["gpv-sum", "--code", T, "--kind", "long"],
+         "c6a80ec914c6dc573478f3c8e41b497e3b91e58249995914460dba030a76a2d7"),
+        (["braid", "--word", "s1 s1", "--bk", "2"],
+         "5f2c1a6aefc515a4f72392184dcff288e4c40aa66a421ef15c96e98019ac3588"),
+        (["braid", "--scan", "3:1"],
+         "8484cf487febcf9d5af04ccdbfce7c21aefed8bbe528c927c97bf08c36f67bf8"),
+        (["gpv-sum", "--code", T, "--kind", "long", "--chords", "1,2"],
+         "5790253b10d75bb76a31f5cabe4e7b2eeca11d082e7624d5d75539d57536c68f"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", CASES, ids=[" ".join(a) or "no-arguments" for a, _ in CASES])
+    def test_bytes(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        blob = json.dumps([argv, code, captured.out, captured.err])
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 class TestJsonShape:

@@ -462,7 +462,8 @@ def _scan_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by command name."""
     parser = _Parser(
         prog="vknots",
         description="Gauss-diagram invariants of classical and virtual knots",
@@ -532,19 +533,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.set_defaults(func=cmd_selftest)
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`build_parser`, built on the first :func:`main`
-    call of the process and reused: parsing keeps no state in it."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and subparsers of :func:`build_parser`, built on the first
+    :func:`main` call of the process and reused: parsing keeps no state in
+    them."""
     return build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``parse_args`` of the top-level parser, in one pass when ``argv[0]``
+    names a subcommand: its subparser reads ``argv[1:]`` directly, and
+    anything it leaves is refused with the top-level usage line, as the
+    two-pass parse does.  Anything else (no arguments, a leading ``-h``,
+    an unknown command) takes the top-level parse."""
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return INPUT_ERROR

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import random
 import signal
+import sys
 
 import jsonschema
 import pytest
@@ -723,6 +725,44 @@ class TestParserReuse:
             run(capsys, "trivialize", "--code", VIRTUAL_TREFOIL)
         cli._parser.cache_clear()
         assert built == [1]
+
+
+class TestOneParse:
+    GPV_SUM = ["gpv-sum", "--code", RIGHT_TREFOIL, "--kind", "long", "--chords", "1,2"]
+
+    def test_a_named_command_is_parsed_once_by_its_subparser(self, capsys, monkeypatch):
+        parsed = []
+        original = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            parsed.append(parser.prog)
+            return original(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        given = run(capsys, *self.GPV_SUM)
+        assert parsed == ["vknots gpv-sum"]
+        # the console script passes no argv and reads sys.argv
+        monkeypatch.setattr(sys, "argv", ["vknots", *self.GPV_SUM])
+        assert (main(None), capsys.readouterr().out) == given
+        assert parsed == ["vknots gpv-sum"] * 2 and given[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--code", RIGHT_TREFOIL],
+            ["kh", "--co", RIGHT_TREFOIL, "--format=table"],
+            GPV_SUM,
+            ["f-sum", "--families", "f.json", "--invariant", "v22"],
+            ["ntrivial", "--families", "f.json", "--budget", "5"],
+            ["trivialize", "--code", VIRTUAL_TREFOIL, "--depth", "3"],
+            ["braid", "--scan", "1:2"],
+            ["lemma5", "--code", VIRTUAL_TREFOIL, "--kind", "long"],
+            ["selftest", "--seed", "3"],
+        ],
+    )
+    def test_namespace_equals_the_two_pass_parse(self, argv):
+        parser, _ = cli._parser()
+        assert vars(cli._parse_args(argv)) == vars(parser.parse_args(argv))
 
 
 class TestBraid:

@@ -451,6 +451,35 @@ class TestStateSumGolden:
         assert h.hexdigest() == (
             "c99166a7b8bd6498a0e801dd4b929f0e9854f47efb42404804bf40cc06b49876")
 
+    def test_kh_reports(self, capsys):
+        # derived before homology stepped its Gray walk inline, so that a
+        # change to how the pass reads switches and builds rows shows any
+        # change in the bytes kh prints
+        rng = random.Random(2203)
+        diagrams = [
+            d
+            for n in range(8, 13)
+            for d in (random_diagram(rng, n, "closed"), random_diagram(rng, n, "closed"),
+                      random_braid_closure(rng, n))
+        ]
+        shrunk = kept = 0
+        for d in diagrams:
+            reduced, _ = khovanov.reduce_for_state_sums(d)
+            shrunk += reduced.n < d.n
+            _, sizes, _ = khovanov._StateSpace(reduced.kind, reduced.chords).walk()
+            bits = [1 << k for k in range(reduced.n)]
+            kept += any(sizes[mask | bit] == size
+                        for mask, size in enumerate(sizes) for bit in bits if not mask & bit)
+        # the reduction shrinks some, and some reduced (virtual) diagrams
+        # have switches that keep the circle count, the zero maps
+        assert shrunk and kept
+        h = hashlib.sha256()
+        for d in diagrams:
+            assert main(["kh", "--code", d.code()]) == 0
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == (
+            "b724ef669b0eb064df0b1f9cb7384f62669fd5eb5b1da105cd5ad14d01aeb639")
+
 
 class TestKhOnReducedDiagram:
     """``kh`` reads its state sums on the diagram ``simplify`` reduces the

@@ -35,9 +35,10 @@ Differential
     monotone: a label mask moves by deleting the bits of the old circles
     and inserting the bits of the new ones.  The differential has one
     implementation, and it is never applied to a single enhanced state:
-    ``homology`` reads each switch from :meth:`_StateSpace.switches` and
-    each label map from :func:`_switch_images`, through
-    :func:`_x_columns`.
+    ``homology`` reads each label map from :func:`_switch_images`, through
+    :func:`_x_columns`, and each state's switches from one list that
+    :meth:`_StateSpace.switches` returns, the one reader of switch data.
+    It raises AssertionError if a switch moves the count by more than 1.
 
 Reduced complex
     Circle 0 is the circle through arc 0 in every state, since circles are
@@ -83,10 +84,12 @@ Chord reversal
 State space
     Every operation builds the state space of the diagram it is given (the
     two smoothings of each chord) and keeps none of it past the call; a
-    state's circles are traced on their own.  The census, the number of
-    states per (negative-marker count, circle count), walks the states in
-    reflected Gray-code order, so each step rewrites the four arc ends of
-    one chord, and keeps no state.  It traces only the first state whole
+    state's circles are traced on their own.  ``walk`` and ``census`` step
+    the reflected Gray code in place: step g flips chord k, the lowest set
+    bit of g, and rewrites only that chord's four entries of one list that
+    joins the arc ends as the current state's smoothings do.  The census,
+    the number of states per (negative-marker count, circle count), keeps
+    no state.  It traces only the first state whole
     and steps the circle count from there.  Cut a state's circles at the
     switched chord's four arc ends: what is left of the circles through
     them is two strands, which pair the four ends in one of three ways.
@@ -139,7 +142,14 @@ State space
     so the pass has placed every target state before it builds the rows
     that map to it; the rows of each block are bitmasks over the next
     block, built straight from those indices, and a per-call dict in front
-    of the memo looks each switch map's columns up once per call.
+    of the memo looks each switch map's columns up once per call.  Each
+    state lists its block lengths once, as its target offsets, padded with
+    a trailing 0, and once more from t = 1 on, which a split (adding an
+    x-label) reads; nothing is sliced per switch.  At t = size - 1 every
+    label is x and a merge's column is 0 (x*x = 0, checked in
+    :func:`_x_columns`), so it lands on the pad and no per-state filter
+    drops merges there.  A state's negative-marker count is read once, and
+    a single-circle state builds its one row directly.
 """
 
 from __future__ import annotations
@@ -147,7 +157,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .diagram import Chord, DiagramError, GaussDiagram
 from .gf2 import gf2_rank
@@ -287,15 +296,20 @@ class _StateSpace:
 
     def _trace(self, mask: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
         """(circles, circle index of each arc) of one state, traced on its own."""
-        partner = [0] * (4 * self.n)
-        for k, ends in enumerate(self._smoothings):
-            a, b, c, d = ends[(mask >> k) & 1]
-            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
-        arc_circle, count = self._arc_circles(partner)
+        arc_circle, count = self._arc_circles(self._partner(mask))
         circles: list[list[int]] = [[] for _ in range(count)]
         for arc, idx in enumerate(arc_circle):
             circles[idx].append(arc)
         return tuple(map(tuple, circles)), arc_circle
+
+    def _partner(self, mask: int) -> list[int]:
+        """Arc end e joined to ``partner[e]`` by the smoothings of state
+        ``mask``."""
+        partner = [0] * (4 * self.n)
+        for k, ends in enumerate(self._smoothings):
+            a, b, c, d = ends[(mask >> k) & 1]
+            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
+        return partner
 
     def _arc_circles(self, partner: list[int]) -> tuple[list[int], int]:
         """(circle index of each arc, circle count) when smoothings join arc
@@ -315,25 +329,6 @@ class _StateSpace:
                 end = partner[end ^ 1]
             count += 1
         return arc_circle, count
-
-    def _gray(self) -> Iterator[tuple[int, int, list[int]]]:
-        """Every state as (k, mask, partner), in reflected Gray-code order.
-
-        ``partner`` joins the arc ends as the state's smoothings do.  It is
-        one list: step g flips the marker of chord k, the lowest set bit of
-        g, and rewrites only that chord's four entries; the first state,
-        flipped from none, has k = -1."""
-        partner = [0] * (4 * self.n)
-        for a, b, c, d in (ends[0] for ends in self._smoothings):
-            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
-        mask = 0
-        yield -1, mask, partner
-        for g in range(1, 1 << self.n):
-            k = (g & -g).bit_length() - 1
-            mask ^= 1 << k
-            a, b, c, d = self._smoothings[k][(mask >> k) & 1]
-            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
-            yield k, mask, partner
 
     def census(self) -> dict[tuple[int, int], int]:
         """Number of states per (negative-marker count, circle count),
@@ -355,25 +350,26 @@ class _StateSpace:
         for k, c in enumerate(self.chords):
             chord_at[c.tail] = chord_at[c.head] = k
         owner = [chord_at[((e + 1) >> 1) % m] for e in range(2 * m)]
-        # per chord and new marker: (a, far end of b's arc, old partner of b)
+        # per chord and new marker: its pairs (a, b), (c, d), the far end of
+        # b's arc and the old partner of b
         steps = [
-            [(new[0], new[1] ^ 1, old[old.index(new[1]) ^ 1]) for new, old in (pair, pair[::-1])]
+            [(*new, new[1] ^ 1, old[old.index(new[1]) ^ 1]) for new, old in (pair, pair[::-1])]
             for pair in self._smoothings
         ]
         stride = n + 2  # a state of n chords has at most n + 1 circles
         tally = [0] * ((n + 1) * stride)
-        walk = self._gray()
-        _, _, partner = next(walk)
+        partner = self._partner(0)
         _, count = self._arc_circles(partner)
         tally[count] += 1
-        neg = 0
-        for k, mask, partner in walk:
-            if (mask >> k) & 1:
-                neg += 1
-                a, end, merged = steps[k][1]
-            else:
-                neg -= 1
-                a, end, merged = steps[k][0]
+        mask = neg = 0
+        for g in range(1, 1 << n):
+            # step g flips chord k, the lowest set bit of g
+            k = (g & -g).bit_length() - 1
+            mask ^= 1 << k
+            marker = (mask >> k) & 1
+            a, b, c, d, end, merged = steps[k][marker]
+            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
+            neg += 1 if marker else -1
             while owner[end] != k:
                 end = partner[end] ^ 1
             if end == a:
@@ -381,28 +377,42 @@ class _StateSpace:
             elif end == merged:
                 count -= 1
             tally[neg * stride + count] += 1
-        return {divmod(key, stride): states for key, states in enumerate(tally) if states}
+        return _census_of(tally, stride)
 
     def walk(self) -> tuple[list[list[int]], list[int], dict[tuple[int, int], int]]:
         """The circle index of each arc and the circle count of every state,
         indexed by mask, traced along the Gray walk, and the census tallied
-        on the way."""
-        size = 1 << self.n
+        on the way.  Step g flips chord k, the lowest set bit of g, and
+        rewrites only its four entries of the one ``partner`` list."""
+        n = self.n
+        size = 1 << n
         arcs: list[list[int]] = [[]] * size
         sizes = [0] * size
-        counts: dict[tuple[int, int], int] = {}
-        for _, mask, partner in self._gray():
-            arcs[mask], count = self._arc_circles(partner)
+        stride = n + 2
+        tally = [0] * ((n + 1) * stride)
+        smoothings, arc_circles = self._smoothings, self._arc_circles
+        partner = self._partner(0)
+        arcs[0], count = arc_circles(partner)
+        sizes[0] = count
+        tally[count] += 1
+        mask = neg = 0
+        for g in range(1, size):
+            k = (g & -g).bit_length() - 1
+            mask ^= 1 << k
+            marker = (mask >> k) & 1
+            a, b, c, d = smoothings[k][marker]
+            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
+            neg += 1 if marker else -1
+            arcs[mask], count = arc_circles(partner)
             sizes[mask] = count
-            key = (mask.bit_count(), count)
-            counts[key] = counts.get(key, 0) + 1
-        return arcs, sizes, counts
+            tally[neg * stride + count] += 1
+        return arcs, sizes, _census_of(tally, stride)
 
     def homological_i(self, mask: int) -> int:
         """i = (w - sigma)/2, where sigma = n - 2 * #negative markers."""
         return (self.w - self.n) // 2 + mask.bit_count()
 
-    def switches(self, mask: int, arcs, sizes) -> Iterator[tuple[int, int, int, int, int]]:
+    def switches(self, mask: int, arcs, sizes) -> list[tuple[int, int, int, int, int]]:
         """Every positive-marker switch of state ``mask`` that changes the
         circle count, as (new mask, split, a, b, c): old circles a < b merge
         into new circle c (split 0), or old circle a splits into new circles
@@ -411,6 +421,7 @@ class _StateSpace:
         each arc and the circle count of state m, for the state and every
         state one switch above it."""
         old, size = arcs[mask], sizes[mask]
+        out = []
         for bit, u, v in self._tails:
             if mask & bit:
                 continue
@@ -421,12 +432,19 @@ class _StateSpace:
             new = arcs[new_mask]
             if new_size == size - 1:
                 a, b = old[u], old[v]
-                yield (new_mask, 0, a, b, new[u]) if a < b else (new_mask, 0, b, a, new[u])
+                out.append((new_mask, 0, a, b, new[u]) if a < b else (new_mask, 0, b, a, new[u]))
             elif new_size == size + 1:
                 b, c = new[u], new[v]
-                yield (new_mask, 1, old[u], b, c) if b < c else (new_mask, 1, old[u], c, b)
+                out.append((new_mask, 1, old[u], b, c) if b < c else (new_mask, 1, old[u], c, b))
             else:
                 raise AssertionError("a marker switch changes the circle count by at most 1")
+        return out
+
+
+def _census_of(tally: list[int], stride: int) -> dict[tuple[int, int], int]:
+    """The census {(neg, count): states} of a flat tally indexed by
+    neg * stride + count."""
+    return {divmod(key, stride): states for key, states in enumerate(tally) if states}
 
 
 def _space(diagram: GaussDiagram) -> _StateSpace:
@@ -560,18 +578,36 @@ def _x_columns(sw: tuple[str, int, int, int], size: int) -> tuple[int, ...]:
     ``vecs[lam]`` over the target label masks, on which X and nu act
     through the target's label planes.
 
-    The columns and the check are a pure function of the switch data and
+    ``homology`` reads a merge's targets through offsets padded with a 0,
+    which the all-x label mask, the last column, reaches: merging two
+    x-labels gives nothing, so that column must be 0.  It is checked
+    before the commutation, so a nonzero image there raises
+    AssertionError("x*x = 0 ...") and never lands on the pad.
+
+    The columns and the checks are a pure function of the switch data and
     the circle count, so they are computed once per process, on the map's
-    first use, and the check covers every map ``homology`` reads.
+    first use, and the checks cover every map ``homology`` reads.
     """
     images = [_switch_images(sw, lam) for lam in range(1 << size)]
+    target = size + 1 if sw[0] == "split" else size - 1
+    rank = _bit_order(target - 1)[0]
+    columns = []
+    for found in images[1::2]:
+        vec = 0
+        for lam2 in found:
+            vec ^= 1 << rank[lam2 >> 1]
+        columns.append(vec)
+    if sw[0] == "merge" and columns[-1]:
+        raise AssertionError(
+            f"x*x = 0 not kept: {sw} on {size} circles maps the all-x label "
+            f"mask to {images[-1]}, where homology reads a padded offset"
+        )
     vecs = []
     for found in images:
         vec = 0
         for lam2 in found:
             vec ^= 1 << lam2
         vecs.append(vec)
-    target = size + 1 if sw[0] == "split" else size - 1
     planes = _label_planes(target)
     evens = planes[0] ^ ((1 << (1 << len(planes))) - 1)
     for lam, vec in enumerate(vecs):
@@ -589,13 +625,6 @@ def _x_columns(sw: tuple[str, int, int, int], size: int) -> tuple[int, ...]:
                 f"d o d = 0 not implied: {sw} on {size} circles does not "
                 f"commute with X and nu at label mask {lam}"
             )
-    rank = _bit_order(target - 1)[0]
-    columns = []
-    for found in images[1::2]:
-        vec = 0
-        for lam2 in found:
-            vec ^= 1 << rank[lam2 >> 1]
-        columns.append(vec)
     return tuple(columns)
 
 
@@ -642,12 +671,19 @@ def homology_and_bracket(
     # the target state's block offset; they depend only on the switch data
     # and the circle count, which key them as one int.  Images keep j, so
     # a merge keeps the number of x-labels and a split adds one: a part
-    # pairs the columns with the target's offsets from that t on.  The
-    # blocks a state's rows go to, one per t, depend only on its negative
-    # marker count and circle count, which key them as one int too.
+    # pairs the columns with the target's offsets from that t on, which
+    # the target lists once as targets[split][new_mask].  The offsets end
+    # in a padded 0: at t = size - 1 every label is x, a merge's column
+    # there is 0 (x*x = 0, which _x_columns checks), and the pad is where
+    # that 0 lands.  The blocks a state's rows go to, one per t, depend
+    # only on its negative marker count and circle count, which key them
+    # as one int too.
     base = top + 1
+    i0 = sp.homological_i(0)
     columns: dict[int, tuple[int, ...]] = {}
-    offset: list[list[int]] = [[]] * len(sizes)
+    offsets: list[tuple[int, ...]] = [()] * len(sizes)
+    shifted = offsets.copy()
+    targets = (offsets, shifted)
     matrices: dict[tuple[int, int], list[int]] = {}
     blocks: dict[int, list[list[int]]] = {}
     for mask in range(len(sizes) - 1, -1, -1):
@@ -659,22 +695,26 @@ def homology_and_bracket(
             if cols is None:
                 sw = ("split" if split else "merge", a, b, c)
                 cols = columns[key] = _x_columns(sw, size)
-            parts.append((cols, offset[new_mask][split:]))
-        key = mask.bit_count() * base + size
+            parts.append((cols, targets[split][new_mask]))
+        neg = mask.bit_count()
+        key = neg * base + size
         rows_of = blocks.get(key)
         if rows_of is None:
-            i = sp.homological_i(mask)
+            i = i0 + neg
             rows_of = blocks[key] = [
                 matrices.setdefault((i, w + i + size - 2 - 2 * t), []) for t in range(size)
             ]
-        offset[mask] = [len(rows) for rows in rows_of]
-        last = size - 1
-        for t, group in enumerate(groups[last]):
+        lengths = offsets[mask] = (*map(len, rows_of), 0)
+        shifted[mask] = lengths[1:]
+        if size == 1:
+            # one row, mu = 0: a single circle only splits
+            vec = 0
+            for cols, at in parts:
+                vec |= cols[0] << at[0]
+            rows_of[0].append(vec)
+            continue
+        for t, group in enumerate(groups[size - 1]):
             rows = rows_of[t]
-            if t == last:
-                # merging two x-labels gives nothing, so when every label
-                # is x a merge has no target block
-                parts = [part for part in parts if len(part[1]) > t]
             for mu in group:
                 vec = 0
                 for cols, at in parts:

@@ -260,6 +260,21 @@ def counting_traces(monkeypatch) -> list[int]:
     return traces
 
 
+def counting_walks(monkeypatch) -> list[int]:
+    """The chord count of every Gray walk of the cube from here on, in call
+    order: each call to ``_StateSpace.walk`` or ``_StateSpace.census``."""
+    walks = []
+    for name in ("walk", "census"):
+        method = getattr(khovanov._StateSpace, name)
+
+        def counting(self, method=method):
+            walks.append(self.n)
+            return method(self)
+
+        monkeypatch.setattr(khovanov._StateSpace, name, counting)
+    return walks
+
+
 class TestGrayCensus:
     """The census along the Gray walk against the census tallied from
     single-state traces, and the walks a request pays for."""
@@ -331,19 +346,8 @@ class TestGrayCensus:
         assert traces == []
 
     def test_kh_request_walks_the_cube_once(self, monkeypatch, capsys):
-        walks, traces = [], []
-        gray, trace = khovanov._StateSpace._gray, khovanov._StateSpace._trace
-
-        def counting_gray(self):
-            walks.append(self.n)
-            return gray(self)
-
-        def counting_trace(self, mask):
-            traces.append(mask)
-            return trace(self, mask)
-
-        monkeypatch.setattr(khovanov._StateSpace, "_gray", counting_gray)
-        monkeypatch.setattr(khovanov._StateSpace, "_trace", counting_trace)
+        walks = counting_walks(monkeypatch)
+        traces = counting_traces(monkeypatch)
         d = random_diagram(random.Random(13), 8, "closed")
         d = apply_move(d, enumerate_moves(d, ["R2_add"])[0])
         reduced, _ = khovanov.reduce_for_state_sums(d)
@@ -356,14 +360,7 @@ class TestGrayCensus:
         assert walks == [reduced.n] and traces == []
 
     def test_eval_request_walks_the_cube_once_per_diagram(self, monkeypatch, capsys, tmp_path):
-        walks = []
-        gray = khovanov._StateSpace._gray
-
-        def counting_gray(self):
-            walks.append(self.n)
-            return gray(self)
-
-        monkeypatch.setattr(khovanov._StateSpace, "_gray", counting_gray)
+        walks = counting_walks(monkeypatch)
         traces = counting_traces(monkeypatch)
         rng = random.Random(16)
         diagrams = [random_diagram(rng, n, kind) for n, kind in ((6, "closed"), (7, "long"), (5, "closed"))]
@@ -706,6 +703,17 @@ class TestSwitch:
                 assert got == {}, (d.code(), mask)
         assert kinds == {"zero", "merge", "split"}
 
+    def test_count_jump_of_two_trips_the_switch_guard(self):
+        # a switch changes the circle count by -1, 0 or +1; forged circle
+        # counts that jump by 2 must raise, not be read as a merge or split
+        sp = _space(TREFOIL)
+        arcs, sizes, _ = sp.walk()
+        assert sp.switches(0, arcs, sizes)
+        forged = list(sizes)
+        forged[1] = sizes[0] + 2
+        with pytest.raises(AssertionError, match="changes the circle count by at most 1"):
+            sp.switches(0, arcs, forged)
+
     def test_dropped_split_image_trips_d_o_d(self, monkeypatch):
         def lossy(sw, lam):
             images = _switch_images(sw, lam)
@@ -892,6 +900,21 @@ class TestReducedComplex:
 
         monkeypatch.setattr(khovanov, "_switch_images", swapped)
         with pytest.raises(AssertionError, match="d o d = 0 not implied.*commute"):
+            homology(TREFOIL)
+
+    def test_nonzero_all_x_merge_image_trips_the_pad_check(self, monkeypatch):
+        # homology reads a merge's all-x column at a padded offset 0, so
+        # x*x must stay 0; a merge that keeps an x instead must be caught
+        # by _x_columns on the map's first use, not land on the pad
+        def x_kept(sw, lam):
+            kind, a, b, c = sw
+            if kind == "merge" and (lam >> a) & 1 and (lam >> b) & 1:
+                rest = khovanov._drop_bit(khovanov._drop_bit(lam, b), a)
+                return [khovanov._insert_bit(rest, c, 1)]
+            return _switch_images(sw, lam)
+
+        monkeypatch.setattr(khovanov, "_switch_images", x_kept)
+        with pytest.raises(AssertionError, match=r"x\*x = 0 not kept: \('merge'"):
             homology(TREFOIL)
 
     def test_c_x_columns_changed_after_the_check_trip_d_o_d(self, monkeypatch):

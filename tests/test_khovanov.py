@@ -335,6 +335,33 @@ class TestGrayCensus:
         # a chord whose two ends lie on one arc
         assert kinks
 
+    def test_walk_matches_traced_states(self):
+        # the circle index of each arc and the circle count of every state
+        # of the walk against each state traced on its own, on diagrams
+        # whose Gray steps merge, split and (virtual only) keep the count
+        rng = random.Random(3434)
+        kinked = parse_gauss_code("O1+ U2+ O3+ U1+ O2+ U3+ O4- U4-")
+        diagrams = [unknot(), parse_gauss_code("O1+ U1+"), parse_gauss_code("O1- U1-"), kinked]
+        diagrams += [random_braid_closure(rng, real) for real in (11, 12)]
+        diagrams += [VT, reclose(gpv2_trivial()), random_diagram(rng, 7, "closed")]
+        assert [d.n for d in diagrams[:6]] == [0, 1, 1, 4, 11, 12]
+        seen, keeping = set(), []
+        for d in diagrams:
+            sp = khovanov._StateSpace(d.kind, d.chords)
+            arcs, sizes, census = sp.walk()
+            traced = [sp._trace(mask) for mask in range(1 << d.n)]
+            assert arcs == [arc for _, arc in traced], d.code()
+            assert sizes == [len(circles) for circles, _ in traced], d.code()
+            assert census == self.traced_census(d), d.code()
+            gray = [g ^ (g >> 1) for g in range(1 << d.n)]
+            steps = {sizes[b] - sizes[a] for a, b in zip(gray, gray[1:])}
+            seen |= steps
+            if 0 in steps:
+                keeping.append(d)
+        assert seen == {-1, 0, 1}
+        # a step that keeps the count needs a virtual diagram
+        assert VT in keeping and any(d.n >= 11 for d in keeping)
+
     def test_state_sums_keep_no_state(self, monkeypatch):
         traces = counting_traces(monkeypatch)
         d = random_diagram(random.Random(12), 8, "closed")
@@ -702,6 +729,24 @@ class TestSwitch:
                 # every listed switch raises one positive marker of mask
                 assert got == {}, (d.code(), mask)
         assert kinds == {"zero", "merge", "split"}
+
+    def test_touched_circles_keep_the_lower_index(self):
+        # circles are numbered by their smallest arc, so the merged circle
+        # keeps the lower index (c == a), and so does the split piece that
+        # holds the old circle's smallest arc (b == a); the walk's stepped
+        # labels rest on this
+        rng = random.Random(4141)
+        diagrams = [random_diagram(rng, n, "closed") for n in range(1, 9) for _ in range(4)]
+        diagrams += [random_braid_closure(rng, real) for real in (6, 8, 10)]
+        counts = {0: 0, 1: 0}
+        for d in diagrams:
+            sp = _space(d)
+            arcs, sizes, _ = sp.walk()
+            for mask in range(1 << sp.n):
+                for _, split, a, b, c in sp.switches(mask, arcs, sizes):
+                    assert (b if split else c) == a, (d.code(), mask)
+                    counts[split] += 1
+        assert min(counts.values()) > 1000
 
     def test_count_jump_of_two_trips_the_switch_guard(self):
         # a switch changes the circle count by -1, 0 or +1; forged circle

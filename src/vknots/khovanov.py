@@ -166,6 +166,9 @@ from .moves import simplify
 DEFAULT_HOMOLOGY_CAP = 12
 # Largest chord cap the CLI accepts for --cap-chords: 2**16 states.
 MAX_CAP_CHORDS = 16
+# Circle labels are bytes, and 255 marks an arc not yet on a circle; a state
+# of n chords has at most n + 1 circles, labelled 0 to n.
+MAX_TRACED_CHORDS = 254
 
 StateVec = tuple[int, ...]
 
@@ -255,6 +258,10 @@ class _StateSpace:
     def __init__(self, kind: str, chords: tuple[Chord, ...]):
         if kind != "closed":
             raise DiagramError("state smoothing expects a closed diagram")
+        if len(chords) > MAX_TRACED_CHORDS:
+            raise DiagramError(
+                f"state smoothing takes at most {MAX_TRACED_CHORDS} chords, got {len(chords)}"
+            )
         self.chords = chords
         self.n = len(chords)
         self.w = writhe(self)
@@ -294,7 +301,7 @@ class _StateSpace:
     def circles(self, mask: int) -> tuple[tuple[int, ...], ...]:
         return self._trace(mask)[0]
 
-    def _trace(self, mask: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    def _trace(self, mask: int) -> tuple[tuple[tuple[int, ...], ...], bytes]:
         """(circles, circle index of each arc) of one state, traced on its own."""
         arc_circle, count = self._arc_circles(self._partner(mask))
         circles: list[list[int]] = [[] for _ in range(count)]
@@ -311,24 +318,25 @@ class _StateSpace:
             partner[a], partner[b], partner[c], partner[d] = b, a, d, c
         return partner
 
-    def _arc_circles(self, partner: list[int]) -> tuple[list[int], int]:
+    def _arc_circles(self, partner: list[int]) -> tuple[bytes, int]:
         """(circle index of each arc, circle count) when smoothings join arc
         end e to arc end ``partner[e]``; the chord-free diagram is one
         circle without arcs."""
         m = 2 * self.n
-        # walking from the lowest arc not yet on a circle numbers the
-        # circles in order of their smallest arc
-        arc_circle = [-1] * m
+        # 255 marks an arc not yet on a circle, and the one past the last
+        # arc ends the search for the next; walking from the lowest such
+        # arc numbers the circles in order of their smallest arc
+        arc_circle = bytearray(b"\xff") * (m + 1)
         count = 0 if m else 1
-        for start in range(m):
-            if arc_circle[start] >= 0:
-                continue
+        start = arc_circle.index(255)
+        while start < m:
             end = 2 * start
-            while arc_circle[end >> 1] < 0:
+            while arc_circle[end >> 1] == 255:
                 arc_circle[end >> 1] = count
                 end = partner[end ^ 1]
             count += 1
-        return arc_circle, count
+            start = arc_circle.index(255, start)
+        return bytes(arc_circle[:m]), count
 
     def census(self) -> dict[tuple[int, int], int]:
         """Number of states per (negative-marker count, circle count),
@@ -379,20 +387,39 @@ class _StateSpace:
             tally[neg * stride + count] += 1
         return _census_of(tally, stride)
 
-    def walk(self) -> tuple[list[list[int]], list[int], dict[tuple[int, int], int]]:
+    def walk(self) -> tuple[list[bytes], list[int], dict[tuple[int, int], int]]:
         """The circle index of each arc and the circle count of every state,
-        indexed by mask, traced along the Gray walk, and the census tallied
-        on the way.  Step g flips chord k, the lowest set bit of g, and
-        rewrites only its four entries of the one ``partner`` list."""
+        indexed by mask, along the Gray walk, and the census tallied on the
+        way.  Step g flips chord k, the lowest set bit of g, and rewrites
+        only its four entries of the one ``partner`` list.
+
+        Only the first state is traced whole; each step updates the labels
+        of the state before it (see "State space" above).  Let u and v be
+        the arcs ending and starting at chord k's tail.  If they lie on old
+        circles a < b, the step merges them: the merged circle keeps index
+        a and every circle above b moves down one.  Otherwise the step
+        traces the new circle through the smallest arc of old circle a.  If
+        that circle holds both u and v, the count and every label stay
+        (virtual diagrams only).  If not, the step split circle a: the
+        traced piece keeps index a, the other piece takes index c, the
+        number of distinct labels before its smallest arc, and every circle
+        from c on moves up one.  Each update is one ``bytes.translate``
+        through a table sliced from a 256-byte identity once per call."""
         n = self.n
         size = 1 << n
-        arcs: list[list[int]] = [[]] * size
+        arcs: list[bytes] = [b""] * size
         sizes = [0] * size
         stride = n + 2
         tally = [0] * ((n + 1) * stride)
-        smoothings, arc_circles = self._smoothings, self._arc_circles
+        smoothings, tails = self._smoothings, self._tails
+        # translation tables, keyed by a << 8 | b (merge) and a << 8 | c
+        # (split), built on first use in this call
+        identity = bytes(range(256))
+        merged: dict[int, bytes] = {}
+        split: dict[int, bytes] = {}
         partner = self._partner(0)
-        arcs[0], count = arc_circles(partner)
+        labels, count = self._arc_circles(partner)
+        arcs[0] = labels
         sizes[0] = count
         tally[count] += 1
         mask = neg = 0
@@ -400,10 +427,35 @@ class _StateSpace:
             k = (g & -g).bit_length() - 1
             mask ^= 1 << k
             marker = (mask >> k) & 1
-            a, b, c, d = smoothings[k][marker]
-            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
+            w, x, y, z = smoothings[k][marker]
+            partner[w], partner[x], partner[y], partner[z] = x, w, z, y
             neg += 1 if marker else -1
-            arcs[mask], count = arc_circles(partner)
+            _, u, v = tails[k]
+            a, b = labels[u], labels[v]
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                table = merged.get(a << 8 | b)
+                if table is None:
+                    table = merged[a << 8 | b] = identity[:b] + bytes((a,)) + identity[b:255]
+                labels = labels.translate(table)
+                count -= 1
+            else:
+                # 255 marks the traced circle's arcs
+                marked = bytearray(labels)
+                end = 2 * labels.index(a)
+                while marked[end >> 1] != 255:
+                    marked[end >> 1] = 255
+                    end = partner[end ^ 1]
+                if marked[u] != marked[v]:
+                    c = max(labels[: marked.index(a)]) + 1
+                    table = split.get(a << 8 | c)
+                    if table is None:
+                        table = identity[:a] + bytes((c,)) + identity[a + 1 : c]
+                        table = split[a << 8 | c] = table + identity[c + 1 :] + bytes((a,))
+                    labels = bytes(marked).translate(table)
+                    count += 1
+            arcs[mask] = labels
             sizes[mask] = count
             tally[neg * stride + count] += 1
         return arcs, sizes, _census_of(tally, stride)
@@ -721,11 +773,17 @@ def homology_and_bracket(
                     vec |= cols[mu] << at[t]
                 rows.append(vec)
 
-    # d o d = 0 on C_x is checked inside each block's elimination
-    ranks = {
-        (i, j): gf2_rank(rows, matrices.get((i + 1, j)))
-        for (i, j), rows in matrices.items()
-    }
+    # d o d = 0 on C_x is checked inside each block's elimination.  The
+    # blocks go in ascending i, so block (i, j) skips the rows at the
+    # leading bits of block (i - 1, j)'s checked pivots, which the other
+    # rows span (see the gf2 module docstring).
+    ranks: dict[tuple[int, int], int] = {}
+    leads: dict[tuple[int, int], dict[int, int]] = {}
+    for i, j in sorted(matrices):
+        pivots = leads[i, j] = {}
+        ranks[i, j] = gf2_rank(
+            matrices[i, j], matrices.get((i + 1, j)), leads.pop((i - 1, j), ()), pivots
+        )
     table: dict[tuple[int, int], int] = {}
     for (i, j), rows in matrices.items():
         dim = len(rows) - ranks[(i, j)] - ranks.get((i - 1, j), 0)

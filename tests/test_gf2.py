@@ -155,3 +155,45 @@ class TestComposeCheck:
             rows = make(rng, width, rng.randint(1, width))
             outcomes.add(check_against_product(rows, next_rows))
         assert outcomes == {True, False}
+
+
+def complex_maps(rng, widths):
+    """Random maps d_0, ..., d_{k-1} of a complex C^0 -> ... -> C^k whose
+    dimensions are ``widths``: each map's rows are bitmasks over the next
+    space, and every row of d_i maps to 0 under d_{i+1}."""
+    maps = [[sparse(rng, widths[-1], rng.randint(0, 3)) for _ in range(widths[-2])]]
+    for width in reversed(widths[:-2]):
+        kernel = left_kernel(maps[0])
+        maps.insert(0, [combination(rng, kernel) for _ in range(width)])
+    return maps
+
+
+class TestSpannedRows:
+    def test_skipping_the_previous_leads_keeps_rank_and_leads(self):
+        # each map skips the rows at the leading bits of the previous map's
+        # checked pivots; those rows lie in the span of the others, so the
+        # rank and the set of pivot leads equal the plain elimination's
+        rng = random.Random(301)
+        skipped = 0
+        for _ in range(200):
+            widths = [rng.randint(1, 30) for _ in range(rng.randint(3, 6))]
+            maps = complex_maps(rng, widths)
+            spanned = ()
+            for i, rows in enumerate(maps):
+                next_rows = maps[i + 1] if i + 1 < len(maps) else None
+                plain, pivots = {}, {}
+                want = gf2_rank(rows, None, (), plain)
+                assert want == reference_rank(rows)
+                assert gf2_rank(rows, next_rows, spanned, pivots) == want
+                assert pivots.keys() == plain.keys()
+                skipped += len(spanned)
+                spanned = pivots
+        assert skipped > 1000
+
+    def test_spanned_rows_are_not_read(self):
+        # the caller vouches for the rows it names: they are neither
+        # eliminated nor checked
+        assert gf2_rank([1, 2], None, {1}) == 1
+        with pytest.raises(AssertionError, match="d o d != 0"):
+            gf2_rank([1, 2, 4], [0, 0, 1])
+        assert gf2_rank([1, 2, 4], [0, 0, 1], {2}) == 2

@@ -20,7 +20,7 @@ from vknots.corpus import (
 from vknots import khovanov
 from vknots.braids import BraidError, closure, parse_braid_word
 from vknots.cli import main
-from vknots.diagram import Chord, GaussDiagram, parse_gauss_code, reclose
+from vknots.diagram import Chord, DiagramError, GaussDiagram, parse_gauss_code, reclose
 from vknots.gf2 import gf2_rank
 from vknots.khovanov import (
     CapExceeded,
@@ -126,6 +126,17 @@ class TestTraceCircles:
     def test_marker_length_mismatch(self):
         with pytest.raises(Exception, match="markers"):
             _space(TREFOIL).mask_of((1, 1))
+
+    def test_circle_labels_fit_a_byte_up_to_254_chords(self):
+        def kinks(n):
+            return GaussDiagram("closed", (Chord(k + 1, 2 * k, 2 * k + 1, 1) for k in range(n)))
+
+        # one of the two uniform states splits off a circle at every kink
+        sp = _space(kinks(254))
+        assert max(len(sp.circles(mask)) for mask in (0, (1 << 254) - 1)) == 255
+        assert lemma5_check(kinks(254), (1,) * 254) in (True, False)
+        with pytest.raises(DiagramError, match="at most 254 chords, got 255"):
+            lemma5_check(kinks(255), (1,) * 255)
 
 
 class TestBracket:
@@ -874,9 +885,9 @@ class TestReducedComplex:
     def test_rows_reaching_gf2_rank_are_half(self, monkeypatch):
         calls = []
 
-        def counting_rank(rows, next_rows=None):
+        def counting_rank(rows, *args):
             calls.append(len(rows))
-            return gf2_rank(rows, next_rows)
+            return gf2_rank(rows, *args)
 
         monkeypatch.setattr(khovanov, "gf2_rank", counting_rank)
         rng = random.Random(1313)
@@ -961,6 +972,40 @@ class TestReducedComplex:
         monkeypatch.setattr(khovanov, "_switch_images", x_kept)
         with pytest.raises(AssertionError, match=r"x\*x = 0 not kept: \('merge'"):
             homology(TREFOIL)
+
+    def test_flipped_bit_in_a_skipped_row_trips_d_o_d(self, monkeypatch):
+        # block (i + 1, j) skips the rows at the leading bits of block
+        # (i, j)'s pivots; one bit flipped in such a row before block
+        # (i, j) is eliminated must trip that block's check, since no
+        # later elimination reads the row
+        d = random_diagram(random.Random(1), 6, "closed")
+        calls = []
+
+        def recording(rows, next_rows, spanned, pivots):
+            calls.append((rows, next_rows, set(spanned)))
+            return gf2_rank(rows, next_rows, spanned, pivots)
+
+        monkeypatch.setattr(khovanov, "gf2_rank", recording)
+        table = homology(d)
+        skipping = next(k for k, (_, _, spanned) in enumerate(calls) if spanned)
+        rows, _, spanned = calls[skipping]
+        checked = next(k for k, (_, next_rows, _) in enumerate(calls) if next_rows is rows)
+        lead = min(spanned)
+        assert checked < skipping and lead < len(rows)
+
+        def flipping(rows, next_rows, spanned, pivots):
+            if len(calls) == checked:
+                next_rows[lead] ^= 1
+            calls.append(None)
+            return gf2_rank(rows, next_rows, spanned, pivots)
+
+        calls.clear()
+        monkeypatch.setattr(khovanov, "gf2_rank", flipping)
+        with pytest.raises(AssertionError, match="d o d != 0"):
+            homology(d)
+        assert len(calls) == checked + 1
+        monkeypatch.setattr(khovanov, "gf2_rank", gf2_rank)
+        assert homology(d) == table
 
     def test_c_x_columns_changed_after_the_check_trip_d_o_d(self, monkeypatch):
         # the other half of the check: d o d = 0 on C_x, in the elimination

@@ -20,11 +20,13 @@ check of d_{i+1} still covers every row.
 
 from __future__ import annotations
 
+from collections.abc import Container
+
 
 def gf2_rank(
     rows: list[int],
     next_rows: list[int] | None = None,
-    spanned=(),
+    spanned: Container[int] = (),
     pivots: dict[int, int] | None = None,
 ) -> int:
     """Rank over GF(2) of the row space; rows are int bitmasks.

@@ -55,10 +55,18 @@ Reduced complex
 
     d o d = 0 on the whole complex, which is never built, follows from two
     checks.  The rank elimination of each C_x block checks that every row
-    independent of the rows before it maps to 0 under the next block; that
-    is d o d = 0 on C_x, since those rows span the block's row space and d
-    is linear.  And every switch map, on all its label masks, must commute
-    with X and nu, so d does too.  Then d d = d d X nu + d d nu X, where
+    it keeps and finds independent of the kept rows before it maps to 0
+    under the next block; that is d o d = 0 on C_x, since those rows span
+    the block's row space and d is linear.  The blocks of a j-column are
+    eliminated in ascending i, and block (i, j) keeps every row except
+    those at the leading bits of block (i - 1, j)'s pivots.  Each such
+    pivot p_L is a sum of rows that the check of block (i - 1, j) has
+    sent to 0, so row L of block (i, j) is the sum of its rows at the
+    lower bits of p_L, and by induction on L every skipped row lies in the
+    span of the kept ones (see :mod:`vknots.gf2`).  The rank stays, and
+    the kept rows still span the row space.  And every switch map, on all
+    its label masks, must commute with X and nu, so d does too.  Then
+    d d = d d X nu + d d nu X, where
     d d X nu = (d d on C_x) X nu and d d nu X = nu (d d on C_x) X, and both
     are 0.  The C_x columns are cut from the image list the commutation
     check reads, so no change to the switch images reaches one and not
@@ -115,10 +123,18 @@ State space
     bracket is summed from that census.  So a ``kh`` report walks the cube
     once and traces no state on its own; it reads the Jones polynomial off
     that bracket by :func:`jones_from_bracket`, as :func:`jones_hat` does,
-    and ``eval`` reads both sums off one census.  ``walk`` does not step
-    counts as the census does: the switches read every state's circles,
-    numbered by their smallest arc, so it traces each state whole.  The
-    cube is the reduced diagram's: ``kh`` first runs
+    and ``eval`` reads both sums off one census.  The switches read every
+    state's circles, numbered by their smallest arc, so ``walk`` keeps
+    each state's circle index of every arc, as bytes (so a state space
+    takes at most ``MAX_TRACED_CHORDS`` chords), and steps them as
+    the census steps its count: it traces only the first state whole.  A
+    step whose chord's tail arcs lie on two circles a < b merges them;
+    the merged circle keeps index a, the circles above b move down one,
+    and nothing is traced.  Otherwise it traces the new circle through
+    circle a's smallest arc: the step kept the count if that circle holds
+    both tail arcs, and split circle a if not, the traced piece keeping
+    index a.  Each new label list is one ``bytes.translate`` of the old.
+    The cube is the reduced diagram's: ``kh`` first runs
     :func:`reduce_for_state_sums` (kink and R2 deletions up to chord
     reversal, then ``moves.simplify`` for R3 slides) and reads its sums on
     the diagram it returns, so a request walks 2**(reduced n) states.  The
@@ -698,7 +714,8 @@ def homology_and_bracket(
     dims dim ker - dim im come from GF(2) ranks, and KH^{i,j} = Hx^{i,j} +
     Hx^{i,j-2} (see "Reduced complex" above).  d o d = 0 on the whole
     complex follows from two checks: the rank elimination checks it on
-    C_x, on the rows it finds independent, and every switch map must
+    C_x, on the rows it finds independent among those the previous
+    block's checked pivots do not already span, and every switch map must
     commute with X and nu, which :func:`_x_columns` checks on the map's
     first use in the process.
     """

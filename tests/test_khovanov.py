@@ -134,7 +134,6 @@ class TestTraceCircles:
         # one of the two uniform states splits off a circle at every kink
         sp = _space(kinks(254))
         assert max(len(sp.circles(mask)) for mask in (0, (1 << 254) - 1)) == 255
-        assert lemma5_check(kinks(254), (1,) * 254) in (True, False)
         with pytest.raises(DiagramError, match="at most 254 chords, got 255"):
             lemma5_check(kinks(255), (1,) * 255)
 

@@ -420,7 +420,8 @@ class _StateSpace:
         traced piece keeps index a, the other piece takes index c, the
         number of distinct labels before its smallest arc, and every circle
         from c on moves up one.  Each update is one ``bytes.translate``
-        through a table sliced from a 256-byte identity once per call."""
+        through a table sliced from a 256-byte identity, once per call and
+        table."""
         n = self.n
         size = 1 << n
         arcs: list[bytes] = [b""] * size
@@ -464,6 +465,8 @@ class _StateSpace:
                     marked[end >> 1] = 255
                     end = partner[end ^ 1]
                 if marked[u] != marked[v]:
+                    # circles are numbered by their smallest arc, so the
+                    # labels before an arc are 0 to their maximum
                     c = max(labels[: marked.index(a)]) + 1
                     table = split.get(a << 8 | c)
                     if table is None:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -484,3 +485,61 @@ class TestPairingOracleEquivalence:
             c = random_diagram(rng, rng.randint(0, 4), "closed")
             for p in closed_pats:
                 assert pairing(p, c) == expansion_pairing(p, c), (p, c.code())
+
+
+def _term(coeff, endpoints, signs=None):
+    term = {"coeff": coeff, "endpoints": [[label, role] for label, role in endpoints.split()]}
+    if signs is not None:
+        term["signs"] = signs
+    return term
+
+
+class TestPairingGolden:
+    """One sha256 over ``eval --arrow-poly`` stdout on seeded diagrams of
+    0-10 chords, derived while the pairing still matched each chord subset
+    positionwise against each pattern, so that a change to how subsets are
+    read shows any change in the values it prints."""
+
+    POLYNOMIALS = [
+        {"kind": "long", "terms": [_term(5, ""), _term(-2, "1t 1h"), _term(3, "1h 1t", {"1": "+"})]},
+        {"kind": "long", "terms": [
+            _term(1, "1t 2h 1h 2t"), _term(-1, "1t 2h 1h 2t"), _term(2, "1h 2t 1t 2h"),
+            _term(-3, "1t 2t 1h 2h", {"2": "-"})]},
+        {"kind": "long", "terms": [_term(1, "1t 2t 1h 3t 2h 3h", {"1": "+"})]},
+        {"kind": "long", "terms": [
+            _term(2, "1t 2h 3t 1h 3h 2t"), _term(-1, "1h 2t 3t 2h 1t 3h", {"2": "-", "3": "+"}),
+            _term(4, "1t 2t 3h 3t 2h 1h"), _term(-7, "1t 2h 1h 2t"), _term(1, "")]},
+        {"kind": "closed", "terms": [_term(1, "1t 2h 1h 2t"), _term(1, "1t 1h 2t 2h")]},
+        {"kind": "closed", "terms": [
+            _term(3, "1t 1h 2t 2h", {"1": "+"}), _term(-2, "1t 2h 2t 1h", {"1": "+"}),
+            _term(1, "1t 2h 3t 1h 2t 3h"), _term(5, "1t 2h 3t 1h 2t 3h", {"1": "+"})]},
+        {"kind": "closed", "terms": [
+            _term(1, ""), _term(-1, "1t 1h"), _term(2, "1t 2t 1h 2h", {"2": "-"}),
+            _term(-2, "1t 2t 1h 2h", {"2": "-"}), _term(1, "1t 2t 3t 1h 2h 3h", {"3": "-"})]},
+    ]
+
+    def test_eval_arrow_poly(self, capsys, tmp_path):
+        from vknots.cli import main
+
+        rng = random.Random(3501)
+        codes = {
+            kind: "".join(
+                f"{kind}: {random_diagram(rng, n, kind).code()}\n"
+                for n in range(11) for _ in range(2)
+            )
+            for kind in ("long", "closed")
+        }
+        h = hashlib.sha256()
+        values = set()
+        for i, poly in enumerate(self.POLYNOMIALS):
+            (tmp_path / "d.txt").write_text(codes[poly["kind"]])
+            (tmp_path / f"p{i}.json").write_text(json.dumps(poly))
+            argv = ["eval", "--input", str(tmp_path / "d.txt"), "--arrow-poly", str(tmp_path / f"p{i}.json")]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            values |= {row["arrow_pairing"] for row in json.loads(out)["diagrams"]}
+            h.update(out.encode())
+        # the polynomials take many values, of both signs
+        assert len(values) > 20 and min(values) < 0 < max(values)
+        assert h.hexdigest() == (
+            "7ebd734df9a8bdcfb31d6f7a29cb781aca82acff11fb099ac7997512e52a3988")

@@ -9,6 +9,13 @@ linearly; this realizes the classical Polyak-Viro style formulas, and the
 two built-in degree-2 invariants v21/v22 of long virtual knots arise from
 the two interleaved two-chord patterns that survive all Reidemeister moves.
 
+One key (:func:`_key`) names the arrow diagram that a set of chords
+spans: each endpoint's (first-appearance index, role), then the signs in
+index order, least over the rotations for the closed kind.  It keys the
+sign assignments of a pattern and the chord subsets of a diagram alike,
+so :func:`pairing` reads each subset of an order once for all terms, and
+:func:`embeddings` keeps the subsets whose key is one of a pattern's.
+
 Finite-type behaviour under virtualization is tested by
 :func:`gpv_alt_sum`, the alternating sum over deletions of a chosen set of
 chords S (GPV-order).  It and the forbidden-move sums of
@@ -19,15 +26,15 @@ deletions: by the subdiagram expansion (Goussarov-Polyak-Viro), its
 alternating sum over S is its signed count of the matchings whose chords
 contain S.  :func:`v21` and :func:`v22` count those chord pairs
 directly, and the CLI's ``gpv-sum`` and ``ntrivial``'s battery read
-them; :func:`pairing` evaluates any arrow polynomial on the whole
-diagram, and :func:`gpv_alt_sum` stays the definition for any invariant
-and the tests' oracle for the direct count.
+them; :func:`gpv_alt_sum` stays the definition for any invariant and the
+tests' oracle for the direct count.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -105,72 +112,64 @@ class ArrowPolynomial:
         return self.terms[0][1].kind if self.terms else None
 
 
-def _subdiagram_sequence(
-    diagram: GaussDiagram, chord_ids: Sequence[int]
-) -> list[tuple[int, str]]:
-    """Endpoint sequence (chord id, role) of a chord subset, in slot order:
-    the 2k endpoints of the k chosen chords, sorted by slot."""
-    chords = [diagram.chord(cid) for cid in chord_ids]
-    ends = sorted([(c.tail, c.id, TAIL) for c in chords] + [(c.head, c.id, HEAD) for c in chords])
-    return [(cid, role) for _, cid, role in ends]
+def _key(kind: Kind, chords: Iterable[Sequence]) -> tuple[tuple[int, ...], dict]:
+    """Key of the arrow diagram that ``chords`` span, each a (label, tail,
+    head, sign) tuple as a :class:`Chord` is, and its labels in index order
+    (a dict).  An end is 2 * index + (1 for a tail), so on a closed diagram
+    only a rotation that starts at a head can give the least key."""
+    ends = sorted([(t, label, 1, s) for label, t, h, s in chords]
+                  + [(h, label, 0, s) for label, t, h, s in chords])
+    starts = [r for r, end in enumerate(ends) if not end[2]] if kind == "closed" else [0]
+    best = None
+    for r in starts or [0]:
+        index: dict = {}
+        codes, signs = [], []
+        for _, label, tail, s in ends[r:] + ends[:r]:
+            i = index.get(label)
+            if i is None:
+                i = index[label] = len(index)
+                signs.append(s)
+            codes.append(2 * i + tail)
+        key = (*codes, *signs)
+        if best is None or key < best:
+            best, labels = key, index
+    return best, labels
 
 
-def _match_sequence(
-    pattern: ArrowPattern, seq: Sequence[tuple[int, str]]
-) -> dict[str, int] | None:
-    """Positionwise label identification, or None when shapes disagree."""
-    assign: dict[str, int] = {}
-    rev: dict[int, str] = {}
-    for (label, role), (cid, drole) in zip(pattern.endpoints, seq):
-        if role != drole:
-            return None
-        if assign.setdefault(label, cid) != cid or rev.setdefault(cid, label) != label:
-            return None
-    return assign
+def _pattern_keys(pattern: ArrowPattern) -> dict[tuple[int, ...], tuple[int, dict]]:
+    """Key -> (free-sign product, labels) of each sign assignment of
+    ``pattern``.  Assignments that a rotation symmetry relates share a key
+    and a product, so a matched subset counts once."""
+    labels, at = pattern.labels(), pattern.endpoints.index
+    free = [label for label in labels if pattern.signs[label] == FREE]
+    out = {}
+    for choice in itertools.product((1, -1), repeat=len(free)):
+        sign = {**pattern.signs, **dict(zip(free, choice))}
+        chords = [(label, at((label, TAIL)), at((label, HEAD)), sign[label]) for label in labels]
+        key, index = _key(pattern.kind, chords)
+        out[key] = math.prod(choice), index
+    return out
 
 
 def embeddings(pattern: ArrowPattern, diagram: GaussDiagram) -> list[dict[str, int]]:
     """All matchings of ``pattern`` into ``diagram``, each a dict from label
-    to chord id: at most one per chord subset of the pattern's order, in
-    ``itertools.combinations`` order.
+    to chord id: one per chord subset whose key is that of a sign
+    assignment of the pattern, in ``itertools.combinations`` order.
 
-    Closed-kind matching is up to rotation of the based circle, and a
-    rotation-symmetric pattern still counts a matched subset once (the
-    subdiagram expansion counts subdiagrams, not symmetries).
+    Closed-kind matching is up to rotation of the based circle.  A
+    rotation-symmetric pattern counts a matched subset once (the
+    subdiagram expansion counts subdiagrams, not symmetries), with one of
+    the label assignments that the symmetry relates.
     """
     if pattern.kind != diagram.kind:
         raise ArrowError(f"pattern kind {pattern.kind!r} != diagram kind {diagram.kind!r}")
-    k = pattern.order
+    keys = _pattern_keys(pattern)
     out = []
-    for subset in itertools.combinations(diagram.chord_ids(), k):
-        seq = _subdiagram_sequence(diagram, subset)
-        rotations = range(1) if diagram.kind == "long" else range(max(2 * k, 1))
-        for r in rotations:
-            rotated = seq[r:] + seq[:r]
-            assign = _match_sequence(pattern, rotated)
-            if assign is None:
-                continue
-            ok = True
-            for label, cid in assign.items():
-                want = pattern.signs[label]
-                if want != FREE and diagram.chord(cid).sign != want:
-                    ok = False
-                    break
-            if ok:
-                out.append(assign)
-                break
+    for subset in itertools.combinations(diagram.chords, pattern.order):
+        key, ids = _key(diagram.kind, subset)
+        if key in keys:
+            out.append(dict(zip(keys[key][1], ids)))
     return out
-
-
-def matching_weight(
-    pattern: ArrowPattern, diagram: GaussDiagram, matching: Mapping[str, int]
-) -> int:
-    """Product of matched chord signs over the pattern's free labels."""
-    w = 1
-    for label, cid in matching.items():
-        if pattern.signs[label] == FREE:
-            w *= diagram.chord(cid).sign
-    return w
 
 
 def pairing(poly: ArrowPolynomial | ArrowPattern, diagram: GaussDiagram) -> int:
@@ -179,7 +178,9 @@ def pairing(poly: ArrowPolynomial | ArrowPattern, diagram: GaussDiagram) -> int:
     A free-signed pattern stands for its sum over sign assignments weighted
     by the product of the signs, so each matching contributes the sign
     product of its free-labelled chords; sign-fixed labels contribute 1.
-    Its alternating sum over the deletions of chosen chords is
+    The terms fill one table per order, from key to coefficient times
+    weight, and each chord subset of each order is keyed once for all
+    terms.  Its alternating sum over the deletions of chosen chords is
     :func:`gpv_alt_sum` of the pairing; :func:`v21` and :func:`v22` count
     that sum directly for their patterns.
     """
@@ -187,11 +188,16 @@ def pairing(poly: ArrowPolynomial | ArrowPattern, diagram: GaussDiagram) -> int:
         poly = ArrowPolynomial(((1, poly),))
     if poly.kind is not None and poly.kind != diagram.kind:
         raise ArrowError(f"polynomial kind {poly.kind!r} != diagram kind {diagram.kind!r}")
-    total = 0
+    tables: dict[int, dict[tuple[int, ...], int]] = {}
     for coeff, pattern in poly.terms:
-        for m in embeddings(pattern, diagram):
-            total += coeff * matching_weight(pattern, diagram, m)
-    return total
+        table = tables.setdefault(pattern.order, {})
+        for key, (weight, _) in _pattern_keys(pattern).items():
+            table[key] = table.get(key, 0) + coeff * weight
+    return sum(
+        table.get(_key(diagram.kind, subset)[0], 0)
+        for k, table in tables.items()
+        for subset in itertools.combinations(diagram.chords, k)
+    )
 
 
 def subdiagram_expand(diagram: GaussDiagram, cap: int = 16) -> list[GaussDiagram]:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from vknots.arrows import (
     embeddings,
     gpv_alt_sum,
     load_arrow_polynomial,
-    matching_weight,
     pairing,
     subdiagram_expand,
     v21,
@@ -30,6 +30,13 @@ from vknots.diagram import DiagramError, GaussDiagram, concat_long, parse_gauss_
 
 LT = right_trefoil("long")
 TTHH = ArrowPattern("long", (("1", "t"), ("2", "t"), ("1", "h"), ("2", "h")))
+# closed patterns that a rotation maps onto themselves with their labels
+# permuted, free and with label 1 fixed positive
+SYMMETRIC_CLOSED = [
+    ArrowPattern("closed", tuple((e[0], e[1]) for e in spec.split()), signs)
+    for spec in ("1t 1h 2t 2h", "1t 2h 2t 1h", "1t 2h 3t 1h 2t 3h")
+    for signs in ({}, {"1": 1})
+]
 
 
 def pattern_of_subdiagram(d: GaussDiagram) -> ArrowPattern:
@@ -153,6 +160,7 @@ class TestEmbeddings:
             ArrowPattern("closed", (("1", "t"), ("2", "t"), ("1", "h"), ("2", "h"))),
             ArrowPattern("closed", (("1", "t"), ("2", "h"), ("1", "h"), ("2", "t"))),
             ArrowPattern("closed", (("1", "t"), ("1", "h"))),
+            *SYMMETRIC_CLOSED,
         ]
         for _ in range(40):
             d = random_diagram(rng, rng.randint(0, 4), "closed")
@@ -181,8 +189,7 @@ class TestPairing:
         p = ArrowPattern(
             "long", (("1", "t"), ("2", "t"), ("2", "h"), ("1", "h")), {"2": 1}
         )
-        (m,) = embeddings(p, d)
-        assert matching_weight(p, d, m) == -1  # only chord 1 is free
+        assert pairing(p, d) == -1  # only chord 1 is free
 
 
 class TestSubdiagramExpand:
@@ -272,8 +279,9 @@ class TestDirectCount:
             for _ in range(5):
                 d = random_diagram(rng, n, "long")
                 ids = d.chord_ids()
+                # both labels are free: a match weighs its two chord signs
                 matches = [
-                    (set(m.values()), matching_weight(pattern, d, m))
+                    (set(m.values()), math.prod(d.chord(cid).sign for cid in m.values()))
                     for m in embeddings(pattern, d)
                 ]
                 if n <= 6:
@@ -307,12 +315,14 @@ class TestDirectCount:
         assert str(direct.value) == str(oracle.value) == "unknown chord id 9"
 
     def test_reads_no_matching(self, monkeypatch):
+        # neither the matchings nor the key of any chord subset
         import vknots.arrows as arrows
 
         def no_matching(*args, **kwargs):
             raise AssertionError("the pairing was called")
 
         monkeypatch.setattr(arrows, "embeddings", no_matching)
+        monkeypatch.setattr(arrows, "_key", no_matching)
         assert (v21(LT), v22(LT), v21(LT, (1,)), v22(LT, (1, 2))) == (1, 1, 1, 0)
 
 
@@ -352,8 +362,9 @@ class TestGpvAltSum:
             d = random_diagram(rng, rng.randint(0, 9), "long")
             ids = list(d.chord_ids())
             for pattern, fn in ((V21_PATTERN, v21), (V22_PATTERN, v22)):
+                # both labels are free: a match weighs its two chord signs
                 matches = [
-                    (set(m.values()), matching_weight(pattern, d, m))
+                    (set(m.values()), math.prod(d.chord(cid).sign for cid in m.values()))
                     for m in embeddings(pattern, d)
                 ]
                 for _ in range(4):
@@ -477,6 +488,7 @@ class TestPairingOracleEquivalence:
         closed_pats = [
             ArrowPattern("closed", (("1", "t"), ("2", "t"), ("1", "h"), ("2", "h"))),
             ArrowPattern("closed", (("1", "t"), ("2", "h"), ("1", "h"), ("2", "t")), {"1": 1}),
+            *SYMMETRIC_CLOSED,
         ]
         for _ in range(25):
             d = random_diagram(rng, rng.randint(0, 4), "long")

@@ -619,6 +619,8 @@ class TestCliGolden:
          "8484cf487febcf9d5af04ccdbfce7c21aefed8bbe528c927c97bf08c36f67bf8"),
         (["gpv-sum", "--code", T, "--kind", "long", "--chords", "1,2"],
          "5790253b10d75bb76a31f5cabe4e7b2eeca11d082e7624d5d75539d57536c68f"),
+        (["selftest", "--seed", "3"],
+         "d42041f8a1bca513e69d9ef2d3c82e3ae6dbfcafebca8c7bbc00895fa54dbe06"),
     ]
 
     @pytest.mark.parametrize("argv, digest", CASES, ids=[" ".join(a) or "no-arguments" for a, _ in CASES])

@@ -35,7 +35,7 @@ ALLOWED = {"__version__"}
 # Names that no ``bench/`` module and no package module but ``__init__``
 # reads, with the reason each may stay.
 TEST_ONLY = {
-    "arrows.ArrowPattern.labels": "oracle: the chord labels the pairing tests read off a pattern",
+    "arrows.V21_PATTERN": "oracle: the pattern whose pairing the direct v21 count is held to",
     "arrows.subdiagram_expand": "oracle: the 2**n subdiagram expansion the pairing avoids",
     "arrows.V22_PATTERN": "oracle: the pattern whose pairing the direct v22 count is held to",
     "braids.free_reduce": "paper operation: free reduction of a braid word",
@@ -60,7 +60,6 @@ TEST_ONLY = {
 # Defaulted parameters that no package or ``bench/`` call is seen to pass,
 # with the reason each may stay.
 UNPASSED = {
-    "arrows.v21.containing": "passed through cli.INVARIANTS by gpv-sum, a call the AST does not name",
     "arrows.v22.containing": "passed through cli.INVARIANTS by gpv-sum, a call the AST does not name",
 }
 

@@ -92,48 +92,47 @@ Chord reversal
 State space
     Every operation builds the state space of the diagram it is given (the
     two smoothings of each chord) and keeps none of it past the call; a
-    state's circles are traced on their own.  ``walk`` and ``census`` step
+    state's circles are traced on their own.  One loop, ``walk``, steps
     the reflected Gray code in place: step g flips chord k, the lowest set
     bit of g, and rewrites only that chord's four entries of one list that
-    joins the arc ends as the current state's smoothings do.  The census,
-    the number of states per (negative-marker count, circle count), keeps
-    no state.  It traces only the first state whole
-    and steps the circle count from there.  Cut a state's circles at the
-    switched chord's four arc ends: what is left of the circles through
-    them is two strands, which pair the four ends in one of three ways.
-    The chord's two smoothings pair them in two of the three ways, and the
-    ends lie on two circles when the smoothing pairs them as the strands
-    do and on one circle otherwise; every other circle stays.  So a switch
-    moves the count by at most 1, and one strand decides by how much.
-    After the switch to the pairs (a, b), (c, d), the census walks from
-    the far end of b's arc until an end of the chord comes up.  Reaching
-    a, the strands pair as the new smoothing does: the switch split a
-    circle.  Reaching the end the old smoothing paired with b, they pair
-    as the old one did: two circles merged.  Reaching the third end, they
-    pair as neither does and the count stays, which only a virtual
-    diagram allows.  A state of n chords has at most n + 1 circles, so
-    the tally is a flat list indexed by neg * (n + 2) + count.  The
-    bracket depends on a state only through its census key, so it sums
-    the O(n^2) census entries instead of the 2**n states, and the Jones
-    polynomial is read off that sum.
+    joins the arc ends as the current state's smoothings do.  It traces
+    only the first state whole and steps the circle count from there.  Cut
+    a state's circles at the switched chord's four arc ends: what is left
+    of the circles through them is two strands, which pair the four ends
+    in one of three ways.  The chord's two smoothings pair them in two of
+    the three ways, and the ends lie on two circles when the smoothing
+    pairs them as the strands do and on one circle otherwise; every other
+    circle stays.  So a switch moves the count by at most 1, and one
+    strand decides by how much.  After the switch to the pairs (w, x),
+    (y, z), the walk follows the strand from the far end of x's arc until
+    an end of the chord comes up.  Reaching w, the strands pair as the new
+    smoothing does: the switch split a circle.  Reaching the end the old
+    smoothing paired with x, they pair as the old one did: two circles
+    merged.  Reaching the third end, they pair as neither does and the
+    count stays, which only a virtual diagram allows.  The census, the
+    number of states per (negative-marker count, circle count), is tallied
+    on the way in a flat list indexed by neg * (n + 2) + count, since a
+    state of n chords has at most n + 1 circles.  The bracket depends on a
+    state only through its census key, so it sums the O(n^2) census
+    entries instead of the 2**n states, and the Jones polynomial is read
+    off that sum: :func:`bracket` and :func:`jones_hat` walk in count
+    mode, which keeps no state.
 
-    :func:`homology_and_bracket` keeps, for every state, only the circle
-    index of each arc and the circle count, for the length of the call:
-    ``walk`` returns them with the census it tallies on the way, and the
-    bracket is summed from that census.  So a ``kh`` report walks the cube
-    once and traces no state on its own; it reads the Jones polynomial off
-    that bracket by :func:`jones_from_bracket`, as :func:`jones_hat` does,
-    and ``eval`` reads both sums off one census.  The switches read every
-    state's circles, numbered by their smallest arc, so ``walk`` keeps
-    each state's circle index of every arc, as bytes (so a state space
-    takes at most ``MAX_TRACED_CHORDS`` chords), and steps them as
-    the census steps its count: it traces only the first state whole.  A
-    step whose chord's tail arcs lie on two circles a < b merges them;
-    the merged circle keeps index a, the circles above b move down one,
-    and nothing is traced.  Otherwise it traces the new circle through
-    circle a's smallest arc: the step kept the count if that circle holds
-    both tail arcs, and split circle a if not, the traced piece keeping
-    index a.  Each new label list is one ``bytes.translate`` of the old.
+    The switches read every state's circles, numbered by their smallest
+    arc, so :func:`homology_and_bracket` (and :func:`lemma5_scan`, which
+    reads the counts) walk in label mode: for every state ``walk`` also
+    keeps the circle index of each arc, as bytes (so a state space takes
+    at most ``MAX_TRACED_CHORDS`` chords), and the circle count, for the
+    length of the call.  A step that keeps the count traces nothing and
+    leaves the labels as they were.  A merge of circles a < b is one
+    ``bytes.translate`` of the old labels: the merged circle keeps index a
+    and the circles above b move down one.  A split traces the new circle
+    through circle a's smallest arc, and the traced piece keeps index a.
+    The bracket is summed from the census of the same walk, so a ``kh``
+    report walks the cube once and traces no state on its own; it reads
+    the Jones polynomial off that bracket by :func:`jones_from_bracket`,
+    as :func:`jones_hat` does, and ``eval`` reads both sums off one
+    census.
     The cube is the reduced diagram's: ``kh`` first runs
     :func:`reduce_for_state_sums` (kink and R2 deletions up to chord
     reversal, then ``moves.simplify`` for R3 slides) and reads its sums on
@@ -305,6 +304,8 @@ class _StateSpace:
             raise DiagramError(f"expected {self.n} markers, got {len(markers)}")
         mask = 0
         for k, mu in enumerate(markers):
+            if type(mu) is not int:
+                raise DiagramError(f"markers must be ints, not {type(mu).__name__}")
             if mu not in (1, -1):
                 raise DiagramError("markers must be +1 or -1")
             if mu < 0:
@@ -354,129 +355,98 @@ class _StateSpace:
             start = arc_circle.index(255, start)
         return bytes(arc_circle[:m]), count
 
-    def census(self) -> dict[tuple[int, int], int]:
-        """Number of states per (negative-marker count, circle count),
-        counted along the Gray walk; no state is kept.
+    def walk(self, *, labelled: bool) -> tuple[list[bytes], list[int], dict[tuple[int, int], int]]:
+        """The circle index of each arc and the circle count of every state,
+        indexed by mask, and the census tallied on the way, along the Gray
+        walk; with ``labelled`` false both lists are empty.
 
-        Only the first state is traced whole.  A switch moves the count by
-        at most 1, since it changes only the circles through the switched
-        chord's four arc ends.  A step that switches chord k to the pairs
-        (a, b), (c, d) walks from the far end of b's arc along the new
-        smoothings until an end of chord k comes up: a means the step split
-        a circle (+1), the end the old smoothing paired with b means it
-        merged two (-1), and the third end, possible only on a virtual
-        diagram, keeps the count (see "State space" above).  The step
-        table is built per call."""
+        Only the first state is traced whole.  Step g flips chord k, the
+        lowest set bit of g, to the pairs (w, x), (y, z), rewrites only
+        those four entries of the one ``partner`` list, and follows the
+        strand from the far end of x's arc to an end of chord k: w on a
+        split, x's old partner on a merge, and the third end when the count
+        stays (see "State space" above).  Only with ``labelled`` does a step
+        then touch the labels, and only if it changed the count.  A merge
+        joins the old circles a < b of w's and x's arcs, which the old
+        smoothing put on different circles: the merged circle keeps index a
+        and every circle above b moves down one.  A split traces the new
+        circle through the smallest arc of w's old circle a: the traced
+        piece keeps index a, the other takes index c, the number of distinct
+        labels before its smallest arc, and every circle from c on moves up
+        one.  Each update is one ``bytes.translate`` through a table sliced
+        from the identity, once per call and table."""
         n = self.n
         m = 2 * n
-        # the chord of every arc end: L=2i sits at slot i, R=2i+1 at slot i+1
-        chord_at = [0] * m
+        # the mask bit of the chord at every arc end: L=2i sits at slot i,
+        # R=2i+1 at slot i+1
+        bit_at = [0] * m
         for k, c in enumerate(self.chords):
-            chord_at[c.tail] = chord_at[c.head] = k
-        owner = [chord_at[((e + 1) >> 1) % m] for e in range(2 * m)]
-        # per chord and new marker: its pairs (a, b), (c, d), the far end of
-        # b's arc and the old partner of b
-        steps = [
-            [(*new, new[1] ^ 1, old[old.index(new[1]) ^ 1]) for new, old in (pair, pair[::-1])]
-            for pair in self._smoothings
-        ]
+            bit_at[c.tail] = bit_at[c.head] = 1 << k
+        owner = [bit_at[((e + 1) >> 1) % m] for e in range(2 * m)]
         stride = n + 2  # a state of n chords has at most n + 1 circles
         tally = [0] * ((n + 1) * stride)
-        partner = self._partner(0)
-        _, count = self._arc_circles(partner)
-        tally[count] += 1
-        mask = neg = 0
-        for g in range(1, 1 << n):
-            # step g flips chord k, the lowest set bit of g
-            k = (g & -g).bit_length() - 1
-            mask ^= 1 << k
-            marker = (mask >> k) & 1
-            a, b, c, d, end, merged = steps[k][marker]
-            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
-            neg += 1 if marker else -1
-            while owner[end] != k:
-                end = partner[end] ^ 1
-            if end == a:
-                count += 1
-            elif end == merged:
-                count -= 1
-            tally[neg * stride + count] += 1
-        return _census_of(tally, stride)
-
-    def walk(self) -> tuple[list[bytes], list[int], dict[tuple[int, int], int]]:
-        """The circle index of each arc and the circle count of every state,
-        indexed by mask, along the Gray walk, and the census tallied on the
-        way.  Step g flips chord k, the lowest set bit of g, and rewrites
-        only its four entries of the one ``partner`` list.
-
-        Only the first state is traced whole; each step updates the labels
-        of the state before it (see "State space" above).  Let u and v be
-        the arcs ending and starting at chord k's tail.  If they lie on old
-        circles a < b, the step merges them: the merged circle keeps index
-        a and every circle above b moves down one.  Otherwise the step
-        traces the new circle through the smallest arc of old circle a.  If
-        that circle holds both u and v, the count and every label stay
-        (virtual diagrams only).  If not, the step split circle a: the
-        traced piece keeps index a, the other piece takes index c, the
-        number of distinct labels before its smallest arc, and every circle
-        from c on moves up one.  Each update is one ``bytes.translate``
-        through a table sliced from a 256-byte identity, once per call and
-        table."""
-        n = self.n
-        size = 1 << n
-        arcs: list[bytes] = [b""] * size
-        sizes = [0] * size
-        stride = n + 2
-        tally = [0] * ((n + 1) * stride)
-        smoothings, tails = self._smoothings, self._tails
-        # translation tables, keyed by a << 8 | b (merge) and a << 8 | c
-        # (split), built on first use in this call
-        identity = bytes(range(256))
-        merged: dict[int, bytes] = {}
-        split: dict[int, bytes] = {}
+        # Step g flips the chord of bit g & -g, to the negative marker iff
+        # the next bit of g is clear, so g & 3 * bit is bit for a new
+        # negative marker and 3 * bit for a new positive one.  Per such key:
+        # the new pairs (w, x), (y, z), the far end of x's arc, the old
+        # partner of x and the move of the tally row neg * stride.
+        steps = {
+            key: (*new, new[1] ^ 1, old[old.index(new[1]) ^ 1], move)
+            for k, (pos, neg) in enumerate(self._smoothings)
+            for key, new, old, move in ((1 << k, neg, pos, stride), (3 << k, pos, neg, -stride))
+        }
         partner = self._partner(0)
         labels, count = self._arc_circles(partner)
-        arcs[0] = labels
-        sizes[0] = count
         tally[count] += 1
-        mask = neg = 0
-        for g in range(1, size):
-            k = (g & -g).bit_length() - 1
-            mask ^= 1 << k
-            marker = (mask >> k) & 1
-            w, x, y, z = smoothings[k][marker]
+        arcs: list[bytes] = [labels] * (1 << n) if labelled else []
+        sizes = [count] * (1 << n) if labelled else []
+        # translation tables, keyed by a << 8 | b (merge) and a << 8 | c
+        # (split), built on first use in this call
+        identity = bytes.maketrans(b"", b"")
+        merged: dict[int, bytes] = {}
+        split: dict[int, bytes] = {}
+        mask = row = 0
+        for g in range(1, 1 << n):
+            bit = g & -g
+            w, x, y, z, end, old, move = steps[g & 3 * bit]
             partner[w], partner[x], partner[y], partner[z] = x, w, z, y
-            neg += 1 if marker else -1
-            _, u, v = tails[k]
-            a, b = labels[u], labels[v]
-            if a != b:
-                if a > b:
-                    a, b = b, a
-                table = merged.get(a << 8 | b)
-                if table is None:
-                    table = merged[a << 8 | b] = identity[:b] + bytes((a,)) + identity[b:255]
-                labels = labels.translate(table)
+            row += move
+            while owner[end] != bit:
+                end = partner[end] ^ 1
+            if end == w:
+                count += 1
+            elif end == old:
                 count -= 1
-            else:
+            tally[row + count] += 1
+            if not labelled:
+                continue
+            mask ^= bit
+            if end == w:
+                a = labels[w >> 1]
                 # 255 marks the traced circle's arcs
                 marked = bytearray(labels)
                 end = 2 * labels.index(a)
                 while marked[end >> 1] != 255:
                     marked[end >> 1] = 255
                     end = partner[end ^ 1]
-                if marked[u] != marked[v]:
-                    # circles are numbered by their smallest arc, so the
-                    # labels before an arc are 0 to their maximum
-                    c = max(labels[: marked.index(a)]) + 1
-                    table = split.get(a << 8 | c)
-                    if table is None:
-                        table = identity[:a] + bytes((c,)) + identity[a + 1 : c]
-                        table = split[a << 8 | c] = table + identity[c + 1 :] + bytes((a,))
-                    labels = bytes(marked).translate(table)
-                    count += 1
+                # circles are numbered by their smallest arc, so the labels
+                # before an arc are 0 to their maximum
+                c = max(labels[: marked.index(a)]) + 1
+                table = split.get(a << 8 | c)
+                if table is None:
+                    table = identity[:a] + bytes((c,)) + identity[a + 1 : c]
+                    table = split[a << 8 | c] = table + identity[c + 1 :] + bytes((a,))
+                labels = bytes(marked).translate(table)
+            elif end == old:
+                a, b = labels[w >> 1], labels[x >> 1]
+                if a > b:
+                    a, b = b, a
+                table = merged.get(a << 8 | b)
+                if table is None:
+                    table = merged[a << 8 | b] = identity[:b] + bytes((a,)) + identity[b:255]
+                labels = labels.translate(table)
             arcs[mask] = labels
             sizes[mask] = count
-            tally[neg * stride + count] += 1
         return arcs, sizes, _census_of(tally, stride)
 
     def homological_i(self, mask: int) -> int:
@@ -543,7 +513,7 @@ def bracket(diagram: GaussDiagram) -> LaurentPoly:
     """Kauffman bracket <D> = sum over states of A**sigma * delta**|s|,
     where |s| counts the state's circles and delta = -A^2 - A^-2, so the
     crossingless circle gives delta (no normalization by <O> = 1)."""
-    return _census_bracket(diagram.n, _space(diagram).census())
+    return _census_bracket(diagram.n, _space(diagram).walk(labelled=False)[2])
 
 
 def jones_hat(diagram: GaussDiagram) -> LaurentPoly:
@@ -554,7 +524,7 @@ def jones_hat(diagram: GaussDiagram) -> LaurentPoly:
     2k) * C(s, k), the state sum's term.  It does not call :func:`bracket`,
     so counting that name counts only the bracket's own callers."""
     sp = _space(diagram)
-    return jones_from_bracket(_census_bracket(sp.n, sp.census()), sp.w)
+    return jones_from_bracket(_census_bracket(sp.n, sp.walk(labelled=False)[2]), sp.w)
 
 
 def jones_from_bracket(br: LaurentPoly, w: int) -> LaurentPoly:
@@ -725,7 +695,7 @@ def homology_and_bracket(
     if diagram.n > cap:
         raise CapExceeded(f"homology capped at {cap} chords, got {diagram.n}")
     sp = _space(diagram)
-    arcs, sizes, census = sp.walk()
+    arcs, sizes, census = sp.walk(labelled=True)
     w = sp.w
 
     # A basis element (mask, 2*mu + 1) of C_x has its circle 0 labelled x
@@ -850,7 +820,7 @@ def lemma5_scan(
     if diagram.n > cap:
         raise CapExceeded(f"lemma5 scan capped at {cap} chords, got {diagram.n}")
     sp = _space(diagram)
-    _, sizes, _ = sp.walk()
+    _, sizes, _ = sp.walk(labelled=True)
     bits = [1 << k for k in range(sp.n)]
     out = []
     for mask, size in enumerate(sizes):

@@ -928,3 +928,155 @@ class TestDeterminism:
         code2, out2 = run(capsys, "selftest", "--seed", "11", "--samples", "10")
         assert code1 == code2 == 0 and out1 == out2
         assert all(line.startswith("PASS") for line in out1.strip().splitlines())
+
+
+# Stand-ins for a JSON node of another type: null, booleans, floats (NaN and
+# the infinities are JSON to Python's json module), huge and negative ints,
+# Unicode digits, and empty or nested containers.
+CONFUSED = (None, True, False, 0.5, 1.0, float("nan"), float("inf"), 10**30, -1, 0,
+            "", "1", "١", [], [[1]], [[[]]], {}, {"mode": "GPV"})
+
+# Gauss-code tokens a mutation inserts: out-of-range, malformed, lowercase,
+# Unicode-digit and overlong labels.
+BAD_TOKENS = ("O9+", "U0+", "O-1+", "O1", "X1+", "O1++", "o1+", "O١+", "U１-",
+              "O99999999999999999999+", "O1.5+", "+", "O 1+", " ")
+
+
+def confuse(rng, obj):
+    """``obj`` with one node on a random path replaced by a CONFUSED value."""
+    if not isinstance(obj, (list, dict)) or not obj or rng.random() < 0.25:
+        return rng.choice(CONFUSED)
+    if isinstance(obj, list):
+        i = rng.randrange(len(obj))
+        return obj[:i] + [confuse(rng, obj[i])] + obj[i + 1:]
+    key = rng.choice(sorted(obj))
+    return {**obj, key: confuse(rng, obj[key])}
+
+
+def mutate_code(rng, code):
+    """``code`` with up to three tokens dropped, inserted, relabelled,
+    re-signed or duplicated, or the whole code reversed."""
+    tokens = code.split()
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(6)
+        i = rng.randrange(len(tokens) + 1)
+        if op == 1 or not tokens:
+            tokens.insert(i, rng.choice(BAD_TOKENS))
+            continue
+        i %= len(tokens)
+        if op == 0:
+            del tokens[i]
+        elif op == 2:
+            tokens.reverse()
+        elif op == 3:
+            tokens[i] = tokens[i][0] + rng.choice(("0", "13", "99", "٣", "１")) + tokens[i][-1]
+        elif op == 4:
+            tokens[i] = tokens[i][:-1] + rng.choice("+-*")
+        else:
+            tokens.insert(i, tokens[i])
+    return " ".join(tokens)
+
+
+class TestFuzz:
+    """Seeded in-process fuzz of every subcommand with mutated Gauss codes,
+    type-confused JSON files and small caps, budgets and depths: the exit
+    code is 0, 1 or 2, no exception escapes ``main``, a single ``--code``
+    input that exits 1 writes nothing to stdout, and a refusal that names a
+    cap exits 2."""
+
+    COMMANDS = ("eval", "kh", "gpv-sum", "f-sum", "ntrivial", "trivialize", "braid",
+                "lemma5", "selftest")
+
+    @staticmethod
+    def files(rng, tmp_path):
+        """Paths of JSON files per flag: valid ones, type-confused ones and a
+        few that are not JSON or not UTF-8."""
+        valid = {
+            "gens": [{"A": "s1 v1 s1 v1", "B": "s2 v2 s2 v2"}, {"A": "s1 s1", "B": "s2 s2"}],
+            "arrow": [{"kind": kind, "terms": [{"coeff": 1, "signs": {"1": "+", "2": "free"},
+                                                "endpoints": [["1", "t"], ["2", "h"],
+                                                              ["1", "h"], ["2", "t"]]}]}
+                      for kind in ("long", "closed")],
+            "gpv": [{"mode": "GPV", "families": [[1], [2, 3]]}, {"mode": "GPV", "families": [[1]]}],
+            "f": [{"mode": "F", "families": [[{"slots": [s, s + 1], "kind": kind}]]}
+                  for s in (0, 1, 3) for kind in ("Fo", "Fu")],
+        }
+        out = {}
+        for flag, objs in valid.items():
+            texts = [json.dumps(obj) for obj in objs]
+            texts += [json.dumps(confuse(rng, rng.choice(objs))) for _ in range(40)]
+            texts += ["", "{", "[1, 2", "null"]
+            paths = []
+            for i, text in enumerate(texts):
+                path = tmp_path / f"{flag}-{i}.json"
+                path.write_text(text, encoding="utf-8")
+                paths.append(str(path))
+            path = tmp_path / f"{flag}-latin1.json"
+            path.write_bytes(b'{"mode": "\xff"}')
+            out[flag] = paths + [str(path), str(tmp_path / "missing.json")]
+        return out
+
+    def case(self, rng, files):
+        """(argv, whether it reads a single --code input)."""
+        command = rng.choice(self.COMMANDS)
+        cap = ["--cap-chords", str(rng.randint(-1, 10))] if rng.random() < 0.5 else []
+        if command == "selftest":
+            return ["selftest", "--seed", str(rng.randint(0, 3)),
+                    "--samples", rng.choice(("1", "0", "-2", "x"))], False
+        if command == "braid":
+            mode = rng.randrange(3)
+            if mode == 0:
+                word = " ".join(rng.choice(("s1", "S2", "v3", "s0", "x1", "v", "s١"))
+                                for _ in range(rng.randint(0, 6)))
+                argv = ["braid", "--word", word]
+            elif mode == 1:
+                argv = ["braid", "--bk", str(rng.randint(-1, 10))]
+            else:
+                lo = rng.randint(-1, 3)
+                argv = ["braid", "--scan", f"{lo}:{rng.randint(lo - 1, 3)}"]
+            if rng.random() < 0.5:
+                argv += ["--gens", rng.choice(files["gens"])]
+            return argv + cap, False
+        kind = rng.choice(("closed", "long"))
+        code = random_diagram(rng, rng.randint(0, 6), kind).code()
+        if rng.random() < 0.7:
+            code = mutate_code(rng, code)
+        argv = [command, "--code", code, "--kind", kind]
+        if command == "trivialize":
+            argv += ["--depth", str(rng.randint(-1, 6))]
+        else:
+            argv += cap
+        if command == "eval" and rng.random() < 0.5:
+            argv += ["--arrow-poly", rng.choice(files["arrow"])]
+        elif command == "gpv-sum":
+            argv += ["--chords", rng.choice(("1", "1,2", "2,2", "0", "-1", "99", "1,a", "",
+                                              "١"))]
+        elif command in ("f-sum", "ntrivial"):
+            argv += ["--families", rng.choice(files[rng.choice(("gpv", "f"))])]
+            if command == "ntrivial":
+                argv += ["--budget", str(rng.randint(-1, 30))]
+        if rng.random() < 0.2:
+            argv += ["--format", "table"]
+        return argv, True
+
+    def test_exit_codes_and_quiet_refusals(self, capsys, tmp_path):
+        rng = random.Random(3636)
+        files = self.files(rng, tmp_path)
+        codes = dict.fromkeys((0, 1, 2), 0)
+        for _ in range(1000):
+            argv, single = self.case(rng, files)
+            try:
+                code = main(argv)
+            except (Exception, SystemExit) as exc:
+                pytest.fail(f"{type(exc).__name__} escaped main({argv!r}): {exc}")
+            captured = capsys.readouterr()
+            assert code in codes, argv
+            assert "Traceback" not in captured.err, argv
+            if single and code == 1:
+                assert captured.out == "", argv
+            if "capped at" in captured.err:
+                # an exhausted cap exits 2, never as bad input
+                assert code == 2, argv
+            codes[code] += 1
+        # the cases reach every exit code, and most are refused
+        assert min(codes.values()) >= 20 and codes[1] > codes[0] + codes[2], codes

@@ -457,10 +457,12 @@ class TestCertify:
                 assert battery_on_input(d, 10) is None
 
     def test_state_sums_wait_for_the_cap(self, monkeypatch):
-        def no_census(self):
-            raise AssertionError("census run above the cap")
+        # jones_hat walks in count mode and homology in label mode; above
+        # the cap neither may walk
+        def no_walk(self, *, labelled):
+            raise AssertionError(f"walk (labelled={labelled}) run above the cap")
 
-        monkeypatch.setattr(khovanov._StateSpace, "census", property(no_census))
+        monkeypatch.setattr(khovanov._StateSpace, "walk", no_walk)
         # within the cap, jones_hat refutes the virtual trefoil and its long
         # form, whose v21 and v22 vanish
         long_vt = parse_gauss_code("O1+ O2+ U1+ U2+", "long")

@@ -127,6 +127,17 @@ class TestTraceCircles:
         with pytest.raises(Exception, match="markers"):
             _space(TREFOIL).mask_of((1, 1))
 
+    def test_non_int_markers_are_refused(self):
+        # True == 1 and 1.0 == 1, but a marker must be an int, as a chord's
+        # fields and a site's slot must
+        for markers, name in (((True, 1, 1), "bool"), ((1.0, -1, True), "float"),
+                              ((1, -1.0, 1), "float"), ((1, 1, "1"), "str")):
+            with pytest.raises(DiagramError, match=f"markers must be ints, not {name}"):
+                lemma5_check(TREFOIL, markers)
+            with pytest.raises(DiagramError, match=f"markers must be ints, not {name}"):
+                lemma5_gradings(TREFOIL, markers)
+        assert lemma5_gradings(TREFOIL, (1, -1, 1)) == (1, 5)
+
     def test_circle_labels_fit_a_byte_up_to_254_chords(self):
         def kinks(n):
             return GaussDiagram("closed", (Chord(k + 1, 2 * k, 2 * k + 1, 1) for k in range(n)))
@@ -242,7 +253,7 @@ class TestCensusSums:
         delta = LaurentPoly({2: -1, -2: -1})
         qq = LaurentPoly({1: 1, -1: 1})
         br = jh = LaurentPoly()
-        for (neg, size), count in sp.census().items():
+        for (neg, size), count in sp.walk(labelled=False)[2].items():
             br = br + (delta**size).shift(sp.n - 2 * neg) * count
             i = (sp.w - sp.n) // 2 + neg
             jh = jh + (qq**size).shift(sp.w + i) * (-count if i % 2 else count)
@@ -270,24 +281,23 @@ def counting_traces(monkeypatch) -> list[int]:
     return traces
 
 
-def counting_walks(monkeypatch) -> list[int]:
-    """The chord count of every Gray walk of the cube from here on, in call
-    order: each call to ``_StateSpace.walk`` or ``_StateSpace.census``."""
+def counting_walks(monkeypatch) -> list[tuple[int, bool]]:
+    """(chord count, label mode) of every Gray walk of the cube from here
+    on, in call order: each call to ``_StateSpace.walk``."""
     walks = []
-    for name in ("walk", "census"):
-        method = getattr(khovanov._StateSpace, name)
+    walk = khovanov._StateSpace.walk
 
-        def counting(self, method=method):
-            walks.append(self.n)
-            return method(self)
+    def counting(self, *, labelled):
+        walks.append((self.n, labelled))
+        return walk(self, labelled=labelled)
 
-        monkeypatch.setattr(khovanov._StateSpace, name, counting)
+    monkeypatch.setattr(khovanov._StateSpace, "walk", counting)
     return walks
 
 
 class TestGrayCensus:
-    """The census along the Gray walk against the census tallied from
-    single-state traces, and the walks a request pays for."""
+    """Both modes of the Gray walk against single-state traces, and the
+    walks a request pays for."""
 
     @staticmethod
     def traced_census(d):
@@ -299,8 +309,13 @@ class TestGrayCensus:
         return counts
 
     def test_matches_traced_census(self, monkeypatch):
+        # label mode returns the traced arcs, counts and census, and count
+        # mode the census alone, on random diagrams (also with shuffled
+        # chord ids) and on braid closures; the traced circle counts along
+        # the Gray order show that the steps split, merge and keep
         traces = counting_traces(monkeypatch)
         rng = random.Random(7331)
+        pairs = []
         for n in range(11):
             for _ in range(3 if n < 9 else 1):
                 d = random_diagram(rng, n, "closed")
@@ -310,23 +325,42 @@ class TestGrayCensus:
                     "closed",
                     (Chord(i, c.tail, c.head, c.sign) for i, c in zip(ids, d.chords)),
                 )
-                want = self.traced_census(d)
-                for copy in (d, relabelled):
-                    traces.clear()
-                    assert khovanov._StateSpace("closed", copy.chords).census() == want
-                    walked = khovanov._StateSpace("closed", copy.chords)
-                    arcs, sizes, census = walked.walk()
-                    assert census == want, d.code()
-                    # neither the census nor the walk traces a single state
-                    assert traces == []
-                    traced = [walked._trace(mask) for mask in range(1 << n)]
-                    assert arcs == [arc for _, arc in traced]
-                    assert sizes == [len(circles) for circles, _ in traced]
+                pairs.append((d, (d, relabelled)))
+        braids = random.Random(7332)
+        for real in range(4, 11):
+            for _ in range(2):
+                d = random_braid_closure(braids, real)
+                pairs.append((d, (d,)))
+        steps = set()
+        for d, copies in pairs:
+            want = None
+            for copy in copies:
+                sp = khovanov._StateSpace("closed", copy.chords)
+                traces.clear()
+                walks = sp.walk(labelled=True), sp.walk(labelled=False)
+                # neither mode traces a single state
+                assert traces == []
+                traced = [sp._trace(mask) for mask in range(1 << d.n)]
+                arcs = [arc for _, arc in traced]
+                sizes = [len(circles) for circles, _ in traced]
+                census = {}
+                for mask, size in enumerate(sizes):
+                    key = (mask.bit_count(), size)
+                    census[key] = census.get(key, 0) + 1
+                # the census does not depend on the chord ids
+                want = want or census
+                assert census == want, d.code()
+                assert walks == ((arcs, sizes, census), ([], [], census)), copy.code()
+                gray = [g ^ (g >> 1) for g in range(1 << d.n)]
+                steps.update(sizes[b] - sizes[a] for a, b in zip(gray, gray[1:]))
+        assert [d.n for d, copies in pairs if len(copies) == 1] == [
+            real for real in range(4, 11) for _ in range(2)]
+        assert steps == {-1, 0, 1}
 
     def test_stepped_count_matches_traced_census(self):
-        # each Gray step of the census moves the circle count by -1, 0 or +1
-        # from one partial trace; the traced circle counts of the walk give
-        # the steps this set of diagrams takes, independently of the census
+        # each Gray step of the count-mode walk moves the circle count by
+        # -1, 0 or +1 after one strand walk; the circle counts of the
+        # label-mode walk give the steps this set of diagrams takes
         rng = random.Random(2211)
         diagrams = [unknot(), parse_gauss_code("O1+ U1+"), parse_gauss_code("O1- U1-")]
         diagrams += [random_braid_closure(rng, real) for real in (11, 11, 12, 12)]
@@ -334,8 +368,8 @@ class TestGrayCensus:
         steps, kinks = set(), 0
         for d in diagrams:
             sp = khovanov._StateSpace(d.kind, d.chords)
-            assert sp.census() == self.traced_census(d), d.code()
-            _, sizes, _ = sp.walk()
+            assert sp.walk(labelled=False)[2] == self.traced_census(d), d.code()
+            _, sizes, _ = sp.walk(labelled=True)
             gray = [g ^ (g >> 1) for g in range(1 << d.n)]
             steps.update(sizes[b] - sizes[a] for a, b in zip(gray, gray[1:]))
             m = d.slot_count
@@ -358,7 +392,7 @@ class TestGrayCensus:
         seen, keeping = set(), []
         for d in diagrams:
             sp = khovanov._StateSpace(d.kind, d.chords)
-            arcs, sizes, census = sp.walk()
+            arcs, sizes, census = sp.walk(labelled=True)
             traced = [sp._trace(mask) for mask in range(1 << d.n)]
             assert arcs == [arc for _, arc in traced], d.code()
             assert sizes == [len(circles) for circles, _ in traced], d.code()
@@ -391,10 +425,10 @@ class TestGrayCensus:
         assert reduced.n < d.n == 10
         assert main(["kh", "--code", d.code()]) == 0
         assert "euler_check" in capsys.readouterr().out
-        # homology's walk over the reduced diagram keeps the arc array and
-        # circle count of every state and tallies the census that jones_hat
-        # and bracket then read; no state is traced on its own
-        assert walks == [reduced.n] and traces == []
+        # homology's walk over the reduced diagram, in label mode, keeps the
+        # arc array and circle count of every state and tallies the census
+        # that jones_hat and bracket then read; no state is traced on its own
+        assert walks == [(reduced.n, True)] and traces == []
 
     def test_eval_request_walks_the_cube_once_per_diagram(self, monkeypatch, capsys, tmp_path):
         walks = counting_walks(monkeypatch)
@@ -406,8 +440,8 @@ class TestGrayCensus:
         assert main(["eval", "--input", str(path)]) == 0
         assert len(json.loads(capsys.readouterr().out)["diagrams"]) == 3
         # bracket and jones_hat read one census per diagram, tallied on one
-        # Gray walk; no state is traced on its own
-        assert walks == [6, 7, 5] and traces == []
+        # Gray walk in count mode; no state is traced on its own
+        assert walks == [(6, False), (7, False), (5, False)] and traces == []
 
     def test_no_state_space_outlives_a_request(self, monkeypatch, capsys):
         spaces = []
@@ -500,7 +534,7 @@ class TestStateSumGolden:
         for d in diagrams:
             reduced, _ = khovanov.reduce_for_state_sums(d)
             shrunk += reduced.n < d.n
-            _, sizes, _ = khovanov._StateSpace(reduced.kind, reduced.chords).walk()
+            _, sizes, _ = khovanov._StateSpace(reduced.kind, reduced.chords).walk(labelled=True)
             bits = [1 << k for k in range(reduced.n)]
             kept += any(sizes[mask | bit] == size
                         for mask, size in enumerate(sizes) for bit in bits if not mask & bit)
@@ -587,7 +621,7 @@ class TestChordReversal:
         rng = random.Random(4242)
         for d in closed_corpus(4242, range(1, 10)):
             before = self.space(d)
-            arcs, sizes, census = before.walk()
+            arcs, sizes, census = before.walk(labelled=True)
             switches = [list(before.switches(mask, arcs, sizes)) for mask in range(1 << d.n)]
             sums = (homology(d).as_dict(), jones_hat(d), bracket(d))
             ids = list(d.chord_ids())
@@ -595,11 +629,11 @@ class TestChordReversal:
                 flipped = reversed_chords(d, set(subset))
                 assert [(c.tail, c.head) for c in flipped.chords] != [
                     (c.tail, c.head) for c in d.chords]
-                # the census read on its own walk, then the arc arrays and
-                # the census of the homology walk
-                assert self.space(flipped).census() == census, flipped.code()
+                # the census of a count-mode walk, then the arc arrays and
+                # the census of a label-mode walk
                 after = self.space(flipped)
-                assert after.walk() == (arcs, sizes, census), flipped.code()
+                assert after.walk(labelled=False) == ([], [], census), flipped.code()
+                assert after.walk(labelled=True) == (arcs, sizes, census), flipped.code()
                 assert [
                     list(after.switches(mask, arcs, sizes)) for mask in range(1 << d.n)
                 ] == switches, flipped.code()
@@ -715,7 +749,7 @@ class TestSwitch:
         kinds = set()
         for d in diagrams:
             sp = _space(d)
-            arcs, sizes, _ = sp.walk()
+            arcs, sizes, _ = sp.walk(labelled=True)
             for mask in range(1 << sp.n):
                 size = len(sp.circles(mask))
                 got = {
@@ -751,7 +785,7 @@ class TestSwitch:
         counts = {0: 0, 1: 0}
         for d in diagrams:
             sp = _space(d)
-            arcs, sizes, _ = sp.walk()
+            arcs, sizes, _ = sp.walk(labelled=True)
             for mask in range(1 << sp.n):
                 for _, split, a, b, c in sp.switches(mask, arcs, sizes):
                     assert (b if split else c) == a, (d.code(), mask)
@@ -762,7 +796,7 @@ class TestSwitch:
         # a switch changes the circle count by -1, 0 or +1; forged circle
         # counts that jump by 2 must raise, not be read as a merge or split
         sp = _space(TREFOIL)
-        arcs, sizes, _ = sp.walk()
+        arcs, sizes, _ = sp.walk(labelled=True)
         assert sp.switches(0, arcs, sizes)
         forged = list(sizes)
         forged[1] = sizes[0] + 2

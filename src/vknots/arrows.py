@@ -33,12 +33,11 @@ tests' oracle for the direct count.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .diagram import HEAD, TAIL, DiagramError, GaussDiagram, Kind
+from .diagram import HEAD, TAIL, DiagramError, GaussDiagram, Kind, load_json
 from .moves import MoveEvent, apply_trace
 
 Invariant = Callable[[GaussDiagram], int]
@@ -46,7 +45,7 @@ Invariant = Callable[[GaussDiagram], int]
 FREE = "free"
 
 
-class ArrowError(ValueError):
+class ArrowError(DiagramError):
     """Raised for malformed arrow patterns/polynomials."""
 
 
@@ -159,10 +158,13 @@ def embeddings(pattern: ArrowPattern, diagram: GaussDiagram) -> list[dict[str, i
     Closed-kind matching is up to rotation of the based circle.  A
     rotation-symmetric pattern counts a matched subset once (the
     subdiagram expansion counts subdiagrams, not symmetries), with one of
-    the label assignments that the symmetry relates.
+    the label assignments that the symmetry relates.  A pattern of more
+    chords than the diagram matches nothing, and its signs are not keyed.
     """
     if pattern.kind != diagram.kind:
         raise ArrowError(f"pattern kind {pattern.kind!r} != diagram kind {diagram.kind!r}")
+    if pattern.order > diagram.n:
+        return []
     keys = _pattern_keys(pattern)
     out = []
     for subset in itertools.combinations(diagram.chords, pattern.order):
@@ -180,7 +182,8 @@ def pairing(poly: ArrowPolynomial | ArrowPattern, diagram: GaussDiagram) -> int:
     product of its free-labelled chords; sign-fixed labels contribute 1.
     The terms fill one table per order, from key to coefficient times
     weight, and each chord subset of each order is keyed once for all
-    terms.  Its alternating sum over the deletions of chosen chords is
+    terms; a term of more chords than the diagram adds 0 and is skipped.
+    Its alternating sum over the deletions of chosen chords is
     :func:`gpv_alt_sum` of the pairing; :func:`v21` and :func:`v22` count
     that sum directly for their patterns.
     """
@@ -190,6 +193,8 @@ def pairing(poly: ArrowPolynomial | ArrowPattern, diagram: GaussDiagram) -> int:
         raise ArrowError(f"polynomial kind {poly.kind!r} != diagram kind {diagram.kind!r}")
     tables: dict[int, dict[tuple[int, ...], int]] = {}
     for coeff, pattern in poly.terms:
+        if pattern.order > diagram.n:
+            continue
         table = tables.setdefault(pattern.order, {})
         for key, (weight, _) in _pattern_keys(pattern).items():
             table[key] = table.get(key, 0) + coeff * weight
@@ -319,10 +324,7 @@ def load_arrow_polynomial(data: bytes | str) -> ArrowPolynomial:
     Schema: ``{"kind": "long"|"closed", "terms": [{"coeff": int,
     "endpoints": [["1","t"], ...], "signs": {"1": "free"|"+"|"-"}}]}``.
     """
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ArrowError(f"arrow polynomial is not valid JSON: {exc}") from None
+    obj = load_json(data, "arrow polynomial", ArrowError)
     if not isinstance(obj, dict) or "kind" not in obj or "terms" not in obj:
         raise ArrowError("arrow polynomial JSON needs 'kind' and 'terms'")
     kind = obj["kind"]

@@ -21,12 +21,11 @@ b(4u+1) = [A, b(4u)], b(4u+2) = [B, b(4u+1)].
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .diagram import Chord, GaussDiagram
+from .diagram import Chord, DiagramError, GaussDiagram, load_json
 from .khovanov import CapExceeded, DEFAULT_HOMOLOGY_CAP, distinguish_from_unknot, lemma5_scan
 
 STRANDS = 4
@@ -39,7 +38,7 @@ REAL_NEG = "real_neg"
 VIRTUAL = "virtual"
 
 
-class BraidError(ValueError):
+class BraidError(DiagramError):
     """Raised for malformed braid words or non-knot closures."""
 
 
@@ -176,10 +175,7 @@ class GeneratorDef:
 
 def load_generator_def(data: bytes | str) -> GeneratorDef:
     """Parse ``{"A": "<word>", "B": "<word>"}``."""
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise BraidError(f"generator file is not valid JSON: {exc}") from None
+    obj = load_json(data, "generator file", BraidError)
     if not isinstance(obj, dict) or "A" not in obj or "B" not in obj:
         raise BraidError("generator JSON needs fields 'A' and 'B'")
     for name in ("A", "B"):
@@ -194,9 +190,10 @@ EXAMPLE_GENS = GeneratorDef(parse_braid_word("s1 v1 s1 v1"), parse_braid_word("s
 
 
 def b_family(k: int, defs: GeneratorDef) -> BraidWord:
-    """k-th member of the commutator family; length 2(|g(k)| + |b(k-1)|)."""
-    if k < 1:
-        raise BraidError("the braid family is indexed from 1")
+    """k-th member of the commutator family; length 2(|g(k)| + |b(k-1)|).
+    Refuses a k outside the bounds of :func:`_family_counts` before
+    building."""
+    _family_counts(k, defs)
     word = defs.A
     for step in range(2, k + 1):
         word = commutator(defs.generator(step), word)

@@ -2,8 +2,9 @@
 
 Subcommands: eval, kh, gpv-sum, f-sum, ntrivial, trivialize, braid,
 lemma5, selftest.  Exit status: 0 on success, 1 on input errors (argparse
-usage errors included), 2 when a cap or search budget was exhausted (a
-partial report is still printed).
+usage errors included; every refusal of input derives from
+:class:`~vknots.diagram.DiagramError`), 2 when a cap or search budget was
+exhausted (a partial report is still printed).
 JSON output is deterministic (sorted keys) for a fixed config and seed.
 """
 
@@ -16,14 +17,7 @@ import random
 import sys
 from typing import NoReturn
 
-from .arrows import (
-    ArrowError,
-    gpv_alt_sum,
-    load_arrow_polynomial,
-    pairing,
-    v21,
-    v22,
-)
+from .arrows import gpv_alt_sum, load_arrow_polynomial, pairing, v21, v22
 from .braids import (
     BraidError,
     EXAMPLE_GENS,
@@ -64,7 +58,7 @@ from .khovanov import (
     reduce_for_state_sums,
     writhe,
 )
-from .moves import MoveError, SearchStats, apply_move, apply_trace, enumerate_moves
+from .moves import SearchStats, apply_move, apply_trace, enumerate_moves
 
 OK, INPUT_ERROR, EXHAUSTED = 0, 1, 2
 
@@ -78,19 +72,16 @@ def _emit(obj: dict, fmt: str) -> None:
     _print_table(obj)
 
 
-def _print_table(obj: dict, indent: str = "") -> None:
+def _print_table(obj: dict) -> None:
     for key in sorted(obj):
         value = obj[key]
-        if isinstance(value, dict):
-            print(f"{indent}{key}:")
-            _print_table(value, indent + "  ")
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            print(f"{indent}{key}:")
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            print(f"{key}:")
             for row in value:
                 cells = "  ".join(f"{k}={row[k]}" for k in sorted(row))
-                print(f"{indent}  {cells}")
+                print(f"  {cells}")
         else:
-            print(f"{indent}{key}: {value}")
+            print(f"{key}: {value}")
 
 
 def _load_diagrams(args) -> list[GaussDiagram]:
@@ -305,7 +296,6 @@ def cmd_braid(args) -> int:
         skipped = sum(1 for r in rows if r["skipped"])
         return _report_skipped("braid --scan", args.cap_chords, skipped, len(rows), "rows")
     if args.bk is not None:
-        _family_counts(args.bk, gens)  # refuses a k past the bounds before building
         word = b_family(args.bk, gens)
     elif args.word is not None:
         word = parse_braid_word(args.word)
@@ -580,16 +570,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXHAUSTED
-    except (
-        ParseError,
-        ArrowError,
-        FamilyError,
-        BraidError,
-        MoveError,
-        DiagramError,
-        OSError,
-        UnicodeDecodeError,
-    ) as exc:
+    except (DiagramError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

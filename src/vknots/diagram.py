@@ -20,6 +20,7 @@ under-passage (head).  A label is read as the chord id it names, so
 
 from __future__ import annotations
 
+import json
 import re
 from collections import namedtuple
 from operator import itemgetter
@@ -31,12 +32,27 @@ TAIL = "t"
 HEAD = "h"
 
 
-class ParseError(ValueError):
+class DiagramError(ValueError):
+    """Raised when an operation's precondition on a diagram fails, and the
+    base of every refusal of outside input: the parse, move, family, arrow,
+    braid and cap errors all derive from it, and the CLI answers each with
+    exit 1 (2 for :class:`~vknots.khovanov.CapExceeded`) and one stderr
+    line."""
+
+
+class ParseError(DiagramError):
     """Raised for malformed Gauss code text; the message names the offending token."""
 
 
-class DiagramError(ValueError):
-    """Raised when an operation's precondition on a diagram fails."""
+def load_json(data: bytes | str, what: str, error: type[DiagramError]) -> object:
+    """``json.loads(data)``, refusing with ``error`` and the message "<what>
+    is not valid JSON: ..." whatever ``json`` refuses: text that is not
+    JSON, bytes that are not UTF-8, an int past the digit limit, and
+    nesting past the recursion limit."""
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
 
 
 class Chord(namedtuple("Chord", "id tail head sign")):
@@ -355,8 +371,9 @@ def parse_gauss_code(text: str, kind: Kind = "closed") -> GaussDiagram:
     """Parse a Gauss code; see the module docstring for the grammar.
 
     Raises :class:`ParseError` naming the offending token for: bad token
-    syntax, a label seen twice with the same O/U role, a sign mismatch
-    between a label's two tokens, and labels missing their partner.
+    syntax, a label past int's digit limit, a label seen twice with the
+    same O/U role, a sign mismatch between a label's two tokens, and
+    labels missing their partner.
 
     The whole code is checked by one regex match and its labels read by
     one ``int`` map; only a refused code is read again token by token, by
@@ -393,15 +410,19 @@ def parse_gauss_code(text: str, kind: Kind = "closed") -> GaussDiagram:
 
 def _token_fault(tokens: list[str]) -> ParseError:
     """The first fault of a refused code, reading its tokens one by one:
-    in slot order, a token of bad syntax or the second token of a label
-    with one role; then, labels in order of first appearance, a missing
-    partner or a sign mismatch."""
+    in slot order, a token of bad syntax, a label past int's digit limit or
+    the second token of a label with one role; then, labels in order of
+    first appearance, a missing partner or a sign mismatch."""
     ends: dict[int, dict[str, str]] = {}
     for tok in tokens:
         if not _TOKEN.fullmatch(tok):
             return ParseError(f"bad token {tok!r}: expected O<label>+/- or U<label>+/-")
         role_ch, label = tok[0], tok[1:-1]
-        rec = ends.setdefault(int(label), {})
+        try:
+            rec = ends.setdefault(int(label), {})
+        except ValueError:
+            return ParseError(
+                f"token {tok[:12] + '...'!r}: label of {len(label)} digits is too long")
         if role_ch in rec:
             return ParseError(f"token {tok!r}: label {label} already has an {role_ch} endpoint")
         rec[role_ch] = tok[-1]

@@ -32,12 +32,11 @@ diagrams (with the product of semi-triple signs in F mode).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .diagram import DiagramError, GaussDiagram, pair_starts, reclose, rotation_key
+from .diagram import DiagramError, GaussDiagram, load_json, pair_starts, reclose, rotation_key
 from .khovanov import DEFAULT_HOMOLOGY_CAP, homology, jones_hat
 from .laurent import LaurentPoly
 from .moves import (
@@ -510,10 +509,7 @@ def load_families(data: bytes | str) -> tuple[str, list[tuple]]:
     crosses a closed diagram's basepoint), read as sites.  Returns the
     mode and each family as a nonempty tuple of its members.  JSON
     booleans are not integers here."""
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FamilyError(f"families file is not valid JSON: {exc}") from None
+    obj = load_json(data, "families file", FamilyError)
     if not isinstance(obj, dict):
         raise FamilyError("families file must hold a JSON object")
     mode = obj.get("mode")

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from vknots import arrows
 from vknots.arrows import (
     ArrowError,
     ArrowPattern,
@@ -190,6 +191,63 @@ class TestPairing:
             "long", (("1", "t"), ("2", "t"), ("2", "h"), ("1", "h")), {"2": 1}
         )
         assert pairing(p, d) == -1  # only chord 1 is free
+
+
+    def test_a_pattern_larger_than_the_diagram_is_not_keyed(self, monkeypatch):
+        # 40 free labels have 2**40 sign assignments, and a 1-chord diagram
+        # has no 40-chord subset to match them
+        d = parse_gauss_code("O1+ U1+")
+        keyed = []
+        original = arrows._pattern_keys
+
+        def counting_keys(pattern):
+            keyed.append(pattern.order)
+            return original(pattern) if pattern.order <= d.n else {}
+
+        monkeypatch.setattr(arrows, "_pattern_keys", counting_keys)
+        big = ArrowPattern("closed", tuple((str(i), role) for i in range(40) for role in "th"))
+        one = ArrowPattern("closed", (("1", "t"), ("1", "h")))
+        assert embeddings(big, d) == [] and pairing(big, d) == 0
+        assert pairing(ArrowPolynomial(((1, big), (2, one))), d) == 2
+        assert keyed == [1]
+
+
+class TestArrowRefusals:
+    """Each refusal of a malformed pattern, polynomial or pairing is an
+    ArrowError that says what is wrong."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ArrowPattern("long", (("1", "x"), ("1", "h"))),
+             "label 1: role must be 't' or 'h'"),
+            (lambda: ArrowPattern("long", (("1", "t"),)), "label 1 is missing a 'h' endpoint"),
+            (lambda: ArrowPattern("long", (("1", "t"), ("1", "h")), {"2": 1}),
+             "sign constraint for unknown label 2"),
+            (lambda: ArrowPolynomial(((1, TTHH), (1, ArrowPattern("closed", TTHH.endpoints)))),
+             "all terms of an arrow polynomial must share a kind"),
+            (lambda: pairing(ArrowPolynomial(((1, TTHH),)), right_trefoil("closed")),
+             "polynomial kind 'long' != diagram kind 'closed'"),
+            (lambda: load_arrow_polynomial(
+                '{"kind": "long", "terms": [{"coeff": 1, "endpoints": {}}]}'),
+             "term 0: endpoints must be a list and signs an object"),
+            (lambda: load_arrow_polynomial(
+                '{"kind": "long", "terms": [{"coeff": 1, "endpoints": [], "signs": [1]}]}'),
+             "term 0: endpoints must be a list and signs an object"),
+            (lambda: load_arrow_polynomial(
+                '{"kind": "long", "terms": [{"coeff": 1, "endpoints": [["1"]]}]}'),
+             "term 0: endpoint ['1'] must be [label, role]"),
+            (lambda: load_arrow_polynomial(
+                '{"kind": "long", "terms": [{"coeff": 1, "endpoints": [[1, "t"]]}]}'),
+             "term 0: endpoint [1, 't'] must be [label, role]"),
+        ],
+        ids=["role", "missing-end", "unknown-sign", "mixed-kinds", "pairing-kind",
+             "endpoints-object", "signs-list", "short-endpoint", "int-label"],
+    )
+    def test_refusal(self, build, message):
+        with pytest.raises(ArrowError) as info:
+            build()
+        assert str(info.value) == message
 
 
 class TestSubdiagramExpand:

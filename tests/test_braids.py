@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from vknots import braids, cli
+from vknots import braids
 from vknots.braids import (
     BraidError,
     BraidWord,
@@ -98,6 +98,18 @@ class TestBFamily:
     def test_k_zero_rejected(self):
         with pytest.raises(BraidError):
             b_family(0, EXAMPLE_GENS)
+
+    def test_bounds_checked_before_building(self, monkeypatch):
+        # a library caller gets the letter and k bounds of _family_counts
+        # before the first commutator of a word of 2**k letters
+        def no_commutator(g, b):
+            raise AssertionError("b_family built a word past its bounds")
+
+        monkeypatch.setattr(braids, "commutator", no_commutator)
+        with pytest.raises(CapExceeded, match="got k = 21$"):
+            b_family(21, EXAMPLE_GENS)
+        with pytest.raises(CapExceeded, match="b\\(17\\) has 786424$"):
+            b_family(17, EXAMPLE_GENS)
 
 
 class TestClosure:
@@ -259,14 +271,13 @@ class TestScanFamily:
 
     def test_bk_word_built_only_within_the_letter_ceiling(self, monkeypatch, capsys):
         built = []
-        family = braids.b_family
+        step = braids.commutator
 
-        def counting_family(k, defs):
-            built.append(k)
-            return family(k, defs)
+        def counting_commutator(g, b):
+            built.append(len(b))
+            return step(g, b)
 
-        monkeypatch.setattr(braids, "b_family", counting_family)
-        monkeypatch.setattr(cli, "b_family", counting_family)
+        monkeypatch.setattr(braids, "commutator", counting_commutator)
         start = time.perf_counter()
         assert main(["braid", "--bk", "17"]) == 2
         elapsed = time.perf_counter() - start
@@ -276,7 +287,7 @@ class TestScanFamily:
         assert err == (f"error: b(k) is capped at k <= 20 and {braids.MAX_BK_LETTERS} letters, "
                        "b(17) has 786424\n")
         assert main(["braid", "--bk", "2"]) == 0
-        assert built == [2]
+        assert built == [len(EXAMPLE_GENS.A)]
 
 
 class TestGeneratorJson:

@@ -10,11 +10,13 @@ import pytest
 
 from vknots import cli, forbidden, schemas
 from vknots.cli import main
-from vknots.arrows import gpv_alt_sum, v21, v22
+from vknots.arrows import ArrowError, gpv_alt_sum, v21, v22
+from vknots.braids import BraidError
 from vknots.corpus import GPV2_TRIVIAL, RIGHT_TREFOIL, VIRTUAL_TREFOIL, random_diagram
-from vknots.diagram import GaussDiagram, parse_gauss_code
-from vknots.khovanov import MAX_CAP_CHORDS
-from vknots.moves import apply_move, enumerate_moves, simplify
+from vknots.diagram import DiagramError, GaussDiagram, ParseError, parse_gauss_code
+from vknots.forbidden import FamilyError
+from vknots.khovanov import MAX_CAP_CHORDS, CapExceeded
+from vknots.moves import MoveError, apply_move, enumerate_moves, simplify
 
 
 def run(capsys, *argv):
@@ -1080,3 +1082,56 @@ class TestFuzz:
             codes[code] += 1
         # the cases reach every exit code, and most are refused
         assert min(codes.values()) >= 20 and codes[1] > codes[0] + codes[2], codes
+
+    @pytest.mark.parametrize(
+        "error", [ParseError, ArrowError, BraidError, FamilyError, MoveError, CapExceeded])
+    def test_every_refusal_is_a_diagram_error(self, error):
+        # main answers DiagramError (CapExceeded first) and no bare ValueError
+        assert issubclass(error, DiagramError) and issubclass(error, ValueError)
+
+    def test_a_library_fault_is_not_bad_input(self, monkeypatch):
+        def broken(diagram):
+            raise ValueError("a fault inside the library")
+
+        monkeypatch.setattr(cli, "bracket", broken)
+        with pytest.raises(ValueError, match="a fault inside the library"):
+            main(["eval", "--code", RIGHT_TREFOIL])
+
+    READERS = {
+        "--families": (["ntrivial", "--code", RIGHT_TREFOIL], "families file"),
+        "--arrow-poly": (["eval", "--code", RIGHT_TREFOIL], "arrow polynomial"),
+        "--gens": (["braid", "--bk", "1"], "generator file"),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(READERS))
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+            ('{"A": ' + "9" * 5000 + "}", "integer string conversion"),
+        ],
+        ids=["deep", "long-int"],
+    )
+    def test_json_past_the_parser_limits(self, capsys, tmp_path, flag, text, detail):
+        # nesting past the recursion limit and an int past 4,300 digits are
+        # refused as JSON, with one stderr line
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv, what = self.READERS[flag]
+        assert main(argv + [flag, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {what} is not valid JSON: ") and detail in err
+
+    @pytest.mark.parametrize("source", ["--code", "--input"])
+    def test_gauss_label_past_the_int_limit(self, capsys, tmp_path, source):
+        label = "9" * 5000
+        text = f"O{label}+ U{label}+"
+        if source == "--input":
+            path = tmp_path / "codes.txt"
+            path.write_text(text + "\n")
+            text = str(path)
+        assert main(["eval", source, text]) == 1
+        line = "" if source == "--code" else "line 1: "
+        assert capsys.readouterr() == (
+            "", f"error: {line}token 'O99999999999...': label of 5000 digits is too long\n")

@@ -14,6 +14,7 @@ from vknots.diagram import (
     ParseError,
     concat_long,
     cut,
+    load_json,
     pair_starts,
     parse_gauss_code,
     read_diagram_file,
@@ -70,6 +71,20 @@ class TestParse:
         # a leading zero names the same chord
         assert parse_gauss_code("O01+ U1+") == parse_gauss_code("O1+ U1+")
         assert parse_gauss_code("O1+ U02- O002- U001+").code() == "O1+ U2- O2- U1+"
+
+    def test_label_past_the_int_limit_is_refused_in_token_order(self):
+        label = "9" * 5000
+        too_long = "token 'O99999999999...': label of 5000 digits is too long"
+        cases = {
+            f"O{label}+ U{label}+": too_long,  # every token's syntax is good
+            f"O1+ O{label}+ x": too_long,
+            f"x O{label}+": "bad token 'x': expected O<label>+/- or U<label>+/-",
+            f"O1+ O1+ O{label}+": "token 'O1+': label 1 already has an O endpoint",
+        }
+        for text, message in cases.items():
+            with pytest.raises(ParseError) as info:
+                parse_gauss_code(text)
+            assert str(info.value) == message
 
     def test_same_chord_under_two_labels_names_its_token(self):
         with pytest.raises(ParseError, match=r"^token 'O1\+': label 1 already has an O endpoint$"):
@@ -448,6 +463,30 @@ class TestParseGolden:
             with pytest.raises(ParseError) as info:
                 parse_gauss_code(text)
             assert str(info.value) == message
+
+
+class TestLoadJson:
+    class Refused(DiagramError):
+        pass
+
+    def test_valid_json(self):
+        assert load_json(b'{"a": [1, -2]}', "input", self.Refused) == {"a": [1, -2]}
+
+    @pytest.mark.parametrize(
+        "data, detail",
+        [
+            ("{", "Expecting property name"),
+            (b'{"a": "\xff"}', "'utf-8' codec can't decode"),
+            ("9" * 5000, "integer string conversion"),
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["syntax", "not-utf8", "long-int", "deep"],
+    )
+    def test_refusals_take_the_callers_class(self, data, detail):
+        with pytest.raises(self.Refused) as info:
+            load_json(data, "input", self.Refused)
+        assert str(info.value).startswith("input is not valid JSON: ")
+        assert detail in str(info.value) and "\n" not in str(info.value)
 
 
 class TestChordRefusals:

@@ -38,6 +38,7 @@ from .diagram import (
     reclose,
 )
 from .forbidden import (
+    DEFAULT_NODE_CAP,
     FamilyError,
     check_n_trivial,
     expand_semivirtual,
@@ -255,7 +256,7 @@ def cmd_trivialize(args) -> int:
     depth_cut = graph_out = 0
     for d in _load_diagrams(args):
         stats = SearchStats()
-        trace = trivialize_forbidden(d, args.budget, stats=stats)
+        trace = trivialize_forbidden(d, args.budget, stats=stats, node_cap=args.max_nodes)
         if trace is None:
             results.append({"code": d.code(), "found": False, "trace": None,
                             "replayed_empty": None})
@@ -495,6 +496,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=cmd_trivialize)
     p.add_argument("--depth", "--budget", dest="budget", type=int, default=10,
                    help="maximum trace length")
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_CAP,
+                   help="search nodes expanded, over all depths, before exit 2")
 
     p = sub.add_parser("braid", help="build/close braid words, scan the commutator family")
     p.add_argument("--format", choices=("json", "table"), default="json")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .diagram import DiagramError, GaussDiagram, load_json, pair_starts, reclose, rotation_key
-from .khovanov import DEFAULT_HOMOLOGY_CAP, homology, jones_hat
+from .khovanov import DEFAULT_HOMOLOGY_CAP, CapExceeded, homology, jones_hat
 from .laurent import LaurentPoly
 from .moves import (
     MoveError,
@@ -397,14 +397,23 @@ def check_n_trivial(
 # The kinds the search moves by.  A node's children come in the order
 # R2_del, R1_del, Fo, Fu, R3, each kind ordered by its site data.
 _SEARCH_KINDS = ("R1_del", "R2_del", "R3", "Fo", "Fu")
+# Nodes trivialize_forbidden expands, over all its depth limits, before it
+# gives up: a few seconds of search.  No depth-6 request of the small-batch
+# benchmark expands more than 310.
+DEFAULT_NODE_CAP = 100_000
 
 
 def trivialize_forbidden(
-    diagram: GaussDiagram, budget: int = 10, stats: SearchStats | None = None
+    diagram: GaussDiagram,
+    budget: int = 10,
+    stats: SearchStats | None = None,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> list[MoveEvent] | None:
     """Move sequence over {Fo, Fu, R1_del, R2_del, R3} emptying the diagram,
     or None when no sequence of length <= budget is found; raises MoveError
-    when ``budget`` is negative.
+    when ``budget`` or ``node_cap`` is negative, and CapExceeded, naming the
+    cap and the depth limit it stopped at, before it would expand more than
+    ``node_cap`` nodes over all its depth limits.
 
     Iterative deepening with deletion-first ordering.  No move adds a
     chord, so the diagrams reachable from the input form a finite graph:
@@ -436,6 +445,8 @@ def trivialize_forbidden(
     """
     if budget < 0:
         raise MoveError("trivialize budget must be >= 0")
+    if node_cap < 0:
+        raise MoveError("trivialize node cap must be >= 0")
     kind, start = diagram._eq_key()
     expanded = deduplicated = 0
 
@@ -459,6 +470,11 @@ def trivialize_forbidden(
                 deduplicated += 1
                 return None
             best_seen[key] = depth_left
+            if expanded == node_cap:
+                raise CapExceeded(
+                    f"trivialize capped at {node_cap} expanded nodes, "
+                    f"reached at depth limit {limit} of {budget}"
+                )
             expanded += 1
             left = depth_left - 1
             if max(pos, neg) <= left:

@@ -36,9 +36,9 @@ Differential
     and inserting the bits of the new ones.  The differential has one
     implementation, and it is never applied to a single enhanced state:
     ``homology`` reads each label map from :func:`_switch_images`, through
-    :func:`_x_columns`, and each state's switches from one list that
-    :meth:`_StateSpace.switches` returns, the one reader of switch data.
-    It raises AssertionError if a switch moves the count by more than 1.
+    :func:`_x_columns`, and reads each switch from the walk's labels and
+    counts in its row pass, the one reader of switch data.  It raises
+    AssertionError on any switch that moves the count by more than 1.
 
 Reduced complex
     Circle 0 is the circle through arc 0 in every state, since circles are
@@ -118,12 +118,12 @@ State space
     off that sum: :func:`bracket` and :func:`jones_hat` walk in count
     mode, which keeps no state.
 
-    The switches read every state's circles, numbered by their smallest
-    arc, so :func:`homology_and_bracket` (and :func:`lemma5_scan`, which
-    reads the counts) walk in label mode: for every state ``walk`` also
-    keeps the circle index of each arc, as bytes (so a state space takes
-    at most ``MAX_TRACED_CHORDS`` chords), and the circle count, for the
-    length of the call.  A step that keeps the count traces nothing and
+    A switch is read off the circles of its two states, numbered by their
+    smallest arc, so :func:`homology_and_bracket` (and :func:`lemma5_scan`,
+    which reads the counts) walk in label mode: for every state ``walk``
+    also keeps the circle index of each arc, as bytes (so a state space
+    takes at most ``MAX_TRACED_CHORDS`` chords), and the circle count, for
+    the length of the call.  A step that keeps the count traces nothing and
     leaves the labels as they were.  A merge of circles a < b is one
     ``bytes.translate`` of the old labels: the merged circle keeps index a
     and the circles above b move down one.  A split traces the new circle
@@ -156,15 +156,17 @@ State space
     rank of mu among the masks with t bits set.  A switch raises the mask,
     so the pass has placed every target state before it builds the rows
     that map to it; the rows of each block are bitmasks over the next
-    block, built straight from those indices, and a per-call dict in front
-    of the memo looks each switch map's columns up once per call.  Each
-    state lists its block lengths once, as its target offsets, padded with
-    a trailing 0, and once more from t = 1 on, which a split (adding an
-    x-label) reads; nothing is sliced per switch.  At t = size - 1 every
-    label is x and a merge's column is 0 (x*x = 0, checked in
-    :func:`_x_columns`), so it lands on the pad and no per-state filter
-    drops merges there.  A state's negative-marker count is read once, and
-    a single-circle state builds its one row directly.
+    block, built straight from those indices.  The pass reads each
+    positive-marker switch where it builds the state's rows, and a
+    per-call dict in front of the memo looks each switch map's columns up
+    once per call.  Each state lists its block lengths once, as its target
+    offsets, padded with a trailing 0, and once more from t = 1 on, which
+    a split (adding an x-label) reads; nothing is sliced per switch.  At
+    t = size - 1 every label is x and a merge's column is 0 (x*x = 0,
+    checked in :func:`_x_columns`), so it lands on the pad and no
+    per-state filter drops merges there.  A state of one or two circles
+    ORs each switch's columns into its rows as it reads the switch; a
+    larger state builds its rows per t afterwards.
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ def reduce_for_state_sums(closed: GaussDiagram) -> tuple[GaussDiagram, int]:
 
 
 class _StateSpace:
-    """Smoothings, circle data and switch transitions of one closed diagram.
+    """Smoothings and circle data of one closed diagram.
 
     Masks encode states: bit k set means chord ``chords[k]`` carries the
     negative marker.
@@ -295,9 +297,6 @@ class _StateSpace:
             self._smoothings.append(
                 (preserving, reversing) if c.sign > 0 else (reversing, preserving)
             )
-        # per chord: its mask bit and the arcs (u, v) ending and starting at
-        # its tail, which lie on different strands of either smoothing there
-        self._tails = [(1 << k, (c.tail - 1) % m, c.tail) for k, c in enumerate(chords)]
 
     def mask_of(self, markers: StateVec) -> int:
         if len(markers) != self.n:
@@ -452,34 +451,6 @@ class _StateSpace:
     def homological_i(self, mask: int) -> int:
         """i = (w - sigma)/2, where sigma = n - 2 * #negative markers."""
         return (self.w - self.n) // 2 + mask.bit_count()
-
-    def switches(self, mask: int, arcs, sizes) -> list[tuple[int, int, int, int, int]]:
-        """Every positive-marker switch of state ``mask`` that changes the
-        circle count, as (new mask, split, a, b, c): old circles a < b merge
-        into new circle c (split 0), or old circle a splits into new circles
-        b < c (split 1).  A switch that keeps the count is the zero map and
-        is skipped.  ``arcs[m]`` and ``sizes[m]`` are the circle index of
-        each arc and the circle count of state m, for the state and every
-        state one switch above it."""
-        old, size = arcs[mask], sizes[mask]
-        out = []
-        for bit, u, v in self._tails:
-            if mask & bit:
-                continue
-            new_mask = mask | bit
-            new_size = sizes[new_mask]
-            if new_size == size:
-                continue
-            new = arcs[new_mask]
-            if new_size == size - 1:
-                a, b = old[u], old[v]
-                out.append((new_mask, 0, a, b, new[u]) if a < b else (new_mask, 0, b, a, new[u]))
-            elif new_size == size + 1:
-                b, c = new[u], new[v]
-                out.append((new_mask, 1, old[u], b, c) if b < c else (new_mask, 1, old[u], c, b))
-            else:
-                raise AssertionError("a marker switch changes the circle count by at most 1")
-        return out
 
 
 def _census_of(tally: list[int], stride: int) -> dict[tuple[int, int], int]:
@@ -710,34 +681,27 @@ def homology_and_bracket(
     groups = [_bit_order(size - 1)[1] for size in range(1, top + 1)]
 
     # Column bits of the images of every mu under one switch, relative to
-    # the target state's block offset; they depend only on the switch data
-    # and the circle count, which key them as one int.  Images keep j, so
-    # a merge keeps the number of x-labels and a split adds one: a part
-    # pairs the columns with the target's offsets from that t on, which
-    # the target lists once as targets[split][new_mask].  The offsets end
-    # in a padded 0: at t = size - 1 every label is x, a merge's column
-    # there is 0 (x*x = 0, which _x_columns checks), and the pad is where
-    # that 0 lands.  The blocks a state's rows go to, one per t, depend
-    # only on its negative marker count and circle count, which key them
-    # as one int too.
+    # the target state's block offset, keyed by the switch data and the
+    # circle count as one int headed by 2 * size (plus 1 for a split).
+    # Images keep j, so a merge keeps the number of x-labels and a split
+    # adds one: a merge reads the target's offsets, a split its offsets
+    # from t = 1 on (shifted).  The offsets end in a padded 0: at t = size
+    # - 1 every label is x, a merge's column there is 0 (x*x = 0, which
+    # _x_columns checks), and the pad is where that 0 lands.  The blocks a
+    # state's rows go to, one per t, are keyed by its negative marker count
+    # and circle count.  A switch is read at the arcs (u, v) ending and
+    # starting at its chord's tail, on different strands of either
+    # smoothing there.
     base = top + 1
     i0 = sp.homological_i(0)
+    tails = [(1 << k, (c.tail - 1) % (2 * sp.n), c.tail) for k, c in enumerate(sp.chords)]
     columns: dict[int, tuple[int, ...]] = {}
     offsets: list[tuple[int, ...]] = [()] * len(sizes)
     shifted = offsets.copy()
-    targets = (offsets, shifted)
     matrices: dict[tuple[int, int], list[int]] = {}
     blocks: dict[int, list[list[int]]] = {}
     for mask in range(len(sizes) - 1, -1, -1):
         size = sizes[mask]
-        parts = []
-        for new_mask, split, a, b, c in sp.switches(mask, arcs, sizes):
-            key = (((split * base + a) * base + b) * base + c) * base + size
-            cols = columns.get(key)
-            if cols is None:
-                sw = ("split" if split else "merge", a, b, c)
-                cols = columns[key] = _x_columns(sw, size)
-            parts.append((cols, targets[split][new_mask]))
         neg = mask.bit_count()
         key = neg * base + size
         rows_of = blocks.get(key)
@@ -748,20 +712,56 @@ def homology_and_bracket(
             ]
         lengths = offsets[mask] = (*map(len, rows_of), 0)
         shifted[mask] = lengths[1:]
-        if size == 1:
-            # one row, mu = 0: a single circle only splits
-            vec = 0
-            for cols, at in parts:
-                vec |= cols[0] << at[0]
-            rows_of[0].append(vec)
-            continue
-        for t, group in enumerate(groups[size - 1]):
-            rows = rows_of[t]
-            for mu in group:
-                vec = 0
-                for cols, at in parts:
-                    vec |= cols[mu] << at[t]
-                rows.append(vec)
+        old = arcs[mask]
+        merge_key = 2 * size * base
+        parts = []
+        # the rows of mu = 0 and mu = 1 of a state of one or two circles
+        low = high = 0
+        for bit, u, v in tails:
+            if mask & bit:
+                continue
+            new_mask = mask | bit
+            new_size = sizes[new_mask]
+            if new_size == size:
+                continue  # the zero map
+            new = arcs[new_mask]
+            if new_size == size - 1:
+                # old circles a < b merge into new circle c
+                a, b = old[u], old[v]
+                if a > b:
+                    a, b = b, a
+                c, head, at = new[u], merge_key, offsets[new_mask]
+            elif new_size == size + 1:
+                # old circle a splits into new circles b < c
+                b, c = new[u], new[v]
+                if b > c:
+                    b, c = c, b
+                a, head, at = old[u], merge_key + base, shifted[new_mask]
+            else:
+                raise AssertionError("a marker switch changes the circle count by at most 1")
+            key = ((head + a) * base + b) * base + c
+            cols = columns.get(key)
+            if cols is None:
+                sw = ("merge" if head == merge_key else "split", a, b, c)
+                cols = columns[key] = _x_columns(sw, size)
+            if size > 2:
+                parts.append((cols, at))
+            else:
+                low |= cols[0] << at[0]
+                if size == 2:
+                    high |= cols[1] << at[1]
+        if size > 2:
+            for t, group in enumerate(groups[size - 1]):
+                rows = rows_of[t]
+                for mu in group:
+                    vec = 0
+                    for cols, at in parts:
+                        vec |= cols[mu] << at[t]
+                    rows.append(vec)
+        else:
+            rows_of[0].append(low)
+            if size == 2:
+                rows_of[1].append(high)
 
     # d o d = 0 on C_x is checked inside each block's elimination.  The
     # blocks go in ascending i, so block (i, j) skips the rows at the

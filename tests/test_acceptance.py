@@ -7,6 +7,7 @@ polynomial equality; the only numeric limits are the stated wall-clock caps.
 
 import itertools
 import json
+import math
 import random
 import time
 
@@ -30,7 +31,7 @@ from vknots.corpus import (
     right_trefoil,
     unknot,
 )
-from vknots.diagram import reclose
+from vknots.diagram import concat_long, parse_gauss_code, reclose
 from vknots.forbidden import (
     certify_trivial,
     disjoint_sites,
@@ -296,3 +297,43 @@ def test_criterion_10_braid_recursion():
     elapsed = time.time() - t0
     ok = ok and elapsed < 600 and all("k" in r for r in rows)
     report(10, ok, f"commutator recursion exact; scans over two GeneratorDefs in {elapsed:.1f}s")
+
+
+def test_criterion_11_f_order_is_strict():
+    # v21 has F-order <= 1 (criterion 5), so by the Leibniz rule of
+    # alternating sums v21**n has F-order <= n: every (n + 1)-site sum
+    # vanishes.  On n disjoint sites that each move v21 by 1, the n-site
+    # sum of v21**n is n!, so its F-order is exactly n and level n of the
+    # filtration is larger than level n - 1.  The long diagram below has an
+    # Fu site at slot 3 that moves v21 by 1; its n copies, concatenated,
+    # have one such site per copy, at slot 3 + 10k of copy k.
+    piece = parse_gauss_code("O1- U1- O2+ U3+ U2+ U4- O4- O5+ U5+ O3+", "long")
+    rng = random.Random(11)
+    sampled = 0
+    for n in range(1, 5):
+        def power(d, n=n):
+            return v21(d) ** n
+
+        copies = [piece]
+        while len(copies) < n + 1:
+            copies.append(concat_long(copies[-1], piece))
+        for count, want in ((n, math.factorial(n)), (n + 1, 0)):
+            d = copies[count - 1]
+            sites = [site_at(d, 3 + 10 * k, "Fu") for k in range(count)]
+            got = f_alt_sum(power, d, sites)
+            assert got == want, (n, count, got, d.code())
+        # and the (n + 1)-site sums vanish on seeded random long diagrams
+        checked = 0
+        while checked < 40:
+            d = random_diagram(rng, rng.randint(2 * n + 2, 2 * n + 5), "long")
+            sites = disjoint_sites(d, n + 1)
+            if sites is not None:
+                assert f_alt_sum(power, d, sites) == 0, (n, d.code())
+                checked += 1
+        sampled += checked
+    report(
+        11,
+        True,
+        "v21**n has F-order exactly n for n = 1..4: n-site sums n! on n concatenated "
+        f"copies, (n + 1)-site sums 0 on n + 1 copies and on {sampled} seeded diagrams",
+    )

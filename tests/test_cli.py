@@ -513,7 +513,7 @@ class TestBudgetFlag:
 
     @pytest.mark.parametrize("cap", ["0", "5"])
     def test_trivialize_refuses_cap_chords(self, capsys, cap):
-        # trivialize's search is bounded by --depth alone
+        # trivialize's search is bounded by --depth and --max-nodes
         code = main(["trivialize", "--code", "O1+ O2+ U1+ U2+", "--cap-chords", cap])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
@@ -611,8 +611,9 @@ class TestCliGolden:
          "2bb0aa5b7e64a05531a2f0541b5bae7e8a0c53c37147ef448b94ce2075780a5e"),
         (["kh", "--code", T, "--kind", "braided"],
          "f68086882c3ea8e203dbb778a4a6ec7a444fdc8bf27adff409bad881b86145ab"),
+        # re-derived when trivialize got --max-nodes, which its usage lists
         (["trivialize", "--code", VIRTUAL_TREFOIL, "--depth", "x"],
-         "fbdd3a68d66555f2a9fae3eb9c5faebc49ea972c5e424e568744a6ea86b444c2"),
+         "2f1ff4fa349017aad64b6cc1e6c6da361fb6e7e03716d2d5c7d3b20d2ab9e091"),
         (["gpv-sum", "--code", T, "--kind", "long"],
          "c6a80ec914c6dc573478f3c8e41b497e3b91e58249995914460dba030a76a2d7"),
         (["braid", "--word", "s1 s1", "--bk", "2"],
@@ -1082,6 +1083,18 @@ class TestFuzz:
             codes[code] += 1
         # the cases reach every exit code, and most are refused
         assert min(codes.values()) >= 20 and codes[1] > codes[0] + codes[2], codes
+
+    def test_trivialize_stops_at_its_node_cap(self, capsys):
+        # uncapped, this search expands 10,673 nodes up to --depth 20 (and
+        # 45 s were not enough for a 16-chord diagram at --depth 24)
+        code = random_diagram(random.Random(2), 12, "closed").code()
+        argv = ["trivialize", "--code", code, "--depth", "20", "--max-nodes", "1000"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: trivialize capped at 1000 expanded nodes, reached at depth limit 13 "
+            "of 20\n")
+        assert main(argv[:-2] + ["--max-nodes", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: trivialize node cap must be >= 0\n")
 
     @pytest.mark.parametrize(
         "error", [ParseError, ArrowError, BraidError, FamilyError, MoveError, CapExceeded])

@@ -820,6 +820,24 @@ class TestTrivializeForbidden:
         for d in (parse_gauss_code(""), VT):
             with pytest.raises(MoveError, match="trivialize budget must be >= 0"):
                 trivialize_forbidden(d, -1)
+            with pytest.raises(MoveError, match="trivialize node cap must be >= 0"):
+                trivialize_forbidden(d, 3, node_cap=-1)
+
+    def test_node_cap_stops_before_the_node_past_it(self):
+        # this search expands 10,673 nodes over depth limits 0 to 20 and
+        # finds no trace; a cap of that many lets it finish, one less stops
+        # it before the last node, and the stop names the cap and the limit
+        d = random_diagram(random.Random(2), 12, "closed")
+        stats = SearchStats()
+        assert trivialize_forbidden(d, 20, stats=stats, node_cap=10_673) is None
+        assert (stats.expanded, stats.budget_spent) == (10_673, True)
+        with pytest.raises(khovanov.CapExceeded, match=(
+                "^trivialize capped at 10672 expanded nodes, reached at depth limit 20 of 20$")):
+            trivialize_forbidden(d, 20, node_cap=10_672)
+        # limits 0 to 6 prune the root by its sign counts and expand nothing
+        with pytest.raises(khovanov.CapExceeded, match="capped at 0 .* depth limit 7 of 20$"):
+            trivialize_forbidden(d, 20, node_cap=0)
+        assert trivialize_forbidden(parse_gauss_code(""), 20, node_cap=0) == []
 
 
 def with_signs(d, positive):

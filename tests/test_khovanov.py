@@ -622,7 +622,6 @@ class TestChordReversal:
         for d in closed_corpus(4242, range(1, 10)):
             before = self.space(d)
             arcs, sizes, census = before.walk(labelled=True)
-            switches = [list(before.switches(mask, arcs, sizes)) for mask in range(1 << d.n)]
             sums = (homology(d).as_dict(), jones_hat(d), bracket(d))
             ids = list(d.chord_ids())
             for subset in (ids, rng.sample(ids, rng.randint(1, d.n))):
@@ -634,9 +633,9 @@ class TestChordReversal:
                 after = self.space(flipped)
                 assert after.walk(labelled=False) == ([], [], census), flipped.code()
                 assert after.walk(labelled=True) == (arcs, sizes, census), flipped.code()
-                assert [
-                    list(after.switches(mask, arcs, sizes)) for mask in range(1 << d.n)
-                ] == switches, flipped.code()
+                # homology reads each switch at the head arcs of a reversed
+                # chord, where it read the tail arcs; TestHomologyOracle
+                # checks the switches it reads against traced circles
                 assert (homology(flipped).as_dict(), jones_hat(flipped), bracket(flipped)) == sums
 
 
@@ -740,6 +739,26 @@ def oracle_images(sw, carry, lam):
     return [base | (1 << b), base | (1 << c)]
 
 
+def walk_switch(sp, arcs, sizes, mask, k):
+    """The switch of chord ``k`` from state ``mask`` as (kind, a, b, c),
+    read off the walk's circle labels at the chord's tail arcs u and v, as
+    the row pass of ``homology`` reads it: old circles a < b merge into new
+    circle c, or old circle a splits into new circles b < c."""
+    m = 2 * sp.n
+    u, v = (sp.chords[k].tail - 1) % m, sp.chords[k].tail
+    new_mask = mask | 1 << k
+    old, new = arcs[mask], arcs[new_mask]
+    delta = sizes[new_mask] - sizes[mask]
+    if delta == -1:
+        a, b = sorted((old[u], old[v]))
+        return "merge", a, b, new[u]
+    if delta == 1:
+        b, c = sorted((new[u], new[v]))
+        return "split", old[u], b, c
+    assert delta == 0, (mask, k)
+    return "zero", -1, -1, -1
+
+
 class TestSwitch:
     def test_local_switch_matches_tuple_diff(self):
         rng = random.Random(4040)
@@ -752,26 +771,18 @@ class TestSwitch:
             arcs, sizes, _ = sp.walk(labelled=True)
             for mask in range(1 << sp.n):
                 size = len(sp.circles(mask))
-                got = {
-                    new_mask: ("split" if split else "merge", a, b, c)
-                    for new_mask, split, a, b, c in sp.switches(mask, arcs, sizes)
-                }
                 for k in range(sp.n):
                     if (mask >> k) & 1:
                         continue
                     want, carry = oracle_switch(sp, mask, k)
                     kinds.add(want[0])
+                    assert walk_switch(sp, arcs, sizes, mask, k) == want, (d.code(), mask, k)
                     if want[0] == "zero":
-                        # a switch that keeps the circle count is not listed
-                        assert mask | (1 << k) not in got, (d.code(), mask, k)
                         continue
-                    assert got.pop(mask | (1 << k)) == want, (d.code(), mask, k)
                     # untouched circles keep their relative order
                     assert sorted(carry.values()) == [carry[i] for i in sorted(carry)]
                     for lam in range(1 << size):
                         assert _switch_images(want, lam) == oracle_images(want, carry, lam)
-                # every listed switch raises one positive marker of mask
-                assert got == {}, (d.code(), mask)
         assert kinds == {"zero", "merge", "split"}
 
     def test_touched_circles_keep_the_lower_index(self):
@@ -782,26 +793,51 @@ class TestSwitch:
         rng = random.Random(4141)
         diagrams = [random_diagram(rng, n, "closed") for n in range(1, 9) for _ in range(4)]
         diagrams += [random_braid_closure(rng, real) for real in (6, 8, 10)]
-        counts = {0: 0, 1: 0}
+        counts = {"merge": 0, "split": 0}
         for d in diagrams:
             sp = _space(d)
             arcs, sizes, _ = sp.walk(labelled=True)
             for mask in range(1 << sp.n):
-                for _, split, a, b, c in sp.switches(mask, arcs, sizes):
-                    assert (b if split else c) == a, (d.code(), mask)
-                    counts[split] += 1
+                for k in range(sp.n):
+                    if (mask >> k) & 1:
+                        continue
+                    kind, a, b, c = walk_switch(sp, arcs, sizes, mask, k)
+                    if kind != "zero":
+                        assert (c if kind == "merge" else b) == a, (d.code(), mask)
+                        counts[kind] += 1
         assert min(counts.values()) > 1000
 
-    def test_count_jump_of_two_trips_the_switch_guard(self):
+    @staticmethod
+    def forge_count(monkeypatch, state, jump):
+        """Make every walk add ``jump`` to the circle count of ``state`` of
+        the trefoil, whose states have 2, 1, 1, 2, 1, 2, 2, 3 circles by
+        mask."""
+        walk = khovanov._StateSpace.walk
+
+        def forged(self, *, labelled):
+            arcs, sizes, census = walk(self, labelled=labelled)
+            assert sizes == [2, 1, 1, 2, 1, 2, 2, 3]
+            sizes[state] += jump
+            return arcs, sizes, census
+
+        monkeypatch.setattr(khovanov._StateSpace, "walk", forged)
+
+    def test_count_jump_of_two_trips_the_switch_guard(self, monkeypatch):
         # a switch changes the circle count by -1, 0 or +1; forged circle
-        # counts that jump by 2 must raise, not be read as a merge or split
-        sp = _space(TREFOIL)
-        arcs, sizes, _ = sp.walk(labelled=True)
-        assert sp.switches(0, arcs, sizes)
-        forged = list(sizes)
-        forged[1] = sizes[0] + 2
+        # counts that jump by 2 must raise, not be read as a merge or split:
+        # state 1 forged to 4 circles jumps by 2 to state 3
+        self.forge_count(monkeypatch, 1, 3)
         with pytest.raises(AssertionError, match="changes the circle count by at most 1"):
-            sp.switches(0, arcs, forged)
+            homology(TREFOIL)
+
+    def test_count_jump_on_a_map_read_before_trips_the_switch_guard(self, monkeypatch):
+        # state 3 forged to 3 circles is jumped to by 2 from state 2, whose
+        # labels there read as the split of state 4 to state 5, which the
+        # pass has read before: the guard runs on every switch, not only
+        # where a switch map's columns are first looked up
+        self.forge_count(monkeypatch, 3, 1)
+        with pytest.raises(AssertionError, match="changes the circle count by at most 1"):
+            homology(TREFOIL)
 
     def test_dropped_split_image_trips_d_o_d(self, monkeypatch):
         def lossy(sw, lam):

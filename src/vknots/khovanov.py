@@ -689,9 +689,8 @@ def homology_and_bracket(
     # - 1 every label is x, a merge's column there is 0 (x*x = 0, which
     # _x_columns checks), and the pad is where that 0 lands.  The blocks a
     # state's rows go to, one per t, are keyed by its negative marker count
-    # and circle count.  A switch is read at the arcs (u, v) ending and
-    # starting at its chord's tail, on different strands of either
-    # smoothing there.
+    # and circle count.  A switch is read at the arcs u, v ending and
+    # starting at its chord's tail (see "Differential" above).
     base = top + 1
     i0 = sp.homological_i(0)
     tails = [(1 << k, (c.tail - 1) % (2 * sp.n), c.tail) for k, c in enumerate(sp.chords)]
@@ -740,8 +739,9 @@ def homology_and_bracket(
             else:
                 raise AssertionError("a marker switch changes the circle count by at most 1")
             key = ((head + a) * base + b) * base + c
-            cols = columns.get(key)
-            if cols is None:
+            try:
+                cols = columns[key]
+            except KeyError:
                 sw = ("merge" if head == merge_key else "split", a, b, c)
                 cols = columns[key] = _x_columns(sw, size)
             if size > 2:

@@ -633,9 +633,9 @@ class TestChordReversal:
                 after = self.space(flipped)
                 assert after.walk(labelled=False) == ([], [], census), flipped.code()
                 assert after.walk(labelled=True) == (arcs, sizes, census), flipped.code()
-                # homology reads each switch at the head arcs of a reversed
-                # chord, where it read the tail arcs; TestHomologyOracle
-                # checks the switches it reads against traced circles
+                # homology reads a reversed chord's switches at its new
+                # tail arcs, its old head arcs: the equality below and
+                # TestHomologyOracle cover them
                 assert (homology(flipped).as_dict(), jones_hat(flipped), bracket(flipped)) == sums
 
 

@@ -713,9 +713,9 @@ def homology_and_bracket(
         shifted[mask] = lengths[1:]
         old = arcs[mask]
         merge_key = 2 * size * base
-        parts = []
-        # the rows of mu = 0 and mu = 1 of a state of one or two circles
+        # a state of one or two circles ORs its rows mu = 0, 1 switch by switch
         low = high = 0
+        parts = [] if size > 2 else None
         for bit, u, v in tails:
             if mask & bit:
                 continue

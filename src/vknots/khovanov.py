@@ -165,8 +165,7 @@ State space
     t = size - 1 every label is x and a merge's column is 0 (x*x = 0,
     checked in :func:`_x_columns`), so it lands on the pad and no
     per-state filter drops merges there.  A state of one or two circles
-    ORs each switch's columns into its rows as it reads the switch; a
-    larger state builds its rows per t afterwards.
+    ORs its rows switch by switch; a larger one builds them per t.
 """
 
 from __future__ import annotations
@@ -681,19 +680,22 @@ def homology_and_bracket(
     groups = [_bit_order(size - 1)[1] for size in range(1, top + 1)]
 
     # Column bits of the images of every mu under one switch, relative to
-    # the target state's block offset, keyed by the switch data and the
-    # circle count as one int headed by 2 * size (plus 1 for a split).
-    # Images keep j, so a merge keeps the number of x-labels and a split
-    # adds one: a merge reads the target's offsets, a split its offsets
-    # from t = 1 on (shifted).  The offsets end in a padded 0: at t = size
-    # - 1 every label is x, a merge's column there is 0 (x*x = 0, which
-    # _x_columns checks), and the pad is where that 0 lands.  The blocks a
-    # state's rows go to, one per t, are keyed by its negative marker count
-    # and circle count.  A switch is read at the arcs u, v ending and
-    # starting at its chord's tail (see "Differential" above).
+    # the target's block offset, keyed by one int: 2 * size (plus 1 for a
+    # split), then the switch data.  Images keep j, so a merge keeps the
+    # x-label count and reads the target's offsets (padded with the 0 where
+    # x*x = 0 lands), and a split adds one and reads them from t = 1 on
+    # (shifted).  A state's blocks, one per t, are keyed by its negative
+    # marker count and circle count.
     base = top + 1
     i0 = sp.homological_i(0)
+    # per chord its mask bit and the arcs u, v ending and starting at its
+    # tail; per value of a mask's low or high half, the chords of its 0 bits
     tails = [(1 << k, (c.tail - 1) % (2 * sp.n), c.tail) for k, c in enumerate(sp.chords)]
+    half, below = sp.n // 2, (1 << sp.n // 2) - 1
+    low_half, high_half = (
+        [[t for t in tails[lo:hi] if not (part << lo) & t[0]] for part in range(1 << hi - lo)]
+        for lo, hi in ((0, half), (half, sp.n))
+    )
     columns: dict[int, tuple[int, ...]] = {}
     offsets: list[tuple[int, ...]] = [()] * len(sizes)
     shifted = offsets.copy()
@@ -716,9 +718,7 @@ def homology_and_bracket(
         # a state of one or two circles ORs its rows mu = 0, 1 switch by switch
         low = high = 0
         parts = [] if size > 2 else None
-        for bit, u, v in tails:
-            if mask & bit:
-                continue
+        for bit, u, v in low_half[mask & below] + high_half[mask >> half]:
             new_mask = mask | bit
             new_size = sizes[new_mask]
             if new_size == size:

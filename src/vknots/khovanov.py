@@ -689,7 +689,7 @@ def homology_and_bracket(
     base = top + 1
     i0 = sp.homological_i(0)
     # per chord its mask bit and the arcs u, v ending and starting at its
-    # tail; per value of a mask's low or high half, the chords of its 0 bits
+    # tail; per value of a mask's low or high half, its positive-marker chords
     tails = [(1 << k, (c.tail - 1) % (2 * sp.n), c.tail) for k, c in enumerate(sp.chords)]
     half, below = sp.n // 2, (1 << sp.n // 2) - 1
     low_half, high_half = (

@@ -24,7 +24,7 @@ import json
 import re
 from collections import namedtuple
 from operator import itemgetter
-from typing import Iterable, Literal
+from typing import Container, Iterable, Literal
 
 Kind = Literal["closed", "long"]
 
@@ -232,7 +232,7 @@ class GaussDiagram:
         if self.kind != "closed":
             raise DiagramError("only closed diagrams can be rotated")
         m = self.slot_count
-        return self._reordered([(r + i) % m for i in range(m)])
+        return self._moved([(s - r) % m for s in range(m)])
 
     # -- chord surgery ------------------------------------------------------
 
@@ -242,27 +242,23 @@ class GaussDiagram:
         for cid in drop:
             self.chord(cid)
         dead = {s for c in self.chords if c.id in drop for s in (c.tail, c.head)}
-        return self._reordered([s for s in range(self.slot_count) if s not in dead])
+        return self._moved(_drop_map(self.slot_count, dead))
 
     def swap_slots(self, a: int, b: int) -> GaussDiagram:
         """Exchange the endpoints in slots a and b (chord data otherwise kept).
 
-        No library path calls it: ``moves.apply_move`` swaps slots through
-        ``moves._slot_order``, and the tests check its R3 rewrite against
+        No library path calls it: ``moves.apply_move`` swaps slots along
+        ``moves._slot_map``, and the tests check its R3 rewrite against
         three chained swaps."""
         m = self.slot_count
-        order = list(range(m))
-        order[a % m], order[b % m] = order[b % m], order[a % m]
-        return self._reordered(order)
+        where = list(range(m))
+        where[a % m], where[b % m] = b % m, a % m
+        return self._moved(where)
 
-    def _reordered(self, order: list[int]) -> GaussDiagram:
-        """The diagram whose slot i holds the endpoint of old slot
-        ``order[i]``; a chord with neither end listed is dropped, and one
-        with one end listed is refused.  Chords that keep their slots are
-        reused.  :func:`reorder_cells` is the same rewrite of the cells."""
-        where = [-1] * self.slot_count
-        for i, s in enumerate(order):
-            where[s] = i
+    def _moved(self, where: list[int]) -> GaussDiagram:
+        """The diagram whose slot ``where[s]`` holds the endpoint of old
+        slot s; a chord with both ends at -1 is dropped, and one with one
+        end at -1 is refused.  Chords that keep their slots are reused."""
         return GaussDiagram(
             self.kind,
             (
@@ -333,18 +329,16 @@ def pair_starts(kind: Kind, m: int) -> range:
     return range(m)
 
 
-def reorder_cells(cells: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
-    """Cells of the diagram whose slot i holds the endpoint of old slot
-    ``order[i]``, as :meth:`GaussDiagram._reordered` builds it: ``order``
-    lists each kept chord's two ends and no end of a dropped chord."""
-    m, k = len(cells), len(order)
-    where = [0] * m
-    for i, s in enumerate(order):
-        where[s] = i
-    return tuple(
-        cells[s] // m * k + (where[(s + cells[s]) % m] - i) % k
-        for i, s in enumerate(order)
-    )
+def _drop_map(m: int, dead: Container[int]) -> list[int]:
+    """The old -> new slot map of m slots that drops the slots in ``dead``
+    and keeps the others in order: ``where[s]`` is -1 for a dropped slot."""
+    where = [-1] * m
+    i = 0
+    for s in range(m):
+        if s not in dead:
+            where[s] = i
+            i += 1
+    return where
 
 
 def rotation_key(kind: Kind, cells: tuple[int, ...]) -> tuple:

@@ -43,6 +43,7 @@ from .moves import (
     MoveError,
     MoveEvent,
     SearchStats,
+    _SHAPE,
     _child_cells,
     _sites,
     apply_move,
@@ -394,9 +395,10 @@ def check_n_trivial(
 # -- unknotting search over forbidden + Reidemeister moves -------------------------
 
 
-# The kinds the search moves by.  A node's children come in the order
-# R2_del, R1_del, Fo, Fu, R3, each kind ordered by its site data.
-_SEARCH_KINDS = ("R1_del", "R2_del", "R3", "Fo", "Fu")
+# The kinds the search moves by, the slot-local ones that lead their data
+# with pair starts.  A node's children come in the order R2_del, R1_del,
+# Fo, Fu, R3, each kind ordered by its site data.
+_SEARCH_KINDS = tuple(kind for kind, shape in _SHAPE.items() if shape[2])
 # Nodes trivialize_forbidden expands, over all its depth limits, before it
 # gives up: a few seconds of search.  No depth-6 request of the small-batch
 # benchmark expands more than 310.

@@ -39,22 +39,28 @@ from .diagram import (
     DiagramError,
     GaussDiagram,
     Kind,
+    _drop_map,
     pair_starts,
-    reorder_cells,
     rotation_key,
     virtualize,
 )
 
-MOVE_KINDS = (
-    "R1_add",
-    "R1_del",
-    "R2_add",
-    "R2_del",
-    "R3",
-    "virtualize",
-    "Fo",
-    "Fu",
-)
+# The one table of move kinds.  Per kind: the length of its event data,
+# how many of its leading fields are ints (slots, gaps or a chord id), and
+# how many of those are the starts of the adjacent pairs a slot-local site
+# reads (0 for the kinds no recognizer reads).
+_SHAPE = {
+    "R1_add": (3, 1, 0),
+    "R1_del": (3, 1, 1),
+    "R2_add": (5, 2, 0),
+    "R2_del": (4, 2, 2),
+    "R3": (3, 3, 3),
+    "virtualize": (1, 1, 0),
+    "Fo": (1, 1, 1),
+    "Fu": (1, 1, 1),
+}
+
+MOVE_KINDS = tuple(_SHAPE)
 
 REDUCING_KINDS = ("R1_del", "R2_del", "R3")
 
@@ -244,48 +250,42 @@ def enumerate_moves(
     return events + [MoveEvent(*site) for site in forbidden]
 
 
-# How many adjacent pair starts lead each slot-local event's data.
-_PAIRS = {"R1_del": 1, "R2_del": 2, "R3": 3, "Fo": 1, "Fu": 1}
-
-# The length of each kind's event data, and how many of its leading fields
-# are ints: slots, gaps or a chord id.
-_SHAPE = {
-    "R1_del": (3, 1),
-    "R1_add": (3, 1),
-    "R2_del": (4, 2),
-    "R2_add": (5, 2),
-    "R3": (3, 3),
-    "virtualize": (1, 1),
-    "Fo": (1, 1),
-    "Fu": (1, 1),
-}
-
-
-def _slot_order(m: int, kind: str, data: tuple) -> list[int]:
-    """The old slots of a diagram with m slots, in the order a site's move
-    leaves them: R1_del and R2_del drop their pairs, R3, Fo and Fu swap the
-    two ends inside each of theirs.  ``(kind, data)`` must be a site."""
-    starts = data[: _PAIRS[kind]]
+def _slot_map(m: int, kind: str, data: tuple) -> list[int]:
+    """Where a site's move sends each old slot of a diagram with m slots:
+    ``where[s]`` is the new slot of old slot s, or -1 when the move drops
+    it.  R1_del and R2_del drop their pairs and keep the other slots in
+    order; R3, Fo and Fu swap the two ends inside each of theirs.
+    ``(kind, data)`` must be a site."""
+    starts = data[: _SHAPE[kind][2]]
     if kind == "R1_del" or kind == "R2_del":
-        dead = {s for k in starts for s in (k, (k + 1) % m)}
-        return [s for s in range(m) if s not in dead]
+        return _drop_map(m, {s for k in starts for s in (k, (k + 1) % m)})
     # an R3 site's six slots are distinct, so its three swaps commute
-    order = list(range(m))
+    where = list(range(m))
     for k in starts:
-        order[k], order[(k + 1) % m] = order[(k + 1) % m], order[k]
-    return order
+        where[k], where[(k + 1) % m] = (k + 1) % m, k
+    return where
 
 
 def _child_cells(cells: tuple[int, ...], site: tuple[str, tuple]) -> tuple[int, ...]:
     """The cells of the diagram a site's move leaves, equal to the cells of
-    :func:`apply_move`'s result.  An R1_del or R2_del child is
-    ``reorder_cells`` along :func:`_slot_order`.  An R3, Fo or Fu child
+    :func:`apply_move`'s result.  An R1_del or R2_del child's cell at new
+    slot ``where[s]`` is read off :func:`_slot_map` as old slot s's role
+    and sign with the new offset to its other end.  An R3, Fo or Fu child
     keeps m slots and rewrites only the cells of its swapped slots and of
     their partners: every data field of these kinds is a pair start."""
     kind, data = site
     m = len(cells)
     if kind == "R1_del" or kind == "R2_del":
-        return reorder_cells(cells, _slot_order(m, kind, data))
+        where = _slot_map(m, kind, data)
+        k = m - 2 * _SHAPE[kind][2]
+        # a loop, not a comprehension: a closure would turn this function's
+        # locals into cells and slow down the swap branch below
+        child = []
+        for s, w in enumerate(where):
+            if w >= 0:
+                c = cells[s]
+                child.append(c // m * k + (where[(s + c) % m] - w) % k)
+        return tuple(child)
     moved = {}  # old slot -> new slot
     for k in data:
         k1 = (k + 1) % m
@@ -311,7 +311,7 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
     event's data is malformed (the wrong length, or a slot, gap or chord id
     that is not an int; a bool is not one) and when the event is stale."""
     kind, data = event.kind, event.data
-    length, ints = _SHAPE[kind]
+    length, ints, pairs = _SHAPE[kind]
     if (
         not isinstance(data, tuple)
         or len(data) != length
@@ -321,14 +321,14 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
             f"{kind}: malformed data {data!r}: want a tuple of {length} fields, "
             f"the first {ints} of them ints")
 
-    if kind in _PAIRS:
+    if pairs:
         k = data[0]
         dkind, cells = diagram._eq_key()
         if k not in pair_starts(dkind, len(cells)) or (kind, data) not in itertools.chain(
             *_sites(dkind, cells, (k,), (kind,))
         ):
             raise MoveError(f"{kind}: {data} is not a {kind} site of the diagram")
-        return diagram._reordered(_slot_order(len(cells), kind, data))
+        return diagram._moved(_slot_map(len(cells), kind, data))
 
     if kind == "R1_add":
         g, sign, orient = data

@@ -362,7 +362,7 @@ class TestSearchKernel:
                     child = moves._child_cells(cells, site)
                     assert child == apply_move(d, MoveEvent(*site))._eq_key()[1], (d, site)
                     counts[site[0]] += 1
-                    wraps += kind == "closed" and m - 1 in site[1][:moves._PAIRS[site[0]]]
+                    wraps += kind == "closed" and m - 1 in site[1][:moves._SHAPE[site[0]][2]]
         assert min(counts.values()) > 20 and wraps > 20, (counts, wraps)
 
     def test_searches_build_events_only_for_the_returned_trace(self, monkeypatch):

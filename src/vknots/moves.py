@@ -308,8 +308,10 @@ def _child_cells(cells: tuple[int, ...], site: tuple[str, tuple]) -> tuple[int, 
 
 def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
     """Rewrite ``diagram`` at the event's site.  Raises MoveError when the
-    event's data is malformed (the wrong length, or a slot, gap or chord id
-    that is not an int; a bool is not one) and when the event is stale."""
+    event's data is malformed (the wrong length, a slot, gap or chord id
+    that is not an int, since a bool is not one, an R1_add orient other
+    than 'OU' or 'UO', or an R2_add parity that is not a bool) and when
+    the event is stale."""
     kind, data = event.kind, event.data
     length, ints, pairs = _SHAPE[kind]
     if (
@@ -317,9 +319,15 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
         or len(data) != length
         or not all(type(x) is int for x in data[:ints])
     ):
-        raise MoveError(
-            f"{kind}: malformed data {data!r}: want a tuple of {length} fields, "
-            f"the first {ints} of them ints")
+        fault = f"want a tuple of {length} fields, the first {ints} of them ints"
+    elif kind == "R1_add" and data[2] not in ("OU", "UO"):
+        fault = "its orient must be 'OU' or 'UO'"
+    elif kind == "R2_add" and type(data[2]) is not bool:
+        fault = "its parity must be a bool"
+    else:
+        fault = None
+    if fault:
+        raise MoveError(f"{kind}: malformed data {data!r}: {fault}")
 
     if pairs:
         k = data[0]

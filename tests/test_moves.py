@@ -305,6 +305,8 @@ class TestMalformedEvents:
         MoveEvent("R1_add", ()),
         MoveEvent("R2_add", (0, 0, True, 1)),
         MoveEvent("R2_add", (0, False, True, 1, "t")),
+        MoveEvent("R1_add", (0, 1, "zz")),
+        MoveEvent("R2_add", (0, 3, "yes", 1, "t")),
     ])
     def test_refused_with_move_error(self, event):
         d = parse_gauss_code("O1+ O2- U1+ U2- O3+ U3+", "long")

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import random
 import signal
@@ -15,7 +16,7 @@ from vknots.braids import BraidError
 from vknots.corpus import GPV2_TRIVIAL, RIGHT_TREFOIL, VIRTUAL_TREFOIL, random_diagram
 from vknots.diagram import DiagramError, GaussDiagram, ParseError, parse_gauss_code
 from vknots.forbidden import FamilyError
-from vknots.khovanov import MAX_CAP_CHORDS, CapExceeded
+from vknots.khovanov import MAX_CAP_CHORDS, CapExceeded, GradedDims
 from vknots.moves import MoveError, apply_move, enumerate_moves, simplify
 
 
@@ -64,6 +65,17 @@ class TestKh:
         assert code == 2 and report == {"code": d.code(), "skipped": True, "chords": 7}
         code, (report,) = run_json(capsys, "kh", "--code", d.code(), "--cap-chords", "7")
         assert code == 0 and report["writhe"] == 3 and report["euler_check"] == "ok"
+
+    def test_stdin_input_prints_what_code_does(self, capsys, monkeypatch):
+        want = run(capsys, "kh", "--code", RIGHT_TREFOIL)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(RIGHT_TREFOIL + "\n"))
+        assert run(capsys, "kh", "--input", "-") == want and want[0] == 0
+
+    def test_no_input_is_exit_1(self, capsys):
+        code = main(["kh"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: no input: pass --input FILE or --code 'O1+ ...'\n"
 
     @pytest.mark.parametrize("cap", ["17", "40", "-1"])
     def test_cap_outside_ceiling_is_exit_1(self, capsys, cap):
@@ -345,6 +357,34 @@ class TestNTrivial:
         code, (report,) = run_json(capsys, *argv, "--cap-chords", "1")
         assert code == 2 and report["subsets"][0]["status"] == "unknown"
         assert report["subsets"][0]["witness"] is None
+
+    def test_khovanov_row_refutes_when_jones_matches(self, capsys, tmp_path, monkeypatch):
+        # no seeded random diagram of 3-9 chords has the unknot's jones_hat
+        # and another Z2 table, so both rows are stubbed; the search cannot
+        # empty the virtual trefoil left after dropping the kink
+        table = {(0, -1): 1, (0, 1): 1, (1, 3): 1}
+        read = []
+
+        def jones_hat(d):
+            read.append(("jones_hat", d.code()))
+            return forbidden.UNKNOT_JONES
+
+        def homology(d, cap):
+            read.append(("homology", d.code()))
+            return GradedDims.from_dict(table)
+
+        monkeypatch.setattr(forbidden, "jones_hat", jones_hat)
+        monkeypatch.setattr(forbidden, "homology", homology)
+        witness = ("khovanov", "{(0, -1): 1, (0, 1): 1, (1, 3): 1}", "{(0, -1): 1, (0, 1): 1}")
+        v = forbidden.certify_trivial(parse_gauss_code(VIRTUAL_TREFOIL))
+        assert (v.status, v.witness) == ("refuted", witness)
+        assert read == [("jones_hat", VIRTUAL_TREFOIL), ("homology", VIRTUAL_TREFOIL)]
+        path = tmp_path / "fams.json"
+        path.write_text('{"mode": "GPV", "families": [[3]]}')
+        argv = ["ntrivial", "--code", VIRTUAL_TREFOIL + " O3+ U3+", "--families", str(path)]
+        code, (report,) = run_json(capsys, *argv)
+        assert code == 0 and report["subsets"][0]["status"] == "refuted"
+        assert report["subsets"][0]["witness"] == list(witness)
 
     def test_unknown_subsets_named_on_stderr(self, capsys, tmp_path):
         # with no node to expand, the search certifies only the subset that

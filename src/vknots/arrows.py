@@ -308,11 +308,19 @@ def gpv_alt_sum(
     diagram with V deleted.  Vanishing for every set of n+1 chords is the
     defining property of GPV-order <= n.
     """
+    return sum(sign * invariant(d) for sign, d in _virtualization_terms(diagram, chord_ids))
+
+
+def _virtualization_terms(
+    diagram: GaussDiagram, chord_ids: Iterable[int]
+) -> Iterator[tuple[int, GaussDiagram]]:
+    """:func:`_alternating_terms` over the virtualizations of the distinct
+    ``chord_ids``, in id order; raises DiagramError for an unknown id
+    before any term is built."""
     ids = sorted(set(chord_ids))
     for cid in ids:
         diagram.chord(cid)
-    events = [MoveEvent("virtualize", (cid,)) for cid in ids]
-    return sum(sign * invariant(d) for sign, d in _alternating_terms(diagram, events))
+    return _alternating_terms(diagram, [MoveEvent("virtualize", (cid,)) for cid in ids])
 
 
 # -- JSON interface ---------------------------------------------------------------

@@ -50,7 +50,7 @@ from .moves import (
     apply_trace,
     simplify,
 )
-from .arrows import Invariant, _alternating_terms, v21, v22
+from .arrows import Invariant, _alternating_terms, _virtualization_terms, v21, v22
 
 UNKNOT_TABLE = {(0, -1): 1, (0, 1): 1}
 UNKNOT_JONES = LaurentPoly({1: 1, -1: 1})
@@ -221,11 +221,7 @@ def expand_semivirtual(
 ) -> FormalDiagramSum:
     """Resolve semi-virtual marks: each marked crossing expands to
     (real - virtual), giving 2**|M| signed terms."""
-    ids = sorted(set(chord_ids))
-    for cid in ids:
-        diagram.chord(cid)
-    events = [MoveEvent("virtualize", (cid,)) for cid in ids]
-    return FormalDiagramSum(tuple(_alternating_terms(diagram, events)))
+    return FormalDiagramSum(tuple(_virtualization_terms(diagram, chord_ids)))
 
 
 def expand_semitriple(

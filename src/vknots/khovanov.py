@@ -491,10 +491,8 @@ def jones_hat(diagram: GaussDiagram) -> LaurentPoly:
     (-1)**i(S) * q**j(S).  Invariant under all generalized Reidemeister
     moves.  Read off the bracket: :func:`jones_from_bracket` maps its term
     A**(sigma + 4k - 2s) * (-1)**s * C(s, k) to (-1)**i * q**(w + i + s -
-    2k) * C(s, k), the state sum's term.  It does not call :func:`bracket`,
-    so counting that name counts only the bracket's own callers."""
-    sp = _space(diagram)
-    return jones_from_bracket(_census_bracket(sp.n, sp.walk(labelled=False)[2]), sp.w)
+    2k) * C(s, k), the state sum's term."""
+    return jones_from_bracket(bracket(diagram), writhe(diagram))
 
 
 def jones_from_bracket(br: LaurentPoly, w: int) -> LaurentPoly:

@@ -4,7 +4,14 @@ Subcommands: eval, kh, gpv-sum, f-sum, ntrivial, trivialize, braid,
 lemma5, selftest.  Exit status: 0 on success, 1 on input errors (argparse
 usage errors included; every refusal of input derives from
 :class:`~vknots.diagram.DiagramError`), 2 when a cap or search budget was
-exhausted (a partial report is still printed).
+exhausted.  On exit 2 a report is still printed for the skipped rows of
+``kh``, ``lemma5`` and ``braid --scan``, the unknown subsets of
+``ntrivial``, and ``trivialize`` when a diagram gets no trace (its
+``--depth`` or its move graph ran out).  No report is printed when a cap
+is raised as :class:`~vknots.khovanov.CapExceeded`: the chord cap of
+``eval``, the subset caps of ``gpv-sum``, ``f-sum`` and ``ntrivial``, the
+``braid`` bounds, and ``trivialize --max-nodes``, which also drops the
+reports of the diagrams searched before it binds.
 JSON output is deterministic (sorted keys) for a fixed config and seed.
 """
 

@@ -299,18 +299,6 @@ def _alternating_terms(
             yield (-1) ** r, apply_trace(diagram, chosen)
 
 
-def gpv_alt_sum(
-    invariant: Invariant, diagram: GaussDiagram, chord_ids: Iterable[int]
-) -> int:
-    """Alternating sum of ``invariant`` over all virtualizations of ``chord_ids``.
-
-    Sum over subsets V of the chosen chords of (-1)**|V| applied to the
-    diagram with V deleted.  Vanishing for every set of n+1 chords is the
-    defining property of GPV-order <= n.
-    """
-    return sum(sign * invariant(d) for sign, d in _virtualization_terms(diagram, chord_ids))
-
-
 def _virtualization_terms(
     diagram: GaussDiagram, chord_ids: Iterable[int]
 ) -> Iterator[tuple[int, GaussDiagram]]:
@@ -321,6 +309,18 @@ def _virtualization_terms(
     for cid in ids:
         diagram.chord(cid)
     return _alternating_terms(diagram, [MoveEvent("virtualize", (cid,)) for cid in ids])
+
+
+def gpv_alt_sum(
+    invariant: Invariant, diagram: GaussDiagram, chord_ids: Iterable[int]
+) -> int:
+    """Alternating sum of ``invariant`` over all virtualizations of ``chord_ids``.
+
+    Sum over subsets V of the chosen chords of (-1)**|V| applied to the
+    diagram with V deleted.  Vanishing for every set of n+1 chords is the
+    defining property of GPV-order <= n.
+    """
+    return sum(sign * invariant(d) for sign, d in _virtualization_terms(diagram, chord_ids))
 
 
 # -- JSON interface ---------------------------------------------------------------

@@ -545,3 +545,26 @@ class TestSearchGolden:
                     for k, v in verdicts.items()))).encode())
         assert h.hexdigest() == (
             "490cd33f290073a49e02c60677a88ed628ae0756ef38582cfb7d2a1b0bfbfd8e")
+
+
+class TestAddMoveGolden:
+    """One sha256 over the chords of every R1_add and R2_add result on
+    seeded diagrams: both orients, parities, roles and signs, and equal,
+    crossed and end gaps.  Each diagram is read twice, the second time
+    with its chord ids tripled, so that a new id counts from the largest
+    id and not from the chord count."""
+
+    def test_apply_move(self):
+        rng = random.Random(4001)
+        h = hashlib.sha256()
+        for n in range(7):
+            for kind in ("closed", "long"):
+                for make in (random_diagram, scrambled_diagram):
+                    d = make(rng, n, kind)
+                    spaced = GaussDiagram(kind, [c._replace(id=3 * c.id) for c in d.chords])
+                    for diagram in (d, spaced):
+                        for e in enumerate_moves(diagram, ["R1_add", "R2_add"]):
+                            out = apply_move(diagram, e)
+                            h.update(repr((e.kind, [tuple(c) for c in out.chords])).encode())
+        assert h.hexdigest() == (
+            "ac48a49cac8f9f7408f45473964195a8eeb993256af2c34785a5e766c4869977")

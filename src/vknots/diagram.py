@@ -255,58 +255,19 @@ class GaussDiagram:
         where[a % m], where[b % m] = b % m, a % m
         return self._moved(where)
 
-    def _moved(self, where: list[int]) -> GaussDiagram:
+    def _moved(self, where: list[int], added: Iterable[Chord] = ()) -> GaussDiagram:
         """The diagram whose slot ``where[s]`` holds the endpoint of old
-        slot s; a chord with both ends at -1 is dropped, and one with one
+        slot s, plus the chords ``added`` in the slots ``where`` leaves
+        free; a chord with both ends at -1 is dropped, and one with one
         end at -1 is refused.  Chords that keep their slots are reused."""
-        return GaussDiagram(
-            self.kind,
-            (
-                c
-                if where[c.tail] == c.tail and where[c.head] == c.head
-                else Chord(c.id, where[c.tail], where[c.head], c.sign)
-                for c in self.chords
-                if where[c.tail] >= 0 or where[c.head] >= 0
-            ),
-        )
-
-    def insert_endpoints(self, placed: list[tuple[int, int, str, int]]) -> GaussDiagram:
-        """Insert new chords given as (gap, chord_key, role, sign) records.
-
-        ``gap`` is a position in [0, slot_count] (new endpoints land before
-        the old slot of that index; equal gaps keep list order).  Both
-        endpoints of every new chord must be supplied, with matching signs.
-        New ids start above the current maximum.
-        """
-        m = self.slot_count
-        order: list[tuple[int, int, int, object]] = [(s, 1, 0, s) for s in range(m)]
-        for pos, (gap, key, role, sign) in enumerate(placed):
-            if not 0 <= gap <= m:
-                raise DiagramError(f"insertion gap {gap} outside [0, {m}]")
-            order.append((gap, 0, pos, ("new", key, role, sign)))
-        order.sort(key=lambda t: (t[0], t[1], t[2]))
-        remap: dict[int, int] = {}
-        new_ends: dict[int, list[tuple[str, int, int]]] = {}
-        for new_slot, (_, _, _, what) in enumerate(order):
-            if isinstance(what, int):
-                remap[what] = new_slot
-            else:
-                _, key, role, sign = what  # type: ignore[misc]
-                new_ends.setdefault(key, []).append((role, sign, new_slot))
-        next_id = max((c.id for c in self.chords), default=0)
         chords = [
-            Chord(c.id, remap[c.tail], remap[c.head], c.sign) for c in self.chords
+            c
+            if where[c.tail] == c.tail and where[c.head] == c.head
+            else Chord(c.id, where[c.tail], where[c.head], c.sign)
+            for c in self.chords
+            if where[c.tail] >= 0 or where[c.head] >= 0
         ]
-        for key in sorted(new_ends):
-            ends = new_ends[key]
-            if len(ends) != 2 or {ends[0][0], ends[1][0]} != {TAIL, HEAD}:
-                raise DiagramError(f"new chord {key} needs exactly one tail and one head")
-            if ends[0][1] != ends[1][1]:
-                raise DiagramError(f"new chord {key} has mismatched signs")
-            next_id += 1
-            tail = next(s for r, _, s in ends if r == TAIL)
-            head = next(s for r, _, s in ends if r == HEAD)
-            chords.append(Chord(next_id, tail, head, ends[0][1]))
+        chords += added
         return GaussDiagram(self.kind, chords)
 
 

@@ -36,6 +36,7 @@ from typing import Container, Iterable, Sequence
 from .diagram import (
     HEAD,
     TAIL,
+    Chord,
     DiagramError,
     GaussDiagram,
     Kind,
@@ -307,23 +308,34 @@ def _child_cells(cells: tuple[int, ...], site: tuple[str, tuple]) -> tuple[int, 
 
 
 def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
-    """Rewrite ``diagram`` at the event's site.  Raises MoveError when the
-    event's data is malformed (the wrong length, a slot, gap or chord id
-    that is not an int, since a bool is not one, an R1_add orient other
-    than 'OU' or 'UO', or an R2_add parity that is not a bool) and when
-    the event is stale."""
+    """Rewrite ``diagram`` at the event's site.  Raises MoveError naming
+    the event, before any rewrite, when its data is malformed (the wrong
+    length; a slot, gap or chord id that is not an int, since a bool is
+    not one; a gap outside [0, 2n]; an add-move sign other than the int 1
+    or -1; an R1_add orient other than 'OU' or 'UO'; an R2_add parity
+    that is not a bool or a role other than 't' or 'h') and when the event
+    is not a site of the diagram."""
     kind, data = event.kind, event.data
     length, ints, pairs = _SHAPE[kind]
+    adds = kind == "R1_add" or kind == "R2_add"
+    m = diagram.slot_count
     if (
         not isinstance(data, tuple)
         or len(data) != length
         or not all(type(x) is int for x in data[:ints])
     ):
         fault = f"want a tuple of {length} fields, the first {ints} of them ints"
+    elif adds and (min(data[:ints]) < 0 or max(data[:ints]) > m):
+        fault = f"its gaps must lie in [0, {m}]"
+    # an add move's sign is its last field but one
+    elif adds and (type(data[-2]) is not int or data[-2] not in (1, -1)):
+        fault = "its sign must be the int 1 or -1"
     elif kind == "R1_add" and data[2] not in ("OU", "UO"):
         fault = "its orient must be 'OU' or 'UO'"
     elif kind == "R2_add" and type(data[2]) is not bool:
         fault = "its parity must be a bool"
+    elif kind == "R2_add" and data[4] not in (TAIL, HEAD):
+        fault = "its role must be 't' or 'h'"
     else:
         fault = None
     if fault:
@@ -332,30 +344,44 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
     if pairs:
         k = data[0]
         dkind, cells = diagram._eq_key()
-        if k not in pair_starts(dkind, len(cells)) or (kind, data) not in itertools.chain(
+        if k not in pair_starts(dkind, m) or (kind, data) not in itertools.chain(
             *_sites(dkind, cells, (k,), (kind,))
         ):
             raise MoveError(f"{kind}: {data} is not a {kind} site of the diagram")
-        return diagram._moved(_slot_map(len(cells), kind, data))
+        return diagram._moved(_slot_map(m, kind, data))
+
+    if kind == "virtualize":
+        return virtualize(diagram, *data)
 
     if kind == "R1_add":
         g, sign, orient = data
-        roles = (TAIL, HEAD) if orient == "OU" else (HEAD, TAIL)
-        return diagram.insert_endpoints(
-            [(g, 0, roles[0], sign), (g, 0, roles[1], sign)]
-        )
+        return _added(diagram, (g, g), [(0, 1, sign) if orient == "OU" else (1, 0, sign)])
+    g1, g2, par, sign, roles1 = data
+    # endpoints 0 and 1 at g1 belong to chords 0 and 1, and so do
+    # endpoints 2 and 3 at g2 when par (3 and 2 when not)
+    new = [(0, 2 if par else 3, sign), (1, 3 if par else 2, -sign)]
+    if roles1 == HEAD:
+        new = [(h, t, s) for t, h, s in new]
+    return _added(diagram, (g1, g1, g2, g2), new)
 
-    if kind == "R2_add":
-        g1, g2, par, sign_first, roles1 = data
-        roles2 = HEAD if roles1 == TAIL else TAIL
-        pair2 = [(g2, 0, roles2, sign_first), (g2, 1, roles2, -sign_first)]
-        if not par:
-            pair2.reverse()
-        return diagram.insert_endpoints(
-            [(g1, 0, roles1, sign_first), (g1, 1, roles1, -sign_first)] + pair2
-        )
 
-    return virtualize(diagram, *data)
+def _added(
+    diagram: GaussDiagram, gaps: tuple[int, ...], new: list[tuple[int, int, int]]
+) -> GaussDiagram:
+    """``diagram`` with new endpoint i placed before old slot ``gaps[i]``,
+    equal gaps in order of i, and the new chords ``new`` given as (tail
+    i, head i, sign), with ids above the largest id.  Old slot s moves to
+    ``s + #(gaps <= s)``, and endpoint i to ``gaps[i]`` plus its rank in a
+    stable sort of the gaps.  A function of its own, so that its
+    comprehensions do not turn :func:`apply_move`'s locals into cells,
+    which would slow every event."""
+    order = sorted(range(len(gaps)), key=gaps.__getitem__)
+    at = [g + order.index(i) for i, g in enumerate(gaps)]
+    top = max((c.id for c in diagram.chords), default=0)
+    return diagram._moved(
+        [s + sum(g <= s for g in gaps) for s in range(diagram.slot_count)],
+        [Chord(top + j, at[t], at[h], s) for j, (t, h, s) in enumerate(new, 1)],
+    )
 
 
 def apply_trace(diagram: GaussDiagram, events: Sequence[MoveEvent]) -> GaussDiagram:

@@ -307,6 +307,17 @@ class TestMalformedEvents:
         MoveEvent("R2_add", (0, False, True, 1, "t")),
         MoveEvent("R1_add", (0, 1, "zz")),
         MoveEvent("R2_add", (0, 3, "yes", 1, "t")),
+        MoveEvent("R2_add", (0, 3, True, 1, "x")),
+        MoveEvent("R1_add", (0, 2, "OU")),
+        MoveEvent("R1_add", (0, 1.0, "OU")),
+        MoveEvent("R1_add", (0, True, "OU")),
+        MoveEvent("R2_add", (0, 3, True, 2, "t")),
+        MoveEvent("R2_add", (0, 3, True, 1.0, "t")),
+        MoveEvent("R2_add", (0, 3, True, True, "t")),
+        MoveEvent("R1_add", (-1, 1, "OU")),
+        MoveEvent("R1_add", (7, 1, "OU")),
+        MoveEvent("R2_add", (-1, 3, True, 1, "t")),
+        MoveEvent("R2_add", (0, 7, True, 1, "t")),
     ])
     def test_refused_with_move_error(self, event):
         d = parse_gauss_code("O1+ O2- U1+ U2- O3+ U3+", "long")

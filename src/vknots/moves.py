@@ -313,8 +313,9 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
     length; a slot, gap or chord id that is not an int, since a bool is
     not one; a gap outside [0, 2n]; an add-move sign other than the int 1
     or -1; an R1_add orient other than 'OU' or 'UO'; an R2_add parity
-    that is not a bool or a role other than 't' or 'h') and when the event
-    is not a site of the diagram."""
+    that is not a bool or a role other than 't' or 'h'; a virtualized
+    chord id that the diagram does not have) and when the event is not a
+    site of the diagram."""
     kind, data = event.kind, event.data
     length, ints, pairs = _SHAPE[kind]
     adds = kind == "R1_add" or kind == "R2_add"
@@ -336,6 +337,8 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
         fault = "its parity must be a bool"
     elif kind == "R2_add" and data[4] not in (TAIL, HEAD):
         fault = "its role must be 't' or 'h'"
+    elif kind == "virtualize" and data[0] not in diagram._by_id:
+        fault = f"unknown chord id {data[0]}"
     else:
         fault = None
     if fault:

@@ -318,6 +318,7 @@ class TestMalformedEvents:
         MoveEvent("R1_add", (7, 1, "OU")),
         MoveEvent("R2_add", (-1, 3, True, 1, "t")),
         MoveEvent("R2_add", (0, 7, True, 1, "t")),
+        MoveEvent("virtualize", (9,)),
     ])
     def test_refused_with_move_error(self, event):
         d = parse_gauss_code("O1+ O2- U1+ U2- O3+ U3+", "long")

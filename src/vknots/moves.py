@@ -81,6 +81,14 @@ class MoveEvent:
     - R3:      (kt, km, kb)                top / mixed / head pair start slots
     - virtualize: (chord_id,)
     - Fo / Fu: (slot,)                     adjacent tail / head pair exchange
+
+    An add move's gap g lies in [0, 2n]: its new endpoints land before old
+    slot g, and endpoints at equal gaps keep the order listed here.
+    R1_add's pair at g is (tail, head) for 'OU' and (head, tail) for
+    'UO'.  R2_add's pair at g1 holds ``roles1`` ('t' or 'h') for chord 0
+    and then chord 1, whose signs are ``sign_first`` and its negative; the
+    pair at g2 holds the other role, in the same chord order exactly when
+    ``par`` is true.  The new chords' ids start above the largest id.
     """
 
     kind: str

@@ -41,7 +41,6 @@ from .forbidden import (
     FormalDiagramSum,
     TriangleSite,
     Verdict,
-    apply_forbidden,
     certify_trivial,
     check_n_trivial,
     expand_semitriple,

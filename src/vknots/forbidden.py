@@ -46,7 +46,6 @@ from .moves import (
     _SHAPE,
     _child_cells,
     _sites,
-    apply_move,
     apply_trace,
     simplify,
 )
@@ -63,13 +62,13 @@ class FamilyError(DiagramError):
 @dataclass(frozen=True)
 class TriangleSite:
     """Adjacent slot pair (slot, slot+1) carrying two tails (Fo) or two
-    heads (Fu) of distinct chords; its sign is :func:`triangle_sign`."""
+    heads (Fu) of distinct chords; its sign is :func:`triangle_sign`.
+    One forbidden move at the site is ``moves.apply_move`` of its event,
+    which refuses a stale site with ``MoveError``; :func:`site_at` is the
+    ``FamilyError`` check that families and F sums run before any toggle."""
 
     slot: int
     kind: str  # 'Fo' | 'Fu'
-
-    def slots(self, diagram: GaussDiagram) -> tuple[int, int]:
-        return self.slot, (self.slot + 1) % diagram.slot_count
 
     def _event(self) -> MoveEvent:
         return MoveEvent(self.kind, (self.slot,))
@@ -151,7 +150,7 @@ def site_at(diagram: GaussDiagram, slot: int, kind: str) -> TriangleSite:
 
 def _footprint(diagram: GaussDiagram, site: TriangleSite) -> set[tuple[str, int]]:
     """The two slots and two chord ids a site touches, tagged apart."""
-    a, b = site.slots(diagram)
+    a, b = site.slot, (site.slot + 1) % diagram.slot_count
     return {
         ("slot", a),
         ("slot", b),
@@ -177,17 +176,6 @@ def disjoint_sites(diagram: GaussDiagram, count: int) -> list[TriangleSite] | No
     return picked if len(picked) == count else None
 
 
-def apply_forbidden(diagram: GaussDiagram, site: TriangleSite) -> GaussDiagram:
-    """One forbidden move: exchange the two endpoints of the site, by
-    ``moves.apply_move`` after :func:`site_at` refuses a stale site.
-
-    Chord signs and directions are untouched; the triangle re-detected at
-    the same slots has the opposite sign.
-    """
-    site_at(diagram, site.slot, site.kind)
-    return apply_move(diagram, site._event())
-
-
 def _checked_sites(
     diagram: GaussDiagram, sites: Iterable[TriangleSite]
 ) -> list[TriangleSite]:
@@ -198,7 +186,8 @@ def _checked_sites(
     for s in checked:
         touched = _footprint(diagram, s)
         if not used.isdisjoint(touched):
-            raise FamilyError(f"triangle sites are not disjoint at slots {s.slots(diagram)}")
+            pair = (s.slot, (s.slot + 1) % diagram.slot_count)
+            raise FamilyError(f"triangle sites are not disjoint at slots {pair}")
         used |= touched
     return checked
 

@@ -48,7 +48,6 @@ TEST_ONLY = {
     "diagram.GaussDiagram.swap_slots": "oracle: three chained swaps against apply_move's R3 rewrite",
     "diagram.concat_long": "paper operation: connected sum of long diagrams",
     "diagram.cut": "paper operation: cutting a closed diagram to a long one",
-    "forbidden.apply_forbidden": "paper operation: one forbidden move at a site",
     "forbidden.expand_semitriple": "paper operation: a semi-triple point as a formal sum of diagrams",
     "forbidden.lemma3_residual": "oracle: the Lemma 3 similarity identity",
     "khovanov.lemma5_check": "oracle: the Lemma 5 certificate on one state, against lemma5_scan",

@@ -19,7 +19,6 @@ from vknots.diagram import (
 from vknots.forbidden import (
     FamilyError,
     TriangleSite,
-    apply_forbidden,
     certify_trivial,
     check_n_trivial,
     disjoint_sites,
@@ -127,7 +126,7 @@ class TestTriangles:
         for _ in range(30):
             d = random_diagram(rng, rng.randint(2, 6), "closed")
             for s in find_triangles(d):
-                d2 = apply_forbidden(d, s)
+                d2 = apply_move(d, s._event())
                 site_at(d2, s.slot, s.kind)
                 assert triangle_sign(d2, s.slot) == -triangle_sign(d, s.slot)
 
@@ -183,22 +182,23 @@ class TestApplyForbidden:
         for _ in range(40):
             d = random_diagram(rng, rng.randint(2, 6), rng.choice(("closed", "long")))
             for s in find_triangles(d):
-                d2 = apply_forbidden(apply_forbidden(d, s), site_at(apply_forbidden(d, s), s.slot, s.kind))
+                d1 = apply_move(d, s._event())
+                d2 = apply_move(d1, site_at(d1, s.slot, s.kind)._event())
                 assert d2 == d
 
     def test_virtual_trefoil_swap(self):
         s = find_triangles(VT)[0]
-        assert apply_forbidden(VT, s) == parse_gauss_code("O2+ O1+ U1+ U2+")
+        assert apply_move(VT, s._event()) == parse_gauss_code("O2+ O1+ U1+ U2+")
 
     def test_chord_count_preserved(self, rng):
         for _ in range(20):
             d = random_diagram(rng, rng.randint(2, 5), "closed")
             for s in find_triangles(d):
-                assert apply_forbidden(d, s).n == d.n
+                assert apply_move(d, s._event()).n == d.n
 
     def test_stale_site_rejected(self):
-        with pytest.raises(FamilyError, match="not a F"):
-            apply_forbidden(LT, TriangleSite(0, "Fo"))
+        with pytest.raises(MoveError, match="not a Fo site"):
+            apply_move(LT, TriangleSite(0, "Fo")._event())
 
 
 class TestFAltSum:
@@ -210,7 +210,7 @@ class TestFAltSum:
             if not sites:
                 continue
             s = sites[0]
-            assert f_alt_sum(v21, d, [s]) == v21(d) - v21(apply_forbidden(d, s))
+            assert f_alt_sum(v21, d, [s]) == v21(d) - v21(apply_move(d, s._event()))
             count += 1
 
     def test_two_disjoint_triangles_kill_v21(self):
@@ -255,13 +255,13 @@ def code_hash(d):
 
 def bitmask_f_sum(invariant, d, sites):
     """Sum over bitmasks of (-1)**popcount times the invariant of ``d``
-    with the masked sites toggled one at a time by apply_forbidden."""
+    with the masked sites toggled one at a time by apply_move."""
     total = 0
     for mask in range(1 << len(sites)):
         toggled = d
         for i, site in enumerate(sites):
             if mask >> i & 1:
-                toggled = apply_forbidden(toggled, site)
+                toggled = apply_move(toggled, site._event())
         total += (-1) ** bin(mask).count("1") * invariant(toggled)
     return total
 
@@ -318,7 +318,7 @@ class TestExpansions:
                 continue
             s = sites[0]
             out = expand_semitriple(d, [s])
-            toggled = apply_forbidden(d, s)
+            toggled = apply_move(d, s._event())
             sign = triangle_sign(d, s.slot)
             if sign > 0:
                 assert out.evaluate(v21) == v21(d) - v21(toggled)

@@ -11,7 +11,9 @@ exhausted.  On exit 2 a report is still printed for the skipped rows of
 is raised as :class:`~vknots.khovanov.CapExceeded`: the chord cap of
 ``eval``, the subset caps of ``gpv-sum``, ``f-sum`` and ``ntrivial``, the
 ``braid`` bounds, and ``trivialize --max-nodes``, which also drops the
-reports of the diagrams searched before it binds.
+reports of the diagrams searched before it binds.  No report is printed
+on exit 1 either: a command that refuses any diagram of its input prints
+nothing on stdout, ``ntrivial`` included.
 JSON output is deterministic (sorted keys) for a fixed config and seed.
 """
 
@@ -227,6 +229,7 @@ def cmd_ntrivial(args) -> int:
     _check_subset_cap("ntrivial", "families", len(families), args.cap_chords)
     total = 0
     reasons = {"budget": 0, "cap": 0, "search": 0}
+    reports = []
     for d in _load_diagrams(args):
         verdicts, aggregate = check_n_trivial(d, families, args.budget, args.cap_chords)
         total += len(verdicts)
@@ -243,7 +246,9 @@ def cmd_ntrivial(args) -> int:
             )
             if v.status == "unknown":
                 reasons[v.reason] += 1
-        _emit({"mode": mode, "subsets": subsets, "aggregate": aggregate}, args.format)
+        reports.append({"mode": mode, "subsets": subsets, "aggregate": aggregate})
+    for report in reports:
+        _emit(report, args.format)
     unknown = sum(reasons.values())
     if not unknown:
         return OK

@@ -446,6 +446,31 @@ class TestNTrivial:
             )
             assert "--budget" not in captured.err and "--cap-chords" not in captured.err
 
+    @pytest.mark.parametrize(
+        "codes, families, err",
+        [
+            (["O1+ U2+ O3+ U1+ O2+ U3+", "O1+ O2+ U1+ U2+"], {"mode": "GPV", "families": [[3]]},
+             "error: unknown chord id 3\n"),
+            (["O1+ O2+ U1+ U2+", "O1+ U2+ O3+ U1+ O2+ U3+"],
+             {"mode": "F", "families": [[{"slots": [0, 1], "kind": "Fo"}]]},
+             "error: slots (0, 1) are not a Fo triangle\n"),
+        ],
+        ids=["gpv-unknown-chord", "f-stale-site"],
+    )
+    def test_error_on_a_later_diagram_prints_no_report(self, capsys, tmp_path, codes,
+                                                       families, err):
+        path = tmp_path / "fams.json"
+        path.write_text(json.dumps(families))
+        inp = tmp_path / "codes.txt"
+        argv = ["ntrivial", "--input", str(inp), "--families", str(path)]
+        # the first diagram alone gets its report; the second is refused
+        inp.write_text(f"{codes[0]}\n")
+        code, (report,) = run_json(capsys, *argv)
+        assert code in (0, 2) and report["subsets"]
+        inp.write_text("\n".join(codes) + "\n")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and captured.err == err
 
 class TestTrivialize:
     def test_virtual_trefoil(self, capsys):
@@ -1123,6 +1148,51 @@ class TestFuzz:
             codes[code] += 1
         # the cases reach every exit code, and most are refused
         assert min(codes.values()) >= 20 and codes[1] > codes[0] + codes[2], codes
+
+    def test_multi_diagram_inputs(self, capsys, tmp_path):
+        # --input files of 2-4 codes, a later one sometimes mutated, with
+        # families files that are mostly valid: a refusal of any line prints
+        # no report, not even the earlier lines' (its own seed, so the test
+        # above keeps its draws)
+        rng = random.Random(4141)
+        files = self.files(rng, tmp_path)
+        path = tmp_path / "codes.txt"
+        codes = dict.fromkeys((0, 1, 2), 0)
+        for _ in range(300):
+            count = rng.randint(2, 4)
+            mutated = rng.randrange(1, count) if rng.random() < 0.3 else None
+            lines = []
+            for i in range(count):
+                kind = rng.choice(("closed", "long"))
+                code = random_diagram(rng, rng.randint(0, 5), kind).code()
+                if i == mutated:
+                    code = mutate_code(rng, code)
+                lines.append(f"long: {code}" if kind == "long" else code)
+            path.write_text("\n".join(lines) + "\n")
+            command = rng.choice(("eval", "kh", "gpv-sum", "f-sum", "ntrivial", "trivialize",
+                                  "lemma5"))
+            argv = [command, "--input", str(path)]
+            if command == "eval" and rng.random() < 0.5:
+                argv += ["--arrow-poly", rng.choice(files["arrow"])]
+            elif command == "gpv-sum":
+                argv += ["--kind", "long", "--chords", rng.choice(("1", "1,2", "3", "2,4"))]
+            elif command in ("f-sum", "ntrivial"):
+                argv += ["--families", rng.choice(files[rng.choice(("gpv", "f"))][:4])]
+                if command == "ntrivial":
+                    argv += ["--budget", "20"]
+            elif command == "trivialize":
+                argv += ["--depth", str(rng.randint(0, 3))]
+            try:
+                code = main(argv)
+            except (Exception, SystemExit) as exc:
+                pytest.fail(f"{type(exc).__name__} escaped main({argv!r}) on {lines!r}: {exc}")
+            captured = capsys.readouterr()
+            assert code in codes, (argv, lines)
+            assert "Traceback" not in captured.err, (argv, lines)
+            if code == 1:
+                assert captured.out == "", (argv, lines, captured)
+            codes[code] += 1
+        assert min(codes.values()) >= 10, codes
 
     def test_trivialize_stops_at_its_node_cap(self, capsys):
         # uncapped, this search expands 10,673 nodes up to --depth 20 (and

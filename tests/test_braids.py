@@ -8,6 +8,7 @@ import pytest
 from vknots import braids
 from vknots.braids import (
     BraidError,
+    BraidLetter,
     BraidWord,
     EXAMPLE_GENS,
     GeneratorDef,
@@ -36,6 +37,19 @@ class TestWordOps:
     def test_bad_token(self):
         with pytest.raises(BraidError, match="bad braid token"):
             parse_braid_word("s4")
+
+    @pytest.mark.parametrize(
+        "pos, kind, message",
+        [
+            (0, "real_pos", "letter position 0 outside 1..3"),
+            (4, "virtual", "letter position 4 outside 1..3"),
+            (1, "x", "unknown letter kind 'x'"),
+        ],
+    )
+    def test_letter_refusals(self, pos, kind, message):
+        with pytest.raises(BraidError) as info:
+            BraidLetter(pos, kind)
+        assert str(info.value) == message
 
     def test_inverse_involution(self):
         w = parse_braid_word("s1 v2 S3 s2")

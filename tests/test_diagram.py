@@ -321,6 +321,19 @@ class TestBasepoint:
         with pytest.raises(DiagramError, match="outside"):
             cut(parse_gauss_code(VT), 9)
 
+    @pytest.mark.parametrize(
+        "op, kind, message",
+        [
+            (lambda d: d.rotated(1), "long", "only closed diagrams can be rotated"),
+            (lambda d: cut(d, 0), "long", "cut expects a closed diagram"),
+            (reclose, "closed", "reclose expects a long diagram"),
+        ],
+        ids=["rotated", "cut", "reclose"],
+    )
+    def test_basepoint_ops_refuse_the_other_kind(self, op, kind, message):
+        with pytest.raises(DiagramError, match=f"^{message}$"):
+            op(parse_gauss_code(TREFOIL, kind))
+
     def test_concat_identity(self):
         e = parse_gauss_code("", "long")
         d = parse_gauss_code(TREFOIL, "long")
@@ -510,6 +523,13 @@ class TestChordRefusals:
         with pytest.raises(DiagramError) as info:
             Chord(*fields)
         assert str(info.value) == message
+
+    def test_other_end_of_a_slot_off_the_chord(self):
+        c = Chord(4, 2, 5, 1)
+        assert (c.other(2), c.other(5)) == (5, 2)
+        for slot in (0, 3, -2):
+            with pytest.raises(DiagramError, match=f"^slot {slot} is not an endpoint of chord 4$"):
+                c.other(slot)
 
     def test_non_int_slot_refused_before_the_diagram(self):
         with pytest.raises(DiagramError, match=r"^chord 1: tail must be an int, not float$"):

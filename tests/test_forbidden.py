@@ -159,6 +159,12 @@ class TestTriangles:
                         with pytest.raises(FamilyError, match="not a F"):
                             site_at(d, slot, kind)
 
+    @pytest.mark.parametrize("kind", ["R3", "fo", None])
+    def test_site_at_refuses_a_kind_other_than_fo_and_fu(self, kind):
+        d = parse_gauss_code("U3+ O1+ O2- U1+ U2- O3+")
+        with pytest.raises(FamilyError, match=f"^triangle kind must be 'Fo' or 'Fu', not {kind!r}$"):
+            site_at(d, 1, kind)
+
     @pytest.mark.parametrize("slot", [1.0, True])
     def test_site_at_refuses_a_slot_that_is_not_an_int(self, slot):
         # slot 1 starts an Fo pair, and 1.0 and True equal 1

@@ -138,6 +138,17 @@ class TestTraceCircles:
                 lemma5_gradings(TREFOIL, markers)
         assert lemma5_gradings(TREFOIL, (1, -1, 1)) == (1, 5)
 
+    @pytest.mark.parametrize("markers", [(0, 1, 1), (1, 2, 1), (1, 1, -2)])
+    def test_markers_other_than_plus_or_minus_one_are_refused(self, markers):
+        for fn in (lemma5_check, lemma5_gradings):
+            with pytest.raises(DiagramError, match="^markers must be \\+1 or -1$"):
+                fn(TREFOIL, markers)
+
+    @pytest.mark.parametrize("fn", [bracket, jones_hat, lemma5_scan])
+    def test_state_sums_refuse_a_long_diagram(self, fn):
+        with pytest.raises(DiagramError, match="^state smoothing expects a closed diagram$"):
+            fn(right_trefoil("long"))
+
     def test_circle_labels_fit_a_byte_up_to_254_chords(self):
         def kinks(n):
             return GaussDiagram("closed", (Chord(k + 1, 2 * k, 2 * k + 1, 1) for k in range(n)))
@@ -1204,6 +1215,12 @@ class TestLemma5:
                     if lemma5_check(d, markers):
                         want.append((markers, *lemma5_gradings(d, markers)))
                 assert lemma5_scan(d) == want, d.code()
+
+    def test_scan_cap(self):
+        d = random_diagram(random.Random(1), 5, "closed")
+        with pytest.raises(CapExceeded, match="^lemma5 scan capped at 4 chords, got 5$"):
+            lemma5_scan(d, cap=4)
+        assert lemma5_scan(d, cap=5) == lemma5_scan(d)
 
     def test_scan_traces_no_state(self, monkeypatch):
         traces = counting_traces(monkeypatch)

@@ -53,6 +53,8 @@ class TestEnumerate:
     def test_unknown_kind_rejected(self):
         with pytest.raises(MoveError, match="unknown move kinds"):
             enumerate_moves(parse_gauss_code(""), ["R9"])
+        with pytest.raises(MoveError, match="^unknown move kind 'R9'$"):
+            MoveEvent("R9", (0,))
 
 
 class TestApply:
@@ -482,6 +484,10 @@ class TestSimplify:
         d = parse_gauss_code("O1+ U1+")
         out, trace = simplify(d, 0)
         assert out == d and trace == []
+
+    def test_negative_budget_refused(self):
+        with pytest.raises(MoveError, match="^simplify budget must be >= 0$"):
+            simplify(parse_gauss_code("O1+ U1+"), -1)
 
 
 def scrambled_diagram(rng, n, kind):

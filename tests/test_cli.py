@@ -742,11 +742,11 @@ class TestJsonShape:
              "family list is empty"),
             (["ntrivial", "--code", RIGHT_TREFOIL, "--families"],
              '{"mode": "GPV", "families": []}', "family list is empty"),
-            (["f-sum", "--code", VIRTUAL_TREFOIL, "--kind", "long", "--families"],
-             '{"mode": "F", "families": [[]]}', "error: a family must be nonempty\n"),
             (["eval", "--code", RIGHT_TREFOIL, "--kind", "long", "--arrow-poly"],
              '{"kind": "long", "terms": [{"coeff": 1, "endpoints":'
              ' [["1", "t"], ["1", "h"]], "signs": {"1": 1.0}}]}', "sign must be"),
+            (["f-sum", "--code", VIRTUAL_TREFOIL, "--kind", "long", "--families"],
+             '{"mode": "F", "families": [[]]}', "error: a family must be nonempty\n"),
         ],
     )
     def test_wrong_shape_is_exit_1(self, capsys, tmp_path, argv, text, message):

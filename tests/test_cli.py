@@ -472,6 +472,7 @@ class TestNTrivial:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and captured.err == err
 
+
 class TestTrivialize:
     def test_virtual_trefoil(self, capsys):
         code, (report,) = run_json(capsys, "trivialize", "--code", VIRTUAL_TREFOIL)

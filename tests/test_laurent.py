@@ -4,11 +4,6 @@ from vknots.laurent import LaurentPoly
 
 
 class TestPower:
-    def test_powers_are_repeated_products(self):
-        p = LaurentPoly({1: 1, -2: 3})
-        assert p ** 0 == LaurentPoly.one()
-        assert p ** 3 == p * p * p
-
     def test_negative_power_refused(self):
         with pytest.raises(ValueError, match="^negative powers of polynomials are not defined$"):
             LaurentPoly({1: 1}) ** -1

@@ -38,13 +38,10 @@ from .arrows import (
 )
 from .forbidden import (
     FamilyError,
-    FormalDiagramSum,
     TriangleSite,
     Verdict,
     certify_trivial,
     check_n_trivial,
-    expand_semitriple,
-    expand_semivirtual,
     f_alt_sum,
     find_triangles,
     lemma3_residual,

@@ -19,9 +19,11 @@ so :func:`pairing` reads each subset of an order once for all terms, and
 Finite-type behaviour under virtualization is tested by
 :func:`gpv_alt_sum`, the alternating sum over deletions of a chosen set of
 chords S (GPV-order).  It and the forbidden-move sums of
-:mod:`vknots.forbidden` take their terms from :func:`_alternating_terms`,
-which replays each subset of toggle events (``virtualize`` here, ``Fo``
-and ``Fu`` there) through ``moves.apply_trace``.  A pairing needs no
+:mod:`vknots.forbidden` take their terms from one expansion,
+:func:`_alternating_terms`, which replays each subset of toggle events
+(``virtualize`` here, ``Fo`` and ``Fu`` there) through
+``moves.apply_trace``.  It and :func:`v21`/:func:`v22` read chosen chord
+ids through :func:`_chord_ids`.  A pairing needs no
 deletions: by the subdiagram expansion (Goussarov-Polyak-Viro), its
 alternating sum over S is its signed count of the matchings whose chords
 contain S.  :func:`v21` and :func:`v22` count those chord pairs
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .diagram import HEAD, TAIL, DiagramError, GaussDiagram, Kind, load_json
+from .diagram import HEAD, TAIL, Chord, DiagramError, GaussDiagram, Kind, load_json
 from .moves import MoveEvent, apply_trace
 
 Invariant = Callable[[GaussDiagram], int]
@@ -239,6 +241,17 @@ V22_PATTERN = ArrowPattern(
 )
 
 
+def _chord_ids(diagram: GaussDiagram, ids: Iterable[int]) -> list[Chord]:
+    """The chords of the distinct ``ids``, in id order; raises DiagramError
+    for an id that is not an int (a bool is not) and then for an unknown
+    one, before any chord is returned."""
+    ids = list(ids)
+    for cid in ids:
+        if type(cid) is not int:
+            raise DiagramError(f"chord id must be an int, not {type(cid).__name__}")
+    return [diagram.chord(cid) for cid in sorted(set(ids))]
+
+
 def _interleaved(
     name: str, diagram: GaussDiagram, containing: Collection[int], heads_first: bool
 ) -> int:
@@ -256,7 +269,7 @@ def _interleaved(
     def span(c):
         return (c.head, c.tail, c.sign) if heads_first else (c.tail, c.head, c.sign)
 
-    fixed = [span(diagram.chord(cid)) for cid in sorted(set(containing))]
+    fixed = [span(c) for c in _chord_ids(diagram, containing)]
     forward = [s for s in fixed if s[0] < s[1]]
     backward = [s for s in fixed if s[1] < s[0]]
     if len(forward) > 1 or len(backward) > 1:
@@ -299,18 +312,6 @@ def _alternating_terms(
             yield (-1) ** r, apply_trace(diagram, chosen)
 
 
-def _virtualization_terms(
-    diagram: GaussDiagram, chord_ids: Iterable[int]
-) -> Iterator[tuple[int, GaussDiagram]]:
-    """:func:`_alternating_terms` over the virtualizations of the distinct
-    ``chord_ids``, in id order; raises DiagramError for an unknown id
-    before any term is built."""
-    ids = sorted(set(chord_ids))
-    for cid in ids:
-        diagram.chord(cid)
-    return _alternating_terms(diagram, [MoveEvent("virtualize", (cid,)) for cid in ids])
-
-
 def gpv_alt_sum(
     invariant: Invariant, diagram: GaussDiagram, chord_ids: Iterable[int]
 ) -> int:
@@ -318,9 +319,11 @@ def gpv_alt_sum(
 
     Sum over subsets V of the chosen chords of (-1)**|V| applied to the
     diagram with V deleted.  Vanishing for every set of n+1 chords is the
-    defining property of GPV-order <= n.
+    defining property of GPV-order <= n.  The ids are read by
+    :func:`_chord_ids`, before any term is.
     """
-    return sum(sign * invariant(d) for sign, d in _virtualization_terms(diagram, chord_ids))
+    events = [MoveEvent("virtualize", (c.id,)) for c in _chord_ids(diagram, chord_ids)]
+    return sum(sign * invariant(d) for sign, d in _alternating_terms(diagram, events))
 
 
 # -- JSON interface ---------------------------------------------------------------

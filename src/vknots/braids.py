@@ -30,7 +30,8 @@ from .khovanov import CapExceeded, DEFAULT_HOMOLOGY_CAP, distinguish_from_unknot
 
 STRANDS = 4
 
-# |b(k)| doubles with k; b(16)'s 393,208 letters close and print at a 263 MiB peak
+# |b(k)| doubles with k; b(16)'s 393,208 letters close and print in 1.2-1.7 s at a
+# 160 MiB peak (Python 3.11), and the cap keeps b(17) from doubling that cost
 MAX_BK_LETTERS = 1 << 19
 
 REAL_POS = "real_pos"

@@ -50,7 +50,6 @@ from .forbidden import (
     DEFAULT_NODE_CAP,
     FamilyError,
     check_n_trivial,
-    expand_semivirtual,
     f_alt_sum,
     load_families,
     trivialize_forbidden,
@@ -396,13 +395,13 @@ def _selftest_batteries(seed: int, samples: int):
     def battery_expansion():
         # The sum over subsets V of S of (-1)**|V| <A, D - V> is the signed
         # count of the matches of A whose chords contain S, which v21 counts
-        # directly; the expansion never uses this identity.
+        # directly; the alternating sum never uses this identity.
         for _ in range(samples):
             d = random_diagram(rng, rng.randint(3, 8), "long")
             ids = list(d.chord_ids())
             rng.shuffle(ids)
             marks = set(ids[: rng.randint(1, 3)])
-            if expand_semivirtual(d, marks).evaluate(v21) != v21(d, marks):
+            if gpv_alt_sum(v21, d, marks) != v21(d, marks):
                 raise AssertionError(f"semi-virtual expansion mismatch on {d.code()!r}")
         return "semi-virtual expansion counts the v21 matches containing the marks"
 

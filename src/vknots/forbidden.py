@@ -3,36 +3,24 @@
 A forbidden move slides a strand across a crossing entirely over (Fo) or
 entirely under (Fu) it; on Gauss diagrams this exchanges two adjacent
 tails (Fo) or two adjacent heads (Fu) belonging to distinct chords.  The
-local disk where the move applies is a *triangle* and carries a sign; one
-forbidden move flips the sign of its triangle.  Jointly the two moves
-unknot every virtual knot, which makes the alternating sums over triangle
+local disk where the move applies is a *triangle*, a site of its slot and
+kind, checked in :func:`_checked_sites`.  Jointly the two moves unknot
+every virtual knot, which makes the alternating sums over triangle
 toggles (:func:`f_alt_sum`) a genuine finite-type filtration.  A toggle
-is a move trace: GPV and F sums share one subset primitive, which replays
-``virtualize`` or ``Fo``/``Fu`` events through ``moves.apply_trace``;
-a site is its slot and kind, checked in :func:`_checked_sites`, and
-only the semi-triple expansion reads its :func:`triangle_sign`.
+is a move trace: the GPV sum, the F sum and :func:`lemma3_residual` take
+their terms from one expansion, ``arrows._alternating_terms``, which
+replays ``virtualize`` or ``Fo``/``Fu`` events through
+``moves.apply_trace``.  No F sum and no residual reads a triangle's
+sign: a semi-triple point of sign e expands to e * (original - toggled),
+so a sign changes no F sum's vanishing, and in the Lemma 3 identity the
+product of the marks' signs multiplies both sides and cancels.
 :func:`check_n_trivial` decides each toggled subset by
 :func:`certify_trivial`, the one reader of the unknot battery.
-
-Sign convention (the only free choice; every identity below is invariant
-under a global flip): a triangle at slots (k, k+1) is positive when the
-two chords' far endpoints appear in the same order as their near ones,
-reading slots from k+2 onward (cyclically for closed diagrams).
-
-Semi-virtual and semi-triple expansions express marked diagrams as formal
-integer combinations of honest diagrams: a semi-virtual crossing is
-(real - virtual), and a semi-triple point at a triangle of sign e is
-e * (original - toggled).  These drive the similarity identity checked by
-:func:`lemma3_residual`: when every nonempty subfamily toggle of n
-disjoint families yields one and the same knot, any invariant v satisfies
-v(K) = v(K') + sum over transversal tuples of the expanded marked
-diagrams (with the product of semi-triple signs in F mode).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,7 +37,7 @@ from .moves import (
     apply_trace,
     simplify,
 )
-from .arrows import Invariant, _alternating_terms, _virtualization_terms, v21, v22
+from .arrows import Invariant, _alternating_terms, v21, v22
 
 UNKNOT_TABLE = {(0, -1): 1, (0, 1): 1}
 UNKNOT_JONES = LaurentPoly({1: 1, -1: 1})
@@ -62,7 +50,7 @@ class FamilyError(DiagramError):
 @dataclass(frozen=True)
 class TriangleSite:
     """Adjacent slot pair (slot, slot+1) carrying two tails (Fo) or two
-    heads (Fu) of distinct chords; its sign is :func:`triangle_sign`.
+    heads (Fu) of distinct chords; no sum reads a sign of it.
     One forbidden move at the site is ``moves.apply_move`` of its event,
     which refuses a stale site with ``MoveError``; :func:`site_at` is the
     ``FamilyError`` check that families and F sums run before any toggle."""
@@ -97,29 +85,7 @@ class Verdict:
         return self.status == "certified"
 
 
-@dataclass(frozen=True)
-class FormalDiagramSum:
-    """Integer combination of Gauss diagrams; invariants evaluate linearly."""
-
-    terms: tuple[tuple[int, GaussDiagram], ...]
-
-    def evaluate(self, invariant: Invariant) -> int:
-        return sum(coeff * invariant(d) for coeff, d in self.terms)
-
-
 # -- triangles -----------------------------------------------------------------
-
-
-def triangle_sign(diagram: GaussDiagram, slot: int) -> int:
-    """Sign of the triangle at (slot, slot+1); see the module docstring."""
-    m = diagram.slot_count
-    c1, _ = diagram.at(slot)
-    c2, _ = diagram.at((slot + 1) % m)
-    o1, o2 = c1.other(slot % m), c2.other((slot + 1) % m)
-    if diagram.kind == "long":
-        return 1 if o1 < o2 else -1
-    base = (slot + 2) % m
-    return 1 if (o1 - base) % m < (o2 - base) % m else -1
 
 
 def find_triangles(diagram: GaussDiagram) -> list[TriangleSite]:
@@ -192,7 +158,7 @@ def _checked_sites(
     return checked
 
 
-# -- alternating sums and expansions ------------------------------------------
+# -- alternating sums -----------------------------------------------------------
 
 
 def f_alt_sum(
@@ -203,28 +169,6 @@ def f_alt_sum(
     the defining property of F-order <= n."""
     events = [s._event() for s in _checked_sites(diagram, sites)]
     return sum(sign * invariant(d) for sign, d in _alternating_terms(diagram, events))
-
-
-def expand_semivirtual(
-    diagram: GaussDiagram, chord_ids: Iterable[int]
-) -> FormalDiagramSum:
-    """Resolve semi-virtual marks: each marked crossing expands to
-    (real - virtual), giving 2**|M| signed terms."""
-    return FormalDiagramSum(tuple(_virtualization_terms(diagram, chord_ids)))
-
-
-def expand_semitriple(
-    diagram: GaussDiagram, sites: Sequence[TriangleSite]
-) -> FormalDiagramSum:
-    """Resolve semi-triple marks: a mark at a triangle of sign e expands to
-    e * (original - toggled), so the whole sum carries the product of the
-    marked triangles' signs."""
-    sites = _checked_sites(diagram, sites)
-    outer = math.prod(triangle_sign(diagram, s.slot) for s in sites)
-    events = [s._event() for s in sites]
-    return FormalDiagramSum(
-        tuple((outer * sign, d) for sign, d in _alternating_terms(diagram, events))
-    )
 
 
 # -- the similarity identity ----------------------------------------------------
@@ -281,11 +225,10 @@ def lemma3_residual(
     tuples picking one position per family; members before the picked one
     are applied outright and the picked member becomes a semi-virtual
     (GPV) or semi-triple (F) mark.  Each term is the alternating sum over
-    the marks, as in :func:`gpv_alt_sum` or :func:`f_alt_sum`: in F mode the
-    identity multiplies the semi-triple expansion by the product of the
-    marks' triangle signs, which cancels the same product inside it.  The
-    residual is exactly 0 whenever all nonempty subfamily toggles of the
-    diagram present the same knot.
+    the marks, as in :func:`gpv_alt_sum` or :func:`f_alt_sum`, and reads
+    no triangle sign (see the module docstring).  The residual is exactly
+    0 whenever all nonempty subfamily toggles of the diagram present the
+    same knot.
     """
     ordered = _validate_families(diagram, families)
     v_k = invariant(diagram)

@@ -372,6 +372,36 @@ class TestDirectCount:
             gpv_alt_sum(lambda e: pairing(pattern, e), d, containing)
         assert str(direct.value) == str(oracle.value) == "unknown chord id 9"
 
+    @pytest.mark.parametrize("reader", ["v21", "v22", "gpv_alt_sum"])
+    @pytest.mark.parametrize(
+        "ids, message",
+        [([True], "chord id must be an int, not bool"),
+         ([1.0], "chord id must be an int, not float"),
+         ([1, True], "chord id must be an int, not bool"),
+         ([[1]], "chord id must be an int, not list"),
+         ([2, "x"], "chord id must be an int, not str"),
+         ([9, True], "chord id must be an int, not bool"),
+         ([9], "unknown chord id 9"),
+         ([1, 9], "unknown chord id 9")],
+        ids=["true", "float", "int-and-true", "list", "int-and-str", "unknown-and-true",
+             "unknown", "int-and-unknown"],
+    )
+    def test_ids_refused_before_any_term(self, reader, ids, message):
+        # True and 1.0 equal chord id 1, and a list or a str does not sort
+        # with an int; each is refused before an unknown id is, and both
+        # before the alternating sum calls its invariant
+        d = random_diagram(random.Random(2504), 5, "long")
+        calls = []
+
+        def counted(e):
+            calls.append(e)
+            return v21(e)
+
+        read = {"v21": v21, "v22": v22, "gpv_alt_sum": lambda e, s: gpv_alt_sum(counted, e, s)}
+        with pytest.raises(DiagramError, match=f"^{message}$"):
+            read[reader](d, ids)
+        assert calls == []
+
     def test_reads_no_matching(self, monkeypatch):
         # neither the matchings nor the key of any chord subset
         import vknots.arrows as arrows
@@ -393,6 +423,12 @@ class TestGpvAltSum:
         # v21 has order exactly 2: on the long trefoil the pair {1, 2}
         # witnesses it (value frozen from the expansion oracle).
         assert gpv_alt_sum(v21, LT, (1, 2)) == 1
+
+    def test_single_chord_is_difference(self):
+        assert gpv_alt_sum(v21, LT, [2]) == v21(LT) - v21(LT.delete_chords([2]))
+
+    def test_no_chords_is_the_invariant(self):
+        assert gpv_alt_sum(v21, LT, []) == v21(LT)
 
     def test_constant_invariant_telescopes(self, rng):
         d = random_diagram(rng, 4, "long")

@@ -187,30 +187,6 @@ class TestSums:
         assert code == 0 and len(report["values"]) == 1
         jsonschema.validate(report, schemas.SUM_REPORT)
 
-    @pytest.mark.parametrize("command", ["f-sum", "ntrivial"])
-    def test_f_sites_read_no_triangle_sign(self, command, capsys, tmp_path, monkeypatch):
-        # only the semi-triple expansion reads a triangle's sign
-        rng = random.Random(2701)
-        sites = None
-        while sites is None:
-            d = random_diagram(rng, 6, "long")
-            sites = forbidden.disjoint_sites(d, 2)
-        members = [{"slots": [s.slot, s.slot + 1], "kind": s.kind} for s in sites]
-        # f-sum reads one family of sites, ntrivial one family per site
-        families = [members] if command == "f-sum" else [[m] for m in members]
-        path = tmp_path / "fam.json"
-        path.write_text(json.dumps({"mode": "F", "families": families}))
-        argv = [command, "--code", d.code(), "--kind", "long", "--families", str(path)]
-        before = (main(argv), capsys.readouterr())
-
-        def no_sign(*args):
-            raise AssertionError("triangle_sign was called")
-
-        monkeypatch.setattr(forbidden, "triangle_sign", no_sign)
-        assert (main(argv), capsys.readouterr()) == before
-        assert before[0] in (0, 2) and before[1].out
-
-
 class TestGpvSumCounts:
     """gpv-sum counts the chord pairs that contain the chosen chords: the
     values, errors and exit codes of the alternating sum over deletions."""

@@ -1,12 +1,11 @@
 import hashlib
 import json
-import math
 import random
 
 import pytest
 
 from vknots import forbidden, khovanov, moves
-from vknots.arrows import gpv_alt_sum, v21, v22
+from vknots.arrows import v21, v22
 from vknots.corpus import gpv2_trivial, random_diagram, right_trefoil, virtual_trefoil
 from vknots.diagram import (
     Chord,
@@ -22,14 +21,11 @@ from vknots.forbidden import (
     certify_trivial,
     check_n_trivial,
     disjoint_sites,
-    expand_semitriple,
-    expand_semivirtual,
     f_alt_sum,
     find_triangles,
     lemma3_residual,
     load_families,
     site_at,
-    triangle_sign,
     trivialize_forbidden,
 )
 from vknots.khovanov import jones_hat
@@ -119,16 +115,6 @@ class TestTriangles:
     def test_classical_trefoil_has_none(self):
         assert find_triangles(right_trefoil("closed")) == []
         assert find_triangles(LT) == []
-
-    def test_toggle_flips_its_own_sign(self, rng):
-        # toggling a site flips that site's sign; other sites that survive
-        # the toggle may flip too, so only the toggled one is checked
-        for _ in range(30):
-            d = random_diagram(rng, rng.randint(2, 6), "closed")
-            for s in find_triangles(d):
-                d2 = apply_move(d, s._event())
-                site_at(d2, s.slot, s.kind)
-                assert triangle_sign(d2, s.slot) == -triangle_sign(d, s.slot)
 
     def test_find_triangles_is_the_f_enumeration(self):
         rng = random.Random(7070)
@@ -273,8 +259,8 @@ def bitmask_f_sum(invariant, d, sites):
 
 
 class TestFSideByBitmask:
-    """f_alt_sum and expand_semitriple against a loop that shares no code
-    with their subset primitive."""
+    """f_alt_sum against a loop that shares no code with its subset
+    primitive."""
 
     def test_two_and_three_disjoint_sites(self):
         rng = random.Random(7072)
@@ -286,62 +272,11 @@ class TestFSideByBitmask:
             if sites is None:
                 continue
             rng.shuffle(sites)
-            signs = math.prod(triangle_sign(d, s.slot) for s in sites)
             invariants = [code_hash] + ([v21, v22] if d.kind == "long" else [])
             for inv in invariants:
                 expected = bitmask_f_sum(inv, d, sites)
                 assert f_alt_sum(inv, d, sites) == expected
-                assert expand_semitriple(d, sites).evaluate(inv) == signs * expected
             checked[count] += 1
-
-
-class TestExpansions:
-    def test_semivirtual_single(self):
-        d = LT
-        out = expand_semivirtual(d, [2])
-        assert len(out.terms) == 2
-        assert out.evaluate(v21) == v21(d) - v21(d.delete_chords([2]))
-
-    def test_semivirtual_empty_marks(self):
-        out = expand_semivirtual(LT, [])
-        assert len(out.terms) == 1 and out.terms[0][0] == 1
-
-    def test_semivirtual_matches_gpv_sum(self, rng):
-        for _ in range(40):
-            d = random_diagram(rng, rng.randint(2, 6), "long")
-            ids = list(d.chord_ids())
-            rng.shuffle(ids)
-            marks = ids[: rng.randint(1, min(4, len(ids)))]
-            assert expand_semivirtual(d, marks).evaluate(v21) == gpv_alt_sum(v21, d, marks)
-
-    def test_semitriple_sign_convention(self):
-        rng = random.Random(2)
-        seen = {1: False, -1: False}
-        while not all(seen.values()):
-            d = random_diagram(rng, rng.randint(2, 5), "long")
-            sites = find_triangles(d)
-            if not sites:
-                continue
-            s = sites[0]
-            out = expand_semitriple(d, [s])
-            toggled = apply_move(d, s._event())
-            sign = triangle_sign(d, s.slot)
-            if sign > 0:
-                assert out.evaluate(v21) == v21(d) - v21(toggled)
-            else:
-                assert out.evaluate(v21) == v21(toggled) - v21(d)
-            seen[sign] = True
-
-    def test_semitriple_matches_signed_f_sum(self, rng):
-        checked = 0
-        while checked < 50:
-            d = random_diagram(rng, rng.randint(3, 6), "long")
-            sites = disjoint_sites(d, 2) or (find_triangles(d)[:1] or None)
-            if not sites:
-                continue
-            prod = math.prod(triangle_sign(d, s.slot) for s in sites)
-            assert expand_semitriple(d, sites).evaluate(v21) == prod * f_alt_sum(v21, d, sites)
-            checked += 1
 
 
 class TestLemma3:
@@ -999,7 +934,7 @@ class TestFamiliesJson:
             d = random_diagram(rng, 4, "closed")
         text = json.dumps({"mode": "F", "families": [[{"slots": [7, 8], "kind": site.kind}]]})
         _, fams = load_families(text)
-        assert expand_semitriple(d, fams[0]) == expand_semitriple(d, [site])
+        assert fams[0] == (site,)
 
     @pytest.mark.parametrize("kind", ["closed", "long"])
     @pytest.mark.parametrize("slots", [[1000, 1001], [4, 5], [-4, -3]])

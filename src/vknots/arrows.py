@@ -22,8 +22,8 @@ chords S (GPV-order).  It and the forbidden-move sums of
 :mod:`vknots.forbidden` take their terms from one expansion,
 :func:`_alternating_terms`, which replays each subset of toggle events
 (``virtualize`` here, ``Fo`` and ``Fu`` there) through
-``moves.apply_trace``.  It and :func:`v21`/:func:`v22` read chosen chord
-ids through :func:`_chord_ids`.  A pairing needs no
+``moves.apply_trace``.  :func:`gpv_alt_sum`, :func:`v21` and :func:`v22`
+read chosen chord ids through :func:`_chord_ids`.  A pairing needs no
 deletions: by the subdiagram expansion (Goussarov-Polyak-Viro), its
 alternating sum over S is its signed count of the matchings whose chords
 contain S.  :func:`v21` and :func:`v22` count those chord pairs

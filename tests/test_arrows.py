@@ -424,12 +424,6 @@ class TestGpvAltSum:
         # witnesses it (value frozen from the expansion oracle).
         assert gpv_alt_sum(v21, LT, (1, 2)) == 1
 
-    def test_single_chord_is_difference(self):
-        assert gpv_alt_sum(v21, LT, [2]) == v21(LT) - v21(LT.delete_chords([2]))
-
-    def test_no_chords_is_the_invariant(self):
-        assert gpv_alt_sum(v21, LT, []) == v21(LT)
-
     def test_constant_invariant_telescopes(self, rng):
         d = random_diagram(rng, 4, "long")
         assert gpv_alt_sum(lambda _: 7, d, (2,)) == 0

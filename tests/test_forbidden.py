@@ -5,7 +5,7 @@ import random
 import pytest
 
 from vknots import forbidden, khovanov, moves
-from vknots.arrows import v21, v22
+from vknots.arrows import gpv_alt_sum, v21, v22
 from vknots.corpus import gpv2_trivial, random_diagram, right_trefoil, virtual_trefoil
 from vknots.diagram import (
     Chord,
@@ -277,6 +277,17 @@ class TestFSideByBitmask:
                 expected = bitmask_f_sum(inv, d, sites)
                 assert f_alt_sum(inv, d, sites) == expected
             checked[count] += 1
+
+
+class TestExpansions:
+    """A semi-virtual mark expands to (real - virtual): gpv_alt_sum
+    evaluates the expansion of the marked chords."""
+
+    def test_semivirtual_single(self):
+        assert gpv_alt_sum(v21, LT, [2]) == v21(LT) - v21(LT.delete_chords([2]))
+
+    def test_semivirtual_empty_marks(self):
+        assert gpv_alt_sum(v21, LT, []) == v21(LT)
 
 
 class TestLemma3:

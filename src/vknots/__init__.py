@@ -35,6 +35,7 @@ from .arrows import (
     subdiagram_expand,
     v21,
     v22,
+    writhe_polynomial,
 )
 from .forbidden import (
     FamilyError,

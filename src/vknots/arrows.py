@@ -30,6 +30,15 @@ contain S.  :func:`v21` and :func:`v22` count those chord pairs
 directly, and the CLI's ``gpv-sum`` and ``ntrivial``'s battery read
 them; :func:`gpv_alt_sum` stays the definition for any invariant and the
 tests' oracle for the direct count.
+
+The index of a chord is the signed count of the endpoints strictly
+between its tail and its head, going forward from the tail (+sign at a
+head, -sign at a tail).  :func:`writhe_polynomial` reads every index off
+one prefix sum.  Its t**n coefficients are the index writhes J_n of
+Satoh-Taniguchi (*The writhes of a virtual knot*, Fund. Math. 225, 2014),
+and it is Kauffman's affine index polynomial (*An affine index polynomial
+invariant of virtual knots*, JKTR 22, 2013).  Each J_n has F-order 1: a
+forbidden move changes the indices of its own two chords only.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .diagram import HEAD, TAIL, Chord, DiagramError, GaussDiagram, Kind, load_json
+from .laurent import LaurentPoly
 from .moves import MoveEvent, apply_trace
 
 Invariant = Callable[[GaussDiagram], int]
@@ -297,6 +307,22 @@ def v22(diagram: GaussDiagram, containing: Collection[int] = ()) -> int:
     """Companion degree-2 invariant (interleaved order h1 t2 t1 h2,
     ``V22_PATTERN``); takes ``containing`` as :func:`v21` does."""
     return _interleaved("v22", diagram, containing, heads_first=True)
+
+
+def writhe_polynomial(diagram: GaussDiagram) -> LaurentPoly:
+    """W(t) = sum over chords c of sign(c) (t**ind(c) - 1), 0 on the unknot
+    and on classical knots.  With P(s) the sum of +sign at heads and -sign
+    at tails before slot s, ind(c) = P(head) - P(tail) + sign(c); P over
+    all slots is 0, so no wrap-around term is needed, and a long diagram
+    reads as its closure."""
+    weight = [0] * diagram.slot_count
+    for _, tail, head, sign in diagram.chords:
+        weight[tail], weight[head] = -sign, sign
+    before = list(itertools.accumulate(weight, initial=0))
+    terms = []
+    for _, tail, head, sign in diagram.chords:
+        terms += [(before[head] - before[tail] + sign, sign), (0, -sign)]
+    return LaurentPoly(terms)
 
 
 # -- alternating subset sums ----------------------------------------------------

@@ -7,12 +7,12 @@ usage errors included; every refusal of input derives from
 exhausted.  On exit 2 a report is still printed for the skipped rows of
 ``kh``, ``lemma5`` and ``braid --scan``, the unknown subsets of
 ``ntrivial``, and ``trivialize`` when a diagram gets no trace (its
-``--depth`` or its move graph ran out).  No report is printed when a cap
-is raised as :class:`~vknots.khovanov.CapExceeded`: the chord cap of
-``eval``, the subset caps of ``gpv-sum``, ``f-sum`` and ``ntrivial``, the
-``braid`` bounds, and ``trivialize --max-nodes``, which also drops the
-reports of the diagrams searched before it binds.  No report is printed
-on exit 1 either: a command that refuses any diagram of its input prints
+``--depth``, its move graph or its ``--max-nodes`` ran out; a diagram
+whose search hit the node cap gets the row of a depth miss).  No report
+is printed when a cap is raised as
+:class:`~vknots.khovanov.CapExceeded`: the chord cap of ``eval``, the
+subset caps of ``gpv-sum``, ``f-sum`` and ``ntrivial``, and the
+``braid`` bounds.  No report is printed on exit 1 either: a command that refuses any diagram of its input prints
 nothing on stdout, ``ntrivial`` included.
 JSON output is deterministic (sorted keys) for a fixed config and seed.
 """
@@ -265,16 +265,22 @@ def cmd_ntrivial(args) -> int:
 def cmd_trivialize(args) -> int:
     results = []
     depth_cut = graph_out = 0
+    capped: dict[str, int] = {}  # stop message -> diagrams it stopped
     for d in _load_diagrams(args):
         stats = SearchStats()
-        trace = trivialize_forbidden(d, args.budget, stats=stats, node_cap=args.max_nodes)
+        try:
+            trace = trivialize_forbidden(d, args.budget, stats=stats, node_cap=args.max_nodes)
+        except CapExceeded as exc:
+            capped[str(exc)] = capped.get(str(exc), 0) + 1
+            trace = stats = None
         if trace is None:
             results.append({"code": d.code(), "found": False, "trace": None,
                             "replayed_empty": None})
             # budget_spent is False when the search walked the whole move
             # graph: no depth would have found a trace
-            depth_cut += stats.budget_spent
-            graph_out += not stats.budget_spent
+            if stats is not None:
+                depth_cut += stats.budget_spent
+                graph_out += not stats.budget_spent
         else:
             replay = apply_trace(d, trace)
             results.append(
@@ -292,7 +298,10 @@ def cmd_trivialize(args) -> int:
     if graph_out:
         print(f"trivialize: the move graph ran out with --depth {args.budget} unspent: no "
               f"trace at any depth for {graph_out} of {len(results)} diagrams", file=sys.stderr)
-    return EXHAUSTED if depth_cut or graph_out else OK
+    for stop, count in capped.items():
+        print(f"{stop} (--max-nodes): no trace for {count} of {len(results)} diagrams",
+              file=sys.stderr)
+    return EXHAUSTED if depth_cut or graph_out or capped else OK
 
 
 def cmd_braid(args) -> int:

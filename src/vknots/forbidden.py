@@ -37,7 +37,7 @@ from .moves import (
     apply_trace,
     simplify,
 )
-from .arrows import Invariant, _alternating_terms, v21, v22
+from .arrows import Invariant, _alternating_terms, v21, v22, writhe_polynomial
 
 UNKNOT_TABLE = {(0, -1): 1, (0, 1): 1}
 UNKNOT_JONES = LaurentPoly({1: 1, -1: 1})
@@ -72,7 +72,8 @@ class Verdict:
     ``"budget"`` when the R-move search spent its node budget, else
     ``"cap"`` when the input had more chords than the cap on the state
     sums, else ``"search"`` when the search ended on its own and every
-    battery row matched the unknot's.
+    battery row matched the unknot's.  Each reason also means that the
+    writhe polynomial, read at any chord count, is 0.
     """
 
     status: str
@@ -262,12 +263,15 @@ def certify_trivial(
     the input, where a nonzero value refutes it without searching; the
     search; then jones_hat and Z2 Khovanov homology on the closure of the
     reduced diagram, over 2**(reduced chords) states, only when the input
-    has at most ``cap`` chords.  The normalized bracket is not tried: for
-    a fixed writhe, ``khovanov.jones_from_bracket`` maps monomials
-    one-to-one and sends the unknot's bracket to the unknot's Jones
-    polynomial, so the bracket differs from the unknot's exactly when
-    jones_hat does.  A refutation is sound; unknown claims nothing.
-    Raises MoveError when ``budget`` is negative, before any row is read."""
+    has at most ``cap`` chords; last, at any chord count, the O(n)
+    ``writhe_polynomial`` of the reduced diagram, which goes last so that
+    it decides only inputs the other rows leave unknown.  The normalized
+    bracket is not tried: for a fixed writhe,
+    ``khovanov.jones_from_bracket`` maps monomials one-to-one and sends
+    the unknot's bracket to the unknot's Jones polynomial, so the bracket
+    differs from the unknot's exactly when jones_hat does.  A refutation
+    is sound; unknown claims nothing.  Raises MoveError when ``budget``
+    is negative, before any row is read."""
     if budget < 0:
         raise MoveError("certify budget must be >= 0")
     if diagram.kind == "long":
@@ -287,6 +291,9 @@ def certify_trivial(
         table = homology(closed, cap).as_dict()
         if table != UNKNOT_TABLE:
             return Verdict("refuted", witness=("khovanov", str(table), str(UNKNOT_TABLE)))
+    w = writhe_polynomial(reduced)
+    if w:
+        return Verdict("refuted", witness=("writhe", w.to_str("t"), "0"))
     if stats.budget_spent:
         return Verdict("unknown", reason="budget")
     return Verdict("unknown", reason="cap" if diagram.n > cap else "search")

@@ -11,7 +11,7 @@ import math
 import random
 import time
 
-from vknots.arrows import gpv_alt_sum, v21, v22
+from vknots.arrows import gpv_alt_sum, v21, v22, writhe_polynomial
 from vknots.braids import (
     BraidWord,
     EXAMPLE_GENS,
@@ -336,4 +336,81 @@ def test_criterion_11_f_order_is_strict():
         True,
         "v21**n has F-order exactly n for n = 1..4: n-site sums n! on n concatenated "
         f"copies, (n + 1)-site sums 0 on n + 1 copies and on {sampled} seeded diagrams",
+    )
+
+
+def index_writhe(n):
+    """J_n, the t**n coefficient of the writhe polynomial."""
+    def j_n(d):
+        return dict(writhe_polynomial(d).items()).get(n, 0)
+
+    return j_n
+
+
+def test_criterion_12_index_writhes_have_f_order_one():
+    # The index writhes J_n (Satoh-Taniguchi) are R-move invariants of
+    # F-order exactly 1 and of no GPV-order up to 5: finite GPV-order
+    # implies finite F-order, and J_n is a witness that the converse fails.
+    rng = random.Random(12)
+    kinds = ["R1_del", "R2_del", "R3", "R1_add", "R2_add"]
+    seen = dict.fromkeys(kinds, 0)
+    for _ in range(300):  # seeded 6-move walks, each step of a random kind
+        d = random_diagram(rng, rng.randint(0, 6), rng.choice(("closed", "long")))
+        w = writhe_polynomial(d)
+        for _ in range(6):
+            # R2_add has O(n**2) sites, so one is drawn without listing them
+            m = d.slot_count
+            e = MoveEvent("R2_add", (rng.randint(0, m), rng.randint(0, m), rng.random() < 0.5,
+                                     rng.choice((1, -1)), rng.choice("th")))
+            kind = rng.choice(kinds)
+            if kind != "R2_add":
+                e = rng.choice(enumerate_moves(d, [kind]) or [e])
+            d = apply_move(d, e)
+            assert writhe_polynomial(d) == w, (d.code(), e)
+            seen[e.kind] += 1
+    assert min(seen.values()) >= 50, seen
+
+    # F-order exactly 1: every 2-site sum vanishes, some 1-site sums do not
+    two_site = one_site_nonzero = 0
+    while two_site < 200:
+        d = random_diagram(rng, rng.randint(3, 9), "closed")
+        sites = disjoint_sites(d, 2)
+        if sites is None:
+            continue
+        for n in (1, -1, 2, -2):
+            assert f_alt_sum(index_writhe(n), d, sites) == 0, (n, d.code())
+            one_site_nonzero += f_alt_sum(index_writhe(n), d, sites[:1]) != 0
+        two_site += 1
+    assert one_site_nonzero
+
+    # no GPV-order <= m: a seeded (m + 1)-chord sum of J_1 is nonzero
+    tries = []
+    for m in range(1, 6):
+        for attempt in range(1, 201):
+            d = random_diagram(rng, rng.randint(m + 1, m + 6), rng.choice(("closed", "long")))
+            if gpv_alt_sum(index_writhe(1), d, rng.sample(d.chord_ids(), m + 1)) != 0:
+                break
+        else:
+            raise AssertionError(f"no nonzero {m + 1}-chord GPV sum of J_1 in 200 diagrams")
+        tries.append(attempt)
+
+    # Theorem Fn: F b(k) is F-2-trivial for k >= 2, so every invariant of
+    # F-order <= 1 takes the unknot's value on it.  W is 0 on CL b(k) too,
+    # and EX has nonzero index writhes at odd k
+    f_gens = GeneratorDef(parse_braid_word("s1 s2 v1 S2 S1 v2"),
+                          parse_braid_word("s2 s3 v2 S3 S2 v3"))
+    cl_gens = GeneratorDef(parse_braid_word("s1 s1"), parse_braid_word("s2 s2"))
+    suffix = parse_braid_word("s1 s2 s3 v1 v2 v3")
+    for k in range(1, 7):
+        assert not writhe_polynomial(closure(b_family(k, f_gens))), ("F", k)
+        assert not writhe_polynomial(closure(product(b_family(k, cl_gens), suffix))), ("CL", k)
+    for k in (1, 3, 5):
+        assert writhe_polynomial(closure(b_family(k, EXAMPLE_GENS))), ("EX", k)
+    report(
+        12,
+        True,
+        f"W unchanged by {sum(seen.values())} R-move events ({seen['R3']} R3); "
+        f"J_n 2-site F sums 0 on {two_site} diagrams, {one_site_nonzero} 1-site sums "
+        f"nonzero; nonzero (m + 1)-chord GPV sums of J_1 for m = 1..5 after {tries} "
+        "draws; J_n = 0 on F and CL b(k), k <= 6, and not on EX k = 1, 3, 5",
     )

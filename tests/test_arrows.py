@@ -20,7 +20,9 @@ from vknots.arrows import (
     subdiagram_expand,
     v21,
     v22,
+    writhe_polynomial,
 )
+from vknots.braids import EXAMPLE_GENS, b_family, closure
 from vknots.corpus import (
     figure_eight,
     left_trefoil,
@@ -28,6 +30,7 @@ from vknots.corpus import (
     right_trefoil,
 )
 from vknots.diagram import DiagramError, GaussDiagram, concat_long, parse_gauss_code, reclose
+from vknots.laurent import LaurentPoly
 
 LT = right_trefoil("long")
 TTHH = ArrowPattern("long", (("1", "t"), ("2", "t"), ("1", "h"), ("2", "h")))
@@ -472,6 +475,48 @@ class TestGpvAltSum:
             ids = list(d.chord_ids())
             rng.shuffle(ids)
             assert gpv_alt_sum(fn, d, ids[:3]) == 0
+
+
+def index_loop(d: GaussDiagram) -> LaurentPoly:
+    """Oracle for the writhe polynomial, in O(n**2) steps: each chord's
+    index summed endpoint by endpoint, going forward (cyclically) from its
+    tail to its head."""
+    terms = []
+    for c in d.chords:
+        index, slot = 0, (c.tail + 1) % d.slot_count
+        while slot != c.head:
+            chord, role = d.at(slot)
+            index += chord.sign if role == "h" else -chord.sign
+            slot = (slot + 1) % d.slot_count
+        terms += [(index, c.sign), (0, -c.sign)]
+    return LaurentPoly(terms)
+
+
+class TestWrithePolynomial:
+    def test_equals_the_index_loop(self):
+        rng = random.Random(4301)
+        for n in range(13):
+            for kind in ("closed", "long"):
+                for _ in range(20):
+                    d = random_diagram(rng, n, kind)
+                    assert writhe_polynomial(d) == index_loop(d), d.code()
+        for k in range(1, 7):
+            d = closure(b_family(k, EXAMPLE_GENS))
+            assert writhe_polynomial(d) == index_loop(d), k
+
+    def test_long_diagrams_read_as_their_closure(self):
+        rng = random.Random(4302)
+        for n in range(13):
+            d = random_diagram(rng, n, "long")
+            assert writhe_polynomial(d) == writhe_polynomial(reclose(d)), d.code()
+
+    def test_known_values(self):
+        # J_1 = J_-1 = 1 on the virtual trefoil; 0 on the unknot and on
+        # classical knots
+        vt = parse_gauss_code("O1+ O2+ U1+ U2+")
+        assert writhe_polynomial(vt) == LaurentPoly({-1: 1, 0: -2, 1: 1})
+        for d in (parse_gauss_code(""), LT, figure_eight("long"), left_trefoil()):
+            assert not writhe_polynomial(d), d.code()
 
 
 class TestArrowPolynomialJson:

@@ -322,17 +322,24 @@ class TestNTrivial:
 
 
     def test_cap_chords_bounds_the_jones_row(self, capsys, tmp_path):
-        # dropping the kink leaves the virtual trefoil, which jones_hat
-        # refutes within the cap; above it the subset stays unknown
+        # dropping the kink leaves the right trefoil, which jones_hat
+        # refutes within the cap; above it the subset stays unknown, since
+        # its writhe polynomial is 0.  The virtual trefoil's is not, so
+        # the writhe row refutes it above the cap too
         path = tmp_path / "fams.json"
-        path.write_text('{"mode": "GPV", "families": [[3]]}')
-        argv = ["ntrivial", "--code", VIRTUAL_TREFOIL + " O3+ U3+", "--families", str(path)]
+        path.write_text('{"mode": "GPV", "families": [[4]]}')
+        argv = ["ntrivial", "--code", RIGHT_TREFOIL + " O4+ U4+", "--families", str(path)]
         code, (report,) = run_json(capsys, *argv)
         assert code == 0 and report["subsets"][0]["status"] == "refuted"
         assert report["subsets"][0]["witness"][0] == "jones_hat"
-        code, (report,) = run_json(capsys, *argv, "--cap-chords", "1")
+        code, (report,) = run_json(capsys, *argv, "--cap-chords", "2")
         assert code == 2 and report["subsets"][0]["status"] == "unknown"
         assert report["subsets"][0]["witness"] is None
+        path.write_text('{"mode": "GPV", "families": [[3]]}')
+        argv = ["ntrivial", "--code", VIRTUAL_TREFOIL + " O3+ U3+", "--families", str(path)]
+        code, (report,) = run_json(capsys, *argv, "--cap-chords", "1")
+        assert code == 0 and report["subsets"][0]["status"] == "refuted"
+        assert report["subsets"][0]["witness"] == ["writhe", "t^-1 - 2 + t", "0"]
 
     def test_khovanov_row_refutes_when_jones_matches(self, capsys, tmp_path, monkeypatch):
         # no seeded random diagram of 3-9 chords has the unknot's jones_hat
@@ -388,28 +395,30 @@ class TestNTrivial:
         assert main(argv) == 0 and capsys.readouterr().err == ""
 
     def test_cap_named_when_it_kept_subsets_unknown(self, capsys, tmp_path):
-        # no move applies to the virtual trefoil left after dropping the
-        # kink, so the cap on its Jones and Khovanov rows, not the budget,
-        # keeps the subset unknown
+        # no move applies to the right trefoil left after dropping the
+        # kink, and its writhe polynomial is 0, so the cap on its Jones and
+        # Khovanov rows, not the budget, keeps the subset unknown
         path = tmp_path / "fams.json"
-        path.write_text('{"mode": "GPV", "families": [[3]]}')
-        argv = ["ntrivial", "--code", VIRTUAL_TREFOIL + " O3+ U3+", "--families", str(path)]
-        code = main(argv + ["--cap-chords", "1"])
+        path.write_text('{"mode": "GPV", "families": [[4]]}')
+        argv = ["ntrivial", "--code", RIGHT_TREFOIL + " O4+ U4+", "--families", str(path)]
+        code = main(argv + ["--cap-chords", "2"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == (
             "ntrivial: 1 of 1 subsets unknown (neither emptied by the R-move "
             "search nor refuted): 1 with the Jones and Khovanov rows skipped "
-            "above --cap-chords 1\n"
+            "above --cap-chords 2\n"
         )
 
     def test_ended_search_named_when_no_limit_was_reached(self, capsys, tmp_path):
-        # deleting chord 3 leaves a diagram no move applies to, whose every
-        # battery row matches the unknot's; neither --budget nor
+        # deleting chord 5 leaves random_diagram(Random(91), 4, "closed"),
+        # which no move applies to and whose every battery row, the writhe
+        # polynomial's included, matches the unknot's; neither --budget nor
         # --cap-chords stopped anything
         path = tmp_path / "fams.json"
-        path.write_text('{"mode": "GPV", "families": [[3]]}')
-        argv = ["ntrivial", "--code", "O1- U2+ U1- U3+ O3+ O4+ O2+ U4+", "--families", str(path)]
+        path.write_text('{"mode": "GPV", "families": [[5]]}')
+        argv = ["ntrivial", "--code", "U1- U2+ O1- O3- O2+ O4+ U3- U4+ O5+ U5+",
+                "--families", str(path)]
         stdout = None
         for extra in ([], ["--budget", "100000", "--cap-chords", "16"]):
             code = main(argv + extra)
@@ -1175,15 +1184,37 @@ class TestFuzz:
 
     def test_trivialize_stops_at_its_node_cap(self, capsys):
         # uncapped, this search expands 10,673 nodes up to --depth 20 (and
-        # 45 s were not enough for a 16-chord diagram at --depth 24)
+        # 45 s were not enough for a 16-chord diagram at --depth 24); the
+        # capped diagram gets the row of a depth miss
         code = random_diagram(random.Random(2), 12, "closed").code()
         argv = ["trivialize", "--code", code, "--depth", "20", "--max-nodes", "1000"]
         assert main(argv) == 2
         assert capsys.readouterr() == (
-            "", "error: trivialize capped at 1000 expanded nodes, reached at depth limit 13 "
-            "of 20\n")
+            f'{{"results":[{{"code":"{code}","found":false,"replayed_empty":null,'
+            '"trace":null}]}\n',
+            "trivialize capped at 1000 expanded nodes, reached at depth limit 13 of 20 "
+            "(--max-nodes): no trace for 1 of 1 diagrams\n")
         assert main(argv[:-2] + ["--max-nodes", "-1"]) == 1
         assert capsys.readouterr() == ("", "error: trivialize node cap must be >= 0\n")
+
+    def test_trivialize_keeps_the_reports_the_node_cap_left(self, capsys, tmp_path):
+        # the kink is searched before the capped diagram and keeps its trace
+        capped = random_diagram(random.Random(2), 12, "closed").code()
+        path = tmp_path / "two.txt"
+        path.write_text(f"O1+ U1+\n{capped}\n")
+        code = main(["trivialize", "--input", str(path), "--depth", "20",
+                     "--max-nodes", "1000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == (
+            '{"results":[{"code":"O1+ U1+","found":true,"replayed_empty":true,'
+            '"trace":[["R1_del",[0,1,"OU"]]]},'
+            f'{{"code":"{capped}","found":false,"replayed_empty":null,"trace":null}}]}}\n'
+        )
+        jsonschema.validate(json.loads(captured.out), schemas.TRIVIALIZE_REPORT)
+        assert captured.err == (
+            "trivialize capped at 1000 expanded nodes, reached at depth limit 13 of 20 "
+            "(--max-nodes): no trace for 1 of 2 diagrams\n")
 
     @pytest.mark.parametrize(
         "error", [ParseError, ArrowError, BraidError, FamilyError, MoveError, CapExceeded])

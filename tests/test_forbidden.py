@@ -5,7 +5,7 @@ import random
 import pytest
 
 from vknots import forbidden, khovanov, moves
-from vknots.arrows import gpv_alt_sum, v21, v22
+from vknots.arrows import gpv_alt_sum, v21, v22, writhe_polynomial
 from vknots.corpus import gpv2_trivial, random_diagram, right_trefoil, virtual_trefoil
 from vknots.diagram import (
     Chord,
@@ -49,22 +49,26 @@ def battery_on_input(d, cap):
     """Oracle for certify_trivial's witness: the first battery row that
     tells ``d`` from the unknot, read on ``d`` itself with no search, or
     None.  Rows: v21, then v22 on a long diagram; then, when ``d`` has at
-    most ``cap`` chords, jones_hat and the Khovanov table of its closure,
-    each against its value on the empty diagram."""
+    most ``cap`` chords, jones_hat and the Khovanov table of its closure;
+    then, at any chord count, the writhe polynomial; each against its
+    value on the empty diagram."""
     if d.kind == "long":
         for name, fn in (("v21", v21), ("v22", v22)):
             value, unknot = fn(d), fn(EMPTY_LONG)
             if value != unknot:
                 return name, str(value), str(unknot)
-    if d.n > cap:
-        return None
-    closed = reclose(d) if d.kind == "long" else d
-    jones, unknot = jones_hat(closed), jones_hat(EMPTY)
-    if jones != unknot:
-        return "jones_hat", jones.to_str("q"), unknot.to_str("q")
-    table, unknot = khovanov.homology(closed, cap).as_dict(), khovanov.homology(EMPTY).as_dict()
-    if table != unknot:
-        return "khovanov", str(table), str(unknot)
+    if d.n <= cap:
+        closed = reclose(d) if d.kind == "long" else d
+        jones, unknot = jones_hat(closed), jones_hat(EMPTY)
+        if jones != unknot:
+            return "jones_hat", jones.to_str("q"), unknot.to_str("q")
+        table = khovanov.homology(closed, cap).as_dict()
+        unknot = khovanov.homology(EMPTY).as_dict()
+        if table != unknot:
+            return "khovanov", str(table), str(unknot)
+    w, unknot = writhe_polynomial(d), writhe_polynomial(EMPTY)
+    if w != unknot:
+        return "writhe", w.to_str("t"), unknot.to_str("t")
     return None
 
 
@@ -381,11 +385,13 @@ class TestCertify:
         [
             # the search could still delete chords when its budget ran out
             ("O1+ O2- U1+ U2- O3+ U3+", "long", 0, 12, "budget"),
-            # no move applies to the virtual trefoil, and the cap skips the
-            # jones_hat row that refutes it
-            ("O1+ O2+ U1+ U2+", "closed", 2000, 1, "cap"),
-            # no move applies, and every battery row matches the unknot's
-            ("O1+ U2+ O3- U1+ O2+ U3-", "closed", 2000, 12, "search"),
+            # no move applies to the right trefoil, whose writhe polynomial
+            # is 0, and the cap skips the jones_hat row that refutes it
+            ("O1+ U2+ O3+ U1+ O2+ U3+", "closed", 2000, 2, "cap"),
+            # random_diagram(Random(91), 4, "closed"): no move applies, and
+            # every battery row, the writhe polynomial's included, matches
+            # the unknot's
+            ("U1- U2+ O1- O3- O2+ O4+ U3- U4+", "closed", 2000, 12, "search"),
         ],
     )
     def test_unknown_names_what_stopped_it(self, code, kind, budget, cap, reason):
@@ -395,6 +401,16 @@ class TestCertify:
         stats = SearchStats()
         reduced, _ = simplify(d, budget, stats=stats)
         assert reduced.n and stats.budget_spent == (reason == "budget")
+
+    def test_writhe_refutes_where_jones_and_khovanov_match(self):
+        # no move applies, and the Jones and Z2 Khovanov rows match the
+        # unknot's; the writhe polynomial, t^-2 - 2 + t^2, refutes it
+        d = parse_gauss_code("O1+ U2+ O3- U1+ O2+ U3-")
+        assert simplify(d)[0] == d
+        assert jones_hat(d) == forbidden.UNKNOT_JONES
+        assert khovanov.homology(d).as_dict() == forbidden.UNKNOT_TABLE
+        v = certify_trivial(d)
+        assert (v.status, v.witness) == ("refuted", ("writhe", "t^-2 - 2 + t^2", "0"))
 
     def test_decided_verdicts_carry_no_reason(self):
         assert certify_trivial(parse_gauss_code("")).reason is None
@@ -415,14 +431,19 @@ class TestCertify:
             raise AssertionError(f"walk (labelled={labelled}) run above the cap")
 
         monkeypatch.setattr(khovanov._StateSpace, "walk", no_walk)
-        # within the cap, jones_hat refutes the virtual trefoil and its long
-        # form, whose v21 and v22 vanish
-        long_vt = parse_gauss_code("O1+ O2+ U1+ U2+", "long")
-        assert (v21(long_vt), v22(long_vt)) == (0, 0)
-        for d in (VT, long_vt):
+        # within the cap, jones_hat refutes the right trefoil and a seeded
+        # long diagram, whose v21, v22 and writhe polynomial vanish
+        seeded = random_diagram(random.Random(169), 4, "long")
+        assert (v21(seeded), v22(seeded)) == (0, 0)
+        rt = parse_gauss_code("O1+ U2+ O3+ U1+ O2+ U3+")
+        for d in (rt, seeded):
+            assert not writhe_polynomial(d)
             assert certify_trivial(d, cap=d.n - 1).reason == "cap"
+        # the writhe polynomial refutes the virtual trefoil above the cap
+        # without a walk
+        assert certify_trivial(VT, cap=VT.n - 1).witness == ("writhe", "t^-1 - 2 + t", "0")
         monkeypatch.undo()
-        for d in (VT, long_vt):
+        for d in (rt, seeded, VT):
             assert certify_trivial(d, cap=d.n).witness[0] == "jones_hat"
 
     def test_battery_on_reduced_matches_the_input(self):
@@ -525,7 +546,9 @@ class TestCertify:
     def test_golden_verdicts_on_toggles(self):
         # one sha256 over certify_trivial's verdicts on GPV and F toggles of
         # seeded diagrams, so that a change to the order of its checks
-        # shows any change in what it returns
+        # shows any change in what it returns; re-derived when the writhe
+        # row was added, after checking that each of the 222 verdicts it
+        # changed went from unknown to refuted with a "writhe" witness
         rng = random.Random(2501)
         h = hashlib.sha256()
         for n in range(10):
@@ -545,7 +568,7 @@ class TestCertify:
                             h.update(repr((v.status, [[e.kind, list(e.data)] for e in v.trace],
                                            v.witness, v.reason)).encode())
         assert h.hexdigest() == (
-            "984774018f75908bc78b8f2e76535a17ce6a98a4eb0d5a53f43a7cb0073852f8")
+            "81d5f6cfc9655b44546d73a091d527d45c9642963251692a14b9b94f08d6bb20")
 
 
 class TestNTrivial:

@@ -12,8 +12,9 @@ whose search hit the node cap gets the row of a depth miss).  No report
 is printed when a cap is raised as
 :class:`~vknots.khovanov.CapExceeded`: the chord cap of ``eval``, the
 subset caps of ``gpv-sum``, ``f-sum`` and ``ntrivial``, and the
-``braid`` bounds.  No report is printed on exit 1 either: a command that refuses any diagram of its input prints
-nothing on stdout, ``ntrivial`` included.
+``braid`` bounds.  No report is printed on exit 1 either: a command
+that refuses any diagram of its input prints nothing on stdout,
+``ntrivial`` included.
 JSON output is deterministic (sorted keys) for a fixed config and seed.
 """
 

@@ -435,7 +435,7 @@ class TestCertify:
         # long diagram, whose v21, v22 and writhe polynomial vanish
         seeded = random_diagram(random.Random(169), 4, "long")
         assert (v21(seeded), v22(seeded)) == (0, 0)
-        rt = parse_gauss_code("O1+ U2+ O3+ U1+ O2+ U3+")
+        rt = right_trefoil()
         for d in (rt, seeded):
             assert not writhe_polynomial(d)
             assert certify_trivial(d, cap=d.n - 1).reason == "cap"

@@ -252,13 +252,13 @@ V22_PATTERN = ArrowPattern(
 
 
 def _chord_ids(diagram: GaussDiagram, ids: Iterable[int]) -> list[Chord]:
-    """The chords of the distinct ``ids``, in id order; raises DiagramError
-    for an id that is not an int (a bool is not) and then for an unknown
-    one, before any chord is returned."""
+    """The chords of the distinct ``ids``, in id order, each read by
+    ``diagram.chord``; an id that is not an int (a bool is not) is refused
+    before any unknown one, and before any chord is returned."""
     ids = list(ids)
     for cid in ids:
         if type(cid) is not int:
-            raise DiagramError(f"chord id must be an int, not {type(cid).__name__}")
+            diagram.chord(cid)  # refuses it before any unknown id
     return [diagram.chord(cid) for cid in sorted(set(ids))]
 
 

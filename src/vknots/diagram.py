@@ -101,10 +101,10 @@ class GaussDiagram:
     other end) cells do.  The key ``(kind, cells)`` is built on the first
     ``==`` or ``hash`` and kept; a diagram never compared costs nothing
     for it.  Closed diagrams additionally expose :meth:`canonical_code`,
-    the minimal lexicographic rotation of the serialized code, for
-    comparison of based circles up to rotation; :func:`rotation_key` of
-    the key, the least rotation of the cells, has the same equality and is
-    cheaper to build.
+    the least code over all rotations, for comparison of based circles up
+    to rotation; :func:`rotation_key` of the key, the least rotation of the
+    cells, has the same equality and is cheaper to build.  Chord ids are
+    ints: :meth:`chord` reads every id and refuses a bool or a float.
     """
 
     __slots__ = ("kind", "chords", "_ends", "_by_id", "_key")
@@ -150,6 +150,10 @@ class GaussDiagram:
         return 2 * len(self.chords)
 
     def chord(self, chord_id: int) -> Chord:
+        """The chord of ``chord_id``; raises DiagramError for an id that is
+        not an int (a bool is not) and then for an unknown one."""
+        if type(chord_id) is not int:
+            raise DiagramError(f"chord id must be an int, not {type(chord_id).__name__}")
         try:
             return self._by_id[chord_id]
         except KeyError:
@@ -197,35 +201,21 @@ class GaussDiagram:
 
     def code(self) -> str:
         """Gauss code with chord ids renormalized to 1..n by first appearance."""
-        return self._code_from(0, ["+" if c.sign > 0 else "-" for c in self.chords])
-
-    def _code_from(self, r: int, signs: list[str]) -> str:
-        """``code()`` of the diagram read from slot r onwards, cyclically."""
+        signs = ["+" if c.sign > 0 else "-" for c in self.chords]
         seen: dict[int, int] = {}
         tokens = []
-        for end in self._ends[r:] + self._ends[:r]:
+        for end in self._ends:
             idx = end >> 1
             label = seen.setdefault(idx, len(seen) + 1)
             tokens.append(("U" if end & 1 else "O") + str(label) + signs[idx])
         return " ".join(tokens)
 
     def canonical_code(self) -> str:
-        """Rotation-minimal code for closed diagrams; plain code for long.
-
-        Each rotation's code is read straight from the slot tuple, without
-        building the rotated diagram.  Only rotations starting at a tail are
-        read: their codes start ``O1`` and every other one starts ``U1``,
-        and ``'O' < 'U'``.  The result is ``min(self.rotated(r).code() for
-        r in range(self.slot_count))``.
-        """
+        """The least code over all rotations for a closed diagram; plain
+        code for a long or empty one."""
         if self.kind == "long" or self.n == 0:
             return self.code()
-        signs = ["+" if c.sign > 0 else "-" for c in self.chords]
-        return min(
-            self._code_from(r, signs)
-            for r, end in enumerate(self._ends)
-            if not end & 1
-        )
+        return min(self.rotated(r).code() for r in range(self.slot_count))
 
     def rotated(self, r: int) -> GaussDiagram:
         """Closed diagram re-based so that old slot r becomes slot 0."""
@@ -237,11 +227,8 @@ class GaussDiagram:
     # -- chord surgery ------------------------------------------------------
 
     def delete_chords(self, ids: Iterable[int]) -> GaussDiagram:
-        """Remove the given chords; remaining slots are compacted in order."""
-        drop = set(ids)
-        for cid in drop:
-            self.chord(cid)
-        dead = {s for c in self.chords if c.id in drop for s in (c.tail, c.head)}
+        """Remove the chords of ``ids``, read by :meth:`chord`; slots are compacted in order."""
+        dead = {s for c in map(self.chord, ids) for s in (c.tail, c.head)}
         return self._moved(_drop_map(self.slot_count, dead))
 
     def swap_slots(self, a: int, b: int) -> GaussDiagram:
@@ -417,7 +404,8 @@ def virtualize(diagram: GaussDiagram, chord_id: int) -> GaussDiagram:
     """Replace the real crossing of ``chord_id`` by a virtual one.
 
     On Gauss diagrams this simply deletes the chord (virtual crossings carry
-    no chord); slots are renormalized.
+    no chord); slots are renormalized.  The id is read through
+    :meth:`GaussDiagram.chord`, so a bool or a float id is refused.
     """
     return diagram.delete_chords([chord_id])
 

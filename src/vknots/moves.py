@@ -345,8 +345,6 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
         fault = "its parity must be a bool"
     elif kind == "R2_add" and data[4] not in (TAIL, HEAD):
         fault = "its role must be 't' or 'h'"
-    elif kind == "virtualize" and data[0] not in diagram._by_id:
-        fault = f"unknown chord id {data[0]}"
     else:
         fault = None
     if fault:
@@ -362,7 +360,10 @@ def apply_move(diagram: GaussDiagram, event: MoveEvent) -> GaussDiagram:
         return diagram._moved(_slot_map(m, kind, data))
 
     if kind == "virtualize":
-        return virtualize(diagram, *data)
+        try:
+            return virtualize(diagram, *data)
+        except DiagramError as exc:  # an unknown chord id
+            raise MoveError(f"{kind}: malformed data {data!r}: {exc}") from None
 
     if kind == "R1_add":
         g, sign, orient = data

@@ -985,6 +985,17 @@ class TestDeterminism:
         assert code1 == code2 == 0 and out1 == out2
         assert all(line.startswith("PASS") for line in out1.strip().splitlines())
 
+    def test_selftest_reports_each_failed_battery(self, capsys, monkeypatch):
+        # a v21 that counts its calls is no invariant: every battery that
+        # reads v21 fails, the others pass, and the exit status is 1
+        calls = iter(range(10**6))
+        monkeypatch.setattr(cli, "v21", lambda d, containing=(): next(calls))
+        code, out = run(capsys, "selftest", "--seed", "3", "--samples", "20")
+        verdicts = [line.split(":")[0] for line in out.strip().splitlines()]
+        assert code == 1
+        assert verdicts == ["PASS slots", "FAIL v2_invariance", "FAIL gpv", "PASS kh",
+                            "FAIL expansion"]
+
 
 # Stand-ins for a JSON node of another type: null, booleans, floats (NaN and
 # the infinities are JSON to Python's json module), huge and negative ints,

@@ -186,22 +186,6 @@ class TestCanonicalCode:
             d = random_diagram(rng, n, "long")
             assert d.canonical_code() == d.code()
 
-    def test_builds_no_diagram(self, rng, monkeypatch):
-        d = random_diagram(rng, 9, "closed")
-        expected = _canonical_code_oracle(d)
-        built = []
-        original = GaussDiagram.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(GaussDiagram, "__init__", counting_init)
-        assert d.canonical_code() == expected
-        assert built == []
-        _canonical_code_oracle(d)
-        assert len(built) == d.slot_count  # the counter sees constructions
-
 
 def _structure_key_oracle(d: GaussDiagram) -> tuple:
     """The former equality key: kind and, slot by slot, (chord label by
@@ -241,6 +225,15 @@ class TestEquality:
                 assert hash(diagrams[a]) == hash(diagrams[b])
                 equal_pairs += 1
         assert equal_pairs  # relabelled copies are equal
+
+    def test_other_types_are_left_to_python(self):
+        d = parse_gauss_code(VT)
+        assert d.__eq__(VT) is NotImplemented and d.__eq__(d.chords) is NotImplemented
+        assert d != VT
+
+    def test_repr_names_kind_and_code(self):
+        d = parse_gauss_code("O5+ O2- U5+ U2-", "long")
+        assert repr(d) == "GaussDiagram('long', 'O1+ O2- U1+ U2-')"
 
 
 class TestSearchKey:
@@ -295,6 +288,21 @@ class TestVirtualize:
     def test_unknown_chord(self):
         with pytest.raises(DiagramError, match="unknown chord"):
             virtualize(parse_gauss_code(VT), 9)
+
+    @pytest.mark.parametrize("read", [
+        GaussDiagram.chord,
+        lambda d, cid: d.delete_chords([cid]),
+        virtualize,
+    ], ids=["chord", "delete_chords", "virtualize"])
+    @pytest.mark.parametrize(
+        "cid, name", [(True, "bool"), (1.0, "float"), ("1", "str"), ([1], "list")],
+        ids=["bool", "float", "str", "list"],
+    )
+    def test_non_int_id_refused(self, read, cid, name):
+        # True and 1.0 equal 1, and chord 1 exists: neither is read as it
+        with pytest.raises(DiagramError) as info:
+            read(parse_gauss_code(VT), cid)
+        assert str(info.value) == f"chord id must be an int, not {name}"
 
     def test_virtual_trefoil_reduces_after_one(self):
         d = virtualize(parse_gauss_code(VT), 2)

@@ -365,10 +365,11 @@ class TestCertify:
     )
     def test_negative_budget_refused_before_any_row(self, d, monkeypatch):
         # refused whether v21 would refute the input or the search would run
-        def no_row(*args):
+        def no_row(*args, **kwargs):
             raise AssertionError("a battery row was read")
 
-        for name in ("v21", "v22", "jones_hat", "homology", "apply_trace"):
+        for name in ("v21", "v22", "jones_hat", "homology", "apply_trace",
+                     "writhe_polynomial", "simplify"):
             monkeypatch.setattr(forbidden, name, no_row)
         with pytest.raises(MoveError, match="certify budget must be >= 0"):
             certify_trivial(d, budget=-1)

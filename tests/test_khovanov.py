@@ -209,6 +209,11 @@ class TestJonesHat:
             d = random_diagram(rng, rng.randint(0, 6), "closed")
             assert jones_hat(d) == jones_from_bracket(bracket(d), writhe(d))
 
+    def test_bracket_of_the_wrong_parity_refused(self):
+        # every exponent of a diagram's bracket has the parity of its writhe
+        with pytest.raises(DiagramError, match="^bracket exponent parity inconsistent"):
+            jones_from_bracket(LaurentPoly({1: 1}), 0)
+
     def test_unknot_bracket_iff_unknot_jones(self):
         # why the unknot battery tries no bracket row after jones_hat
         rng = random.Random(65)

@@ -32,7 +32,6 @@ from .arrows import (
     gpv_alt_sum,
     load_arrow_polynomial,
     pairing,
-    subdiagram_expand,
     v21,
     v22,
     writhe_polynomial,
@@ -54,7 +53,6 @@ from .khovanov import (
     distinguish_from_unknot,
     homology,
     jones_hat,
-    lemma5_check,
     writhe,
 )
 from .braids import (

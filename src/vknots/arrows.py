@@ -217,22 +217,6 @@ def pairing(poly: ArrowPolynomial | ArrowPattern, diagram: GaussDiagram) -> int:
     )
 
 
-def subdiagram_expand(diagram: GaussDiagram, cap: int = 16) -> list[GaussDiagram]:
-    """All 2**n chord-subset subdiagrams (slots renormalized).
-
-    Exists as a small-n oracle for the pairing; the pairing itself never
-    expands.
-    """
-    if diagram.n > cap:
-        raise DiagramError(f"subdiagram expansion capped at {cap} chords, got {diagram.n}")
-    ids = diagram.chord_ids()
-    out = []
-    for r in range(len(ids) + 1):
-        for keep in itertools.combinations(ids, r):
-            out.append(diagram.delete_chords(set(ids) - set(keep)))
-    return out
-
-
 # -- built-in degree-2 invariants ---------------------------------------------
 #
 # Of the four interleaved two-chord endpoint orders, only the two below are

@@ -231,17 +231,6 @@ class GaussDiagram:
         dead = {s for c in map(self.chord, ids) for s in (c.tail, c.head)}
         return self._moved(_drop_map(self.slot_count, dead))
 
-    def swap_slots(self, a: int, b: int) -> GaussDiagram:
-        """Exchange the endpoints in slots a and b (chord data otherwise kept).
-
-        No library path calls it: ``moves.apply_move`` swaps slots along
-        ``moves._slot_map``, and the tests check its R3 rewrite against
-        three chained swaps."""
-        m = self.slot_count
-        where = list(range(m))
-        where[a % m], where[b % m] = b % m, a % m
-        return self._moved(where)
-
     def _moved(self, where: list[int], added: Iterable[Chord] = ()) -> GaussDiagram:
         """The diagram whose slot ``where[s]`` holds the endpoint of old
         slot s, plus the chords ``added`` in the slots ``where`` leaves

@@ -91,8 +91,8 @@ Chord reversal
 
 State space
     Every operation builds the state space of the diagram it is given (the
-    two smoothings of each chord) and keeps none of it past the call; a
-    state's circles are traced on their own.  One loop, ``walk``, steps
+    two smoothings of each chord) and keeps none of it past the call; it
+    reads every state's circles off a walk.  One loop, ``walk``, steps
     the reflected Gray code in place: step g flips chord k, the lowest set
     bit of g, and rewrites only that chord's four entries of one list that
     joins the arc ends as the current state's smoothings do.  It traces
@@ -297,32 +297,8 @@ class _StateSpace:
                 (preserving, reversing) if c.sign > 0 else (reversing, preserving)
             )
 
-    def mask_of(self, markers: StateVec) -> int:
-        if len(markers) != self.n:
-            raise DiagramError(f"expected {self.n} markers, got {len(markers)}")
-        mask = 0
-        for k, mu in enumerate(markers):
-            if type(mu) is not int:
-                raise DiagramError(f"markers must be ints, not {type(mu).__name__}")
-            if mu not in (1, -1):
-                raise DiagramError("markers must be +1 or -1")
-            if mu < 0:
-                mask |= 1 << k
-        return mask
-
     def markers_of(self, mask: int) -> StateVec:
         return tuple(-1 if (mask >> k) & 1 else 1 for k in range(self.n))
-
-    def circles(self, mask: int) -> tuple[tuple[int, ...], ...]:
-        return self._trace(mask)[0]
-
-    def _trace(self, mask: int) -> tuple[tuple[tuple[int, ...], ...], bytes]:
-        """(circles, circle index of each arc) of one state, traced on its own."""
-        arc_circle, count = self._arc_circles(self._partner(mask))
-        circles: list[list[int]] = [[] for _ in range(count)]
-        for arc, idx in enumerate(arc_circle):
-            circles[idx].append(arc)
-        return tuple(map(tuple, circles)), arc_circle
 
     def _partner(self, mask: int) -> list[int]:
         """Arc end e joined to ``partner[e]`` by the smoothings of state
@@ -782,39 +758,15 @@ def homology_and_bracket(
     return GradedDims.from_dict(table), _census_bracket(sp.n, census)
 
 
-def lemma5_check(diagram: GaussDiagram, markers: StateVec) -> bool:
-    """Fast nontriviality certificate for the all-1 enhanced state on this
-    state: every positive-to-negative marker switch must preserve the
-    circle count and every negative-to-positive switch must not increase
-    it.  When true, the all-1 enhanced state survives to homology, so
-    dim KH^{i(S), j(S)} >= 1."""
-    sp = _space(diagram)
-    mask = sp.mask_of(tuple(markers))
-    size = len(sp.circles(mask))
-    for k in range(sp.n):
-        if (mask >> k) & 1:
-            if len(sp.circles(mask & ~(1 << k))) > size:
-                return False
-        else:
-            if len(sp.circles(mask | (1 << k))) != size:
-                return False
-    return True
-
-
-def lemma5_gradings(diagram: GaussDiagram, markers: StateVec) -> tuple[int, int]:
-    """(i, j) of the all-1 enhanced state on ``markers``."""
-    sp = _space(diagram)
-    mask = sp.mask_of(tuple(markers))
-    i = sp.homological_i(mask)
-    return i, sp.w + i + len(sp.circles(mask))
-
-
 def lemma5_scan(
     diagram: GaussDiagram, cap: int = DEFAULT_HOMOLOGY_CAP
 ) -> list[tuple[StateVec, int, int]]:
-    """All states passing :func:`lemma5_check`, with the (i, j) of their
-    all-1 enhanced state.  The circle counts come from one walk of the
-    cube; no state is traced on its own."""
+    """All states that pass the Lemma 5 certificate, with the (i, j) of
+    their all-1 enhanced state.  A state passes when every switch of a
+    positive marker to a negative one keeps its circle count and every
+    switch back does not increase it; its all-1 enhanced state then
+    survives to homology, so dim KH^{i, j} >= 1.  The circle counts come
+    from one walk of the cube; no state is traced on its own."""
     if diagram.n > cap:
         raise CapExceeded(f"lemma5 scan capped at {cap} chords, got {diagram.n}")
     sp = _space(diagram)

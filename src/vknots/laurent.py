@@ -25,10 +25,6 @@ class LaurentPoly:
                     del acc[exp]
         self._coeffs = dict(sorted(acc.items()))
 
-    @classmethod
-    def one(cls) -> LaurentPoly:
-        return cls({0: 1})
-
     def items(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs in increasing exponent order."""
         return list(self._coeffs.items())
@@ -65,18 +61,6 @@ class LaurentPoly:
         return LaurentPoly(acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers of polynomials are not defined")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by X**k."""

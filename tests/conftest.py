@@ -2,18 +2,7 @@ import random
 
 import pytest
 
-from vknots.corpus import random_diagram
-
 
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
-
-
-def random_diagrams(seed, count, max_chords, kind, min_chords=0):
-    """Deterministic stream of random diagrams for property tests."""
-    rng = random.Random(seed)
-    return [
-        random_diagram(rng, rng.randint(min_chords, max_chords), kind)
-        for _ in range(count)
-    ]

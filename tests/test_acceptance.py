@@ -40,16 +40,10 @@ from vknots.forbidden import (
     site_at,
     trivialize_forbidden,
 )
-from vknots.khovanov import (
-    bracket,
-    homology,
-    jones_hat,
-    lemma5_check,
-    lemma5_gradings,
-    _space,
-)
+from vknots.khovanov import bracket, homology, jones_hat, _space
 from vknots.laurent import LaurentPoly
 from vknots.moves import MoveEvent, apply_move, apply_trace, enumerate_moves
+from oracles import circles, insert_r2_pair, lemma5_check, lemma5_gradings
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -141,27 +135,13 @@ def test_criterion_05_f_order_behavior():
     )
 
 
-def _insert_r2_pair(rng, d):
-    m = d.slot_count
-    before = set(d.chord_ids())
-    d2 = apply_move(
-        d,
-        MoveEvent(
-            "R2_add",
-            (rng.randint(0, m), rng.randint(0, m), rng.choice((True, False)),
-             rng.choice((1, -1)), "t"),
-        ),
-    )
-    return d2, sorted(set(d2.chord_ids()) - before)
-
-
 def test_criterion_06_lemma3_identities():
     rng = random.Random(6)
     for _ in range(50):  # GPV mode, n = 3 families of inserted R2 pairs
         d = random_diagram(rng, rng.randint(0, 3), "long")
         fams = []
         for _ in range(3):
-            d, new = _insert_r2_pair(rng, d)
+            d, new = insert_r2_pair(rng, d)
             fams.append(new)
         assert lemma3_residual(v21, d, fams) == 0, d.code()
         assert lemma3_residual(v22, d, fams) == 0, d.code()
@@ -173,7 +153,7 @@ def test_criterion_06_lemma3_identities():
         d = random_diagram(rng, rng.randint(0, 3), "long")
         pairs = []
         for _ in range(2):
-            d, new = _insert_r2_pair(rng, d)
+            d, new = insert_r2_pair(rng, d)
             pairs.append(new)
         sites = []
         for p in pairs:
@@ -224,7 +204,7 @@ def test_criterion_08_lemma5_singleton_oracle():
                 t
                 for t in range(1 << d.n)
                 if i0 - 1 <= sp.homological_i(t) <= i0 + 1
-                and sp.w + sp.homological_i(t) + len(sp.circles(t)) == j0
+                and sp.w + sp.homological_i(t) + len(circles(sp, t)) == j0
             ]
             if hits != [mask]:
                 counterexamples.append(

@@ -17,7 +17,6 @@ from vknots.arrows import (
     gpv_alt_sum,
     load_arrow_polynomial,
     pairing,
-    subdiagram_expand,
     v21,
     v22,
     writhe_polynomial,
@@ -31,6 +30,7 @@ from vknots.corpus import (
 )
 from vknots.diagram import DiagramError, GaussDiagram, concat_long, parse_gauss_code, reclose
 from vknots.laurent import LaurentPoly
+from oracles import subdiagram_expand
 
 LT = right_trefoil("long")
 TTHH = ArrowPattern("long", (("1", "t"), ("2", "t"), ("1", "h"), ("2", "h")))
@@ -251,21 +251,6 @@ class TestArrowRefusals:
         with pytest.raises(ArrowError) as info:
             build()
         assert str(info.value) == message
-
-
-class TestSubdiagramExpand:
-    def test_single_chord(self):
-        d = parse_gauss_code("O1+ U1+", "long")
-        subs = subdiagram_expand(d)
-        assert len(subs) == 2 and {s.n for s in subs} == {0, 1}
-
-    def test_three_chords_gives_eight(self):
-        assert len(subdiagram_expand(LT)) == 8
-
-    def test_cap(self):
-        rng = random.Random(1)
-        with pytest.raises(Exception, match="cap"):
-            subdiagram_expand(random_diagram(rng, 5, "long"), cap=4)
 
 
 class TestV2Invariants:

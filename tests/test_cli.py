@@ -17,6 +17,7 @@ from vknots.corpus import GPV2_TRIVIAL, RIGHT_TREFOIL, VIRTUAL_TREFOIL, random_d
 from vknots.diagram import DiagramError, GaussDiagram, ParseError, parse_gauss_code
 from vknots.forbidden import FamilyError
 from vknots.khovanov import MAX_CAP_CHORDS, CapExceeded, GradedDims
+from vknots.laurent import LaurentPoly
 from vknots.moves import MoveError, apply_move, enumerate_moves, simplify
 
 
@@ -995,6 +996,23 @@ class TestDeterminism:
         assert code == 1
         assert verdicts == ["PASS slots", "FAIL v2_invariance", "FAIL gpv", "PASS kh",
                             "FAIL expansion"]
+
+    @pytest.mark.parametrize("name, message", [
+        ("homology", "homology changed by "), ("jones_hat", "euler mismatch on ")])
+    def test_selftest_reports_a_failed_kh_battery(self, capsys, monkeypatch, name, message):
+        # a table that counts its calls differs between a diagram and its
+        # move; a Jones polynomial of one term is no table's Euler
+        # characteristic
+        calls = iter(range(10**6))
+        stubs = {"homology": lambda d: GradedDims.from_dict({(0, next(calls)): 1}),
+                 "jones_hat": lambda d: LaurentPoly({7: 1})}
+        monkeypatch.setattr(cli, name, stubs[name])
+        code, out = run(capsys, "selftest", "--seed", "3", "--samples", "20")
+        lines = out.strip().splitlines()
+        assert code == 1
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS slots", "PASS v2_invariance", "PASS gpv", "FAIL kh", "PASS expansion"]
+        assert lines[3].startswith(f"FAIL kh: {message}")
 
 
 # Stand-ins for a JSON node of another type: null, booleans, floats (NaN and

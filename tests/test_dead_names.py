@@ -23,6 +23,10 @@ it, by keyword or by position (a call of a class passes to its
 ``__init__``).  The calls are matched by name, as the reads are.  A
 parameter that no such call passes is listed in ``UNPASSED`` with the
 reason it stays, unless its function is in ``TEST_ONLY``.
+
+Every module-level function of the tests' shared modules, ``conftest``
+and ``oracles``, is read by another test module: by name, or, for a
+``pytest.fixture``, by a parameter of its name.
 """
 
 import ast
@@ -36,7 +40,6 @@ ALLOWED = {"__version__"}
 # reads, with the reason each may stay.
 TEST_ONLY = {
     "arrows.V21_PATTERN": "oracle: the pattern whose pairing the direct v21 count is held to",
-    "arrows.subdiagram_expand": "oracle: the 2**n subdiagram expansion the pairing avoids",
     "arrows.V22_PATTERN": "oracle: the pattern whose pairing the direct v22 count is held to",
     "braids.free_reduce": "paper operation: free reduction of a braid word",
     "corpus.figure_eight": "oracle: a named knot whose invariant values the tests pin",
@@ -45,12 +48,9 @@ TEST_ONLY = {
     "corpus.right_trefoil": "oracle: a named knot whose invariant values the tests pin",
     "corpus.unknot": "oracle: the trivial diagram every invariant is normalized on",
     "corpus.virtual_trefoil": "oracle: a named virtual knot whose invariant values the tests pin",
-    "diagram.GaussDiagram.swap_slots": "oracle: three chained swaps against apply_move's R3 rewrite",
     "diagram.concat_long": "paper operation: connected sum of long diagrams",
     "diagram.cut": "paper operation: cutting a closed diagram to a long one",
     "forbidden.lemma3_residual": "oracle: the Lemma 3 similarity identity",
-    "khovanov.lemma5_check": "oracle: the Lemma 5 certificate on one state, against lemma5_scan",
-    "khovanov.lemma5_gradings": "oracle: the (i, j) of one Lemma 5 state, against lemma5_scan",
     "schemas.BRAID_REPORT": "report schema of braid, validated by the CLI tests",
     "schemas.LEMMA5_REPORT": "report schema of lemma5, validated by the CLI tests",
 }
@@ -304,6 +304,32 @@ def test_no_module_level_name_is_dead():
             names |= n
             attrs |= a
     assert unread(sorted(PACKAGE.glob("*.py")), names, attrs) == []
+
+
+def unread_shared() -> list[str]:
+    """``module.function`` of the module-level functions of ``conftest``
+    and ``oracles`` that no other test module reads by name, nor, for a
+    fixture, by a parameter of its name."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "tests").glob("*.py"))}
+    out = []
+    for module in ("conftest", "oracles"):
+        names, params = set(), set()
+        for stem, tree in trees.items():
+            if stem != module:
+                n, a = read_names(tree, strings=False)
+                names |= n | a
+                params |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+        for node in trees[module].body:
+            if isinstance(node, ast.FunctionDef):
+                fixture = any("fixture" in ast.unparse(dec) for dec in node.decorator_list)
+                if node.name not in (params if fixture else names):
+                    out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_every_shared_test_function_is_read():
+    assert unread_shared() == []
 
 
 def test_no_import_is_unused():

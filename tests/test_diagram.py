@@ -166,8 +166,13 @@ class TestStructure:
 
 
 def _canonical_code_oracle(d: GaussDiagram) -> str:
-    """The former definition: the least code over all rotated diagrams."""
-    return min(d.rotated(r).code() for r in range(d.slot_count))
+    """The least code over all start slots, each spelled from the
+    structure key read from that start."""
+    return min(
+        " ".join(f"{'O' if role == 't' else 'U'}{label + 1}{'+' if sign > 0 else '-'}"
+                 for label, role, sign in _structure_key_oracle(d, start)[1])
+        for start in range(d.slot_count)
+    )
 
 
 class TestCanonicalCode:
@@ -187,12 +192,12 @@ class TestCanonicalCode:
             assert d.canonical_code() == d.code()
 
 
-def _structure_key_oracle(d: GaussDiagram) -> tuple:
-    """The former equality key: kind and, slot by slot, (chord label by
-    first appearance, role, sign)."""
+def _structure_key_oracle(d: GaussDiagram, start: int = 0) -> tuple:
+    """The former equality key: kind and, slot by slot from ``start``,
+    (chord label by first appearance, role, sign)."""
     seen: dict[int, int] = {}
     key = []
-    for slot in range(d.slot_count):
+    for slot in range(start, start + d.slot_count):
         c, role = d.at(slot)
         key.append((seen.setdefault(c.id, len(seen)), role, c.sign))
     return d.kind, tuple(key)

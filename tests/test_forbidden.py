@@ -38,6 +38,7 @@ from vknots.moves import (
     enumerate_moves,
     simplify,
 )
+from oracles import insert_r2_pair
 
 VT = virtual_trefoil()
 LT = right_trefoil("long")
@@ -70,20 +71,6 @@ def battery_on_input(d, cap):
     if w != unknot:
         return "writhe", w.to_str("t"), unknot.to_str("t")
     return None
-
-
-def insert_r2_pair(rng, d):
-    m = d.slot_count
-    before = set(d.chord_ids())
-    d2 = apply_move(
-        d,
-        MoveEvent(
-            "R2_add",
-            (rng.randint(0, m), rng.randint(0, m), rng.choice((True, False)),
-             rng.choice((1, -1)), "t"),
-        ),
-    )
-    return d2, sorted(set(d2.chord_ids()) - before)
 
 
 def tail_site(d, pair):

@@ -29,8 +29,6 @@ from vknots.khovanov import (
     homology,
     jones_from_bracket,
     jones_hat,
-    lemma5_check,
-    lemma5_gradings,
     lemma5_scan,
     _space,
     _switch_images,
@@ -38,6 +36,7 @@ from vknots.khovanov import (
 )
 from vknots.laurent import LaurentPoly
 from vknots.moves import apply_move, enumerate_moves, simplify
+from oracles import circles, lemma5_check, lemma5_gradings, mask_of, power
 
 TREFOIL = right_trefoil("closed")
 VT = virtual_trefoil()
@@ -85,23 +84,23 @@ def oracle_circle_count(diagram: GaussDiagram, markers) -> int:
 class TestTraceCircles:
     def test_empty_diagram_one_circle(self):
         sp = _space(unknot())
-        assert len(sp.circles(sp.mask_of(()))) == 1
+        assert len(circles(sp, mask_of(()))) == 1
 
     def test_trefoil_oriented_state(self):
         # all-positive markers on the positive trefoil = Seifert smoothing
         sp = _space(TREFOIL)
-        assert len(sp.circles(sp.mask_of((1, 1, 1)))) == 2
+        assert len(circles(sp, mask_of((1, 1, 1)))) == 2
 
     def test_virtual_trefoil_all_positive(self):
         sp = _space(VT)
-        assert len(sp.circles(sp.mask_of((1, 1)))) == 1
+        assert len(circles(sp, mask_of((1, 1)))) == 1
 
     def test_partition_covers_arcs_once(self, rng):
         for _ in range(30):
             d = random_diagram(rng, rng.randint(1, 7), "closed")
             markers = tuple(rng.choice((1, -1)) for _ in range(d.n))
             sp = _space(d)
-            arcs = sorted(a for circle in sp.circles(sp.mask_of(markers)) for a in circle)
+            arcs = sorted(a for circle in circles(sp, mask_of(markers)) for a in circle)
             assert arcs == list(range(d.slot_count))
 
     def test_against_networkx_oracle(self):
@@ -110,7 +109,7 @@ class TestTraceCircles:
             d = random_diagram(rng, rng.randint(0, 7), "closed")
             markers = tuple(rng.choice((1, -1)) for _ in range(d.n))
             sp = _space(d)
-            assert len(sp.circles(sp.mask_of(markers))) == oracle_circle_count(d, markers)
+            assert len(circles(sp, mask_of(markers))) == oracle_circle_count(d, markers)
             # an equal copy with reversed chord ids lists the same markers in
             # reverse; right after d, it must not reuse d's chord order
             ids = d.chord_ids()
@@ -121,28 +120,7 @@ class TestTraceCircles:
             assert copy == d
             flipped = markers[::-1]
             sp = _space(copy)
-            assert len(sp.circles(sp.mask_of(flipped))) == oracle_circle_count(copy, flipped)
-
-    def test_marker_length_mismatch(self):
-        with pytest.raises(Exception, match="markers"):
-            _space(TREFOIL).mask_of((1, 1))
-
-    def test_non_int_markers_are_refused(self):
-        # True == 1 and 1.0 == 1, but a marker must be an int, as a chord's
-        # fields and a site's slot must
-        for markers, name in (((True, 1, 1), "bool"), ((1.0, -1, True), "float"),
-                              ((1, -1.0, 1), "float"), ((1, 1, "1"), "str")):
-            with pytest.raises(DiagramError, match=f"markers must be ints, not {name}"):
-                lemma5_check(TREFOIL, markers)
-            with pytest.raises(DiagramError, match=f"markers must be ints, not {name}"):
-                lemma5_gradings(TREFOIL, markers)
-        assert lemma5_gradings(TREFOIL, (1, -1, 1)) == (1, 5)
-
-    @pytest.mark.parametrize("markers", [(0, 1, 1), (1, 2, 1), (1, 1, -2)])
-    def test_markers_other_than_plus_or_minus_one_are_refused(self, markers):
-        for fn in (lemma5_check, lemma5_gradings):
-            with pytest.raises(DiagramError, match="^markers must be \\+1 or -1$"):
-                fn(TREFOIL, markers)
+            assert len(circles(sp, mask_of(flipped))) == oracle_circle_count(copy, flipped)
 
     @pytest.mark.parametrize("fn", [bracket, jones_hat, lemma5_scan])
     def test_state_sums_refuse_a_long_diagram(self, fn):
@@ -155,9 +133,9 @@ class TestTraceCircles:
 
         # one of the two uniform states splits off a circle at every kink
         sp = _space(kinks(254))
-        assert max(len(sp.circles(mask)) for mask in (0, (1 << 254) - 1)) == 255
+        assert max(len(circles(sp, mask)) for mask in (0, (1 << 254) - 1)) == 255
         with pytest.raises(DiagramError, match="at most 254 chords, got 255"):
-            lemma5_check(kinks(255), (1,) * 255)
+            _space(kinks(255))
 
 
 class TestBracket:
@@ -176,7 +154,7 @@ class TestBracket:
             delta = LaurentPoly({2: -1, -2: -1})
             for markers in itertools.product((1, -1), repeat=d.n):
                 sigma = sum(markers)
-                acc = acc + (delta ** oracle_circle_count(d, markers)).shift(sigma)
+                acc = acc + power(delta, oracle_circle_count(d, markers)).shift(sigma)
             assert bracket(d) == acc
 
     def test_r2_r3_exact_invariance_r1_monomial(self):
@@ -239,7 +217,7 @@ class TestJonesHat:
             sp = _space(d)
             acc = {}
             for mask in range(1 << sp.n):
-                size = len(sp.circles(mask))
+                size = len(circles(sp, mask))
                 i = sp.homological_i(mask)
                 for lam in range(1 << size):
                     j = sp.w + i + size - 2 * lam.bit_count()
@@ -270,9 +248,9 @@ class TestCensusSums:
         qq = LaurentPoly({1: 1, -1: 1})
         br = jh = LaurentPoly()
         for (neg, size), count in sp.walk(labelled=False)[2].items():
-            br = br + (delta**size).shift(sp.n - 2 * neg) * count
+            br = br + power(delta, size).shift(sp.n - 2 * neg) * count
             i = (sp.w - sp.n) // 2 + neg
-            jh = jh + (qq**size).shift(sp.w + i) * (-count if i % 2 else count)
+            jh = jh + power(qq, size).shift(sp.w + i) * (-count if i % 2 else count)
         return br, jh
 
     def test_match_power_and_shift_sums(self):
@@ -284,16 +262,17 @@ class TestCensusSums:
 
 
 def counting_traces(monkeypatch) -> list[int]:
-    """The masks of every state ``_StateSpace._trace`` traces on its own
-    from here on, in call order."""
+    """The chord count of every state space that traces a state whole
+    from here on, in call order: each call to ``_StateSpace._arc_circles``,
+    which a walk makes for its first state only."""
     traces = []
-    trace = khovanov._StateSpace._trace
+    arc_circles = khovanov._StateSpace._arc_circles
 
-    def counting_trace(self, mask):
-        traces.append(mask)
-        return trace(self, mask)
+    def counting(self, partner):
+        traces.append(self.n)
+        return arc_circles(self, partner)
 
-    monkeypatch.setattr(khovanov._StateSpace, "_trace", counting_trace)
+    monkeypatch.setattr(khovanov._StateSpace, "_arc_circles", counting)
     return traces
 
 
@@ -320,7 +299,7 @@ class TestGrayCensus:
         sp = khovanov._StateSpace(d.kind, d.chords)
         counts = {}
         for mask in range(1 << sp.n):
-            key = (mask.bit_count(), len(sp.circles(mask)))
+            key = (mask.bit_count(), len(circles(sp, mask)))
             counts[key] = counts.get(key, 0) + 1
         return counts
 
@@ -354,11 +333,11 @@ class TestGrayCensus:
                 sp = khovanov._StateSpace("closed", copy.chords)
                 traces.clear()
                 walks = sp.walk(labelled=True), sp.walk(labelled=False)
-                # neither mode traces a single state
-                assert traces == []
-                traced = [sp._trace(mask) for mask in range(1 << d.n)]
-                arcs = [arc for _, arc in traced]
-                sizes = [len(circles) for circles, _ in traced]
+                # each mode traces its first state whole and no other
+                assert traces == [d.n, d.n]
+                traced = [sp._arc_circles(sp._partner(mask)) for mask in range(1 << d.n)]
+                arcs = [arc for arc, _ in traced]
+                sizes = [count for _, count in traced]
                 census = {}
                 for mask, size in enumerate(sizes):
                     key = (mask.bit_count(), size)
@@ -409,9 +388,9 @@ class TestGrayCensus:
         for d in diagrams:
             sp = khovanov._StateSpace(d.kind, d.chords)
             arcs, sizes, census = sp.walk(labelled=True)
-            traced = [sp._trace(mask) for mask in range(1 << d.n)]
-            assert arcs == [arc for _, arc in traced], d.code()
-            assert sizes == [len(circles) for circles, _ in traced], d.code()
+            traced = [sp._arc_circles(sp._partner(mask)) for mask in range(1 << d.n)]
+            assert arcs == [arc for arc, _ in traced], d.code()
+            assert sizes == [count for _, count in traced], d.code()
             assert census == self.traced_census(d), d.code()
             gray = [g ^ (g >> 1) for g in range(1 << d.n)]
             steps = {sizes[b] - sizes[a] for a, b in zip(gray, gray[1:])}
@@ -427,10 +406,10 @@ class TestGrayCensus:
         d = random_diagram(random.Random(12), 8, "closed")
         bracket(d)
         jones_hat(d)
-        assert traces == []
-        # homology traces no single state
+        assert traces == [8, 8]
+        # homology traces its first state whole and no other
         homology(d)
-        assert traces == []
+        assert traces == [8, 8, 8]
 
     def test_kh_request_walks_the_cube_once(self, monkeypatch, capsys):
         walks = counting_walks(monkeypatch)
@@ -443,8 +422,9 @@ class TestGrayCensus:
         assert "euler_check" in capsys.readouterr().out
         # homology's walk over the reduced diagram, in label mode, keeps the
         # arc array and circle count of every state and tallies the census
-        # that jones_hat and bracket then read; no state is traced on its own
-        assert walks == [(reduced.n, True)] and traces == []
+        # that jones_hat and bracket then read; only its first state is
+        # traced whole
+        assert walks == [(reduced.n, True)] and traces == [reduced.n]
 
     def test_eval_request_walks_the_cube_once_per_diagram(self, monkeypatch, capsys, tmp_path):
         walks = counting_walks(monkeypatch)
@@ -456,8 +436,8 @@ class TestGrayCensus:
         assert main(["eval", "--input", str(path)]) == 0
         assert len(json.loads(capsys.readouterr().out)["diagrams"]) == 3
         # bracket and jones_hat read one census per diagram, tallied on one
-        # Gray walk in count mode; no state is traced on its own
-        assert walks == [(6, False), (7, False), (5, False)] and traces == []
+        # Gray walk in count mode, which traces its first state whole
+        assert walks == [(6, False), (7, False), (5, False)] and traces == [6, 7, 5]
 
     def test_no_state_space_outlives_a_request(self, monkeypatch, capsys):
         spaces = []
@@ -725,7 +705,7 @@ def oracle_switch(sp, mask, k):
     Returns (kind, a, b, c) as the engine does, plus ``carry``, the new
     index of every circle the switch leaves alone.
     """
-    old, new = sp.circles(mask), sp.circles(mask | (1 << k))
+    old, new = circles(sp, mask), circles(sp, mask | (1 << k))
     if len(new) == len(old):
         return ("zero", -1, -1, -1), {}
     old_index = {circ: i for i, circ in enumerate(old)}
@@ -786,7 +766,7 @@ class TestSwitch:
             sp = _space(d)
             arcs, sizes, _ = sp.walk(labelled=True)
             for mask in range(1 << sp.n):
-                size = len(sp.circles(mask))
+                size = len(circles(sp, mask))
                 for k in range(sp.n):
                     if (mask >> k) & 1:
                         continue
@@ -892,7 +872,7 @@ def oracle_homology(d: GaussDiagram) -> dict:
     basis = {}
     index = {}
     for mask in range(1 << sp.n):
-        size = len(sp.circles(mask))
+        size = len(circles(sp, mask))
         i = sp.homological_i(mask)
         for lam in range(1 << size):
             block = basis.setdefault((i, sp.w + i + size - 2 * lam.bit_count()), [])
@@ -1231,7 +1211,7 @@ class TestLemma5:
         traces = counting_traces(monkeypatch)
         d = random_diagram(random.Random(14), 8, "closed")
         lemma5_scan(d)
-        assert traces == []
+        assert traces == [8]
 
     def test_rank_consequence(self):
         # the certificate's real content: the all-1 state on a passing
@@ -1247,7 +1227,7 @@ class TestLemma5:
                     continue
                 # the all-1 state (label mask 0) is a cycle: every switch
                 # of a positive marker maps it to nothing
-                mask = sp.mask_of(markers)
+                mask = mask_of(markers)
                 for k in range(d.n):
                     if not (mask >> k) & 1:
                         assert oracle_images(*oracle_switch(sp, mask, k), 0) == []

@@ -19,6 +19,7 @@ from vknots.moves import (
     enumerate_moves,
     simplify,
 )
+from oracles import swap_slots
 
 TREFOIL = "O1+ U2+ O3+ U1+ O2+ U3+"
 
@@ -121,7 +122,7 @@ class TestApply:
             for e in enumerate_moves(d, ["R3"]):
                 chained = d
                 for k in e.data:
-                    chained = chained.swap_slots(k, (k + 1) % m)
+                    chained = swap_slots(chained, k, (k + 1) % m)
                 monkeypatch.setattr(GaussDiagram, "__init__", counting_init)
                 slid = apply_move(d, e)
                 monkeypatch.undo()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .diagram import DiagramError, GaussDiagram, load_json, pair_starts, reclose, rotation_key
-from .khovanov import DEFAULT_HOMOLOGY_CAP, CapExceeded, homology, jones_hat
+from .khovanov import DEFAULT_HOMOLOGY_CAP, CapExceeded, delete_reversals, homology, jones_hat
 from .laurent import LaurentPoly
 from .moves import (
     MoveError,
@@ -73,7 +73,7 @@ class Verdict:
     ``"cap"`` when the input had more chords than the cap on the state
     sums, else ``"search"`` when the search ended on its own and every
     battery row matched the unknot's.  Each reason also means that the
-    writhe polynomial, read at any chord count, is 0.
+    writhe polynomial, read at any chord count, is 0, so the search ran.
     """
 
     status: str
@@ -260,13 +260,17 @@ def certify_trivial(
     and R3 slides, so each may be read on the input or on the reduced
     diagram, and the witness is the input's either way.  In order: v21,
     then v22 (long inputs only, O(n**2) chord pairs, 0 on the unknot) on
-    the input, where a nonzero value refutes it without searching; the
-    search; then jones_hat and Z2 Khovanov homology on the closure of the
-    reduced diagram, over 2**(reduced chords) states, only when the input
-    has at most ``cap`` chords; last, at any chord count, the O(n)
-    ``writhe_polynomial`` of the reduced diagram, which goes last so that
-    it decides only inputs the other rows leave unknown.  The normalized
-    bracket is not tried: for a fixed writhe,
+    the input, where a nonzero value refutes it without searching.  Then
+    the O(n) ``writhe_polynomial`` W of the input gates the search: W is
+    invariant and 0 on the empty diagram, so the search runs only when
+    W = 0, the one case in which it can empty the diagram.  Then, only
+    when the input has at most ``cap`` chords, jones_hat and Z2 Khovanov
+    homology on the closure of the searched diagram (the input when
+    W != 0) after ``khovanov.delete_reversals``, whose kink and reversed
+    R2 deletions keep both.  Last, a nonzero W refutes, so that it decides
+    only inputs the other rows leave unknown and the witness is the first
+    of v21, v22, jones_hat, khovanov and writhe that differs from the
+    unknot's.  The normalized bracket is not tried: for a fixed writhe,
     ``khovanov.jones_from_bracket`` maps monomials one-to-one and sends
     the unknot's bracket to the unknot's Jones polynomial, so the bracket
     differs from the unknot's exactly when jones_hat does.  A refutation
@@ -279,19 +283,21 @@ def certify_trivial(
             val = fn(diagram)
             if val != 0:
                 return Verdict("refuted", witness=(name, str(val), "0"))
+    w = writhe_polynomial(diagram)
     stats = SearchStats()
-    reduced, trace = simplify(diagram, budget, stats=stats)
-    if reduced.n == 0:
-        return Verdict("certified", tuple(trace))
+    reduced = diagram
+    if not w:
+        reduced, trace = simplify(diagram, budget, stats=stats)
+        if reduced.n == 0:
+            return Verdict("certified", tuple(trace))
     if diagram.n <= cap:
-        closed = reclose(reduced) if reduced.kind == "long" else reduced
+        closed = delete_reversals(reclose(reduced) if reduced.kind == "long" else reduced)
         jh = jones_hat(closed)
         if jh != UNKNOT_JONES:
             return Verdict("refuted", witness=("jones_hat", jh.to_str("q"), UNKNOT_JONES.to_str("q")))
         table = homology(closed, cap).as_dict()
         if table != UNKNOT_TABLE:
             return Verdict("refuted", witness=("khovanov", str(table), str(UNKNOT_TABLE)))
-    w = writhe_polynomial(reduced)
     if w:
         return Verdict("refuted", witness=("writhe", w.to_str("t"), "0"))
     if stats.budget_spent:

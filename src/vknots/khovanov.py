@@ -237,13 +237,21 @@ def _reversal_deletion(d: GaussDiagram) -> tuple[int, ...]:
     return ()
 
 
+def delete_reversals(closed: GaussDiagram) -> GaussDiagram:
+    """``closed`` with kinks and R2 pairs up to chord reversal deleted until
+    none is left; the homology table and Jones polynomial stay."""
+    while dead := _reversal_deletion(closed):
+        closed = closed.delete_chords(dead)
+    return closed
+
+
 def reduce_for_state_sums(closed: GaussDiagram) -> tuple[GaussDiagram, int]:
     """A diagram with the homology table and Jones polynomial of the closed
     diagram ``closed``, and the writhe shift w(closed) - w(reduced), so that
     <closed> = (-A^3)**shift <reduced>.
 
-    Repeats two steps until the chord count stops falling: delete kinks and
-    R2 pairs up to chord reversal (see "Chord reversal" above), then run
+    Repeats two steps until the chord count stops falling:
+    :func:`delete_reversals` (see "Chord reversal" above), then run
     :func:`moves.simplify` for its R3 slides.  Only the state sums may read
     this diagram; it need not be equivalent to ``closed`` as a virtual knot.
     Deleting first keeps simplify's search small, but it is greedy: it can
@@ -254,9 +262,7 @@ def reduce_for_state_sums(closed: GaussDiagram) -> tuple[GaussDiagram, int]:
     reduced = closed
     while True:
         start = reduced.n
-        while dead := _reversal_deletion(reduced):
-            reduced = reduced.delete_chords(dead)
-        reduced, _ = simplify(reduced)
+        reduced, _ = simplify(delete_reversals(reduced))
         if reduced.n == start:
             return reduced, writhe(closed) - writhe(reduced)
 

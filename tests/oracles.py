@@ -6,9 +6,12 @@ only inputs the tests make, so none checks its arguments.
 
 import itertools
 
-from vknots.khovanov import _space
+from vknots.arrows import v21, v22, writhe_polynomial
+from vknots.diagram import reclose
+from vknots.forbidden import UNKNOT_JONES, UNKNOT_TABLE, Verdict
+from vknots.khovanov import _space, homology, jones_hat
 from vknots.laurent import LaurentPoly
-from vknots.moves import MoveEvent, apply_move
+from vknots.moves import MoveEvent, SearchStats, apply_move, simplify
 
 
 def circles(sp, mask):
@@ -83,3 +86,33 @@ def insert_r2_pair(rng, d):
         ),
     )
     return d2, sorted(set(d2.chord_ids()) - before)
+
+
+def certify_search_first(diagram, budget, cap):
+    """``forbidden.certify_trivial`` with the R-move search run on every
+    input: v21, then v22 on a long input; the search; jones_hat and the
+    Khovanov table of the reduced diagram's closure, within the cap; last,
+    the writhe polynomial of the reduced diagram."""
+    if diagram.kind == "long":
+        for name, fn in (("v21", v21), ("v22", v22)):
+            val = fn(diagram)
+            if val != 0:
+                return Verdict("refuted", witness=(name, str(val), "0"))
+    stats = SearchStats()
+    reduced, trace = simplify(diagram, budget, stats=stats)
+    if reduced.n == 0:
+        return Verdict("certified", tuple(trace))
+    if diagram.n <= cap:
+        closed = reclose(reduced) if reduced.kind == "long" else reduced
+        jh = jones_hat(closed)
+        if jh != UNKNOT_JONES:
+            return Verdict("refuted", witness=("jones_hat", jh.to_str("q"), UNKNOT_JONES.to_str("q")))
+        table = homology(closed, cap).as_dict()
+        if table != UNKNOT_TABLE:
+            return Verdict("refuted", witness=("khovanov", str(table), str(UNKNOT_TABLE)))
+    w = writhe_polynomial(reduced)
+    if w:
+        return Verdict("refuted", witness=("writhe", w.to_str("t"), "0"))
+    if stats.budget_spent:
+        return Verdict("unknown", reason="budget")
+    return Verdict("unknown", reason="cap" if diagram.n > cap else "search")

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -38,7 +39,7 @@ from vknots.moves import (
     enumerate_moves,
     simplify,
 )
-from oracles import insert_r2_pair
+from oracles import certify_search_first, insert_r2_pair
 
 VT = virtual_trefoil()
 LT = right_trefoil("long")
@@ -460,10 +461,16 @@ class TestCertify:
         assert reduced_only
 
     def test_arrow_rows_refute_before_the_search(self, monkeypatch):
-        def no_search(*args, **kwargs):
-            raise AssertionError("simplify reached")
+        # a v21 or v22 refutation returns before the writhe polynomial,
+        # which gates the search, is read
+        def unread(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"{name} reached")
 
-        monkeypatch.setattr(forbidden, "simplify", no_search)
+            return fail
+
+        for name in ("simplify", "writhe_polynomial"):
+            monkeypatch.setattr(forbidden, name, unread(name))
         rng = random.Random(2505)
         witnesses = set()
         for _ in range(60):
@@ -477,13 +484,16 @@ class TestCertify:
         assert witnesses == {"v21", "v22"}
 
     def test_state_sums_read_closed_diagrams_only(self, monkeypatch):
-        # jones_hat and homology see only closures, on long and closed
-        # inputs and on their GPV and F toggles
+        # jones_hat and homology see only closures with nothing left to
+        # delete up to chord reversal, on long and closed inputs and on
+        # their GPV and F toggles
         reached = set()
 
         def closed_only(fn):
             def wrapper(d, *args):
                 assert d.kind == "closed", fn.__name__
+                # the closure after every kink and reversed R2 deletion
+                assert khovanov._reversal_deletion(d) == (), fn.__name__
                 reached.add((fn.__name__, given.kind))
                 return fn(d, *args)
 
@@ -530,6 +540,63 @@ class TestCertify:
                     assert all(seen is given for _, seen in calls)
                 read.add(names)
         assert read == {(), ("v21",), ("v21", "v22")}
+
+    def test_writhe_gates_the_search(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return simplify(*args, **kwargs)
+
+        monkeypatch.setattr(forbidden, "simplify", counted)
+        # W != 0: no search, whether a state sum or W refutes
+        assert writhe_polynomial(VT)
+        assert certify_trivial(VT).witness[0] == "jones_hat"
+        assert certify_trivial(VT, cap=VT.n - 1).witness[0] == "writhe"
+        assert calls == []
+        # W = 0: one search, whether it empties the diagram or not
+        reducible = parse_gauss_code("O1+ O2- U1+ U2- O3+ U3+", "long")
+        rt = right_trefoil()
+        for d, status in ((reducible, "certified"), (rt, "refuted")):
+            calls.clear()
+            assert not writhe_polynomial(d)
+            assert certify_trivial(d).status == status
+            assert calls == [d]
+
+    def test_writhe_gate_keeps_the_search_first_verdicts(self):
+        # oracle: the battery with the search run on every input and W read
+        # last; every subset of seeded GPV and F toggles gets an equal
+        # Verdict (status, trace, witness and reason)
+        rng = random.Random(4701)
+        seen = collections.Counter()
+        for n in range(4, 10):
+            for kind in ("closed", "long"):
+                for _ in range(6):
+                    d = random_diagram(rng, n, kind)
+                    ids = rng.sample(d.chord_ids(), rng.randint(2, min(4, n)))
+                    a = rng.randint(1, len(ids) - 1)
+                    modes = [[sorted(ids[:a]), sorted(ids[a:])]]
+                    sites = disjoint_sites(d, 2)
+                    if sites:
+                        modes.append([(s,) for s in sites])
+                    for families in modes:
+                        traces = [
+                            [MoveEvent("virtualize", (m,)) if type(m) is int else m._event() for m in fam]
+                            for fam in families
+                        ]
+                        for budget, cap in ((2000, 12), (2000, n - 1), (0, 12), (0, n - 1)):
+                            verdicts, _ = check_n_trivial(d, families, budget, cap)
+                            for subset, v in verdicts.items():
+                                toggled = apply_trace(d, [e for i in subset for e in traces[i]])
+                                assert v == certify_search_first(toggled, budget, cap), toggled.code()
+                                gated = "skipped" if writhe_polynomial(toggled) else "searched"
+                                row = v.witness[0] if v.witness else None
+                                seen[gated, v.status, v.reason or row] += 1
+        assert {key[1:] for key in seen} >= {
+            ("certified", None), ("refuted", "jones_hat"), ("refuted", "writhe"),
+            ("unknown", "budget"), ("unknown", "cap"), ("unknown", "search"),
+        }
+        assert {key[0] for key in seen if key[1] == "refuted"} == {"skipped", "searched"}
 
     def test_golden_verdicts_on_toggles(self):
         # one sha256 over certify_trivial's verdicts on GPV and F toggles of
